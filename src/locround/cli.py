@@ -48,7 +48,7 @@ def _emit(args, payload):
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-    return payload
+    return 0
 
 
 def _engine_for(g, args):
@@ -74,6 +74,7 @@ def generate_graph(n, max_degree, seed, weight_max=1):
     nodes = list(range(1, n + 1))
     deg = {v: 0 for v in nodes}
     lines = []
+    seen = set()
     if weight_max > 1:
         for v in nodes:
             lines.append(f"n {v} {rng.randint(1, weight_max)}")
@@ -88,7 +89,8 @@ def generate_graph(n, max_degree, seed, weight_max=1):
                 continue
             a, b = min(u, v), max(u, v)
             line = f"{a} {b}"
-            if line not in lines:
+            if line not in seen:
+                seen.add(line)
                 lines.append(line)
                 deg[u] += 1
                 deg[v] += 1
@@ -129,6 +131,7 @@ def cmd_generate(args):
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output}")
+    return 0
 
 
 def cmd_mis(args):
@@ -454,4 +457,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main() or 0)
+    sys.exit(main())

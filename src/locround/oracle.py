@@ -9,6 +9,7 @@ unboundedly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,51 +42,71 @@ DEFAULT_BUDGET = OracleBudget()
 
 
 def simplex_max(c, A, b, max_pivots=200_000):
-    """Exact dense simplex with integer (fraction-free) pivoting, Dantzig
-    pricing, and a Bland fallback against cycling.
+    """Exact simplex for max c.x  s.t.  A x <= b, x >= 0, with integer
+    (fraction-free) pivoting, Dantzig pricing, and a Bland fallback against
+    cycling.
 
-    Rows carry one shared positive denominator ``prev``; each pivot applies
+    ``A`` is a list of m sparse rows ``{column: coefficient}`` over the
+    n = len(c) columns; coefficients, ``b`` and ``c`` are ints or
+    Fractions.  The rows are laid out in a dense integer tableau whose
+    rows carry one shared positive denominator ``prev``; each pivot applies
     the Sylvester identity T' = (piv*T - T[col] x prow) / prev with exact
-    integer division, so entries stay minor-sized integers.  Returns
-    (optimum, x, y) with y the optimal dual (min y.b, y A >= c, y >= 0).
-    Raises LPUnbounded / LPInfeasible.
+    integer division, so entries stay minor-sized integers.  Pricing and
+    the ratio test read only true values, so the pivot sequence does not
+    depend on how the input is scaled.
+
+    Returns (optimum, x, y) as Fractions, y the optimal dual (min y.b,
+    y A >= c, y >= 0), once an exact optimality certificate holds: primal
+    and dual feasibility, y >= 0 and equal objectives, checked in integers
+    on the caller's coefficients scaled by the LCM ``den`` of all their
+    denominators.  Raises LPUnbounded / LPInfeasible.
     """
     m = len(A)
     n = len(c)
-    c = [Fraction(x) for x in c]
-    b = [Fraction(x) for x in b]
-    rows_f = [[Fraction(x) for x in row] for row in A]
     den = 1
-    for row in rows_f + [b, c]:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ci = [int(x * den) for x in c]
-    bi = [int(x * den) for x in b]
-    rows = [[int(x * den) for x in row] for row in rows_f]
+    for v in itertools.chain(c, b, *(row.values() for row in A)):
+        den = math.lcm(den, v.denominator)
+
+    def scaled(v):
+        return v.numerator * (den // v.denominator)
+
+    ci = [scaled(v) for v in c]
+    bi = [scaled(v) for v in b]
+    rows = [{j: scaled(a) for j, a in row.items() if a} for row in A]
 
     neg = [i for i in range(m) if bi[i] < 0]
+    negset = set(neg)
     n_art = len(neg)
     total = n + m + n_art
     # columns: 0..n-1 original, n..n+m-1 slacks, then artificials; entries
-    # are true values scaled by prev (initially prev = den)
+    # are true values scaled by prev.  The divisions by prev are exact only
+    # from a fraction-free state of an integer matrix: with each row that
+    # holds a fraction scaled by den, the starting basis has determinant
+    # p0 = den^(number of such rows), so the tableau starts at p0 times the
+    # true values.
+    p0 = den ** sum(1 for row, bv in zip(rows, bi)
+                    if bv % den or any(a % den for a in row.values()))
     T = []
     basis = []
     art_col = {}
     k = 0
     for i in range(m):
-        row = rows[i] + [0] * (m + n_art) + [bi[i]]
-        row[n + i] = den
-        if i in neg:
+        row = [0] * (total + 1)
+        for j, a in rows[i].items():
+            row[j] = p0 * a // den
+        row[n + i] = p0
+        row[-1] = p0 * bi[i] // den
+        if i in negset:
             row = [-x for x in row]
             col = n + m + k
             art_col[i] = col
-            row[col] = den
+            row[col] = p0
             basis.append(col)
             k += 1
         else:
             basis.append(n + i)
         T.append(row)
-    state = {"prev": den}
+    state = {"prev": p0}
 
     def pivot(z, r, col):
         # Edmonds integer pivoting: divisions by the previous pivot are
@@ -108,6 +129,14 @@ def simplex_max(c, A, b, max_pivots=200_000):
         elif piv != prev:
             z[:] = [(piv * a) // prev for a in z]
         basis[r] = col
+        if piv < 0:
+            # only the phase-1 cleanup pivots on a negative entry; negate
+            # everything so that prev stays positive and the signs the
+            # pricing and the ratio test read are the signs of true values
+            for i in range(m):
+                T[i] = [-a for a in T[i]]
+            z[:] = [-a for a in z]
+            piv = -piv
         state["prev"] = piv
 
     def make_zrow(obj_num):
@@ -186,50 +215,59 @@ def simplex_max(c, A, b, max_pivots=200_000):
     z = make_zrow(obj)
     run(z, list(range(n + m)), max_pivots)
 
+    # true values x = X/prev and y = Y/(prev*den); the slack column of a
+    # negated row is negated too, so Y is read off the slack reduced costs
+    # of every row alike
     prev = state["prev"]
-    x = [Fraction(0)] * n
+    X = [0] * n
     for i, bc in enumerate(basis):
         if bc < n:
-            x[bc] = Fraction(T[i][-1], prev)
-    # duals from slack reduced costs (objective scaled by den): y_i true =
-    # z[n+i]/(prev*den) up to the sign flip for negated rows
-    negset = set(neg)
-    y = [Fraction(-z[n + i] if i in negset else z[n + i], prev * den)
-         for i in range(m)]
-    opt = sum(cf * xi for cf, xi in zip(c, x))
-    # exact optimality certificate: primal/dual feasibility + equal objectives
-    for i in range(m):
-        if sum(rows_f[i][j] * x[j] for j in range(n)) > b[i]:
+            X[bc] = T[i][-1]
+    Y = z[n:n + m]
+    # exact optimality certificate, in integers on den times the caller's
+    # coefficients: primal/dual feasibility, y >= 0 and equal objectives
+    for i, row in enumerate(rows):
+        if sum(a * X[j] for j, a in row.items()) > bi[i] * prev:
             raise AssertionError("primal infeasible after solve")
-    for j in range(n):
-        if sum(y[i] * rows_f[i][j] for i in range(m)) < c[j]:
-            raise AssertionError("dual infeasible after solve")
-    if any(yi < 0 for yi in y):
+    yA = [0] * n
+    for yi, row in zip(Y, rows):
+        if yi:
+            for j, a in row.items():
+                yA[j] += yi * a
+    if any(yA[j] < ci[j] * prev * den for j in range(n)):
+        raise AssertionError("dual infeasible after solve")
+    if any(yi < 0 for yi in Y):
         raise AssertionError("negative dual")
-    if sum(yi * bf for yi, bf in zip(y, b)) != opt:
+    cx = sum(cj * xj for cj, xj in zip(ci, X) if xj)
+    if sum(yi * bv for yi, bv in zip(Y, bi) if yi) != den * cx:
         raise AssertionError("duality gap after solve")
-    return opt, x, y
+    return (Fraction(cx, prev * den), [Fraction(xj, prev) for xj in X],
+            [Fraction(yi, prev * den) for yi in Y])
 
 
 def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
     """Exact LP optimum; ``max c.x, Ax <= b`` or ``min c.x, Ax >= b``
-    (both with x >= 0).  Unbounded and infeasible are reported distinctly."""
+    (both with x >= 0), ``A`` given as sparse rows ``{column: coefficient}``
+    as in ``simplex_max``.  Unbounded and infeasible are reported
+    distinctly."""
     if len(objective) > budget.max_lp_vars:
         raise OverBudget(f"{len(objective)} variables over LP budget")
     if sense == "max":
         return simplex_max(objective, A, b)
     # min c.x, Ax >= b, x >= 0  solved through its dual max b.y, A^T y <= c
-    m = len(A)
-    n = len(objective)
-    At = [[A[i][j] for i in range(m)] for j in range(n)]
+    At = [{} for _ in objective]
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            if a:
+                At[j][i] = a
     try:
         opt, y, x = simplex_max(b, At, objective)
     except LPUnbounded as exc:
         raise LPInfeasible("primal infeasible (dual unbounded)") from exc
-    for i in range(m):
-        if sum(A[i][j] * x[j] for j in range(n)) < b[i]:
+    for row, bv in zip(A, b):
+        if sum(a * x[j] for j, a in row.items() if a and x[j]) < bv:
             raise AssertionError("recovered primal infeasible")
-    if sum(Fraction(objective[j]) * x[j] for j in range(n)) != opt:
+    if sum(cj * xj for cj, xj in zip(objective, x) if cj and xj) != opt:
         raise AssertionError("duality gap in min recovery")
     return opt, x, y
 
@@ -238,7 +276,13 @@ def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
     """LP: max sum w(v) x_v  s.t.  for all v: sum_{u in N+(v)} x_u <= 1.
 
     Returns (S*, x dict).  ``weights`` overrides the graph's weights
-    (residual weight functions); nodes of weight 0 still constrain.
+    (residual weight functions); nodes of weight 0 still constrain.  One
+    LP is solved per connected component, over its nodes in graph order.
+    The constraints are block diagonal and the rhs is nonnegative (no
+    phase 1), so a pivot in one block leaves the reduced costs of the
+    others alone, and Dantzig pricing on the whole system interleaves these
+    per-block runs: the merged x is the vertex one solve over all nodes
+    returns, unless its degenerate-pivot count brings in the Bland fallback.
     """
     g = wg.graph if hasattr(wg, "graph") else wg
     w = weights if weights is not None else getattr(wg, "weights", None)
@@ -247,58 +291,88 @@ def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
     nodes = list(g.nodes)
     if len(nodes) > budget.max_lp_vars:
         raise OverBudget("packing LP over budget")
-    idx = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(nodes):
-        A[i][i] = Fraction(1)
-        for u in g.neighbors(v):
-            A[i][idx[u]] = Fraction(1)
-    c = [Fraction(w.get(v, 0)) for v in nodes]
-    b = [Fraction(1)] * n
-    opt, x, _y = simplex_max(c, A, b)
-    return opt, {v: x[i] for i, v in enumerate(nodes)}
+    opt = Fraction(0)
+    x = {}
+    for comp in _graph_components(g):
+        o, xs, _y = simplex_max([w.get(v, 0) for v in comp],
+                                _closed_neighborhood_rows(g, comp),
+                                [1] * len(comp))
+        opt += o
+        x.update(zip(comp, xs))
+    return opt, {v: x[v] for v in nodes}
 
 
 def dual_covering_lp(wg, wprime, budget=DEFAULT_BUDGET):
     """LP (dual of the packing LP): min sum y_v s.t. for all v:
-    sum_{u in N+(v)} y_u >= w'(v), y >= 0.  Returns (opt, y dict)."""
+    sum_{u in N+(v)} y_u >= w'(v), y >= 0.  Solved per connected component
+    like ``packing_lp``.  Returns (opt, y dict)."""
     g = wg.graph if hasattr(wg, "graph") else wg
     nodes = list(g.nodes)
+    if len(nodes) > budget.max_lp_vars:
+        raise OverBudget(f"{len(nodes)} variables over LP budget")
+    opt = Fraction(0)
+    y = {}
+    for comp in _graph_components(g):
+        o, ys, _x = exact_lp([1] * len(comp),
+                             _closed_neighborhood_rows(g, comp),
+                             [wprime.get(v, 0) for v in comp], sense="min",
+                             budget=budget)
+        opt += o
+        y.update(zip(comp, ys))
+    return opt, {v: y[v] for v in nodes}
+
+
+def _graph_components(g):
+    """Connected components of ``g`` as node lists in ``g.nodes`` order,
+    ordered by their first node."""
+    root = {}
+    for start in g.nodes:
+        if start in root:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u not in root:
+                    root[u] = start
+                    stack.append(u)
+    comps = {}
+    for v in g.nodes:
+        comps.setdefault(root[v], []).append(v)
+    return list(comps.values())
+
+
+def _closed_neighborhood_rows(g, nodes):
+    """Sparse 0/1 rows of x(N+[v]) for v in ``nodes``, a union of
+    components of ``g``, with columns in the order of ``nodes``."""
     idx = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(nodes):
-        A[i][i] = Fraction(1)
+    rows = []
+    for v in nodes:
+        row = {idx[v]: 1}
         for u in g.neighbors(v):
-            A[i][idx[u]] = Fraction(1)
-    cvec = [Fraction(1)] * n
-    bvec = [Fraction(wprime.get(v, 0)) for v in nodes]
-    opt, y, _x = exact_lp(cvec, A, bvec, sense="min", budget=budget)
-    return opt, {v: y[i] for i, v in enumerate(nodes)}
+            row[idx[u]] = 1
+        rows.append(row)
+    return rows
 
 
-def setcover_lp(inst, budget=DEFAULT_BUDGET):
-    """Exact fractional set cover optimum: min sum w(v) x_v with every
-    element covered once.  Solved per connected component.  Returns
-    (optimum, x dict)."""
-    comp = _components(inst)
+def setcover_lp(inst, costs=None, budget=DEFAULT_BUDGET):
+    """Exact fractional set cover optimum: min sum cost(v) x_v with every
+    element covered at least once.  ``costs`` maps every set to its cost
+    and defaults to the instance's costs.  Solved per connected component
+    over sparse 0/1 rows.  Returns (optimum, x dict)."""
+    if costs is None:
+        costs = inst.costs
     x = {}
     opt = Fraction(0)
-    for (els, sets_) in comp:
+    for (els, sets_) in _components(inst):
         if len(sets_) > budget.max_lp_vars:
             raise OverBudget("set cover LP over budget")
         sidx = {v: j for j, v in enumerate(sets_)}
-        A = [[Fraction(0)] * len(sets_) for _ in els]
-        for i, u in enumerate(els):
-            for v in inst.element_sets[u]:
-                A[i][sidx[v]] = Fraction(1)
-        cvec = [Fraction(inst.costs[v]) for v in sets_]
-        bvec = [Fraction(1)] * len(els)
-        o, xs, _y = exact_lp(cvec, A, bvec, sense="min", budget=budget)
+        A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
+        o, xs, _y = exact_lp([costs[v] for v in sets_], A, [1] * len(els),
+                             sense="min", budget=budget)
         opt += o
-        for j, v in enumerate(sets_):
-            x[v] = xs[j]
+        x.update(zip(sets_, xs))
     return opt, x
 
 

@@ -42,13 +42,15 @@ def fractional_cover(inst, backend="central-exact", weighted=False,
                      budget=_oracle.DEFAULT_BUDGET):
     """Feasible fractional cover with a declared approximation factor.
 
-    central-exact: the exact LP optimum (factor 1).  central-approx: the
-    exact LP optimum rounded up to powers of two (factor 2, dyadic values).
+    Both backends start from the exact LP optimum for the costs being
+    minimised (set costs if ``weighted``, else unit costs).  central-exact:
+    that optimum (factor 1).  central-approx: it rounded up to powers of two
+    (factor 2, dyadic values).
     Returns (x0, factor, opt_bound) with opt_bound = total cost / factor a
     certified lower bound on the fractional optimum.
     """
-    lp_opt, x = _oracle.setcover_lp(inst, budget=budget)
     cost = inst.costs if weighted else {v: 1 for v in inst.sets}
+    _lp_opt, x = _oracle.setcover_lp(inst, cost, budget=budget)
     if backend == "central-exact":
         x0 = {v: min(Fraction(1), x.get(v, Fraction(0))) for v in inst.sets}
         factor = Fraction(1)
@@ -210,6 +212,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
         engine = _sim.RoundEngine(gg, mode=mode)
     W = inst.W if weighted else 1
     x0, factor, opt_bound = fractional_cover(inst, backend, weighted, budget)
+    engine.metrics.oracle_assisted = True       # both backends solve the LP
     x = build_scaled_x(x0, inst)
     total_x_cost = sum(Fraction(cost[v]) * x[v] for v in inst.sets)
     if 10 * total_x_cost > factor * opt_bound * 2:

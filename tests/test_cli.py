@@ -1,8 +1,30 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from locround import cli
+from locround import cli, graph as G, oracle as O
+
+# one cost-10 set covers both elements; two cost-1 sets cover one each
+WEIGHTED_COVER = ("e 1\ne 2\ns 10 10\ns 11 1\ns 12 1\n"
+                  "c 1 10\nc 2 10\nc 1 11\nc 2 12\n")
+
+
+def _run_console_script(*argv):
+    """Run the CLI in a child process the way the ``locround`` console
+    script does: ``sys.exit(main())``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from locround.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_generate_deterministic(tmp_path):
@@ -12,6 +34,20 @@ def test_generate_deterministic(tmp_path):
         cli.main(["generate", "graph", "--n", "25", "--max-degree", "4",
                   "--seed", "9", "--output", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["--n", "300", "--max-degree", "6", "--seed", "7", "--weight-max", "20"],
+     "25e996d5ca9cdc262f9c602984f1f96007b73813bcb62d62c53f45aba1376f99"),
+    (["--n", "200", "--max-degree", "4", "--seed", "3"],
+     "1545ab8be0edecddf2a8acacd4163ab0b1ef144bb897825af3a7687e53b0acd2"),
+])
+def test_generate_graph_bytes_fixed(tmp_path, argv, sha256):
+    # digests of the output of the list-scan duplicate check, which the
+    # set-based check must reproduce byte for byte
+    p = tmp_path / "g.edges"
+    cli.main(["generate", "graph", *argv, "--output", str(p)])
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == sha256
 
 
 def test_generate_empty():
@@ -136,3 +172,29 @@ def test_wis_and_color_runners(tmp_path):
     cli.main(["--json", str(rep), "color", "--input", str(g),
               "--delta", "1/4", "--color-mode", "avgdefective"])
     assert cli.main(["verify", str(rep)]) == 0
+
+
+def test_console_script_exits_zero(tmp_path):
+    sc = tmp_path / "i.sc"
+    sc.write_text(WEIGHTED_COVER)
+    g = tmp_path / "g.edges"
+    g.write_text("1 2\n2 3\n4 5\n")
+    for argv in (["setcover", "--input", str(sc)],
+                 ["oracle", "lp", "--input", str(g)]):
+        proc = _run_console_script(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert json.loads(proc.stdout)["config"]["input"] == argv[-1]
+
+
+def test_setcover_unit_mode_on_weighted_input(tmp_path):
+    sc = tmp_path / "i.sc"
+    sc.write_text(WEIGHTED_COVER)
+    rep = tmp_path / "sc.json"
+    assert cli.main(["--json", str(rep), "setcover", "--input", str(sc)]) == 0
+    doc = json.loads(rep.read_text())
+    unit_opt, _ = O.brute_set_cover_opt(G.load_graph(sc, "setcover"))
+    assert unit_opt == 1
+    # the bound comes from the unit-cost LP, not the weighted one (2)
+    assert Fraction(doc["opt_bound"]) <= unit_opt
+    # the fractional cover is a central LP solve
+    assert doc["metrics"]["oracle_assisted"] is True

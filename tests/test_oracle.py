@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,111 @@ def test_lp_vs_brute(rng):
         opt, _ = O.brute_max_weight_is(wg)
         assert opt <= sstar * O.neighborhood_independence(wg.graph)
         assert sstar >= opt / max(1, O.neighborhood_independence(wg.graph))
+
+
+def _disjoint_union(rng, blocks):
+    """Random graph of ``blocks`` components (isolated nodes included) whose
+    node ids interleave, so components are not contiguous in node order."""
+    nodes, pairs = [], []
+    for b in range(blocks):
+        g = random_simple_graph(rng, rng.randint(1, 8), 4, 0.4, id_range=30)
+        nodes += [blocks * v + b for v in g.nodes]
+        pairs += [(blocks * e.u + b, blocks * e.v + b) for e in g.edges]
+    return G.simple_graph(nodes, pairs)
+
+
+def test_per_component_lps_match_whole_system(rng):
+    for _ in range(25):
+        g = _disjoint_union(rng, rng.randint(1, 5))
+        nodes = list(g.nodes)
+        w = {v: rng.choice([0, 0, 1, 3, Fraction(7, 2)]) for v in nodes}
+        idx = {v: i for i, v in enumerate(nodes)}
+        rows = [{idx[u]: 1 for u in [v] + g.neighbors(v)} for v in nodes]
+        opt, x, y = O.simplex_max([w[v] for v in nodes], rows,
+                                  [1] * len(nodes))
+        assert O.packing_lp(g, weights=w) == (opt, dict(zip(nodes, x)))
+        # the covering LP's optimum is the packing LP's dual
+        assert O.dual_covering_lp(g, w) == (opt, dict(zip(nodes, y)))
+
+
+def _solve_square(M, r):
+    """Exact solution of the square system M z = r, or None if singular."""
+    n = len(M)
+    aug = [list(row) + [rv] for row, rv in zip(M, r)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col] / aug[col][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def _vertex_optimum(c, A, b, sense):
+    """Best objective over the vertices of {A x <= b (max) or A x >= b
+    (min), x >= 0}, by enumerating every n of the m + n constraints as
+    equalities; None when no vertex is feasible."""
+    n = len(c)
+    sgn = 1 if sense == "max" else -1
+    dense = [[sgn * Fraction(row.get(j, 0)) for j in range(n)] for row in A]
+    cons = ([(row, sgn * Fraction(bv)) for row, bv in zip(dense, b)]
+            + [([-Fraction(int(i == j)) for i in range(n)], Fraction(0))
+               for j in range(n)])
+    best = None
+    for pick in itertools.combinations(cons, n):
+        z = _solve_square([row for row, _ in pick], [rv for _, rv in pick])
+        if z is None or any(sum(a * zj for a, zj in zip(row, z)) > rv
+                            for row, rv in cons):
+            continue
+        val = sum(cj * zj for cj, zj in zip(c, z))
+        if best is None or sgn * val > sgn * best:
+            best = val
+    return best
+
+
+def test_small_lps_match_vertex_enumeration(rng):
+    def coef():
+        return Fraction(rng.randint(-4, 5), rng.randint(1, 3))
+
+    seen = {"max": 0, "min": 0, "infeasible": 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 3)
+        sense = rng.choice(["max", "min"])
+        A = [{j: coef() for j in range(n) if rng.random() < 0.8}
+             for _ in range(m)]
+        b = [coef() for _ in range(m)]
+        if sense == "max":
+            # a positive box keeps the max bounded; negative rhs rows make
+            # phase 1 run
+            c = [coef() for _ in range(n)]
+            A.append({j: Fraction(rng.randint(1, 3)) for j in range(n)})
+            b.append(Fraction(rng.randint(1, 6)))
+        else:
+            c = [abs(coef()) for _ in range(n)]        # bounded below by 0
+        best = _vertex_optimum(c, A, b, sense)
+        if best is None:
+            with pytest.raises(O.LPInfeasible):
+                O.exact_lp(c, A, b, sense=sense)
+            seen["infeasible"] += 1
+            continue
+        opt, x, _y = O.exact_lp(c, A, b, sense=sense)
+        assert opt == best
+        assert sum(cj * xj for cj, xj in zip(c, x)) == opt
+        seen[sense] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_lp_infeasible_and_unbounded():
+    with pytest.raises(O.LPInfeasible):
+        O.simplex_max([1], [{0: 1}], [-1])              # x <= -1
+    with pytest.raises(O.LPInfeasible):
+        O.exact_lp([1], [{0: -1}], [1], sense="min")    # -x >= 1
+    with pytest.raises(O.LPUnbounded):
+        O.simplex_max([1, 1], [{1: 1}], [2])            # x0 is free
 
 
 def test_setcover_lp_feasible(rng):
