@@ -16,6 +16,7 @@ terms (the dummy-edge reduction).
 
 from __future__ import annotations
 
+import functools
 import heapq
 
 # ---------------------------------------------------------------------------
@@ -231,13 +232,14 @@ def _iroot_ceil(n, k):
     return r
 
 
+@functools.lru_cache(maxsize=1024)
 def plan_defective_schedule(ncolors0, delta_num, delta_den):
     """Schedule of (q, d) Reed-Solomon steps for a weighted per-node
     delta-relative defective coloring starting from ``ncolors0`` colors.
 
     Budget split follows the s_i = 2^(t-i+1)/delta schedule with the extra
     coarse step 0 at s_0 = 4/delta; the returned per-step conflict budgets
-    b_j satisfy sum_j b_j <= delta.
+    b_j satisfy sum_j b_j <= delta.  Memoized, so the plan is a tuple.
     """
     for t in range(1, 16):
         budgets = [(delta_num, 4 * delta_den)]
@@ -259,12 +261,14 @@ def plan_defective_schedule(ncolors0, delta_num, delta_den):
                     plan.pop()
                 else:
                     break
-            return plan
-    return plan
+            return tuple(plan)
+    return tuple(plan)
 
 
+@functools.lru_cache(maxsize=1024)
 def plan_proper_schedule(ncolors0, max_edge_degree):
-    """Schedule of (q, d) steps for a proper Linial-style coloring."""
+    """Schedule of (q, d) steps for a proper Linial-style coloring.
+    Memoized, so the plan is a tuple."""
     dd = max(1, max_edge_degree)
     plan = []
     n = ncolors0
@@ -284,7 +288,7 @@ def plan_proper_schedule(ncolors0, max_edge_degree):
         if q * q >= n:
             break
         n = q * q
-    return plan
+    return tuple(plan)
 
 
 def _digits(c, q, d):

@@ -206,13 +206,17 @@ def cmd_wis(args):
     })
 
 
+def _load_cover(path, from_dominating_set):
+    if not from_dominating_set:
+        return _graph.load_graph(path, "setcover")
+    g = _graph.load_graph(path, "edge-list")
+    if isinstance(g, _graph.WeightedGraph):
+        g = g.graph
+    return _setcover.from_dominating_set(g)[0]
+
+
 def cmd_setcover(args):
-    inst = _graph.load_graph(args.input, "setcover")
-    if args.from_dominating_set:
-        g = _graph.load_graph(args.input, "edge-list")
-        if isinstance(g, _graph.WeightedGraph):
-            g = g.graph
-        inst, _base = _setcover.from_dominating_set(g)
+    inst = _load_cover(args.input, args.from_dominating_set)
     cost_mode = "weighted" if args.weighted else "unit"
     V, metrics, info = _setcover.set_cover(inst, mode=args.mode,
                                            cost_mode=cost_mode,
@@ -264,21 +268,25 @@ def _defective_json(dc):
             "delta": _frac_str(dc.relative_defect), "certificate": cert}
 
 
+def _round_raw(lam):
+    return {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
+            for v, nums in lam.values.items()}
+
+
 def cmd_round(args):
     g, val, lam = _load_rounding_instance(args.valuation)
     engine = _engine_for(g, args)
-    lam_raw = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-               for v, nums in lam.values.items()}
+    lam_raw = _round_raw(lam)
     estimate = "quantized" if args.mode == _sim.CONGEST else "exact"
-    ell = _rounding.round_fractional(g, val, lam_raw, args.eps, args.mu,
-                                     val.nlabels, estimate_mode=estimate,
-                                     engine=engine)
-    U, C = _rounding.evaluate(val, lam_raw, g)
     prep = _rounding._Prepared(g, val)
-    Uf, Cf = prep.potential(
-        _rounding.FractionalAssignment.integral(val.nlabels, ell))
+    U, C = prep.potential(lam_raw)
+    ell, (Uf, Cf) = _rounding.round_fractional(
+        g, val, lam_raw, args.eps, args.mu, val.nlabels,
+        estimate_mode=estimate, engine=engine, prep=prep, uc_raw=(U, C))
     return _emit(args, {
-        "algorithm": "round", "labels": {str(v): a for v, a in ell.items()},
+        "algorithm": "round", "input": args.valuation,
+        "eps": _frac_str(args.eps),
+        "labels": {str(v): a for v, a in ell.items()},
         "fractional_u": _frac_str(U), "fractional_c": _frac_str(C),
         "final_u": _frac_str(Uf), "final_c": _frac_str(Cf),
         "guarantee_ok": Uf - Cf >= (1 - args.eps) * (U - C),
@@ -358,11 +366,28 @@ def cmd_verify(args):
         bound = Fraction(doc["certificate"]["bound"])
         checks["weight_bound"] = sum(wg.weights[v] for v in S) >= bound
     elif algo == "setcover":
-        inst = _graph.load_graph(inp, "setcover")
+        inst = _load_cover(inp, doc.get("config", {}).get(
+            "from_dominating_set", False))
         checks["covers"] = _oracle.covers(inst, doc["sets"])
         phi = [Fraction(p) for p in doc["phi"]]
         checks["phi_monotone"] = all(phi[i + 1] <= phi[i]
                                      for i in range(len(phi) - 1))
+    elif algo == "round":
+        g, val, lam = _load_rounding_instance(inp)
+        prep = _rounding._Prepared(g, val)
+        U, C = prep.potential(_round_raw(lam))
+        checks["fractional_uc"] = (Fraction(doc["fractional_u"]) == U
+                                   and Fraction(doc["fractional_c"]) == C)
+        ell = {int(v): a for v, a in doc["labels"].items()}
+        checks["labels"] = (sorted(ell) == sorted(g.nodes) and all(
+            a in range(val.nlabels) for a in ell.values()))
+        if checks["labels"]:
+            Uf, Cf = prep.potential(
+                _rounding.FractionalAssignment.integral(val.nlabels, ell))
+            checks["final_uc"] = (Fraction(doc["final_u"]) == Uf
+                                  and Fraction(doc["final_c"]) == Cf)
+            eps = Fraction(doc["eps"])
+            checks["guarantee"] = Uf - Cf >= (1 - eps) * (U - C)
     elif algo == "color":
         wg = _load_weighted(inp)
         g = wg.graph

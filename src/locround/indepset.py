@@ -36,29 +36,18 @@ def is_valuation(h, weights):
     return _rounding.Valuation(2, {}, ec, node_utility=nut)
 
 
-def is_utility_cost(wg, x=None):
-    """Valuation for a weighted graph; with ``x`` also returns (u, c)."""
-    val = is_valuation(wg.graph, wg.weights)
-    if x is None:
-        return val
-    lam = {v: (1 - Fraction(x[v]), Fraction(x[v])) for v in wg.graph.nodes}
-    U, C = _rounding.evaluate(val, lam, wg.graph)
-    return val, U, C
+def _uc_at(prep, x):
+    """Exact (u, c) at the point x of the independent-set valuation packed
+    in ``prep``."""
+    return prep.potential({v: (1 - Fraction(x[v]), Fraction(x[v]))
+                           for v in prep.nodes})
 
 
-def _uc_at(h, weights, x):
-    U = sum(Fraction(weights[v]) * Fraction(x[v]) for v in h.nodes)
-    C = Fraction(0)
-    for e in h.edges:
-        C += (Fraction(min(weights[e.u], weights[e.v]))
-              * Fraction(x[e.u]) * Fraction(x[e.v]))
-    return U, C
-
-
-def extract_is(h, weights, x_int):
+def extract_is(h, weights, x_int, uc=None):
     """Conflict-dropping extraction: keep selected nodes without a selected
     neighbor of larger (weight, id).  Returns I with w(I) >= u(x) - c(x),
-    asserted exactly."""
+    asserted exactly; ``uc`` is (u(x), c(x)) when the caller already
+    holds it."""
     selected = {v for v in h.nodes if x_int[v] == 1}
     survives = set(selected)
     adj = {v: set() for v in h.nodes}
@@ -69,7 +58,9 @@ def extract_is(h, weights, x_int):
         kv = (weights[v], v)
         if any(u in selected and (weights[u], u) > kv for u in adj[v]):
             survives.discard(v)
-    U, C = _uc_at(h, weights, {v: (1 if v in selected else 0) for v in h.nodes})
+    if uc is None:
+        uc = _uc_at(_rounding._Prepared(h, is_valuation(h, weights)), x_int)
+    U, C = uc
     wI = sum(weights[v] for v in survives)
     if wI < U - C:
         raise ISInvariantError(f"extraction bound failed: {wI} < {U - C}")
@@ -80,18 +71,22 @@ def extract_is(h, weights, x_int):
 
 
 def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
-                   mode=_sim.LOCAL, check=True):
+                   mode=_sim.LOCAL, check=True, prep=None):
     """Round a fractional solution with u(x) >= 2c(x) into an independent
     set of weight at least (1/2 - eps) u(x), asserted exactly.
 
     Applies the x + eps/(2*Delta) utility shift (skipped where it would
     exceed 1), then the preprocessing + rounding pipeline with
     mu = 1/2 - eps/2 (or the exact measured margin when smaller).
+    ``prep`` is the packed independent-set valuation of ``(h, weights)``
+    when the caller already holds it.
     """
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 2)):
         raise ValueError("eps must be in (0, 1/2]")
-    U0, C0 = _uc_at(h, weights, x)
+    if prep is None:
+        prep = _rounding._Prepared(h, is_valuation(h, weights))
+    U0, C0 = _uc_at(prep, x)
     if U0 < 2 * C0:
         raise ISInvariantError(f"precondition u >= 2c violated: {U0} < {2 * C0}")
     if U0 == 0:
@@ -104,18 +99,17 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     s = eps / (2 * max(dmax, 1))
     xs = {v: (Fraction(x[v]) + s if Fraction(x[v]) + s <= 1 else Fraction(x[v]))
           for v in h.nodes}
-    U1, C1 = _uc_at(h, weights, xs)
+    U1, C1 = _uc_at(prep, xs)
     if U1 <= C1:
         raise ISInvariantError("shifted solution lost its margin")
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
-    val = is_valuation(h, weights)
     lam_raw = {v: (1 - xs[v], xs[v]) for v in h.nodes}
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
-    ell = _rounding.round_fractional(
-        h, val, lam_raw, eps, mu, 2, estimate_mode=estimate_mode,
+    ell, uc = _rounding.round_fractional(
+        h, prep.val, lam_raw, eps, mu, 2, estimate_mode=estimate_mode,
         initial_coloring=initial_coloring, engine=engine, check=check,
-        uc_raw=(U1, C1))
-    I = extract_is(h, weights, ell)
+        prep=prep, uc_raw=(U1, C1))
+    I = extract_is(h, weights, ell, _uc_at(prep, ell) if uc is None else uc)
     wI = sum(weights[v] for v in I)
     if check and wI < (Fraction(1, 2) - eps) * U0:
         raise ISInvariantError(
@@ -197,7 +191,8 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
         engine.metrics.oracle_assisted = True
     if sstar == 0:
         return [], sstar
-    U, C = _uc_at(g, w, xstar)
+    prep = _rounding._Prepared(g, is_valuation(g, w))
+    U, C = _uc_at(prep, xstar)
     if U < 2 * C:
         raise ISInvariantError("feasible LP point broke u >= 2c")
     n = max(1, len(g.nodes))
@@ -206,7 +201,8 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
     xt = {v: Fraction((Fraction(xstar[v]) * grid).__floor__(), grid)
           for v in g.nodes}
     I, _u = basic_is_round(g, w, xt, eps, engine=engine,
-                           initial_coloring=coloring, mode=mode, check=check)
+                           initial_coloring=coloring, mode=mode, check=check,
+                           prep=prep)
     wI = sum(w[v] for v in I)
     if check and 4 * wI < sstar:
         raise ISInvariantError(f"S*/4 bound failed: {wI} < {sstar}/4")

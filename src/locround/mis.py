@@ -149,10 +149,10 @@ def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
     edges_before = sum(len(adj[v]) for v in it.nodes) // 2
     h, val = build_mis_valuation(it)
     lam_raw = {v: (1 - it.marks[v], it.marks[v]) for v in it.nodes}
+    prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
     uc_raw = None
     if check:
-        U, C = _rounding.evaluate(val, lam_raw, h)
-        uc_raw = (U, C)
+        U, C = uc_raw = prep.potential(lam_raw)
         if U - C < U / 2:
             raise MisInvariantError(f"u - c >= u/2 failed: {U} - {C}")
         if 240 * U < edges_before:
@@ -161,9 +161,9 @@ def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
         if 2 * good_deg < edges_before:
             raise MisInvariantError("good-degree mass below |E|/2")
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
-    ell = _rounding.round_fractional(
+    ell, _uc = _rounding.round_fractional(
         h, val, lam_raw, eps, Fraction(1, 2), 2, estimate_mode=estimate_mode,
-        engine=engine, check=check, agree_cache=agree_cache, uc_raw=uc_raw)
+        engine=engine, check=check, prep=prep, uc_raw=uc_raw)
     marked = {v for v, lab in ell.items() if lab == 1}
     joined = sorted(u for u in marked
                     if not any(w in marked for w in it.out_nbrs[u]))

@@ -264,6 +264,13 @@ def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
         opt, y, x = simplex_max(b, At, objective)
     except LPUnbounded as exc:
         raise LPInfeasible("primal infeasible (dual unbounded)") from exc
+    except LPInfeasible as exc:
+        # an infeasible dual leaves the primal infeasible or unbounded;
+        # a phase-1 solve of Ax >= b tells which (it raises LPInfeasible)
+        simplex_max([0] * len(objective),
+                    [{j: -a for j, a in row.items()} for row in A],
+                    [-bv for bv in b])
+        raise LPUnbounded("primal unbounded (dual infeasible)") from exc
     for row, bv in zip(A, b):
         if sum(a * x[j] for j, a in row.items() if a and x[j]) < bv:
             raise AssertionError("recovered primal infeasible")

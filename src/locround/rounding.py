@@ -15,6 +15,7 @@ asserted exactly in rational arithmetic on every call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -229,120 +230,40 @@ class _Prepared:
         return [list(lam.values[v]) for v in self.nodes]
 
     def potential(self, lam, lam_arr=None):
-        arr = self.lam_array(lam) if lam_arr is None else lam_arr
-        U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                 self.ut, self.ct, self.nut, self.nct,
-                                 arr, lam.k)
-        den = self.scale * (1 << (2 * lam.k))
+        """Exact (utility, cost) of ``lam``: a FractionalAssignment, or a
+        mapping node -> rational distribution."""
+        if isinstance(lam, FractionalAssignment):
+            arr = self.lam_array(lam) if lam_arr is None else lam_arr
+            U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
+                                     self.ut, self.ct, self.nut, self.nct,
+                                     arr, lam.k)
+            D = 1 << lam.k
+        else:
+            # integer numerators over the least common denominator D; each
+            # is below 2^k with k = D.bit_length(), which is all the
+            # kernel's range check needs.  The kernel scales node terms by
+            # 2^k, so they are added here, at scale D.
+            rows = [[Fraction(x) for x in lam[v]] for v in self.nodes]
+            D = math.lcm(*(x.denominator for row in rows for x in row))
+            arr = [[x.numerator * (D // x.denominator) for x in row]
+                   for row in rows]
+            U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
+                                     self.ut, self.ct, None, None,
+                                     arr, D.bit_length())
+            if self.nut is not None:
+                for row, nu, nc in zip(arr, self.nut, self.nct):
+                    if nu is not None:
+                        U += D * sum(map(operator.mul, row, nu))
+                    if nc is not None:
+                        C += D * sum(map(operator.mul, row, nc))
+        den = self.scale * D * D
         return Fraction(U, den), Fraction(C, den)
 
 
-def prepare(g, val):
-    return _Prepared(g, val)
-
-
 def evaluate(val, lam, g):
-    """Exact (utility, cost) of a fractional assignment.
-
-    ``lam`` is a FractionalAssignment (fast integer path) or a mapping
-    node -> tuple of Fractions (exact rational path).
-    """
-    if isinstance(lam, FractionalAssignment):
-        return _Prepared(g, val).potential(lam)
-    L = val.nlabels
-    fast = _evaluate_common_den(val, lam, g)
-    if fast is not None:
-        return fast
-    U = Fraction(0)
-    C = Fraction(0)
-    for e in g.edges:
-        tu = val.edge_utility.get(e.index)
-        tc = val.edge_cost.get(e.index)
-        lu = lam[e.u]
-        lv = lam[e.v]
-        for a in range(L):
-            if not lu[a]:
-                continue
-            for b in range(L):
-                if not lv[b]:
-                    continue
-                p = Fraction(lu[a]) * Fraction(lv[b])
-                if tu is not None:
-                    U += p * tu[a][b]
-                if tc is not None:
-                    C += p * tc[a][b]
-    for v, row in val.node_utility.items():
-        for a in range(L):
-            U += Fraction(lam[v][a]) * row[a]
-    for v, row in val.node_cost.items():
-        for a in range(L):
-            C += Fraction(lam[v][a]) * row[a]
-    return U, C
-
-
-def _evaluate_common_den(val, lam, g, max_bits=320):
-    """Integer fast path: all assignment values on one common denominator.
-
-    Applies when the least common denominator stays small (the typical
-    structured inputs, e.g. 1/(20 deg) markings); returns None otherwise.
-    """
-    L = val.nlabels
-    D = 1
-    for nums in lam.values():
-        for x in nums:
-            d = Fraction(x).denominator
-            D = D * d // math.gcd(D, d)
-            if D.bit_length() > max_bits:
-                return None
-    S = 1
-    for tables in (val.edge_utility, val.edge_cost,
-                   val.node_utility, val.node_cost):
-        for tab in tables.values():
-            rows = tab if tab and isinstance(tab[0], (tuple, list)) else [tab]
-            for row in rows:
-                for x in row:
-                    d = Fraction(x).denominator
-                    S = S * d // math.gcd(S, d)
-                    if S.bit_length() > max_bits:
-                        return None
-    li = {v: tuple((Fraction(x).numerator * (D // Fraction(x).denominator))
-                   for x in nums) for v, nums in lam.items()}
-    U = 0
-    C = 0
-    for e in g.edges:
-        tu = val.edge_utility.get(e.index)
-        tc = val.edge_cost.get(e.index)
-        lu = li[e.u]
-        lv = li[e.v]
-        for a in range(L):
-            la = lu[a]
-            if not la:
-                continue
-            for b in range(L):
-                lb = lv[b]
-                if not lb:
-                    continue
-                p = la * lb
-                if tu is not None and tu[a][b]:
-                    x = Fraction(tu[a][b])
-                    U += p * (x.numerator * (S // x.denominator))
-                if tc is not None and tc[a][b]:
-                    x = Fraction(tc[a][b])
-                    C += p * (x.numerator * (S // x.denominator))
-    for v, row in val.node_utility.items():
-        lv = li[v]
-        for a in range(L):
-            if lv[a] and row[a]:
-                x = Fraction(row[a])
-                U += lv[a] * D * (x.numerator * (S // x.denominator))
-    for v, row in val.node_cost.items():
-        lv = li[v]
-        for a in range(L):
-            if lv[a] and row[a]:
-                x = Fraction(row[a])
-                C += lv[a] * D * (x.numerator * (S // x.denominator))
-    den = D * D * S
-    return Fraction(U, den), Fraction(C, den)
+    """Exact (utility, cost) of ``lam``, a FractionalAssignment or a
+    mapping node -> rational distribution."""
+    return _Prepared(g, val).potential(lam)
 
 
 def _eta_ints(eta):
@@ -351,7 +272,8 @@ def _eta_ints(eta):
 
 
 def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
-                  initial_coloring=None, engine=None, prep=None, check=True):
+                  initial_coloring=None, engine=None, prep=None, check=True,
+                  uc0=None):
     """One basic rounding step: 1/(2K)-integral in, 1/K-integral out.
 
     Computes edge weights u + eta*c, colors the multigraph with a weighted
@@ -361,7 +283,9 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
 
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
-    is asserted (zero tolerance) unless ``check=False``.
+    is asserted (zero tolerance) unless ``check=False``.  ``uc0`` is the
+    exact (u, c) of ``lam`` when the caller already holds it.  Returns
+    ``(out, (u', c'))``, with None for the pair when ``check=False``.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -375,7 +299,7 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         prep = _Prepared(g, val)
     arr = prep.lam_array(lam)
     if check:
-        U0, C0 = prep.potential(lam, arr)
+        U0, C0 = prep.potential(lam, arr) if uc0 is None else uc0
     en, ed = _eta_ints(eta)
     w, nodew = _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
                                         prep.ut, prep.ct, prep.nut, prep.nct,
@@ -402,51 +326,62 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
     _K.halve_assignment(prep.nv, prep.L, arr)
     out = FractionalAssignment(lam.nlabels, lam.k - 1, {
         v: tuple(arr[i]) for i, v in enumerate(prep.nodes)})
-    if check:
-        U1, C1 = prep.potential(out)
-        if U1 - eta * C1 < U0 - eta * C0 - delta * (U0 + eta * C0):
-            raise RoundingInvariantError(
-                f"rounding step lost too much potential: "
-                f"{U1 - eta * C1} < {U0 - eta * C0 - delta * (U0 + eta * C0)}")
-    return out
+    if not check:
+        return out, None
+    U1, C1 = prep.potential(out)
+    if U1 - eta * C1 < U0 - eta * C0 - delta * (U0 + eta * C0):
+        raise RoundingInvariantError(
+            f"rounding step lost too much potential: "
+            f"{U1 - eta * C1} < {U0 - eta * C0 - delta * (U0 + eta * C0)}")
+    return out, (U1, C1)
 
 
 def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
                       initial_coloring=None, engine=None, prep=None,
-                      check=True):
+                      check=True, uc0=None):
     """Full rounding schedule: k steps with delta = eps*mu/(6k) and
     eta_i = 1 + (1 - i/k) * eps*mu/2.
 
     Requires ``u - c >= mu*u`` exactly; returns the integral labeling with
-    ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.
+    ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.  ``uc0`` is the
+    exact (u, c) of ``lam`` when the caller already holds it.
     """
+    if prep is None:
+        prep = _Prepared(g, val)
+    return _round_to_integral(prep, lam, eps, mu, estimate_mode,
+                              initial_coloring, engine, check, uc0)[0]
+
+
+def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
+                       engine, check, uc0):
+    """``round_to_integral`` on a packed valuation; returns the labeling and
+    its exact (u, c), which is None when unchecked steps ran."""
     eps = Fraction(eps)
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
         raise ValueError("eps in [0,1], mu in (0,1] required")
-    if prep is None:
-        prep = _Prepared(g, val)
     lam = lam.normalize()
-    U0, C0 = prep.potential(lam)
+    U0, C0 = prep.potential(lam) if uc0 is None else uc0
     if U0 - C0 < mu * U0:
         raise RoundingInvariantError(
             f"precondition u - c >= mu*u violated: {U0 - C0} < {mu * U0}")
     if lam.k == 0:
-        return lam.to_labeling()
+        return lam.to_labeling(), (U0, C0)
     k = lam.k
     delta = eps * mu / (6 * k)
     if engine is not None:
         # pipelined initial fractional-value broadcast
         engine.account(min(2 * prep.L + 2, (1 << min(lam.k, 20)) * 8), rounds=k)
-    phi_prev = U0 - (1 + eps * mu / 2) * C0
-    phi0 = phi_prev
+    phi0 = U0 - (1 + eps * mu / 2) * C0
     cur = lam
+    uc = (U0, C0)
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
-        cur = rounding_step(g, val, cur, delta, eta_i, estimate_mode,
-                            initial_coloring, engine, prep, check=check)
+        cur, uc = rounding_step(prep.g, prep.val, cur, delta, eta_i,
+                                estimate_mode, initial_coloring, engine, prep,
+                                check=check, uc0=uc)
         if check:
-            Ui, Ci = prep.potential(cur)
+            Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
             if phi_i < (1 - delta) ** i * phi0:
                 raise RoundingInvariantError(
@@ -454,19 +389,17 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
                     f"{phi_i} < (1-delta)^{i} * {phi0}")
             if engine is not None:
                 engine.sample_potential(phi_i)
-            phi_prev = phi_i
     ell = cur.to_labeling()
     if check:
-        Uf, Cf = prep.potential(cur)
+        Uf, Cf = uc
         if Uf - Cf < (1 - eps) * (U0 - C0):
             raise RoundingInvariantError(
                 f"final guarantee failed: {Uf - Cf} < {(1 - eps) * (U0 - C0)}")
-    return ell
+    return ell, uc
 
 
 def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
-                          g=None, val=None, check=True, prep=None,
-                          uc_raw=None):
+                          g=None, val=None, check=True):
     """Round arbitrary rational distributions to a 1/2^k-integral assignment
     with 2^k the smallest power of two >= 9/(eps*mu*lam_min).
 
@@ -532,52 +465,62 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
             if abs(Fraction(out.values[v][a], two_k) - Fraction(x)) * two_k > 1:
                 raise AssertionError("value moved by more than 2^-k")
     if check and val is not None and g is not None:
-        if uc_raw is None:
-            uc_raw = evaluate(val, {v: tuple(Fraction(x) for x in nums)
-                                    for v, nums in lam_raw.items()}, g)
-        U, C = uc_raw
-        if U - C < mu * U:
-            raise RoundingInvariantError(
-                f"precondition u - c >= mu*u violated: {U - C} < {mu * U}")
-        prepped = _Prepared(g, val) if prep is None else prep
-        U1, C1 = prepped.potential(out)
-        if U1 - C1 < (1 - eps) * (U - C):
-            raise RoundingInvariantError(
-                f"preprocessing lost too much: {U1 - C1} < {(1 - eps) * (U - C)}")
-        if U1 - C1 < mu / 2 * U1:
-            raise RoundingInvariantError(
-                f"preprocessing broke the margin: {U1 - C1} < {mu / 2 * U1}")
+        prep = _Prepared(g, val)
+        _check_preprocessed(prep, prep.potential(lam_raw), out, eps, mu)
     return out
+
+
+def _check_preprocessed(prep, uc_raw, out, eps, mu):
+    """Asserts the guarantees of ``preprocess_fractional`` for ``out``,
+    given the exact (u, c) of its input; returns the exact (u, c) of
+    ``out``."""
+    U, C = uc_raw
+    if U - C < mu * U:
+        raise RoundingInvariantError(
+            f"precondition u - c >= mu*u violated: {U - C} < {mu * U}")
+    U1, C1 = prep.potential(out)
+    if U1 - C1 < (1 - eps) * (U - C):
+        raise RoundingInvariantError(
+            f"preprocessing lost too much: {U1 - C1} < {(1 - eps) * (U - C)}")
+    if U1 - C1 < mu / 2 * U1:
+        raise RoundingInvariantError(
+            f"preprocessing broke the margin: {U1 - C1} < {mu / 2 * U1}")
+    return U1, C1
 
 
 def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
                      estimate_mode="exact", initial_coloring=None,
-                     engine=None, check=True, agree_cache=None, uc_raw=None):
+                     engine=None, check=True, prep=None, uc_raw=None):
     """Preprocess + full rounding with the eps/2 + eps/2 split.
 
     Produces an integral labeling with ``u - c >= (1-eps)(u(lam) - c(lam))``
     from any rational fractional assignment with ``u - c >= mu*u``; the
-    claim is asserted exactly end to end.
+    claim is asserted exactly end to end.  ``prep`` is the packed
+    ``(g, val)`` and ``uc_raw`` the exact (u, c) of ``lam_raw``, when the
+    caller already holds them.  Returns the labeling and its exact (u, c),
+    which is None when ``check=False``.
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
-    prep = _Prepared(g, val, agree_cache=agree_cache)
+    if prep is None:
+        prep = _Prepared(g, val)
     if check and uc_raw is None:
-        uc_raw = evaluate(val, {v: tuple(Fraction(x) for x in nums)
-                                for v, nums in lam_raw.items()}, g)
+        uc_raw = prep.potential(lam_raw)
     lam = preprocess_fractional(lam_raw, eps / 2, mu, nlabels, lam_min,
-                                g=g, val=val, check=check, prep=prep,
-                                uc_raw=uc_raw)
-    ell = round_to_integral(g, val, lam, eps / 2, mu / 2, estimate_mode,
-                            initial_coloring, engine, prep, check=check)
-    if check:
-        U, C = uc_raw
-        Uf, Cf = prep.potential(FractionalAssignment.integral(nlabels, ell))
-        if Uf - Cf < (1 - eps) * (U - C):
-            raise RoundingInvariantError(
-                f"composed rounding guarantee failed: "
-                f"{Uf - Cf} < {(1 - eps) * (U - C)}")
-    return ell
+                                check=False)
+    uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
+           else None)
+    ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, estimate_mode,
+                                  initial_coloring, engine, check, uc0)
+    if not check:
+        return ell, None
+    U, C = uc_raw
+    Uf, Cf = ucf
+    if Uf - Cf < (1 - eps) * (U - C):
+        raise RoundingInvariantError(
+            f"composed rounding guarantee failed: "
+            f"{Uf - Cf} < {(1 - eps) * (U - C)}")
+    return ell, ucf
 
 
 def valuation_to_json(g, val, lam=None):
@@ -614,40 +557,3 @@ def valuation_to_json(g, val, lam=None):
             for v, nums in sorted(lam.values.items())}
     return doc
 
-
-def lift_node_valuation(g, val):
-    """Make node tables explicit: one frozen dummy node and edge per node
-    with a table, equal tables across the dummy axis.
-
-    Returns ``(g2, val2, dummy_of)``; evaluation agrees exactly with the
-    original when dummies carry any frozen label.
-    """
-    from . import graph as _graph
-
-    touched = sorted(set(val.node_utility) | set(val.node_cost))
-    if not touched:
-        return g, val, {}
-    base = (max(g.nodes) + 1) if g.nodes else 0
-    dummy_of = {}
-    nodes = list(g.nodes)
-    edges = list(g.edges)
-    comm = {v: set(g.comm_adjacency[v]) for v in g.comm_adjacency}
-    L = val.nlabels
-    eu = dict(val.edge_utility)
-    ec = dict(val.edge_cost)
-    next_index = len(edges)
-    for i, v in enumerate(touched):
-        dv = base + i
-        dummy_of[v] = dv
-        nodes.append(dv)
-        comm.setdefault(v, set()).add(dv)
-        comm[dv] = {v}
-        edges.append(_graph.Edge(v, dv, _graph.PHYSICAL, None, next_index))
-        nu = val.node_utility.get(v, tuple([0] * L))
-        nc = val.node_cost.get(v, tuple([0] * L))
-        eu[next_index] = tuple(tuple(nu[a] for _b in range(L)) for a in range(L))
-        ec[next_index] = tuple(tuple(nc[a] for _b in range(L)) for a in range(L))
-        next_index += 1
-    g2 = _graph.Multigraph(nodes, edges, comm)
-    val2 = Valuation(L, eu, ec)
-    return g2, val2, dummy_of

@@ -182,7 +182,7 @@ def cover_iteration(inst, n_star, u_live, g_i, lam, xprime, cost, mode,
     ell = _rounding.round_to_integral(
         h, val, lam, Fraction(1, 200), Fraction(1, 2),
         estimate_mode=estimate_mode, initial_coloring=initial_coloring,
-        engine=engine, prep=prep, check=check)
+        engine=engine, prep=prep, check=check, uc0=(U0, C0))
     v_i = sorted(v for v, lab in ell.items() if lab == 1)
     covered = set()
     for v in v_i:

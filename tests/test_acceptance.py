@@ -112,11 +112,12 @@ def test_c1_rounding_step_lemma():
             mode = "exact"
         prep = R._Prepared(g, val)
         U0, C0 = prep.potential(lam)
-        out = R.rounding_step(g, val, lam, delta, eta, estimate_mode=mode,
-                              prep=prep)
+        out, uc1 = R.rounding_step(g, val, lam, delta, eta,
+                                   estimate_mode=mode, prep=prep)
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
             U1, C1 = prep.potential(out)
+            assert (U1, C1) == uc1
             assert U1 - eta * C1 >= U0 - eta * C0 - delta * (U0 + eta * C0)
     took = time.time() - t0
     if BACKEND == "compiled":

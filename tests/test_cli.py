@@ -150,6 +150,46 @@ def test_round_subcommand(tmp_path):
     assert doc["guarantee_ok"] is True
 
 
+def test_round_report_verifies(tmp_path):
+    inst = {
+        "labels": 2,
+        "nodes": [1, 2, 3],
+        "edges": [{"u": 1, "v": 2,
+                   "utility": [["2", "2"], ["2", "2"]],
+                   "cost": [["0", "1"], ["1", "0"]]},
+                  {"u": 2, "v": 3,
+                   "utility": [["1", "3"], ["3", "1"]],
+                   "cost": [["1/2", "0"], ["0", "1/2"]]}],
+        "node_utility": {"3": ["0", "5/3"]},
+        "assignment": {"1": ["1/2", "1/2"], "2": ["1/4", "3/4"],
+                       "3": ["3/8", "5/8"]},
+    }
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    rep = tmp_path / "round.json"
+    assert cli.main(["--json", str(rep), "round", "--valuation", str(p),
+                     "--eps", "1/10", "--mu", "1/4"]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["input"] == str(p) and doc["eps"] == "1/10"
+    assert cli.main(["verify", str(rep)]) == 0
+    # negative control: flip one label
+    doc["labels"]["2"] = 1 - doc["labels"]["2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(bad)]) == 1
+
+
+def test_setcover_from_dominating_set(tmp_path):
+    g = tmp_path / "path.edges"
+    g.write_text("1 2\n2 3\n")
+    rep = tmp_path / "dom.json"
+    proc = _run_console_script("--json", str(rep), "setcover", "--input",
+                               str(g), "--from-dominating-set")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = _run_console_script("verify", str(rep))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     g = tmp_path / "g.edges"
     g.write_text("1 2\n2 3\n1 3\n")

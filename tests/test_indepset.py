@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from locround import graph as G, indepset as IS, oracle as O
+from locround import graph as G, indepset as IS, oracle as O, rounding as R
 from conftest import random_simple_graph, random_weighted_graph
 
 
@@ -10,15 +10,19 @@ def wgraph(nodes, pairs, weights):
     return G.WeightedGraph(G.simple_graph(nodes, pairs), weights)
 
 
-def test_is_utility_cost_examples():
+def _is_uc(wg, x):
+    val = IS.is_valuation(wg.graph, wg.weights)
+    lam = {v: (1 - Fraction(x[v]), Fraction(x[v])) for v in wg.graph.nodes}
+    return R.evaluate(val, lam, wg.graph)
+
+
+def test_is_valuation_examples():
     wg = wgraph([1, 2], [(1, 2)], {1: 3, 2: 5})
-    val, U, C = IS.is_utility_cost(wg, {1: 0, 2: 0})
-    assert U == 0 and C == 0
-    val, U, C = IS.is_utility_cost(wg, {1: 1, 2: 1})
-    assert U == 8 and C == 3
+    assert _is_uc(wg, {1: 0, 2: 0}) == (0, 0)
+    assert _is_uc(wg, {1: 1, 2: 1}) == (8, 3)
     k3 = wgraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: 1, 2: 1, 3: 1})
-    val, U, C = IS.is_utility_cost(k3, {v: Fraction(1, 3) for v in (1, 2, 3)})
-    assert U == 1 and C == Fraction(1, 3)
+    assert _is_uc(k3, {v: Fraction(1, 3) for v in (1, 2, 3)}) == (
+        1, Fraction(1, 3))
 
 
 def test_extract_examples():

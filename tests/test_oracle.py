@@ -181,6 +181,16 @@ def test_lp_infeasible_and_unbounded():
         O.simplex_max([1, 1], [{1: 1}], [2])            # x0 is free
 
 
+def test_exact_min_tells_unbounded_from_infeasible():
+    # min -x, x >= 1: the dual (max y, y <= -1) is infeasible
+    with pytest.raises(O.LPUnbounded):
+        O.exact_lp([-1], [{0: 1}], [1], sense="min")
+    # min -x0 - x1, x0 - x1 >= 1, x1 - x0 >= 1: primal and dual infeasible
+    with pytest.raises(O.LPInfeasible):
+        O.exact_lp([-1, -1], [{0: 1, 1: -1}, {0: -1, 1: 1}], [1, 1],
+                   sense="min")
+
+
 def test_setcover_lp_feasible(rng):
     for _ in range(8):
         inst = random_setcover(rng, rng.randint(1, 10), rng.randint(1, 8),

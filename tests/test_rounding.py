@@ -44,7 +44,7 @@ def test_rounding_step_node_utility_forces_argmax():
     g = G.simple_graph([7], [])
     val = R.Valuation(2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
     lam = R.FractionalAssignment(2, 1, {7: (1, 1)})
-    out = R.rounding_step(g, val, lam, Fraction(0), Fraction(1))
+    out, _uc = R.rounding_step(g, val, lam, Fraction(0), Fraction(1))
     assert out.values[7] == (0, 1)
     # and through the full schedule from half-half
     lam = R.FractionalAssignment(2, 4, {7: (8, 8)})
@@ -56,7 +56,7 @@ def test_rounding_step_noop_without_odd_multiples():
     g = two_node_graph()
     val = R.Valuation(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 3, {1: (2, 6), 2: (4, 4)})
-    out = R.rounding_step(g, val, lam, Fraction(1, 2), Fraction(1))
+    out, _uc = R.rounding_step(g, val, lam, Fraction(1, 2), Fraction(1))
     assert out.k == 2
     assert out.fraction(1, 0) == Fraction(2, 8) and out.fraction(2, 0) == Fraction(4, 8)
 
@@ -68,8 +68,8 @@ def test_rounding_step_guarantee_cost_only_edge():
     lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
     # internal exact assertion of the step lemma is the test
     for mode in ("exact", "worst", "quantized"):
-        out = R.rounding_step(g, val, lam, Fraction(1, 3), Fraction(2),
-                              estimate_mode=mode)
+        out, _uc = R.rounding_step(g, val, lam, Fraction(1, 3), Fraction(2),
+                                   estimate_mode=mode)
         assert out.k == 0
 
 
@@ -130,7 +130,8 @@ def test_step_invariants_fuzz(rng):
         delta = rng.choice([Fraction(0), Fraction(1, 7), Fraction(1)])
         eta = 1 + Fraction(rng.randint(0, 6), 4)
         mode = rng.choice(["exact", "worst", "quantized"])
-        out = R.rounding_step(g, val, lam, delta, eta, estimate_mode=mode)
+        out, _uc = R.rounding_step(g, val, lam, delta, eta,
+                                   estimate_mode=mode)
         assert out.k == lam.k - 1       # integrality doubling
         tot = 1 << lam.k
         for v in g.nodes:
@@ -238,25 +239,96 @@ def test_preprocess_sum_preserved(parts, scale):
     assert sum(out.values[0]) == 1 << out.k
 
 
-def test_lift_roundtrip(rng):
-    for _ in range(8):
-        g, val, lam = _random_instance(rng, rng.randint(2, 10), 2, 3)
-        g2, val2, dummy = R.lift_node_valuation(g, val)
-        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-                for v, nums in lam.values.items()}
-        lamf2 = dict(lamf)
-        for v, dv in dummy.items():
-            lamf2[dv] = (Fraction(1), Fraction(0))
-        assert R.evaluate(val, lamf, g) == R.evaluate(val2, lamf2, g2)
-    # no node tables: identity
-    g = two_node_graph()
-    val = R.Valuation(2, {0: ((1, 1), (1, 1))}, {})
-    g2, val2, dummy = R.lift_node_valuation(g, val)
-    assert g2 is g and val2 is val and dummy == {}
-
-
 def test_worst_estimator_still_satisfies_lemma(rng):
     for _ in range(10):
         g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
         R.rounding_step(g, val, lam, Fraction(1, 5), Fraction(3, 2),
                         estimate_mode="worst")
+
+
+def _definition_uc(g, val, lam):
+    """Exact (u, c) of rational distributions, term by term from the
+    definition of the potential."""
+    L = val.nlabels
+    zero = tuple((0,) * L for _ in range(L))
+    U = C = Fraction(0)
+    for e in g.edges:
+        tu = val.edge_utility.get(e.index, zero)
+        tc = val.edge_cost.get(e.index, zero)
+        for a in range(L):
+            for b in range(L):
+                p = Fraction(lam[e.u][a]) * Fraction(lam[e.v][b])
+                U += p * tu[a][b]
+                C += p * tc[a][b]
+    for v, row in val.node_utility.items():
+        U += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
+    for v, row in val.node_cost.items():
+        C += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
+    return U, C
+
+
+def test_rational_potential_matches_definition(rng):
+    for _ in range(60):
+        L = rng.choice([2, 3])
+        g, val, lam = _random_instance(rng, rng.randint(1, 12), L, 4)
+        nc = {v: tuple(Fraction(rng.randint(0, 9), rng.choice([1, 3, 7]))
+                       for _ in range(L))
+              for v in g.nodes if rng.random() < 0.4}
+        val = R.Valuation(L, val.edge_utility, val.edge_cost,
+                          node_utility=val.node_utility, node_cost=nc)
+        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
+                for v, nums in lam.values.items()}
+        assert R.evaluate(val, lam, g) == _definition_uc(g, val, lamf)
+        raw = {}
+        for v in g.nodes:
+            den = rng.choice([1, 2, 3, 12, 35, (1 << 70) + 1])
+            cuts = sorted(rng.randint(0, den) for _ in range(L - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+            # plain ints where the value is 0 or 1
+            raw[v] = tuple(p // den if p in (0, den) else Fraction(p, den)
+                           for p in parts)
+        assert R.evaluate(val, raw, g) == _definition_uc(g, val, raw)
+
+
+def _count_calls(monkeypatch):
+    """Count kernel potential evaluations and rounding steps."""
+    counts = {"eval": 0, "steps": 0}
+    kernel_eval = R._K.eval_potential
+    step = R.rounding_step
+
+    def counted_eval(*args):
+        counts["eval"] += 1
+        return kernel_eval(*args)
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(R._K, "eval_potential", counted_eval)
+    monkeypatch.setattr(R, "rounding_step", counted_step)
+    return counts
+
+
+def test_potential_evaluated_once_per_step(rng, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    done = 0
+    while done < 6:
+        g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
+        mu = Fraction(1, 4)
+        val = _margin_scaled(g, val, lam, mu)
+        if val is None or lam.normalize().k == 0:
+            continue
+        k = lam.normalize().k
+        counts.update(eval=0, steps=0)
+        R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        assert counts == {"eval": k + 1, "steps": k}
+        counts.update(eval=0, steps=0)
+        R.round_to_integral(g, val, lam, Fraction(1, 2), mu, check=False)
+        assert counts == {"eval": 1, "steps": k}
+        # raw input, preprocessed input, one per step
+        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
+                for v, nums in lam.values.items()}
+        counts.update(eval=0, steps=0)
+        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 2)
+        assert counts["eval"] == counts["steps"] + 2
+        done += 1
