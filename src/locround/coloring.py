@@ -15,6 +15,13 @@ with (a, b) = (1 + c//p, c%p); two distinct sequences coincide at most
 once, and a node commits to z(i) when less than a quarter (an eighth under
 factor-2 estimates) of its delta-fraction conflict budget is blocked.
 
+The public colorings and the rounding step's entry points run the same
+three loops (stage one, reduction, proper) over one graph packing.  Each
+loop returns (colors, palette, declared rounds, max message bits), and a
+caller with an engine declares those figures once.  An initial coloring
+is a node -> color mapping with palette max + 1; without one, the node
+ids start the loops.
+
 Every returned coloring carries a certificate recomputed by an independent
 scan.
 """
@@ -40,9 +47,6 @@ class ProperColoring:
     palette_size: int
     rounds: int = 0
 
-    def color(self, v):
-        return self.colors[v]
-
 
 @dataclass
 class DefectiveColoring:
@@ -55,20 +59,48 @@ class DefectiveColoring:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers
+# graph packing and the coloring loops
 # ---------------------------------------------------------------------------
 
 
-def _dense(g):
-    nodes = list(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    eu, ev, mgr, eidx = [], [], [], []
-    for e in g.edges:
-        eu.append(index[e.u])
-        ev.append(index[e.v])
-        mgr.append(index.get(e.manager, -1) if e.manager is not None else -1)
-        eidx.append(e.index)
-    return nodes, index, eu, ev, mgr, eidx
+class _Packing:
+    """Dense arrays of a multigraph for the coloring kernels.
+
+    Node ``i`` is ``nodes[i]``; edge ``j`` joins ``eu[j]`` and ``ev[j]``, is
+    managed by node ``mgr[j]`` (-1 when it has no manager among the nodes)
+    and carries edge index ``eidx[j]``.  ``agree_cache`` memoizes candidate
+    agreements across Reed-Solomon steps and may be shared between packings.
+    """
+
+    def __init__(self, g, agree_cache=None):
+        self.nodes = list(g.nodes)
+        index = self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.nv = len(self.nodes)
+        self.eu, self.ev, self.mgr, self.eidx = [], [], [], []
+        for e in g.edges:
+            self.eu.append(index[e.u])
+            self.ev.append(index[e.v])
+            self.mgr.append(-1 if e.manager is None else index.get(e.manager, -1))
+            self.eidx.append(e.index)
+        self.agree_cache = {} if agree_cache is None else agree_cache
+
+    def start(self, initial):
+        """Initial colors and palette: the node ids with palette 2^63, or
+        the colors of the mapping ``initial`` with palette max + 1."""
+        if initial is None:
+            return list(self.nodes), ID_SPACE
+        colors = [initial[v] for v in self.nodes]
+        return colors, max(colors) + 1
+
+    def max_degree(self):
+        degree = [0] * self.nv
+        for a, b in zip(self.eu, self.ev):
+            degree[a] += 1
+            degree[b] += 1
+        return max(degree, default=0)
+
+    def mapping(self, colors):
+        return dict(zip(self.nodes, colors))
 
 
 def _weights_to_ints(weights, eidx):
@@ -79,17 +111,59 @@ def _weights_to_ints(weights, eidx):
     w = [int(Fraction(weights.get(i, 0)) * scale) for i in eidx]
     if any(x < 0 for x in w):
         raise ColoringError("edge weights must be non-negative")
-    return w, scale
+    return w
 
 
-def _initial_colors(nodes, initial):
-    if initial is None:
-        return [v for v in nodes], ID_SPACE
-    if isinstance(initial, ProperColoring):
-        cols = initial.colors
-        return [cols[v] for v in nodes], initial.palette_size
-    cols = dict(initial)
-    return [cols[v] for v in nodes], max(cols.values()) + 1
+def _stage_one(pk, w, nodew, delta, factor2, initial):
+    """Per-node delta-relative defective coloring by Reed-Solomon
+    candidate-set steps, two declared rounds each.  ``nodew`` counts toward
+    node totals but never conflicts.
+
+    Returns (colors, palette, rounds, max message bits).
+    """
+    colors, palette = pk.start(initial)
+    dd = delta.denominator * (2 if factor2 else 1)
+    rounds, max_bits = 0, 1
+    for (q, d, _bn, _bd) in _K.plan_defective_schedule(palette,
+                                                       delta.numerator, dd):
+        colors, mb = _K.rs_defective_step(
+            pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, q, d, factor2,
+            pk.agree_cache.setdefault((q, d), {}))
+        palette = q * q
+        rounds += 2
+        max_bits = max(max_bits, mb + 9, 2 + palette.bit_length())
+    return colors, palette, rounds, max_bits
+
+
+def _reduce(pk, w, nodew, colors, ncolors, delta, factor2):
+    """Prime-ordering reduction of a stage-one coloring with ``ncolors``
+    colors to p colors over p steps, commit threshold delta/4 (delta/8
+    under factor-2 estimates), two declared rounds per step.
+
+    Returns (colors, p, rounds, max message bits).
+    """
+    thr_den = 4 * delta.denominator * (2 if factor2 else 1)
+    colors, p, _last = _K.reduce_colors_by_orderings(
+        pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, ncolors,
+        delta.numerator, thr_den, factor2)
+    return colors, p, 2 * p, 11 + p.bit_length()
+
+
+def _proper(pk, initial, max_degree):
+    """Conflict-free candidate-set steps for edge degree ``max_degree``,
+    one declared round each.
+
+    Returns (colors, palette, rounds, max message bits over the steps).
+    """
+    colors, palette = pk.start(initial)
+    rounds, max_bits = 0, 0
+    for (q, d) in _K.plan_proper_schedule(palette, max_degree):
+        colors = _K.rs_proper_step(pk.nv, pk.eu, pk.ev, colors, q, d,
+                                   pk.agree_cache.setdefault((q, d), {}))
+        palette = q * q
+        rounds += 1
+        max_bits = max(max_bits, 2 + palette.bit_length())
+    return colors, palette, rounds, max_bits
 
 
 # ---------------------------------------------------------------------------
@@ -137,28 +211,13 @@ def check_proper(g, colors):
 def linial_coloring(g, initial=None, engine=None):
     """Proper coloring with O(max_degree^2) colors by conflict-free
     candidate-set steps (documented palette bound: (2*Delta + 66)^2)."""
-    nodes, index, eu, ev, mgr, eidx = _dense(g)
-    if not nodes:
+    pk = _Packing(g)
+    if not pk.nodes:
         return ProperColoring({}, 1)
-    colors, n0 = _initial_colors(nodes, initial)
-    degree = [0] * len(nodes)
-    for a, b in zip(eu, ev):
-        degree[a] += 1
-        degree[b] += 1
-    dmax = max(degree, default=0)
-    plan = _K.plan_proper_schedule(n0, dmax)
-    rounds = 0
-    palette = n0
-    cache = {}
-    for (q, d) in plan:
-        colors = _K.rs_proper_step(len(nodes), eu, ev, colors, q, d,
-                                   cache.setdefault((q, d), {}))
-        palette = q * q
-        rounds += 1
-        if engine is not None:
-            engine.account(2 + palette.bit_length(), 1)
-    out = ProperColoring({v: colors[i] for i, v in enumerate(nodes)},
-                         palette, rounds)
+    colors, palette, rounds, max_bits = _proper(pk, initial, pk.max_degree())
+    if engine is not None:
+        engine.account(max_bits, rounds)
+    out = ProperColoring(pk.mapping(colors), palette, rounds)
     if not check_proper(g, out.colors):
         raise AssertionError("candidate-set coloring produced a conflict")
     return out
@@ -169,32 +228,26 @@ def three_color_paths_cycles(g, engine=None):
     for v in g.nodes:
         if g.degree(v) > 2:
             raise ColoringError(f"node {v} has degree > 2")
-    nodes, index, eu, ev, mgr, eidx = _dense(g)
-    if not nodes:
+    pk = _Packing(g)
+    if not pk.nodes:
         return ProperColoring({}, 3)
-    colors, n0 = _initial_colors(nodes, None)
-    plan = _K.plan_proper_schedule(n0, 2)
-    rounds = 0
-    for (q, d) in plan:
-        colors = _K.rs_proper_step(len(nodes), eu, ev, colors, q, d)
-        rounds += 1
-    palette = max(colors) + 1
+    colors, _palette, rounds, max_bits = _proper(pk, None, 2)
     # shrink to 3 colors: iterate colors downward, recolor greedily
-    adj = [[] for _ in nodes]
-    for a, b in zip(eu, ev):
+    adj = [[] for _ in pk.nodes]
+    for a, b in zip(pk.eu, pk.ev):
         adj[a].append(b)
         adj[b].append(a)
-    for c in range(palette - 1, 2, -1):
-        for v in range(len(nodes)):
+    for c in range(max(colors), 2, -1):
+        for v in range(pk.nv):
             if colors[v] == c:
                 used = {colors[u] for u in adj[v]}
                 colors[v] = min(x for x in range(3) if x not in used)
         rounds += 1
-    out = ProperColoring({v: colors[i] for i, v in enumerate(nodes)}, 3, rounds)
+    out = ProperColoring(pk.mapping(colors), 3, rounds)
     if not check_proper(g, out.colors):
         raise AssertionError("3-coloring produced a conflict")
     if engine is not None:
-        engine.account(4, rounds)
+        engine.account(max_bits, rounds)
     return out
 
 
@@ -206,29 +259,16 @@ def weighted_defective_coloring(g, weights, delta, initial=None,
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
-    nodes, index, eu, ev, mgr, eidx = _dense(g)
-    if not nodes:
+    pk = _Packing(g)
+    if not pk.nodes:
         return DefectiveColoring({}, 1, "per-node", delta)
-    w, _scale = _weights_to_ints(weights, eidx)
-    colors, n0 = _initial_colors(nodes, initial)
-    factor2 = aggregation == "factor2"
-    dn, dd = delta.numerator, delta.denominator
-    if factor2:
-        dd *= 2
-    plan = _K.plan_defective_schedule(n0, dn, dd)
-    nodew = [0] * len(nodes)
-    rounds = 0
-    palette = n0
-    for (q, d, _bn, _bd) in plan:
-        colors, maxbits = _K.rs_defective_step(
-            len(nodes), eu, ev, mgr, w, nodew, colors, q, d, factor2)
-        palette = q * q
-        rounds += 2
-        if engine is not None:
-            engine.account(2 + palette.bit_length(), 1)
-            engine.account_pipelined(q * (maxbits + 9))
-    out = DefectiveColoring({v: colors[i] for i, v in enumerate(nodes)},
-                            palette, "per-node", delta, rounds=rounds)
+    w = _weights_to_ints(weights, pk.eidx)
+    colors, palette, rounds, max_bits = _stage_one(
+        pk, w, [0] * pk.nv, delta, aggregation == "factor2", initial)
+    if engine is not None:
+        engine.account(max_bits, rounds)
+    out = DefectiveColoring(pk.mapping(colors), palette, "per-node", delta,
+                            rounds=rounds)
     ok, cert = defect_certificate(g, weights, out.colors, delta, "per-node")
     out.certificate = cert
     if not ok:
@@ -245,26 +285,19 @@ def average_defective_coloring(g, weights, delta, initial=None,
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
-    nodes, index, eu, ev, mgr, eidx = _dense(g)
-    if not nodes:
+    pk = _Packing(g)
+    if not pk.nodes:
         return DefectiveColoring({}, 1, "average", delta)
-    w, _scale = _weights_to_ints(weights, eidx)
-    nodew = [0] * len(nodes)
+    w = _weights_to_ints(weights, pk.eidx)
     stage1 = weighted_defective_coloring(g, weights, delta / 2, initial,
                                          aggregation, engine)
-    colors1 = [stage1.colors[v] for v in nodes]
-    factor2 = aggregation == "factor2"
-    thr_num, thr_den = delta.numerator, 4 * delta.denominator
-    if factor2:
-        thr_den *= 2
-    colors, p, last_step = _K.reduce_colors_by_orderings(
-        len(nodes), eu, ev, mgr, w, nodew, colors1, stage1.palette_size,
-        thr_num, thr_den, factor2)
-    rounds = stage1.rounds + 2 * p
+    colors, p, rounds, max_bits = _reduce(
+        pk, w, [0] * pk.nv, [stage1.colors[v] for v in pk.nodes],
+        stage1.palette_size, delta, aggregation == "factor2")
     if engine is not None:
-        engine.account(11 + p.bit_length(), 2 * p)
-    out = DefectiveColoring({v: colors[i] for i, v in enumerate(nodes)},
-                            p, "average", delta, rounds=rounds)
+        engine.account(max_bits, rounds)
+    out = DefectiveColoring(pk.mapping(colors), p, "average", delta,
+                            rounds=stage1.rounds + rounds)
     ok, cert = defect_certificate(g, weights, out.colors, delta, "average")
     out.certificate = cert
     if not ok:
@@ -280,22 +313,19 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
-    nodes, index, eu, ev, mgr, eidx = _dense(g)
-    if not nodes:
+    pk = _Packing(g)
+    if not pk.nodes:
         return DefectiveColoring({}, 1, "per-node", delta)
-    w, _scale = _weights_to_ints(weights, eidx)
+    w = _weights_to_ints(weights, pk.eidx)
     ncolors = -(-delta.denominator // delta.numerator) + 1   # ceil(1/delta) + 1
-    adj = [[] for _ in nodes]
-    for j, (a, b) in enumerate(zip(eu, ev)):
+    adj = [[] for _ in pk.nodes]
+    for j, (a, b) in enumerate(zip(pk.eu, pk.ev)):
         adj[a].append((b, w[j]))
         adj[b].append((a, w[j]))
-    tot = [sum(wt for (_u, wt) in adj[v]) for v in range(len(nodes))]
-    if initial is None:
-        order_key = [(v, i) for i, v in enumerate(nodes)]
-    else:
-        cols, _n0 = _initial_colors(nodes, initial)
-        order_key = [(cols[i], i) for i in range(len(nodes))]
-    colors = [-1] * len(nodes)
+    tot = [sum(wt for (_u, wt) in adj[v]) for v in range(pk.nv)]
+    cols, _n0 = pk.start(initial)
+    order_key = [(cols[i], i) for i in range(pk.nv)]
+    colors = [-1] * pk.nv
     rounds = 0
 
     def best_color(v):
@@ -312,7 +342,7 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
     # local improvement to the per-node guarantee
     for _pass in range(1 + sum(w)):
         dirty = False
-        for v in range(len(nodes)):
+        for v in range(pk.nv):
             mono = sum(wt for (u, wt) in adj[v] if colors[u] == colors[v])
             if mono * delta.denominator > delta.numerator * tot[v]:
                 c, new = best_color(v)
@@ -322,8 +352,8 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
         rounds += 1
         if not dirty:
             break
-    out = DefectiveColoring({v: colors[i] for i, v in enumerate(nodes)},
-                            ncolors, "per-node", delta, rounds=rounds)
+    out = DefectiveColoring(pk.mapping(colors), ncolors, "per-node", delta,
+                            rounds=rounds)
     ok, cert = defect_certificate(g, weights, out.colors, delta, "per-node")
     out.certificate = cert
     if not ok:
@@ -332,66 +362,24 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
 
 
 # ---------------------------------------------------------------------------
-# internal entry points for the rounding step (dense arrays, node weights)
+# entry points for the rounding step (a packing, integer weights)
 # ---------------------------------------------------------------------------
 
 
-def defective_colors_for_rounding(prep, w, nodew, delta, factor2, initial):
-    """Average (delta)-relative defective coloring over prepared arrays with
+def defective_colors_for_rounding(pk, w, nodew, delta, factor2, initial):
+    """Average (delta)-relative defective coloring over a packing with
     node-level weights that count toward totals but never conflict.
 
     Returns (colors list, palette p, declared rounds, max message bits).
     """
     delta = Fraction(delta)
-    if initial is None:
-        colors = list(prep.ids)
-        n0 = ID_SPACE
-    else:
-        colors = [initial[v] for v in prep.nodes]
-        n0 = max(colors) + 1
-    dn, dd = delta.numerator, 2 * delta.denominator      # stage 1 at delta/2
-    if factor2:
-        dd *= 2
-    plan = _K.plan_defective_schedule(n0, dn, dd)
-    rounds = 0
-    maxbits = 1
-    for (q, d, _bn, _bd) in plan:
-        cache = prep.agree_cache.setdefault((q, d), {})
-        colors, mb = _K.rs_defective_step(
-            prep.nv, prep.eu, prep.ev, prep.mgr, w, nodew, colors, q, d,
-            factor2, cache)
-        maxbits = max(maxbits, mb + 9, 2 + (q * q).bit_length())
-        rounds += 2
-    thr_num, thr_den = delta.numerator, 4 * delta.denominator
-    if factor2:
-        thr_den *= 2
-    c1_size = plan[-1][0] ** 2 if plan else n0
-    colors, p, _last = _K.reduce_colors_by_orderings(
-        prep.nv, prep.eu, prep.ev, prep.mgr, w, nodew, colors, c1_size,
-        thr_num, thr_den, factor2)
-    rounds += 2 * p
-    maxbits = max(maxbits, 11 + p.bit_length())
-    return colors, p, rounds, maxbits
+    colors, palette, rounds1, bits1 = _stage_one(pk, w, nodew, delta / 2,
+                                                 factor2, initial)
+    colors, p, rounds2, bits2 = _reduce(pk, w, nodew, colors, palette, delta,
+                                        factor2)
+    return colors, p, rounds1 + rounds2, max(bits1, bits2)
 
 
-def proper_colors_for_rounding(prep, initial):
-    """Proper coloring over prepared arrays (used by delta = 0 rounding)."""
-    if initial is None:
-        colors = list(prep.ids)
-        n0 = ID_SPACE
-    else:
-        colors = [initial[v] for v in prep.nodes]
-        n0 = max(colors) + 1
-    degree = [0] * prep.nv
-    for a, b in zip(prep.eu, prep.ev):
-        degree[a] += 1
-        degree[b] += 1
-    plan = _K.plan_proper_schedule(n0, max(degree, default=0))
-    rounds = 0
-    palette = n0
-    for (q, d) in plan:
-        cache = prep.agree_cache.setdefault((q, d), {})
-        colors = _K.rs_proper_step(prep.nv, prep.eu, prep.ev, colors, q, d, cache)
-        palette = q * q
-        rounds += 1
-    return colors, palette, rounds, 2 + palette.bit_length()
+def proper_colors_for_rounding(pk, initial):
+    """Proper coloring over a packing (used by delta = 0 rounding)."""
+    return _proper(pk, initial, pk.max_degree())

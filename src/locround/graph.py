@@ -87,7 +87,6 @@ class Multigraph:
                     raise GraphFormatError(
                         f"manager {e.manager} not adjacent to both endpoints "
                         f"of virtual edge {e.u}-{e.v}")
-        self._index = {v: i for i, v in enumerate(self.nodes)}
         self._incident = {v: [] for v in self.nodes}
         for e in self.edges:
             self._incident[e.u].append(e)
@@ -100,9 +99,6 @@ class Multigraph:
 
     def n_edges(self):
         return len(self.edges)
-
-    def index_of(self, v):
-        return self._index[v]
 
     def incident(self, v):
         return self._incident[v]
@@ -339,18 +335,6 @@ def build_d2_multigraph(g: Multigraph, virtual_edge_spec):
             seen.add(key)
             edges.append(Edge(min(u, v), max(u, v), VIRTUAL, w))
     return Multigraph(g.nodes, edges, dict(g.comm_adjacency))
-
-
-def orient_by_degree_id(g: Multigraph):
-    """Orientation u->v iff (deg(u), id(u)) < (deg(v), id(v)); simple graphs."""
-    if not g.is_simple_physical():
-        raise GraphFormatError("orientation requires a simple graph")
-    orient = {}
-    for e in g.edges:
-        ku = (g.degree(e.u), e.u)
-        kv = (g.degree(e.v), e.v)
-        orient[e.index] = (e.u, e.v) if ku < kv else (e.v, e.u)
-    return orient
 
 
 def line_graph_view(g: Multigraph):

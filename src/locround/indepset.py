@@ -117,29 +117,6 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     return I, U0
 
 
-def solve_packing_lp(wg, backend="central-exact", base_graph=None,
-                     engine=None, budget=_oracle.DEFAULT_BUDGET):
-    """Feasible point for the packing LP max w.x, x(N+[v]) <= 1.
-
-    ``central-exact`` returns the exact optimum (S*, x).  ``doubling-freeze``
-    applies only to matching instances: ``wg`` must be the line-graph view of
-    ``base_graph``; returns a fractional matching of value >= S*/4.
-    """
-    if backend == "central-exact":
-        if engine is not None:
-            engine.metrics.oracle_assisted = True
-        opt, x = _oracle.packing_lp(wg, budget=budget)
-        return opt, x
-    if backend == "doubling-freeze":
-        if base_graph is None:
-            raise ValueError("doubling-freeze needs the base matching instance")
-        y = fractional_matching_doubling_freeze(base_graph)
-        g = wg.graph if hasattr(wg, "graph") else wg
-        base = getattr(g, "edge_node_base", 0)
-        return None, {base + i: v for i, v in y.items()}
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def fractional_matching_doubling_freeze(g):
     """Start every edge at the power of two <= 1/(2*Delta), then double all
     non-frozen edges until every edge has a saturated endpoint

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coloring as _coloring
@@ -25,18 +24,6 @@ from ._kernel import impl as _K
 
 class RoundingInvariantError(AssertionError):
     """An exact lemma-level inequality failed at runtime."""
-
-
-@dataclass(frozen=True)
-class LabelAlphabet:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("label alphabet needs at least 2 labels")
-
-    def labels(self):
-        return range(self.size)
 
 
 class FractionalAssignment:
@@ -95,14 +82,6 @@ class FractionalAssignment:
             raise ValueError("assignment is not integral")
         tot = 1 << self.k
         return {v: nums.index(tot) for v, nums in self.values.items()}
-
-    def min_nonzero(self):
-        m = None
-        for nums in self.values.values():
-            for x in nums:
-                if x and (m is None or x < m):
-                    m = x
-        return None if m is None else Fraction(m, 1 << self.k)
 
     def copy(self):
         return FractionalAssignment(self.nlabels, self.k, dict(self.values))
@@ -165,15 +144,14 @@ def _scaled_int(x, scale):
     return f.numerator * (scale // f.denominator)
 
 
-class _Prepared:
-    """Dense integer arrays for the kernels, built once per (graph, valuation)."""
+class _Prepared(_coloring._Packing):
+    """The graph packing plus integer valuation tables for the kernels,
+    built once per (graph, valuation)."""
 
     def __init__(self, g, val, agree_cache=None):
+        super().__init__(g, agree_cache)
         self.g = g
         self.val = val
-        self.nodes = list(g.nodes)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        self.nv = len(self.nodes)
         L = val.nlabels
         self.L = L
         scale = 1
@@ -193,19 +171,12 @@ class _Prepared:
                     d = Fraction(x).denominator
                     scale = scale * d // math.gcd(scale, d)
         self.scale = scale
-        self.eu = []
-        self.ev = []
-        self.mgr = []
         self.ut = []
         self.ct = []
         zero = tuple([0] * (L * L))
-        for e in g.edges:
-            self.eu.append(self.index[e.u])
-            self.ev.append(self.index[e.v])
-            self.mgr.append(self.index.get(e.manager, -1) if e.manager is not None
-                            else -1)
-            tu = val.edge_utility.get(e.index)
-            tc = val.edge_cost.get(e.index)
+        for i in self.eidx:
+            tu = val.edge_utility.get(i)
+            tc = val.edge_cost.get(i)
             self.ut.append(zero if tu is None else tuple(
                 _scaled_int(tu[a][b], scale) for a in range(L) for b in range(L)))
             self.ct.append(zero if tc is None else tuple(
@@ -223,8 +194,6 @@ class _Prepared:
         else:
             self.nut = None
             self.nct = None
-        self.ids = [v for v in self.nodes]
-        self.agree_cache = {} if agree_cache is None else agree_cache
 
     def lam_array(self, lam):
         return [list(lam.values[v]) for v in self.nodes]
@@ -412,17 +381,21 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
+    # each node's values as integer numerators over their common denominator
+    rows = []
     actual_min = None
-    for nums in lam_raw.values():
-        s = sum(Fraction(x) for x in nums)
-        if s != 1:
+    for v, nums in lam_raw.items():
+        fr = [Fraction(x) for x in nums]
+        D = math.lcm(*(x.denominator for x in fr))
+        N = [x.numerator * (D // x.denominator) for x in fr]
+        if sum(N) != D:
             raise ValueError("input distributions must sum to 1")
-        for x in nums:
-            x = Fraction(x)
-            if x < 0:
-                raise ValueError("negative fractional value")
-            if x and (actual_min is None or x < actual_min):
-                actual_min = x
+        if any(x < 0 for x in N):
+            raise ValueError("negative fractional value")
+        m = min((x for x in N if x), default=0)
+        if m and (actual_min is None or Fraction(m, D) < actual_min):
+            actual_min = Fraction(m, D)
+        rows.append((v, D, N))
     if actual_min is None:
         actual_min = Fraction(1)
     if lam_min is None:
@@ -438,31 +411,30 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
         k += 1
     two_k = 1 << k
     values = {}
-    for v, nums in lam_raw.items():
+    for v, D, N in rows:
         floors = []
-        fracs = []
-        for a, x in enumerate(nums):
-            x = Fraction(x) * two_k
-            f = x.numerator // x.denominator
+        rems = []
+        for a, x in enumerate(N):
+            f, r = divmod(x << k, D)
             floors.append(f)
-            fracs.append((x - f, a))
+            if r:
+                rems.append((-r, a))
         deficit = two_k - sum(floors)
         if deficit < 0:
             raise AssertionError("floor sum exceeded the unit total")
-        # bump the largest fractional parts, ties toward smaller label index
-        order = sorted((r for r in fracs if r[0] > 0),
-                       key=lambda r: (-r[0], r[1]))
-        if deficit > len(order):
+        # bump the largest remainders, ties toward smaller label index
+        rems.sort()
+        if deficit > len(rems):
             raise AssertionError("not enough fractional mass to rebalance")
         for j in range(deficit):
-            floors[order[j][1]] += 1
+            floors[rems[j][1]] += 1
         values[v] = tuple(floors)
     out = FractionalAssignment(nlabels, k, values)
-    for v, nums in lam_raw.items():
-        for a, x in enumerate(nums):
-            if Fraction(x) == 0 and out.values[v][a] != 0:
+    for v, D, N in rows:
+        for x, y in zip(N, out.values[v]):
+            if x == 0 and y != 0:
                 raise AssertionError("zero value moved")
-            if abs(Fraction(out.values[v][a], two_k) - Fraction(x)) * two_k > 1:
+            if abs(y * D - (x << k)) > D:
                 raise AssertionError("value moved by more than 2^-k")
     if check and val is not None and g is not None:
         prep = _Prepared(g, val)

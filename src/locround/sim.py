@@ -1,26 +1,14 @@
 """Deterministic synchronous round engine with LOCAL/CONGEST accounting.
 
-Two usage levels share one metrics object:
-
-* ``run`` drives per-node step functions with materialized inboxes, the
-  textbook synchronous model.  Message sizes are measured by the canonical
-  serialization rules below and checked against the per-edge bit budget.
-* Algorithm implementations that have a precomputed round structure use the
-  phase API (``advance`` / ``account``) to declare their rounds and the bit
-  profile of each communication phase.  Rounds that carry no messages are
-  bulk-advanced; accounting is unaffected because empty rounds contribute
-  zero bits.
-
-Canonical bit sizes: an integer n costs 1 + bitlength(|n|) bits, an exact
-rational costs the integer cost of numerator plus denominator in lowest
-terms, a label costs ceil(log2 |Sigma|) bits, a color in [C] costs
-ceil(log2 C) bits, containers cost 2 plus the sum of their items.
+Algorithm implementations have a precomputed round structure and declare
+their rounds and the bit profile of each communication phase through
+``advance`` / ``account`` / ``account_pipelined``.  Under CONGEST every
+declared message size is checked against the per-edge bit budget; a
+violation is recorded, or raises under ``strict``.
 """
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,39 +18,6 @@ CONGEST = "congest"
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-class NonHalting(RuntimeError):
-    def __init__(self, msg, metrics):
-        super().__init__(msg)
-        self.metrics = metrics
-
-
-def bit_size(msg):
-    """Canonical message size in bits."""
-    if msg is None:
-        return 1
-    if isinstance(msg, bool):
-        return 1
-    if isinstance(msg, int):
-        return 1 + max(1, abs(msg).bit_length())
-    if isinstance(msg, Fraction):
-        return bit_size(msg.numerator) + bit_size(msg.denominator)
-    if isinstance(msg, str):
-        return 8 * len(msg)
-    if isinstance(msg, (tuple, list)):
-        return 2 + sum(bit_size(x) for x in msg)
-    if isinstance(msg, dict):
-        return 2 + sum(bit_size(k) + bit_size(v) for k, v in msg.items())
-    raise TypeError(f"unserializable message {type(msg)!r}")
-
-
-def label_bits(nlabels):
-    return max(1, (nlabels - 1).bit_length())
-
-
-def color_bits(palette):
-    return max(1, (max(1, palette) - 1).bit_length())
 
 
 @dataclass
@@ -140,102 +95,3 @@ class RoundEngine:
 
     def sample_potential(self, value):
         self.metrics.potential_samples.append((self.round, Fraction(value)))
-
-    # -- faithful per-node execution -----------------------------------------
-
-    def run(self, program, init_states=None, halt=None, max_rounds=10_000,
-            shuffle_seed=None):
-        """Run ``program(node, state, inbox, round) -> (state, outbox)`` until
-        ``halt(states, round)`` or every outbox is empty.
-
-        ``outbox`` maps comm-neighbors to messages.  Inboxes are materialized
-        between rounds, so results are independent of the per-round node
-        evaluation order; ``shuffle_seed`` exercises that (test hook).
-        """
-        g = self.graph
-        states = dict(init_states) if init_states else {v: None for v in g.nodes}
-        if not g.nodes:
-            return states, self.metrics
-        inboxes = {v: {} for v in g.nodes}
-        order = list(g.nodes)
-        rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-        while True:
-            if halt is not None and halt(states, self.round):
-                break
-            if self.round >= max_rounds:
-                raise NonHalting(f"exceeded {max_rounds} rounds", self.metrics)
-            if rng is not None:
-                rng.shuffle(order)
-            new_states = {}
-            outgoing = []
-            for v in order:
-                st, outbox = program(v, states[v], inboxes[v], self.round)
-                new_states[v] = st
-                for (dst, msg) in sorted(outbox.items()):
-                    if dst not in g.comm_adjacency[v]:
-                        raise ValueError(f"{v} cannot send to non-neighbor {dst}")
-                    outgoing.append((v, dst, msg))
-            new_inboxes = {v: {} for v in g.nodes}
-            round_max = 0
-            for (src, dst, msg) in outgoing:
-                bits = bit_size(msg)
-                round_max = max(round_max, bits)
-                if (self.mode == CONGEST and self.bit_budget is not None
-                        and bits > self.bit_budget):
-                    self.metrics.budget_violations.append(
-                        (self.round + 1, (src, dst), bits))
-                    if self.strict:
-                        raise BudgetExceeded(
-                            f"round {self.round + 1}: {src}->{dst} {bits} bits")
-                new_inboxes[dst][src] = msg
-            states = new_states
-            inboxes = new_inboxes
-            if round_max > self.metrics.max_bits_per_edge_round:
-                self.metrics.max_bits_per_edge_round = round_max
-            self.advance(1)
-            if halt is None and not outgoing:
-                break
-        return states, self.metrics
-
-
-def d2_exchange(engine, payload, direction, zero=0):
-    """One round of endpoint/manager communication over virtual edges.
-
-    ``endpoint->manager``: delivers each endpoint's ``payload[v]`` to every
-    manager of its virtual edges; returns ``{manager: {endpoint: payload}}``.
-    ``manager->endpoint-aggregate``: ``payload[(manager, endpoint)]`` values
-    are summed per endpoint (componentwise for tuples); missing nodes get
-    ``zero``.
-    """
-    g = engine.graph
-    virt = [e for e in g.edges if e.kind == "virtual"]
-    max_bits = 0
-    if direction == "endpoint->manager":
-        out = {}
-        for e in virt:
-            for end in (e.u, e.v):
-                out.setdefault(e.manager, {})[end] = payload[end]
-                max_bits = max(max_bits, bit_size(payload[end]))
-        engine.account(max_bits)
-        return out
-    if direction == "manager->endpoint-aggregate":
-        def add(a, b):
-            if isinstance(a, tuple):
-                if not isinstance(b, tuple) or len(a) != len(b):
-                    raise TypeError("non-summable payload")
-                return tuple(x + y for x, y in zip(a, b))
-            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-                return a + b
-            raise TypeError("non-summable payload")
-
-        agg = {v: zero for v in g.nodes}
-        for (mgr, end), val in sorted(payload.items()):
-            agg[end] = add(agg[end], val)
-            max_bits = max(max_bits, bit_size(val))
-        engine.account(max_bits)
-        return agg
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def metrics_to_json_str(metrics):
-    return json.dumps(metrics.to_json(), sort_keys=True)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from locround import cli, graph as G, oracle as O
+from locround import cli, coloring as C, graph as G, oracle as O
 
 # one cost-10 set covers both elements; two cost-1 sets cover one each
 WEIGHTED_COVER = ("e 1\ne 2\ns 10 10\ns 11 1\ns 12 1\n"
@@ -212,6 +212,27 @@ def test_wis_and_color_runners(tmp_path):
     cli.main(["--json", str(rep), "color", "--input", str(g),
               "--delta", "1/4", "--color-mode", "avgdefective"])
     assert cli.main(["verify", str(rep)]) == 0
+
+
+@pytest.mark.parametrize("color_mode", ["defective", "avgdefective"])
+def test_color_report_figures_are_the_cores(tmp_path, color_mode):
+    # the report declares the rounds and bits of the coloring loops the
+    # rounding step runs: stage one alone, or stage one plus the reduction
+    g = tmp_path / "g.edges"
+    cli.main(["generate", "graph", "--n", "40", "--max-degree", "5",
+              "--seed", "4", "--output", str(g)])
+    rep = tmp_path / "color.json"
+    cli.main(["--json", str(rep), "color", "--input", str(g),
+              "--delta", "1/4", "--color-mode", color_mode])
+    metrics = json.loads(rep.read_text())["metrics"]
+    pk = C._Packing(cli._load_weighted(str(g)).graph)
+    w, nodew, delta = [1] * len(pk.eu), [0] * pk.nv, Fraction(1, 4)
+    if color_mode == "defective":
+        _c, _p, rounds, bits = C._stage_one(pk, w, nodew, delta, False, None)
+    else:
+        _c, _p, rounds, bits = C.defective_colors_for_rounding(
+            pk, w, nodew, delta, False, None)
+    assert (metrics["rounds"], metrics["max_bits"]) == (rounds, bits)
 
 
 def test_console_script_exits_zero(tmp_path):

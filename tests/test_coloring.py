@@ -127,6 +127,6 @@ def test_initial_coloring_reuse(rng):
     g = random_simple_graph(rng, 20, 4, 0.3)
     pc = C.linial_coloring(g)
     w = unit_weights(g)
-    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2), initial=pc)
+    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2), initial=pc.colors)
     ok, _ = C.defect_certificate(g, w, dc.colors, Fraction(1, 2), "per-node")
     assert ok

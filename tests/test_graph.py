@@ -97,40 +97,6 @@ def test_d2_manager_invariant_fuzz(rng):
                 assert e.v in h.comm_adjacency[e.manager]
 
 
-def test_orientation_examples():
-    g = G.simple_graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    o = G.orient_by_degree_id(g)
-    assert set(o.values()) == {(1, 2), (1, 3), (2, 3)}
-    g = G.simple_graph([5, 9, 7, 8], [(5, 9), (5, 7), (5, 8)])
-    o = G.orient_by_degree_id(g)
-    for e in g.edges:
-        if {e.u, e.v} == {5, 9}:
-            assert o[e.index] == (9, 5)
-    g = G.simple_graph([1, 2], [(1, 2)])
-    assert list(G.orient_by_degree_id(g).values()) == [(1, 2)]
-
-
-def test_orientation_acyclic(rng):
-    for _ in range(20):
-        g = random_simple_graph(rng, rng.randint(2, 30), 8)
-        o = G.orient_by_degree_id(g)
-        indeg = {v: 0 for v in g.nodes}
-        out = {v: [] for v in g.nodes}
-        for (a, b) in o.values():
-            out[a].append(b)
-            indeg[b] += 1
-        queue = sorted(v for v in g.nodes if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for u in out[v]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    queue.append(u)
-        assert seen == len(g.nodes)
-
-
 def test_line_graph_examples():
     g = G.simple_graph([1, 2, 3], [(1, 2), (2, 3)])
     h = G.line_graph_view(g)

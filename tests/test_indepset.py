@@ -59,10 +59,10 @@ def test_basic_round_precondition():
 
 def test_packing_backends():
     k3 = wgraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: 1, 2: 1, 3: 1})
-    sstar, x = IS.solve_packing_lp(k3)
+    sstar, x = O.packing_lp(k3)
     assert sstar == 1
     lone = wgraph([9], [], {9: 7})
-    sstar, x = IS.solve_packing_lp(lone)
+    sstar, x = O.packing_lp(lone)
     assert sstar == 7 and x[9] == 1
     # doubling-freeze on a path: value within [S*/4, S*]
     p3 = G.simple_graph([1, 2, 3], [(1, 2), (2, 3)])
@@ -71,8 +71,6 @@ def test_packing_backends():
     line = G.line_graph_view(p3)
     sstar_line, _ = O.packing_lp(line, weights={v: 1 for v in line.nodes})
     assert 4 * total >= sstar_line
-    with pytest.raises(ValueError):
-        IS.solve_packing_lp(p3, backend="doubling-freeze")
 
 
 def test_lp_guided_examples(rng):

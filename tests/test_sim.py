@@ -1,129 +1,38 @@
-import hashlib
 from fractions import Fraction
 
 import pytest
 
-from locround import graph as G, sim as S
-
-
-def _broadcast_program(v, state, inbox, rnd):
-    if rnd == 0:
-        return state, {u: v for u in sorted_neighbors[v]}
-    learned = dict(inbox)
-    return learned, {}
-
-
-def test_broadcast_single_edge():
-    global sorted_neighbors
-    g = G.simple_graph([4, 9], [(4, 9)])
-    sorted_neighbors = {v: sorted(g.comm_adjacency[v]) for v in g.nodes}
-    eng = S.RoundEngine(g)
-    states, metrics = eng.run(_broadcast_program,
-                              halt=lambda st, r: r >= 2)
-    assert states[4] == {9: 9} and states[9] == {4: 4}
-    assert metrics.total_rounds == 2
+from locround import coloring as C, graph as G, sim as S
 
 
 def test_budget_violation_recorded():
     g = G.simple_graph([1, 2], [(1, 2)])
     eng = S.RoundEngine(g, mode=S.CONGEST, bit_budget=64)
-
-    def prog(v, state, inbox, rnd):
-        if rnd == 0 and v == 1:
-            return state, {2: tuple([255] * 25)}   # ~225 bits
-        return state, {}
-
-    eng.run(prog, halt=lambda st, r: r >= 1)
+    eng.account(225, 1, edge=(1, 2))
+    eng.account(64, 1)
     assert len(eng.metrics.budget_violations) == 1
     rnd, edge, bits = eng.metrics.budget_violations[0]
-    assert edge == (1, 2) and bits > 64
+    assert (rnd, edge, bits) == (1, (1, 2), 225)
+    assert eng.metrics.total_rounds == 2
+    assert eng.metrics.max_bits_per_edge_round == 225
 
 
 def test_strict_budget_aborts():
     g = G.simple_graph([1, 2], [(1, 2)])
     eng = S.RoundEngine(g, mode=S.CONGEST, bit_budget=8, strict=True)
-
-    def prog(v, state, inbox, rnd):
-        return state, ({2: "long message"} if v == 1 else {})
-
+    eng.account_pipelined(96)          # split into 12 budget-sized rounds
+    assert eng.metrics.total_rounds == 12
     with pytest.raises(S.BudgetExceeded):
-        eng.run(prog, halt=lambda st, r: r >= 1)
+        eng.account(9)
 
 
 def test_zero_node_graph():
     g = G.simple_graph([], [])
-    eng = S.RoundEngine(g)
-    states, metrics = eng.run(lambda v, s, i, r: (s, {}))
-    assert metrics.total_rounds == 0
-    assert not states
-
-
-def test_non_halting_guard():
-    g = G.simple_graph([1, 2], [(1, 2)])
-    eng = S.RoundEngine(g)
-
-    def chatty(v, state, inbox, rnd):
-        other = 2 if v == 1 else 1
-        return state, {other: rnd}
-
-    with pytest.raises(S.NonHalting):
-        eng.run(chatty, max_rounds=10)
-
-
-def test_order_independence_and_determinism():
-    g = G.simple_graph(list(range(1, 9)),
-                       [(i, i + 1) for i in range(1, 8)])
-
-    def prog(v, state, inbox, rnd):
-        acc = (state or 0) + sum(inbox.values())
-        return acc, {u: acc + v for u in sorted(g.comm_adjacency[v])}
-
-    outs = []
-    for seed in (None, 1, 2, 3):
-        eng = S.RoundEngine(g)
-        states, metrics = eng.run(prog, halt=lambda st, r: r >= 5,
-                                  shuffle_seed=seed)
-        outs.append((tuple(sorted(states.items())),
-                     metrics.total_rounds,
-                     metrics.max_bits_per_edge_round))
-    assert len(set(outs)) == 1
-
-
-def test_bit_size_rules():
-    assert S.bit_size(0) == 2
-    assert S.bit_size(Fraction(3, 2)) == S.bit_size(3) + S.bit_size(2)
-    assert S.bit_size((1, 2)) == 2 + S.bit_size(1) + S.bit_size(2)
-    assert S.label_bits(2) == 1 and S.label_bits(3) == 2
-    assert S.color_bits(16) == 4
-
-
-def test_d2_exchange_examples():
-    g = G.simple_graph([1, 2, 3], [(1, 2), (1, 3)])
-    h = G.build_d2_multigraph(g, lambda w: [(2, 3)] if w == 1 else [])
-    eng = S.RoundEngine(h)
-    inboxes = S.d2_exchange(eng, {2: "a-state", 3: "b-state"},
-                            "endpoint->manager")
-    assert inboxes == {1: {2: "a-state", 3: "b-state"}}
-    # two managers each holding 3/2 for endpoint 2 would sum to 3; with one
-    # manager here the aggregate is just its value, absent nodes get zero
-    agg = S.d2_exchange(eng, {(1, 2): Fraction(3, 2), (1, 3): Fraction(1, 2)},
-                        "manager->endpoint-aggregate", zero=Fraction(0))
-    assert agg[2] == Fraction(3, 2) and agg[3] == Fraction(1, 2)
-    assert agg[1] == 0
-
-
-def test_d2_exchange_two_manager_sum():
-    g = G.simple_graph([1, 2, 3, 4],
-                       [(1, 2), (1, 3), (4, 2), (4, 3)])
-
-    def spec(w):
-        return [(2, 3)] if w in (1, 4) else []
-
-    h = G.build_d2_multigraph(g, spec)
-    eng = S.RoundEngine(h)
-    agg = S.d2_exchange(eng, {(1, 2): Fraction(3, 2), (4, 2): Fraction(3, 2)},
-                        "manager->endpoint-aggregate", zero=Fraction(0))
-    assert agg[2] == 3
+    eng = S.RoundEngine(g, mode=S.CONGEST)
+    assert eng.bit_budget == 64
+    C.linial_coloring(g, engine=eng)
+    assert eng.metrics.total_rounds == 0
+    assert eng.metrics.max_bits_per_edge_round == 0
 
 
 def test_metrics_json_roundtrip():
