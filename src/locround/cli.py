@@ -305,14 +305,13 @@ def _load_rounding_instance(path):
         kind = _graph.VIRTUAL if e.get("manager") is not None else _graph.PHYSICAL
         edges.append(_graph.Edge(int(e["u"]), int(e["v"]), kind,
                                  e.get("manager"), i))
-        eu[i] = tuple(tuple(Fraction(x) for x in row) for row in e["utility"])
-        ec[i] = tuple(tuple(Fraction(x) for x in row) for row in e["cost"])
+        eu[i] = e["utility"]
+        ec[i] = e["cost"]
     g = _graph.Multigraph(nodes, edges)
-    nut = {int(v): tuple(Fraction(x) for x in row)
-           for v, row in doc.get("node_utility", {}).items()}
-    nct = {int(v): tuple(Fraction(x) for x in row)
-           for v, row in doc.get("node_cost", {}).items()}
-    val = _rounding.Valuation(L, eu, ec, node_utility=nut, node_cost=nct)
+    nut = {int(v): row for v, row in doc.get("node_utility", {}).items()}
+    nct = {int(v): row for v, row in doc.get("node_cost", {}).items()}
+    val = _rounding.Valuation.from_fractions(L, eu, ec, node_utility=nut,
+                                             node_cost=nct)
     lam = _rounding.FractionalAssignment.from_fractions(
         L, {int(v): tuple(Fraction(x) for x in row)
             for v, row in doc["assignment"].items()})

@@ -13,6 +13,7 @@ T rounds of that to (1-eps) * S*(w).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import coloring as _coloring
@@ -27,13 +28,14 @@ class ISInvariantError(AssertionError):
 
 
 def is_valuation(h, weights):
-    """Valuation of the independent-set estimator on any multigraph."""
-    ec = {}
-    for e in h.edges:
-        c = Fraction(min(weights[e.u], weights[e.v]))
-        ec[e.index] = ((Fraction(0), Fraction(0)), (Fraction(0), c))
-    nut = {v: (Fraction(0), Fraction(weights[v])) for v in h.nodes}
-    return _rounding.Valuation(2, {}, ec, node_utility=nut)
+    """Valuation of the independent-set estimator on any multigraph, built
+    at the common denominator of the weights (1 for integer weights)."""
+    scale = math.lcm(*(Fraction(weights[v]).denominator for v in h.nodes
+                       if type(weights[v]) is not int))
+    w = {v: int(weights[v] * scale) for v in h.nodes}
+    ec = {e.index: (0, 0, 0, min(w[e.u], w[e.v])) for e in h.edges}
+    nut = {v: (0, w[v]) for v in h.nodes}
+    return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
 
 
 def _uc_at(prep, x):

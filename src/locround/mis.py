@@ -18,6 +18,7 @@ potential facts behind it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,41 +104,39 @@ def build_mis_valuation(it):
 
     Physical edges carry the (u, OUT(u)) cost terms aggregated per pair;
     virtual edges carry the IN*(v)-pair terms, one edge per (manager, pair).
-    Labels: 0 unmarked, 1 marked.
+    Labels: 0 unmarked, 1 marked.  Every entry is a multiple of deg(v)/2,
+    so the tables are built at scale 2.
     """
     phys = {}
     virt = []
     node_util = {}
     for v in it.good_nodes:
-        half = Fraction(it.degree[v], 2)
+        half = it.degree[v]          # deg(v)/2 at scale 2
         star = it.in_star[v]
         for u in star:
-            node_util[u] = node_util.get(u, Fraction(0)) + half
+            node_util[u] = node_util.get(u, 0) + half
         for i in range(len(star)):
             for j in range(i + 1, len(star)):
-                a, b = star[i], star[j]
-                virt.append((a, b, v, 2 * half))
+                virt.append((star[i], star[j], v, 2 * half))
         for u in star:
             for w in it.out_nbrs[u]:
                 key = (min(u, w), max(u, w))
-                phys[key] = phys.get(key, Fraction(0)) + half
+                phys[key] = phys.get(key, 0) + half
     edges = []
     comm = {v: set(it.in_nbrs[v]) | set(it.out_nbrs[v]) for v in it.nodes}
-    eu = {}
     ec = {}
     idx = 0
-    L = 2
     for (a, b), cost in sorted(phys.items()):
         edges.append(_graph.Edge(a, b, _graph.PHYSICAL, None, idx))
-        ec[idx] = ((Fraction(0), Fraction(0)), (Fraction(0), cost))
+        ec[idx] = (0, 0, 0, cost)
         idx += 1
     for (a, b, mgr, cost) in virt:
         edges.append(_graph.Edge(a, b, _graph.VIRTUAL, mgr, idx))
-        ec[idx] = ((Fraction(0), Fraction(0)), (Fraction(0), cost))
+        ec[idx] = (0, 0, 0, cost)
         idx += 1
     h = _graph.Multigraph(it.nodes, edges, comm)
-    nut = {v: (Fraction(0), w) for v, w in node_util.items()}
-    val = _rounding.Valuation(L, eu, ec, node_utility=nut)
+    nut = {v: (0, w) for v, w in node_util.items()}
+    val = _rounding.Valuation(2, {}, ec, node_utility=nut, scale=2)
     return h, val
 
 
@@ -229,14 +228,18 @@ def mis(g, mode=_sim.LOCAL, engine=None, check=True):
 
 
 def _iteration_bound(edges):
-    """ceil(log_{500/499} edges) + 1 by exact integer comparison."""
-    t = 0
-    num = 1
-    den = 1
-    while den * edges > num:      # (500/499)^t < edges
+    """ceil(log_{500/499} edges) + 1: the least t with 500^t >= 499^t edges,
+    from a float estimate settled by exact integer comparison."""
+    t = max(0, math.ceil(math.log(edges) / math.log1p(1 / 499)))
+    num, den = 500 ** t, 499 ** t
+    while den * edges > num:
         num *= 500
         den *= 499
         t += 1
+    while t and 500 * den * edges <= 499 * num:     # t - 1 suffices
+        num //= 500
+        den //= 499
+        t -= 1
     return t + 1
 
 

@@ -95,102 +95,82 @@ class FractionalAssignment:
 
 
 class Valuation:
-    """Edge and node utility/cost tables with non-negative rational entries.
+    """Edge and node utility/cost tables: non-negative rationals held as
+    integers over one common denominator ``scale``.
 
-    Edge tables are indexed consistently with the stored endpoint order of
-    each edge: ``edge_utility[e.index][a][b]`` is the utility when ``e.u``
-    has label a and ``e.v`` has label b.
+    ``edge_utility[i]`` is the flat ``L*L`` table of the edge with index i,
+    in the stored endpoint order: entry ``a*L + b`` is ``scale`` times the
+    utility when ``e.u`` has label a and ``e.v`` has label b; an edge
+    without a table has zeros.  ``node_utility[v]`` and ``node_cost[v]``
+    are rows of L integers.  The constructor divides ``scale`` and every
+    entry by their gcd, so ``scale`` is the least common denominator of the
+    entries.  ``from_fractions`` converts rational tables.
     """
 
     def __init__(self, nlabels, edge_utility, edge_cost,
-                 node_utility=None, node_cost=None, bound=None):
+                 node_utility=None, node_cost=None, scale=1):
         self.nlabels = nlabels
-        self.edge_utility = edge_utility
-        self.edge_cost = edge_cost
-        self.node_utility = node_utility or {}
-        self.node_cost = node_cost or {}
-        self.bound = bound
-        for tables in (edge_utility, edge_cost):
-            for idx, tab in tables.items():
-                for row in tab:
-                    for x in row:
-                        if x < 0:
-                            raise ValueError(f"negative entry in table of edge {idx}")
-        for tables in (self.node_utility, self.node_cost):
-            for v, row in tables.items():
-                for x in row:
-                    if x < 0:
-                        raise ValueError(f"negative entry in node table of {v}")
-        if bound is not None:
-            self.check_bound(bound)
+        groups = [edge_utility, edge_cost, node_utility or {}, node_cost or {}]
+        g = scale
+        kinds = ("table of edge",) * 2 + ("node table of",) * 2
+        for kind, tables in zip(kinds, groups):
+            for key, row in tables.items():
+                if min(row) < 0:
+                    raise ValueError(f"negative entry in {kind} {key}")
+                if g != 1:
+                    g = math.gcd(g, *row)
+        if g != 1:
+            groups = [{key: tuple(x // g for x in row)
+                       for key, row in tables.items()} for tables in groups]
+        (self.edge_utility, self.edge_cost,
+         self.node_utility, self.node_cost) = groups
+        self.scale = scale // g
 
-    def check_bound(self, q):
-        lo, hi = Fraction(1, q), Fraction(q)
-        for tables in (self.edge_utility, self.edge_cost,
-                       self.node_utility, self.node_cost):
-            for tab in tables.values():
-                rows = tab if tab and isinstance(tab[0], (tuple, list)) else [tab]
-                for row in rows:
+    @classmethod
+    def from_fractions(cls, nlabels, edge_utility, edge_cost,
+                       node_utility=None, node_cost=None, bound=None):
+        """Integer form of rational tables: edge tables nested as
+        ``[a][b]`` and keyed by edge index, node rows keyed by node.  With
+        ``bound`` = q, every nonzero entry must lie in [1/q, q]."""
+        groups = [{i: [Fraction(x) for row in t for x in row]
+                   for i, t in tables.items()}
+                  for tables in (edge_utility, edge_cost)]
+        groups += [{v: [Fraction(x) for x in row]
+                    for v, row in (tables or {}).items()}
+                   for tables in (node_utility, node_cost)]
+        scale = math.lcm(*(x.denominator for tables in groups
+                           for row in tables.values() for x in row))
+        val = cls(nlabels, *({key: tuple(x.numerator * (scale // x.denominator)
+                                         for x in row)
+                              for key, row in tables.items()}
+                             for tables in groups), scale=scale)
+        if bound is not None:
+            lo, hi = Fraction(1, bound), Fraction(bound)
+            for tables in groups:
+                for row in tables.values():
                     for x in row:
                         if x and not (lo <= x <= hi):
                             raise ValueError(
                                 f"entry {x} outside declared bound [{lo}, {hi}]")
-
-
-def _scaled_int(x, scale):
-    if type(x) is int:
-        return x * scale
-    f = Fraction(x)
-    return f.numerator * (scale // f.denominator)
+        return val
 
 
 class _Prepared(_coloring._Packing):
-    """The graph packing plus integer valuation tables for the kernels,
-    built once per (graph, valuation)."""
+    """The graph packing plus the valuation's integer tables in packing
+    order for the kernels, built once per (graph, valuation)."""
 
     def __init__(self, g, val, agree_cache=None):
         super().__init__(g, agree_cache)
         self.g = g
         self.val = val
-        L = val.nlabels
-        self.L = L
-        scale = 1
-        for tables in (val.edge_utility, val.edge_cost):
-            for tab in tables.values():
-                for row in tab:
-                    for x in row:
-                        if type(x) is int:
-                            continue
-                        d = Fraction(x).denominator
-                        scale = scale * d // math.gcd(scale, d)
-        for tables in (val.node_utility, val.node_cost):
-            for row in tables.values():
-                for x in row:
-                    if type(x) is int:
-                        continue
-                    d = Fraction(x).denominator
-                    scale = scale * d // math.gcd(scale, d)
-        self.scale = scale
-        self.ut = []
-        self.ct = []
-        zero = tuple([0] * (L * L))
-        for i in self.eidx:
-            tu = val.edge_utility.get(i)
-            tc = val.edge_cost.get(i)
-            self.ut.append(zero if tu is None else tuple(
-                _scaled_int(tu[a][b], scale) for a in range(L) for b in range(L)))
-            self.ct.append(zero if tc is None else tuple(
-                _scaled_int(tc[a][b], scale) for a in range(L) for b in range(L)))
+        self.L = val.nlabels
+        self.scale = val.scale
+        zero = (0,) * (self.L * self.L)
+        self.ut = [val.edge_utility.get(i, zero) for i in self.eidx]
+        self.ct = [val.edge_cost.get(i, zero) for i in self.eidx]
         if val.node_utility or val.node_cost:
-            self.nut = []
-            self.nct = []
-            for v in self.nodes:
-                nu = val.node_utility.get(v)
-                nc = val.node_cost.get(v)
-                self.nut.append(None if nu is None else tuple(
-                    _scaled_int(x, scale) for x in nu))
-                self.nct.append(None if nc is None else tuple(
-                    _scaled_int(x, scale) for x in nc))
+            self.nut = [val.node_utility.get(v) for v in self.nodes]
+            self.nct = [val.node_cost.get(v) for v in self.nodes]
         else:
             self.nut = None
             self.nct = None
@@ -503,29 +483,31 @@ def valuation_to_json(g, val, lam=None):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
             else str(x.numerator)
 
+    def row(ints):
+        return [fr(Fraction(x, val.scale)) for x in ints]
+
+    L = val.nlabels
+    zero = (0,) * (L * L)
     doc = {
-        "labels": val.nlabels,
+        "labels": L,
         "nodes": [int(v) for v in g.nodes],
         "edges": [],
-        "node_utility": {str(v): [fr(x) for x in row]
-                         for v, row in sorted(val.node_utility.items())},
-        "node_cost": {str(v): [fr(x) for x in row]
-                      for v, row in sorted(val.node_cost.items())},
+        "node_utility": {str(v): row(r)
+                         for v, r in sorted(val.node_utility.items())},
+        "node_cost": {str(v): row(r)
+                      for v, r in sorted(val.node_cost.items())},
     }
-    L = val.nlabels
-    zero = tuple(tuple(Fraction(0) for _ in range(L)) for _ in range(L))
     for e in g.edges:
         tu = val.edge_utility.get(e.index, zero)
         tc = val.edge_cost.get(e.index, zero)
         doc["edges"].append({
             "index": e.index, "u": e.u, "v": e.v,
             "manager": e.manager,
-            "utility": [[fr(x) for x in row] for row in tu],
-            "cost": [[fr(x) for x in row] for row in tc],
+            "utility": [row(tu[a * L:(a + 1) * L]) for a in range(L)],
+            "cost": [row(tc[a * L:(a + 1) * L]) for a in range(L)],
         })
     if lam is not None:
         doc["assignment"] = {
             str(v): [fr(Fraction(x, 1 << lam.k)) for x in nums]
             for v, nums in sorted(lam.values.items())}
     return doc
-

@@ -23,6 +23,7 @@ certified lower bound on the optimum from the fractional backend.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import coloring as _coloring
@@ -137,8 +138,13 @@ def _g_coefficient(m):
     return Fraction(-(-num // den), 1 << G_BITS)
 
 
-def _iteration_valuation(inst, n_star, u_live, g_i, xprime, cost):
-    """Multigraph H over the sets and the iteration's utility/cost tables."""
+def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
+    """Multigraph H over the sets and the iteration's utility/cost tables,
+    with x' the preprocessed assignment ``lam``.  g_i is dyadic at
+    2^G_BITS and x' at 2^lam.k, so the tables are built at the larger of
+    the two denominators."""
+    scale = math.lcm(g_i.denominator, 1 << lam.k)
+    g = g_i.numerator * (scale // g_i.denominator)
     cnt = {}
     edges = []
     ec = {}
@@ -155,24 +161,24 @@ def _iteration_valuation(inst, n_star, u_live, g_i, xprime, cost):
                 a, b = star[i], star[j]
                 edges.append(_graph.Edge(min(a, b), max(a, b),
                                          _graph.VIRTUAL, u, idx))
-                ec[idx] = ((Fraction(0), Fraction(0)),
-                           (Fraction(0), 2 * g_i))
+                ec[idx] = (0, 0, 0, 2 * g)
                 idx += 1
     nut = {}
     nct = {}
     for v in inst.sets:
-        const = 10 * Fraction(cost[v]) * xprime[v]
-        nut[v] = (const, g_i * cnt.get(v, 0) + const)
-        nct[v] = (Fraction(0), Fraction(cost[v]))
+        const = 10 * cost[v] * lam.values[v][1] * (scale >> lam.k)
+        nut[v] = (const, g * cnt.get(v, 0) + const)
+        nct[v] = (0, cost[v] * scale)
     h = _graph.Multigraph(inst.sets, edges, comm)
-    val = _rounding.Valuation(2, {}, ec, node_utility=nut, node_cost=nct)
+    val = _rounding.Valuation(2, {}, ec, node_utility=nut, node_cost=nct,
+                              scale=scale)
     return h, val
 
 
-def cover_iteration(inst, n_star, u_live, g_i, lam, xprime, cost, mode,
-                    engine, agree_cache, initial_coloring, check=True):
+def cover_iteration(inst, n_star, u_live, g_i, lam, cost, mode, engine,
+                    agree_cache, initial_coloring, check=True):
     """One rounding iteration; returns (V'_i, U_{i+1})."""
-    h, val = _iteration_valuation(inst, n_star, u_live, g_i, xprime, cost)
+    h, val = _iteration_valuation(inst, n_star, u_live, g_i, lam, cost)
     prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
     U0, C0 = prep.potential(lam)
     if 2 * C0 > U0:
@@ -238,7 +244,6 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     lam_raw = {v: (1 - x[v], x[v]) for v in inst.sets}
     lam = _rounding.preprocess_fractional(
         lam_raw, Fraction(1, 200), Fraction(1, 2), 2, check=False)
-    xprime = {v: Fraction(lam.values[v][1], 1 << lam.k) for v in inst.sets}
     # element-coverage coefficient 20 W / 1.01^(tau-i): the 20 W factor makes
     # covering an element strictly dominate the cost of any single set in
     # late iterations, so the completion step V'' stays negligible
@@ -264,7 +269,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
             v_i, u_next = [], set()
         else:
             v_i, u_next = cover_iteration(
-                inst, n_star, u_live, g_i, lam, xprime, cost, mode, engine,
+                inst, n_star, u_live, g_i, lam, cost, mode, engine,
                 agree_cache, initial_coloring, check=check)
         ci = sum(Fraction(cost[v]) for v in v_i)
         if check:

@@ -58,7 +58,7 @@ def _valuation(rng, g, L, q=1000, with_nodes=True):
               for v in g.nodes if rng.random() < 0.4}
         nc = {v: tuple(Fraction(rng.randint(0, q // 4), den) for _ in range(L))
               for v in g.nodes if rng.random() < 0.3}
-    return R.Valuation(L, eu, ec, node_utility=nu, node_cost=nc)
+    return R.Valuation.from_fractions(L, eu, ec, node_utility=nu, node_cost=nc)
 
 
 def _dyadic_assignment(rng, g, L, kmax):
@@ -84,12 +84,11 @@ def _scale_to_margin(g, val, lam_fr, mu):
         f = (Cc / U / (1 - mu)).__ceil__() + 1
         val = R.Valuation(
             val.nlabels,
-            {i: tuple(tuple(x * f for x in row) for row in t)
-             for i, t in val.edge_utility.items()},
+            {i: tuple(x * f for x in t) for i, t in val.edge_utility.items()},
             val.edge_cost,
             node_utility={v: tuple(x * f for x in t)
                           for v, t in val.node_utility.items()},
-            node_cost=val.node_cost)
+            node_cost=val.node_cost, scale=val.scale)
     return val
 
 

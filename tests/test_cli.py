@@ -120,7 +120,8 @@ def test_valuation_json_roundtrip(tmp_path):
     ec = {e.index: tuple(tuple(Fraction(rng.randint(0, 5))
                                for _ in range(2)) for _ in range(2))
           for e in g.edges}
-    val = R.Valuation(2, eu, ec, node_utility={2: (Fraction(0), Fraction(3))})
+    val = R.Valuation.from_fractions(
+        2, eu, ec, node_utility={2: (Fraction(0), Fraction(3))})
     lam = R.FractionalAssignment(2, 2, {1: (1, 3), 2: (2, 2), 3: (4, 0)})
     doc = R.valuation_to_json(g, val, lam)
     p = tmp_path / "inst.json"

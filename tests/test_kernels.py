@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from locround import _kernel
 from locround._kernel import BACKEND, pure
 
 
@@ -190,3 +191,48 @@ def test_compiled_matches_pure_aligned(rng, core):
         r2 = core.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, None, None,
                                       lam2, k, colors, dn, dd, en, ed, mode)
         assert lam == lam2 and r1 == r2
+
+
+def _table_kernel_calls(L, ut, k):
+    """The three table kernels on two nodes joined by one edge with utility
+    table ``ut``: (name, arguments before lam, arguments after lam)."""
+    head = (2, L, [0], [1])
+    tables = ([ut], [(0,) * (L * L)], [tuple(range(L)), None],
+              [None, (1,) * L])
+    return [
+        ("eval_potential", head + tables, (k,)),
+        ("edge_weights_for_step", head + tables, (k, 3, 2)),
+        ("rounding_color_loop", head + ([-1],) + tables,
+         (k, [0, 1], 1, 4, 3, 2, 0)),
+    ]
+
+
+def _check_fallback(core, L, ut, lam, k, raising):
+    """The compiled kernels named in ``raising`` raise OverflowError; the
+    selected wrappers return the pure results and update ``lam`` alike."""
+    impl = _kernel.with_fallback(core)
+    for name, head, tail in _table_kernel_calls(L, ut, k):
+        if name in raising:
+            with pytest.raises(OverflowError):
+                getattr(core, name)(*head, [list(r) for r in lam], *tail)
+        lam_pure = [list(r) for r in lam]
+        lam_impl = [list(r) for r in lam]
+        assert (getattr(impl, name)(*head, lam_impl, *tail)
+                == getattr(pure, name)(*head, lam_pure, *tail))
+        assert lam_impl == lam_pure
+
+
+def test_compiled_falls_back_on_huge_table_entry(core):
+    """A table entry of 2^63 passes the compiled 124-bit bound but not the
+    cast to a 64-bit C integer."""
+    ut = (1 << 63, 5, 7, (1 << 63) + 3)
+    _check_fallback(core, 2, ut, [[1, 3], [3, 1]], 2,
+                    {"eval_potential", "edge_weights_for_step",
+                     "rounding_color_loop"})
+
+
+def test_compiled_falls_back_on_many_odd_labels(core):
+    """Ten odd labels at one node exceed the compiled loop's 8 slots."""
+    row = [1] * 9 + [7]
+    _check_fallback(core, 10, tuple(range(100)), [row, row], 4,
+                    {"rounding_color_loop"})

@@ -76,3 +76,26 @@ def test_determinism_rerun(rng):
     assert r1[0] == r2[0]
     assert r1[1].total_rounds == r2[1].total_rounds
     assert r1[2] == r2[2]
+
+
+def _iteration_bound_loop(edges):
+    """The defining loop: the least t with (500/499)^t >= edges, plus 1."""
+    t, num, den = 0, 1, 1
+    while den * edges > num:
+        num *= 500
+        den *= 499
+        t += 1
+    return t + 1
+
+
+def test_iteration_bound_matches_loop():
+    # one upward pass of the loop serves every edge count in order
+    t, num, den = 0, 1, 1
+    for edges in range(1, 5001):
+        while den * edges > num:
+            num *= 500
+            den *= 499
+            t += 1
+        assert M._iteration_bound(edges) == t + 1
+    for edges in (5001, 65536, 123457, 10 ** 6, 9_999_991, 10 ** 7):
+        assert M._iteration_bound(edges) == _iteration_bound_loop(edges)

@@ -14,7 +14,7 @@ def two_node_graph():
 def test_evaluate_integral_is_lookup():
     g = two_node_graph()
     tab = ((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7)))
-    val = R.Valuation(2, {0: tab}, {0: tab})
+    val = R.Valuation.from_fractions(2, {0: tab}, {0: tab})
     lam = {1: (Fraction(0), Fraction(1)), 2: (Fraction(1), Fraction(0))}
     U, C = R.evaluate(val, lam, g)
     assert U == 5 and C == 5
@@ -23,7 +23,7 @@ def test_evaluate_integral_is_lookup():
 def test_evaluate_constant_table():
     g = two_node_graph()
     ones = ((1, 1), (1, 1))
-    val = R.Valuation(2, {0: ones}, {})
+    val = R.Valuation.from_fractions(2, {0: ones}, {})
     for lam1 in (Fraction(1, 3), Fraction(2, 5), Fraction(1)):
         lam = {1: (1 - lam1, lam1), 2: (Fraction(1, 2), Fraction(1, 2))}
         U, _ = R.evaluate(val, lam, g)
@@ -33,7 +33,7 @@ def test_evaluate_constant_table():
 def test_evaluate_equal_label_indicator_uniform():
     g = two_node_graph()
     eq = ((1, 0), (0, 1))
-    val = R.Valuation(2, {}, {0: eq})
+    val = R.Valuation.from_fractions(2, {}, {0: eq})
     lam = {v: (Fraction(1, 2), Fraction(1, 2)) for v in (1, 2)}
     _, C = R.evaluate(val, lam, g)
     assert C == Fraction(1, 2)
@@ -42,7 +42,8 @@ def test_evaluate_equal_label_indicator_uniform():
 def test_rounding_step_node_utility_forces_argmax():
     # lone node with node utility (0, 1): the full rounding must pick label 1
     g = G.simple_graph([7], [])
-    val = R.Valuation(2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
+    val = R.Valuation.from_fractions(
+        2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
     lam = R.FractionalAssignment(2, 1, {7: (1, 1)})
     out, _uc = R.rounding_step(g, val, lam, Fraction(0), Fraction(1))
     assert out.values[7] == (0, 1)
@@ -54,7 +55,7 @@ def test_rounding_step_node_utility_forces_argmax():
 
 def test_rounding_step_noop_without_odd_multiples():
     g = two_node_graph()
-    val = R.Valuation(2, {0: ((1, 1), (1, 1))}, {})
+    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 3, {1: (2, 6), 2: (4, 4)})
     out, _uc = R.rounding_step(g, val, lam, Fraction(1, 2), Fraction(1))
     assert out.k == 2
@@ -64,7 +65,7 @@ def test_rounding_step_noop_without_odd_multiples():
 def test_rounding_step_guarantee_cost_only_edge():
     g = two_node_graph()
     eq = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    val = R.Valuation(2, {}, {0: eq})
+    val = R.Valuation.from_fractions(2, {}, {0: eq})
     lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
     # internal exact assertion of the step lemma is the test
     for mode in ("exact", "worst", "quantized"):
@@ -76,16 +77,17 @@ def test_rounding_step_guarantee_cost_only_edge():
 def test_valuation_bound_check():
     g = two_node_graph()
     tab = ((Fraction(2), Fraction(3)), (Fraction(0), Fraction(7)))
-    R.Valuation(2, {0: tab}, {}, bound=10)      # all entries in [1/10, 10]
+    # all entries in [1/10, 10]
+    R.Valuation.from_fractions(2, {0: tab}, {}, bound=10)
     with pytest.raises(ValueError):
-        R.Valuation(2, {0: tab}, {}, bound=5)   # 7 > 5
+        R.Valuation.from_fractions(2, {0: tab}, {}, bound=5)   # 7 > 5
     with pytest.raises(ValueError):
-        R.Valuation(2, {0: ((-1, 0), (0, 0))}, {})
+        R.Valuation.from_fractions(2, {0: ((-1, 0), (0, 0))}, {})
 
 
 def test_step_parameter_validation():
     g = two_node_graph()
-    val = R.Valuation(2, {0: ((1, 1), (1, 1))}, {})
+    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
     with pytest.raises(ValueError):
         R.rounding_step(g, val, lam, Fraction(-1, 2), Fraction(1))
@@ -108,7 +110,7 @@ def _random_instance(rng, n, L, kmax, q=50):
                                   for _ in range(L)) for _ in range(L))
     nu = {v: tuple(Fraction(rng.randint(0, q), den) for _ in range(L))
           for v in g.nodes if rng.random() < 0.4}
-    val = R.Valuation(L, eu, ec, node_utility=nu)
+    val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu)
     k = rng.randint(1, kmax)
     tot = 1 << k
     lam = {}
@@ -151,11 +153,11 @@ def _margin_scaled(g, val, lam, mu):
         f = (C / U / (1 - mu)).__ceil__() + 1
         val = R.Valuation(
             val.nlabels,
-            {i: tuple(tuple(x * f for x in row) for row in t)
-             for i, t in val.edge_utility.items()},
+            {i: tuple(x * f for x in t) for i, t in val.edge_utility.items()},
             val.edge_cost,
             node_utility={v: tuple(x * f for x in t)
-                          for v, t in val.node_utility.items()})
+                          for v, t in val.node_utility.items()},
+            scale=val.scale)
     return val
 
 
@@ -177,7 +179,7 @@ def test_full_rounding_fuzz(rng):
 
 def test_integral_input_returned_unchanged():
     g = two_node_graph()
-    val = R.Valuation(2, {0: ((1, 1), (1, 1))}, {})
+    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 3, {1: (0, 8), 2: (8, 0)})
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 2))
     assert ell == {1: 1, 2: 0}
@@ -185,7 +187,8 @@ def test_integral_input_returned_unchanged():
 
 def test_preprocess_example_third():
     g = G.simple_graph([5], [])
-    val = R.Valuation(2, {}, {}, node_utility={5: (Fraction(1), Fraction(1))})
+    val = R.Valuation.from_fractions(
+        2, {}, {}, node_utility={5: (Fraction(1), Fraction(1))})
     lam_raw = {5: (Fraction(1, 3), Fraction(2, 3))}
     out = R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2), 2,
                                   lam_min=Fraction(1, 3), g=g, val=val)
@@ -246,23 +249,42 @@ def test_worst_estimator_still_satisfies_lemma(rng):
                         estimate_mode="worst")
 
 
+def _rational_tables(val):
+    """The tables of ``val`` as rationals: nested edge tables and node
+    rows, as ``Valuation.from_fractions`` takes them."""
+    L = val.nlabels
+
+    def nest(t):
+        return tuple(tuple(Fraction(t[a * L + b], val.scale)
+                           for b in range(L)) for a in range(L))
+
+    def row(r):
+        return tuple(Fraction(x, val.scale) for x in r)
+
+    return ({i: nest(t) for i, t in val.edge_utility.items()},
+            {i: nest(t) for i, t in val.edge_cost.items()},
+            {v: row(r) for v, r in val.node_utility.items()},
+            {v: row(r) for v, r in val.node_cost.items()})
+
+
 def _definition_uc(g, val, lam):
     """Exact (u, c) of rational distributions, term by term from the
     definition of the potential."""
     L = val.nlabels
+    eu, ec, nu, nc = _rational_tables(val)
     zero = tuple((0,) * L for _ in range(L))
     U = C = Fraction(0)
     for e in g.edges:
-        tu = val.edge_utility.get(e.index, zero)
-        tc = val.edge_cost.get(e.index, zero)
+        tu = eu.get(e.index, zero)
+        tc = ec.get(e.index, zero)
         for a in range(L):
             for b in range(L):
                 p = Fraction(lam[e.u][a]) * Fraction(lam[e.v][b])
                 U += p * tu[a][b]
                 C += p * tc[a][b]
-    for v, row in val.node_utility.items():
+    for v, row in nu.items():
         U += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
-    for v, row in val.node_cost.items():
+    for v, row in nc.items():
         C += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
     return U, C
 
@@ -274,8 +296,9 @@ def test_rational_potential_matches_definition(rng):
         nc = {v: tuple(Fraction(rng.randint(0, 9), rng.choice([1, 3, 7]))
                        for _ in range(L))
               for v in g.nodes if rng.random() < 0.4}
-        val = R.Valuation(L, val.edge_utility, val.edge_cost,
-                          node_utility=val.node_utility, node_cost=nc)
+        eu, ec, nu, _nc = _rational_tables(val)
+        val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu,
+                                         node_cost=nc)
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
         assert R.evaluate(val, lam, g) == _definition_uc(g, val, lamf)
