@@ -132,6 +132,14 @@ class Valuation:
         """Integer form of rational tables: edge tables nested as
         ``[a][b]`` and keyed by edge index, node rows keyed by node.  With
         ``bound`` = q, every nonzero entry must lie in [1/q, q]."""
+        L = nlabels
+        for i, t in (*edge_utility.items(), *edge_cost.items()):
+            if len(t) != L or any(len(row) != L for row in t):
+                raise ValueError(f"table of edge {i} is not {L} x {L}")
+        for v, row in (*(node_utility or {}).items(),
+                       *(node_cost or {}).items()):
+            if len(row) != L:
+                raise ValueError(f"node table of {v} needs {L} entries")
         groups = [{i: [Fraction(x) for row in t for x in row]
                    for i, t in tables.items()}
                   for tables in (edge_utility, edge_cost)]

@@ -133,6 +133,31 @@ def test_valuation_json_roundtrip(tmp_path):
     assert lam2.values == lam.values and lam2.k == lam.k
 
 
+@pytest.mark.parametrize("field,table", [
+    ("utility", [["1"], ["2", "3", "4"]]),                       # ragged
+    ("utility", [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]),
+    ("cost", [["0", "1"]]),                                      # one row
+    ("node_utility", {"1": ["1", "2", "3"]}),
+])
+def test_round_loader_rejects_malformed_tables(tmp_path, field, table):
+    inst = {
+        "labels": 2,
+        "nodes": [1, 2],
+        "edges": [{"u": 1, "v": 2,
+                   "utility": [["2", "2"], ["2", "2"]],
+                   "cost": [["0", "1"], ["1", "0"]]}],
+        "assignment": {"1": ["1/2", "1/2"], "2": ["1/4", "3/4"]},
+    }
+    if field == "node_utility":
+        inst[field] = table
+    else:
+        inst["edges"][0][field] = table
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps(inst))
+    with pytest.raises(ValueError):
+        cli._load_rounding_instance(str(p))
+
+
 def test_round_subcommand(tmp_path):
     inst = {
         "labels": 2,

@@ -99,6 +99,13 @@ def test_step_parameter_validation():
 
 
 def _random_instance(rng, n, L, kmax, q=50):
+    g, (eu, ec, nu), lam = _random_rational_instance(rng, n, L, kmax, q)
+    return g, R.Valuation.from_fractions(L, eu, ec, node_utility=nu), lam
+
+
+def _random_rational_instance(rng, n, L, kmax, q=50):
+    """A random graph, its rational edge utility/cost tables and node
+    utility rows, and a dyadic assignment."""
     g = random_simple_graph(rng, n, 6, 0.3)
     den = rng.choice([1, 2, 4])
     eu = {}
@@ -110,7 +117,6 @@ def _random_instance(rng, n, L, kmax, q=50):
                                   for _ in range(L)) for _ in range(L))
     nu = {v: tuple(Fraction(rng.randint(0, q), den) for _ in range(L))
           for v in g.nodes if rng.random() < 0.4}
-    val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu)
     k = rng.randint(1, kmax)
     tot = 1 << k
     lam = {}
@@ -122,7 +128,7 @@ def _random_instance(rng, n, L, kmax, q=50):
             prev = cpt
         nums.append(tot - prev)
         lam[v] = tuple(nums)
-    return g, val, R.FractionalAssignment(L, k, lam)
+    return g, (eu, ec, nu), R.FractionalAssignment(L, k, lam)
 
 
 def test_step_invariants_fuzz(rng):
@@ -249,29 +255,10 @@ def test_worst_estimator_still_satisfies_lemma(rng):
                         estimate_mode="worst")
 
 
-def _rational_tables(val):
-    """The tables of ``val`` as rationals: nested edge tables and node
-    rows, as ``Valuation.from_fractions`` takes them."""
-    L = val.nlabels
-
-    def nest(t):
-        return tuple(tuple(Fraction(t[a * L + b], val.scale)
-                           for b in range(L)) for a in range(L))
-
-    def row(r):
-        return tuple(Fraction(x, val.scale) for x in r)
-
-    return ({i: nest(t) for i, t in val.edge_utility.items()},
-            {i: nest(t) for i, t in val.edge_cost.items()},
-            {v: row(r) for v, r in val.node_utility.items()},
-            {v: row(r) for v, r in val.node_cost.items()})
-
-
-def _definition_uc(g, val, lam):
-    """Exact (u, c) of rational distributions, term by term from the
-    definition of the potential."""
-    L = val.nlabels
-    eu, ec, nu, nc = _rational_tables(val)
+def _definition_uc(g, L, tables, lam):
+    """Exact (u, c) of rational distributions under the rational tables
+    (eu, ec, nu, nc), term by term from the definition of the potential."""
+    eu, ec, nu, nc = tables
     zero = tuple((0,) * L for _ in range(L))
     U = C = Fraction(0)
     for e in g.edges:
@@ -292,16 +279,17 @@ def _definition_uc(g, val, lam):
 def test_rational_potential_matches_definition(rng):
     for _ in range(60):
         L = rng.choice([2, 3])
-        g, val, lam = _random_instance(rng, rng.randint(1, 12), L, 4)
+        g, (eu, ec, nu), lam = _random_rational_instance(
+            rng, rng.randint(1, 12), L, 4)
         nc = {v: tuple(Fraction(rng.randint(0, 9), rng.choice([1, 3, 7]))
                        for _ in range(L))
               for v in g.nodes if rng.random() < 0.4}
-        eu, ec, nu, _nc = _rational_tables(val)
+        tables = (eu, ec, nu, nc)
         val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu,
                                          node_cost=nc)
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
-        assert R.evaluate(val, lam, g) == _definition_uc(g, val, lamf)
+        assert R.evaluate(val, lam, g) == _definition_uc(g, L, tables, lamf)
         raw = {}
         for v in g.nodes:
             den = rng.choice([1, 2, 3, 12, 35, (1 << 70) + 1])
@@ -310,7 +298,7 @@ def test_rational_potential_matches_definition(rng):
             # plain ints where the value is 0 or 1
             raw[v] = tuple(p // den if p in (0, den) else Fraction(p, den)
                            for p in parts)
-        assert R.evaluate(val, raw, g) == _definition_uc(g, val, raw)
+        assert R.evaluate(val, raw, g) == _definition_uc(g, L, tables, raw)
 
 
 def _count_calls(monkeypatch):
