@@ -12,6 +12,16 @@ Multigraphs are passed as parallel edge arrays ``eu``, ``ev`` (endpoint
 node indices), ``mgr`` (manager node index for virtual edges, -1 for
 physical edges) plus optional per-node weights for node-level valuation
 terms (the dummy-edge reduction).
+
+The three table kernels (``eval_potential``, ``edge_weights_for_step``,
+``rounding_color_loop``) take the edge tables as ``pack_tables`` returns
+them, packed once per multigraph and valuation.  The packing keeps only
+the nonzero entries of each edge's L*L utility and cost tables, interned
+so that edges with equal tables share them, plus per-node incidence lists
+grouped by the node's own label.  In every algorithm here an edge has one
+nonzero entry, so the kernels do one product per edge, not L*L, and a
+label without an entry costs nothing.  Only zero terms are skipped, so
+the results are those of the dense sums.
 """
 
 from __future__ import annotations
@@ -365,6 +375,9 @@ def rs_defective_step(nv, eu, ev, mgr, w, nodew, colors, q, d, factor2,
     new_colors = [0] * nv
     maxbits = 1
     for v in range(nv):
+        if not conf[v] and not (factor2 and confm[v]):
+            new_colors[v] = colors[v] % q     # z = 0, no conflict
+            continue
         est = dict(conf[v]) if conf[v] else {}
         if factor2 and confm[v]:
             for (z, _man), tot in confm[v].items():
@@ -404,10 +417,12 @@ def rs_proper_step(nv, eu, ev, colors, q, d, agree_cache=None):
     new_colors = [0] * nv
     for v in range(nv):
         s = blocked[v]
+        if not s:
+            new_colors[v] = colors[v] % q     # z = 0
+            continue
         z = 0
-        if s:
-            while z in s:
-                z += 1
+        while z in s:
+            z += 1
         if z >= q:
             raise AssertionError("no free candidate color; palette too small")
         new_colors[v] = z * q + _poly_eval(_digits(colors[v], q, d), z, q)
@@ -448,7 +463,6 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
         c = colors[v]
         aa[v] = 1 + c // p
         bb[v] = c % p
-    ainv = [pow(a, p - 2, p) for a in aa]
 
     wtot = list(nodew)
     adj = [[] for _ in range(nv)]   # (other, weight, coincide_step or -1, mgr)
@@ -459,12 +473,14 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
         if aa[u] == aa[v] and bb[u] == bb[v]:
             continue    # stage-one monochromatic: not resolved here
         if aa[u] != aa[v]:
-            i_star = ((bb[v] - bb[u]) * pow((aa[u] - aa[v]) % p, p - 2, p)) % p
+            i_star = ((bb[v] - bb[u]) * pow(aa[u] - aa[v], -1, p)) % p
         else:
             i_star = -1
         man = mgr[e]
         adj[u].append((v, we, i_star, man))
         adj[v].append((u, we, i_star, man))
+    # read only at nodes with a stage-one-bichromatic edge
+    ainv = [pow(aa[v], -1, p) if adj[v] else 0 for v in range(nv)]
 
     # pend[v]: step -> {(-1): physical weight, mgr: weight}
     pend = [None] * nv
@@ -562,31 +578,77 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
 
 
 # ---------------------------------------------------------------------------
-# fractional potential and the basic rounding step
+# table packing, fractional potential and the basic rounding step
 # ---------------------------------------------------------------------------
 
 
-def eval_potential(nv, L, eu, ev, ut, ct, nut, nct, lam, k):
+class Tables:
+    """The nonzero entries of a multigraph's edge tables, packed once.
+
+    ``entries[e]`` holds the ``(a, b, utility, cost)`` entries of edge e
+    whose utility or cost is nonzero, with a the label of ``eu[e]`` and b
+    the label of ``ev[e]``.  Edges with equal tables share one tuple; an
+    all-zero table gives the empty tuple.  ``inc[v * L + a]`` is a flat
+    list of ``other, manager, toward`` triples, one for every edge at node
+    v with a nonzero entry at v's label a; ``toward`` holds those entries
+    as ``(b, utility, cost)`` with b the label of ``other``.
+    """
+
+    __slots__ = ("entries", "inc")
+
+    def __init__(self, entries, inc):
+        self.entries = entries
+        self.inc = inc
+
+
+def pack_tables(nv, L, eu, ev, mgr, ut, ct):
+    """The ``Tables`` of the flat L*L utility and cost tables ``ut[e]``,
+    ``ct[e]`` of the edges ``eu[e]``-``ev[e]`` managed by ``mgr[e]``."""
+    interned = {}
+    entries = []
+    inc = [()] * (nv * L)
+    for e in range(len(eu)):
+        key = (ut[e], ct[e])
+        hit = interned.get(key)
+        if hit is None:
+            ent = tuple((i // L, i % L, x, y)
+                        for i, (x, y) in enumerate(zip(*key)) if x or y)
+            hit = interned[key] = (
+                ent,
+                [(a, tuple((b, x, y) for a_, b, x, y in ent if a_ == a))
+                 for a in range(L)],
+                [(b, tuple((a, x, y) for a, b_, x, y in ent if b_ == b))
+                 for b in range(L)])
+        ent, toward_u, toward_v = hit
+        entries.append(ent)
+        if not ent:
+            continue
+        u = eu[e]
+        v = ev[e]
+        for node, other, toward in ((u, v, toward_u), (v, u, toward_v)):
+            for a, t in toward:
+                if t:
+                    i = node * L + a
+                    if not inc[i]:
+                        inc[i] = []
+                    inc[i] += (other, mgr[e], t)
+    return Tables(entries, inc)
+
+
+def eval_potential(nv, L, eu, ev, tables, nut, nct, lam, k):
     """Total (utility, cost), integers at scale (table scale) * 2^(2k)."""
     U = 0
     C = 0
-    for e in range(len(eu)):
-        lu = lam[eu[e]]
-        lv = lam[ev[e]]
-        tu = ut[e]
-        tc = ct[e]
-        for a in range(L):
-            la = lu[a]
-            if not la:
-                continue
-            base = a * L
-            for b in range(L):
-                lb = lv[b]
-                if not lb:
-                    continue
-                prod = la * lb
-                U += prod * tu[base + b]
-                C += prod * tc[base + b]
+    for u, v, ent in zip(eu, ev, tables.entries):
+        if not ent:
+            continue
+        lu = lam[u]
+        lv = lam[v]
+        for a, b, x, y in ent:
+            prod = lu[a] * lv[b]
+            if prod:
+                U += prod * x
+                C += prod * y
     if nut is not None:
         twok = 1 << k
         for v in range(nv):
@@ -606,29 +668,23 @@ def eval_potential(nv, L, eu, ev, ut, ct, nut, nct, lam, k):
     return U, C
 
 
-def edge_weights_for_step(nv, L, eu, ev, ut, ct, nut, nct, lam, k,
+def edge_weights_for_step(nv, L, eu, ev, tables, nut, nct, lam, k,
                           eta_num, eta_den):
     """w_e = u(e, lam) + eta * c(e, lam), integers at scale
     table * 2^(2k) * eta_den; plus per-node weights for node-level terms."""
-    m = len(eu)
-    w = [0] * m
-    for e in range(m):
+    w = [0] * len(eu)
+    for e, ent in enumerate(tables.entries):
+        if not ent:
+            continue
         lu = lam[eu[e]]
         lv = lam[ev[e]]
-        tu = ut[e]
-        tc = ct[e]
         acc_u = 0
         acc_c = 0
-        for a in range(L):
-            la = lu[a]
-            if not la:
-                continue
-            base = a * L
-            for b in range(L):
-                lb = lv[b]
-                if lb:
-                    acc_u += la * lb * tu[base + b]
-                    acc_c += la * lb * tc[base + b]
+        for a, b, x, y in ent:
+            prod = lu[a] * lv[b]
+            if prod:
+                acc_u += prod * x
+                acc_c += prod * y
         w[e] = eta_den * acc_u + eta_num * acc_c
     nodew = [0] * nv
     if nut is not None:
@@ -649,29 +705,22 @@ def edge_weights_for_step(nv, L, eu, ev, ut, ct, nut, nct, lam, k,
     return w, nodew
 
 
-def rounding_color_loop(nv, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors,
+def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
                         delta_num, delta_den, eta_num, eta_den, est_mode):
     """Inner loop of the basic rounding step over the defective coloring.
 
     Iterates the color classes in ascending color order; inside a class,
     every node with labels at odd multiples of 2^-k splits them into equal
     halves by estimated marginal potential and moves each value by one
-    unit.  ``est_mode``: 0 exact, 1 worst-in-band (test hook), 2 quantized
+    unit.  Edges between nodes of one color are left out of the estimates.
+    ``est_mode``: 0 exact, 1 worst-in-band (test hook), 2 quantized
     per-manager contributions (the bandwidth-saving estimator).
 
     Mutates ``lam`` (numerators at denominator 2^k); afterwards every value
     is even and the caller halves them.  Returns (max_qidx_bits, touched).
     """
-    m = len(eu)
     twok = 1 << k
-    inc = [[] for _ in range(nv)]   # (edge, other endpoint, 0/1 side)
-    for e in range(m):
-        cu = colors[eu[e]]
-        cv = colors[ev[e]]
-        if cu == cv:
-            continue    # monochromatic: untouched by estimates
-        inc[eu[e]].append((e, ev[e], 0))
-        inc[ev[e]].append((e, eu[e], 1))
+    inc = tables.inc
     classes = {}
     for v in range(nv):
         classes.setdefault(colors[v], []).append(v)
@@ -685,102 +734,65 @@ def rounding_color_loop(nv, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors,
             if not sv:
                 continue
             touched += 1
+            row = v * L
+            nu = nc = None
+            if nut is not None:
+                nu = nut[v]
+                nc = nct[v]
             phis = []
             for a in sv:
-                # phi, theta at scale table * 2^k * eta_den
-                if est_mode == 2:
-                    phi6 = 0        # at scale * 6 * delta_den
-                    phi = 0
-                    theta = 0
-                    per_mgr = {}
-                    phys_phi = 0
-                    for (e, u, side) in inc[v]:
-                        lu = lam[u]
-                        tu = ut[e]
-                        tc = ct[e]
-                        pe = 0
-                        te = 0
-                        for b in range(L):
-                            lb = lu[b]
-                            if not lb:
-                                continue
-                            idx = (a * L + b) if side == 0 else (b * L + a)
-                            uu = lb * tu[idx]
-                            cc = lb * tc[idx]
-                            pe += eta_den * uu - eta_num * cc
-                            te += eta_den * uu + eta_num * cc
-                        phi += pe
-                        theta += te
-                        man = mgr[e]
-                        if man >= 0:
-                            slot = per_mgr.get(man)
-                            if slot is None:
-                                per_mgr[man] = [pe, te]
-                            else:
-                                slot[0] += pe
-                                slot[1] += te
+                # su, sc: lam-weighted utility and cost toward the other
+                # endpoints, plus 2^k times the node terms; in est_mode 2
+                # the managed edges' sums go per manager instead
+                su = 0
+                sc = 0
+                per_mgr = {} if est_mode == 2 else None
+                it = iter(inc[row + a])
+                for u, man, toward in zip(it, it, it):
+                    if colors[u] == gamma:
+                        continue
+                    lu = lam[u]
+                    ue = 0
+                    ce = 0
+                    for b, x, y in toward:
+                        lb = lu[b]
+                        if lb:
+                            ue += lb * x
+                            ce += lb * y
+                    if per_mgr is not None and man >= 0:
+                        slot = per_mgr.get(man)
+                        if slot is None:
+                            per_mgr[man] = [ue, ce]
                         else:
-                            phys_phi += pe
-                    if nut is not None:
-                        nu = nut[v]
-                        nc = nct[v]
-                        nphi = 0
-                        nth = 0
-                        if nu is not None:
-                            nphi += eta_den * nu[a]
-                            nth += eta_den * nu[a]
-                        if nc is not None:
-                            nphi -= eta_num * nc[a]
-                            nth += eta_num * nc[a]
-                        phi += twok * nphi
-                        theta += twok * nth
-                        phys_phi += twok * nphi
-                    # quantize each manager contribution down to its band grid
-                    phi6 = sixdd * phys_phi
-                    for man, (pe, te) in sorted(per_mgr.items()):
-                        if te == 0:
-                            continue
-                        grid = delta_num * te
-                        qidx = (sixdd * pe) // grid
-                        if qidx:
-                            b_ = abs(qidx).bit_length()
-                            if b_ > max_qbits:
-                                max_qbits = b_
-                        phi6 += qidx * grid
-                    phis.append((phi6, a))
-                else:
-                    phi = 0
-                    theta = 0 if est_mode == 1 else None
-                    for (e, u, side) in inc[v]:
-                        lu = lam[u]
-                        tu = ut[e]
-                        tc = ct[e]
-                        for b in range(L):
-                            lb = lu[b]
-                            if not lb:
-                                continue
-                            idx = (a * L + b) if side == 0 else (b * L + a)
-                            uu = lb * tu[idx]
-                            cc = lb * tc[idx]
-                            phi += eta_den * uu - eta_num * cc
-                            if est_mode == 1:
-                                theta += eta_den * uu + eta_num * cc
-                    if nut is not None:
-                        nu = nut[v]
-                        nc = nct[v]
-                        if nu is not None:
-                            phi += twok * eta_den * nu[a]
-                            if est_mode == 1:
-                                theta += twok * eta_den * nu[a]
-                        if nc is not None:
-                            phi -= twok * eta_num * nc[a]
-                            if est_mode == 1:
-                                theta += twok * eta_num * nc[a]
-                    if est_mode == 1:
-                        phis.append((sixdd * phi - delta_num * theta, a))
+                            slot[0] += ue
+                            slot[1] += ce
                     else:
-                        phis.append((sixdd * phi, a))
-            phis.sort(key=lambda t: (-t[0], -t[1]))
+                        su += ue
+                        sc += ce
+                if nu is not None:
+                    su += twok * nu[a]
+                if nc is not None:
+                    sc += twok * nc[a]
+                # phi = eta_den*su - eta_num*sc and theta = eta_den*su +
+                # eta_num*sc are at scale table * 2^k * eta_den, and phi6
+                # at that scale times 6 * delta_den
+                phi6 = sixdd * (eta_den * su - eta_num * sc)
+                if est_mode == 1:
+                    phi6 -= delta_num * (eta_den * su + eta_num * sc)
+                # quantize each manager contribution down to its band grid
+                for pu, pc in per_mgr.values() if per_mgr else ():
+                    te = eta_den * pu + eta_num * pc
+                    if te == 0:
+                        continue
+                    grid = delta_num * te
+                    qidx = (sixdd * (eta_den * pu - eta_num * pc)) // grid
+                    if qidx:
+                        b_ = abs(qidx).bit_length()
+                        if b_ > max_qbits:
+                            max_qbits = b_
+                    phi6 += qidx * grid
+                phis.append((phi6, a))
+            phis.sort(reverse=True)     # labels are distinct: no ties
             half = len(phis) // 2
             for i, (_val, a) in enumerate(phis):
                 if i < half:

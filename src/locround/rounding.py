@@ -40,7 +40,7 @@ class FractionalAssignment:
         for v, nums in self.values.items():
             if len(nums) != nlabels:
                 raise ValueError(f"node {v}: wrong number of labels")
-            if any(x < 0 or x > tot for x in nums):
+            if nums and (min(nums) < 0 or max(nums) > tot):
                 raise ValueError(f"node {v}: value outside [0, 1]")
             if sum(nums) != tot:
                 raise ValueError(f"node {v}: values do not sum to 1")
@@ -82,9 +82,6 @@ class FractionalAssignment:
             raise ValueError("assignment is not integral")
         tot = 1 << self.k
         return {v: nums.index(tot) for v, nums in self.values.items()}
-
-    def copy(self):
-        return FractionalAssignment(self.nlabels, self.k, dict(self.values))
 
     @classmethod
     def integral(cls, nlabels, labeling):
@@ -165,7 +162,7 @@ class Valuation:
 
 class _Prepared(_coloring._Packing):
     """The graph packing plus the valuation's integer tables in packing
-    order for the kernels, built once per (graph, valuation)."""
+    order, packed for the kernels once per (graph, valuation)."""
 
     def __init__(self, g, val, agree_cache=None):
         super().__init__(g, agree_cache)
@@ -174,8 +171,10 @@ class _Prepared(_coloring._Packing):
         self.L = val.nlabels
         self.scale = val.scale
         zero = (0,) * (self.L * self.L)
-        self.ut = [val.edge_utility.get(i, zero) for i in self.eidx]
-        self.ct = [val.edge_cost.get(i, zero) for i in self.eidx]
+        self.tables = _K.pack_tables(
+            self.nv, self.L, self.eu, self.ev, self.mgr,
+            [val.edge_utility.get(i, zero) for i in self.eidx],
+            [val.edge_cost.get(i, zero) for i in self.eidx])
         if val.node_utility or val.node_cost:
             self.nut = [val.node_utility.get(v) for v in self.nodes]
             self.nct = [val.node_cost.get(v) for v in self.nodes]
@@ -192,7 +191,7 @@ class _Prepared(_coloring._Packing):
         if isinstance(lam, FractionalAssignment):
             arr = self.lam_array(lam) if lam_arr is None else lam_arr
             U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                     self.ut, self.ct, self.nut, self.nct,
+                                     self.tables, self.nut, self.nct,
                                      arr, lam.k)
             D = 1 << lam.k
         else:
@@ -205,7 +204,7 @@ class _Prepared(_coloring._Packing):
             arr = [[x.numerator * (D // x.denominator) for x in row]
                    for row in rows]
             U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                     self.ut, self.ct, None, None,
+                                     self.tables, None, None,
                                      arr, D.bit_length())
             if self.nut is not None:
                 for row, nu, nc in zip(arr, self.nut, self.nct):
@@ -259,7 +258,7 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         U0, C0 = prep.potential(lam, arr) if uc0 is None else uc0
     en, ed = _eta_ints(eta)
     w, nodew = _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
-                                        prep.ut, prep.ct, prep.nut, prep.nct,
+                                        prep.tables, prep.nut, prep.nct,
                                         arr, lam.k, en, ed)
     factor2 = estimate_mode == "quantized"
     if delta == 0:
@@ -275,7 +274,7 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         mode_id = 0
     dn, dd = delta.numerator, delta.denominator
     max_qbits, _touched = _K.rounding_color_loop(
-        prep.nv, prep.L, prep.eu, prep.ev, prep.mgr, prep.ut, prep.ct,
+        prep.nv, prep.L, prep.eu, prep.ev, prep.mgr, prep.tables,
         prep.nut, prep.nct, arr, lam.k, colors, dn, dd, en, ed, mode_id)
     if engine is not None:
         msg_bits = prep.L * (max_qbits + 2) + 2

@@ -108,56 +108,87 @@ def test_backend_reports():
     assert BACKEND in ("compiled", "pure")
 
 
+def _random_tables(rng, L, m, kinds):
+    """m flat L*L (utility, cost) table pairs, each of a kind drawn from
+    ``kinds``: "sparse" has mostly zero entries, "zero" is all zero,
+    "utility" and "cost" have entries in one table only, "dense" has
+    entries everywhere; equal pairs repeat."""
+    ut, ct = [], []
+    for _ in range(m):
+        if ut and rng.random() < 0.2:
+            j = rng.randrange(len(ut))
+            ut.append(ut[j])
+            ct.append(ct[j])
+            continue
+        kind = rng.choice(kinds)
+
+        def row(on):
+            if not on:
+                return (0,) * (L * L)
+            hit = 0.3 if kind == "sparse" else 1.0
+            return tuple(rng.randint(1, 40) if rng.random() < hit else 0
+                         for _ in range(L * L))
+
+        ut.append(row(kind in ("sparse", "dense", "utility")))
+        ct.append(row(kind in ("sparse", "dense", "cost")))
+    return ut, ct
+
+
+def _random_lam(rng, n, L, k):
+    lam = []
+    for _v in range(n):
+        cuts = sorted(rng.randint(0, 1 << k) for _ in range(L - 1))
+        lam.append([b - a for a, b in zip([0] + cuts, cuts + [1 << k])])
+    return lam
+
+
 def test_compiled_matches_pure(rng, core):
-    for trial in range(60):
-        n = rng.randint(2, 15)
-        L = rng.choice([2, 3])
-        m = rng.randint(0, 3 * n)
-        eu = [rng.randrange(n) for _ in range(m)]
-        ev = []
-        for e in range(m):
-            x = rng.randrange(n)
-            while x == eu[e]:
-                x = rng.randrange(n)
-            ev.append(x)
-        mgr = [rng.choice([-1, rng.randrange(n)]) for _ in range(m)]
-        k = rng.randint(1, 7)
-        tot = 1 << k
-        ut = [tuple(rng.randint(0, 40) for _ in range(L * L)) for _ in range(m)]
-        ct = [tuple(rng.randint(0, 40) for _ in range(L * L)) for _ in range(m)]
+    """The pure kernels on packed tables against the compiled kernels on
+    the dense ones: every kernel output, and ``lam`` after the color loop,
+    in every estimate mode."""
+    kinds = ("sparse", "zero", "utility", "cost", "dense")
+    modes = set()
+    for trial in range(150):
+        n = rng.randint(2, 12)
+        L = rng.choice([2, 3, 4])
+        eu, ev, mgr = [], [], []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            # parallel edges between one pair, with different managers
+            for man in rng.sample([-1] + list(range(n)), rng.choice([1, 1, 3])):
+                eu.append(u)
+                ev.append(v)
+                mgr.append(man)
+        m = len(eu)
+        ut, ct = _random_tables(rng, L, m, kinds if trial % 5 else ("zero",))
         nut = nct = None
-        if rng.random() < 0.5:
+        if trial % 2:
             nut = [tuple(rng.randint(0, 9) for _ in range(L))
                    if rng.random() < 0.6 else None for _ in range(n)]
             nct = [tuple(rng.randint(0, 9) for _ in range(L))
                    if rng.random() < 0.6 else None for _ in range(n)]
-        lam = []
-        for _v in range(n):
-            cuts = sorted(rng.randint(0, tot) for _ in range(L - 1))
-            nums, prev = [], 0
-            for cpt in cuts:
-                nums.append(cpt - prev)
-                prev = cpt
-            nums.append(tot - prev)
-            lam.append(list(nums))
-        lam2 = [list(r) for r in lam]
-        assert (pure.eval_potential(n, L, eu, ev, ut, ct, nut, nct, lam, k)
+        k = rng.randint(1, 7)
+        lam = _random_lam(rng, n, L, k)
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
+        assert (pure.eval_potential(n, L, eu, ev, tables, nut, nct, lam, k)
                 == core.eval_potential(n, L, eu, ev, ut, ct, nut, nct, lam, k))
         en, ed = rng.randint(1, 9), rng.randint(1, 8)
-        assert (pure.edge_weights_for_step(n, L, eu, ev, ut, ct, nut, nct,
+        assert (pure.edge_weights_for_step(n, L, eu, ev, tables, nut, nct,
                                            lam, k, en, ed)
                 == core.edge_weights_for_step(n, L, eu, ev, ut, ct, nut, nct,
                                               lam, k, en, ed))
         colors = [rng.randrange(4) for _ in range(n)]
-        mode = rng.choice([0, 1, 2])
-        r1 = pure.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, nut, nct,
-                                      lam, k, colors, 1, rng.randint(1, 100),
-                                      en, ed, mode)
-        r2 = core.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, nut, nct,
-                                      lam2, k, colors, 1, 1, en, ed, mode)
-        # different delta only affects quantized estimates; rerun aligned
-        if mode != 2:
-            assert lam == lam2
+        dn, dd = rng.randint(1, 3), rng.randint(3, 100)
+        mode = trial % 3
+        modes.add(mode)
+        lam2 = [list(r) for r in lam]
+        assert (pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut, nct,
+                                         lam, k, colors, dn, dd, en, ed, mode)
+                == core.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, nut,
+                                            nct, lam2, k, colors, dn, dd, en,
+                                            ed, mode))
+        assert lam == lam2
+    assert modes == {0, 1, 2}
 
 
 def test_compiled_matches_pure_aligned(rng, core):
@@ -186,40 +217,69 @@ def test_compiled_matches_pure_aligned(rng, core):
         dn, dd = 1, rng.randint(1, 100)
         en, ed = rng.randint(1, 9), rng.randint(1, 8)
         mode = rng.choice([0, 1, 2])
-        r1 = pure.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, None, None,
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
+        r1 = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, None, None,
                                       lam, k, colors, dn, dd, en, ed, mode)
         r2 = core.rounding_color_loop(n, L, eu, ev, mgr, ut, ct, None, None,
                                       lam2, k, colors, dn, dd, en, ed, mode)
         assert lam == lam2 and r1 == r2
 
 
-def _table_kernel_calls(L, ut, k):
-    """The three table kernels on two nodes joined by one edge with utility
-    table ``ut``: (name, arguments before lam, arguments after lam)."""
+def test_pack_tables_keeps_nonzero_entries():
+    ut = [(0, 0, 0, 5), (0, 0, 0, 5), (0, 0, 0, 0), (2, 0, 0, 0)]
+    ct = [(0, 0, 0, 7), (0, 0, 0, 7), (0, 0, 0, 0), (0, 3, 0, 0)]
+    t = pure.pack_tables(3, 2, [0, 1, 0, 2], [1, 2, 2, 0], [-1, 0, 1, -1],
+                         ut, ct)
+    assert t.entries == [((1, 1, 5, 7),), ((1, 1, 5, 7),), (),
+                         ((0, 0, 2, 0), (0, 1, 0, 3))]
+    assert t.entries[0] is t.entries[1]
+    assert t.inc == [[2, -1, ((0, 2, 0),)],
+                     [1, -1, ((1, 5, 7),), 2, -1, ((0, 0, 3),)],
+                     (),
+                     [0, -1, ((1, 5, 7),), 2, 0, ((1, 5, 7),)],
+                     [0, -1, ((0, 2, 0), (1, 0, 3))],
+                     [1, 0, ((1, 5, 7),)]]
+
+
+def _table_kernel_calls(L, k, tables):
+    """The three table kernels on two nodes joined by one edge, whose
+    tables are ``tables``: the dense (ut, ct) for the raw compiled kernels,
+    else one packing.  (name, arguments before lam, arguments after lam)."""
     head = (2, L, [0], [1])
-    tables = ([ut], [(0,) * (L * L)], [tuple(range(L)), None],
-              [None, (1,) * L])
+    nodes = ([tuple(range(L)), None], [None, (1,) * L])
     return [
-        ("eval_potential", head + tables, (k,)),
-        ("edge_weights_for_step", head + tables, (k, 3, 2)),
-        ("rounding_color_loop", head + ([-1],) + tables,
+        ("eval_potential", head + tables + nodes, (k,)),
+        ("edge_weights_for_step", head + tables + nodes, (k, 3, 2)),
+        ("rounding_color_loop", head + ([-1],) + tables + nodes,
          (k, [0, 1], 1, 4, 3, 2, 0)),
     ]
 
 
 def _check_fallback(core, L, ut, lam, k, raising):
-    """The compiled kernels named in ``raising`` raise OverflowError; the
-    selected wrappers return the pure results and update ``lam`` alike."""
+    """The compiled kernels named in ``raising`` raise OverflowError, the
+    others match the pure ones; the selected wrappers return the pure
+    results, update ``lam`` alike, and build the pure packing of their
+    dense tables only once a call falls back."""
     impl = _kernel.with_fallback(core)
-    for name, head, tail in _table_kernel_calls(L, ut, k):
+    dense = ([ut], [(0,) * (L * L)])
+    packed = impl.pack_tables(2, L, [0], [1], [-1], *dense)
+    runs = [_table_kernel_calls(L, k, tables) for tables in (
+        dense, (packed,), (pure.pack_tables(2, L, [0], [1], [-1], *dense),))]
+    fell_back = False
+    for (name, head, tail), (_, ihead, _), (_, phead, _) in zip(*runs):
+        lam_pure = [list(r) for r in lam]
+        want = getattr(pure, name)(*phead, lam_pure, *tail)
         if name in raising:
             with pytest.raises(OverflowError):
                 getattr(core, name)(*head, [list(r) for r in lam], *tail)
-        lam_pure = [list(r) for r in lam]
+        else:
+            assert getattr(core, name)(*head, [list(r) for r in lam],
+                                       *tail) == want
         lam_impl = [list(r) for r in lam]
-        assert (getattr(impl, name)(*head, lam_impl, *tail)
-                == getattr(pure, name)(*head, lam_pure, *tail))
+        assert getattr(impl, name)(*ihead, lam_impl, *tail) == want
         assert lam_impl == lam_pure
+        fell_back = fell_back or name in raising
+        assert (packed._packed is not None) == fell_back
 
 
 def test_compiled_falls_back_on_huge_table_entry(core):
@@ -236,3 +296,12 @@ def test_compiled_falls_back_on_many_odd_labels(core):
     row = [1] * 9 + [7]
     _check_fallback(core, 10, tuple(range(100)), [row, row], 4,
                     {"rounding_color_loop"})
+
+
+def test_compiled_range_check_reaches_packed_pure(core):
+    """Values at 2^-60 fail the compiled 124-bit bound; the range check
+    inside the compiled kernels then reruns the call in the pure kernels
+    on packed tables, without an OverflowError."""
+    k = 60
+    _check_fallback(core, 2, (3, 5, 7, 11),
+                    [[1, (1 << k) - 1], [(1 << k) - 3, 3]], k, set())

@@ -343,3 +343,49 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 2)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
+
+
+def test_tables_packed_once_per_prepared(rng, monkeypatch):
+    counts = {"pack": 0, "prepare": 0}
+    pack = R._K.pack_tables
+    prepare = R._Prepared.__init__
+
+    def counted_pack(*args):
+        counts["pack"] += 1
+        return pack(*args)
+
+    def counted_prepare(self, *args, **kwargs):
+        counts["prepare"] += 1
+        prepare(self, *args, **kwargs)
+
+    monkeypatch.setattr(R._K, "pack_tables", counted_pack)
+    monkeypatch.setattr(R._Prepared, "__init__", counted_prepare)
+    done = 0
+    while done < 4:
+        g, val, lam = _random_instance(rng, rng.randint(2, 12), 3, 4)
+        mu = Fraction(1, 4)
+        val = _margin_scaled(g, val, lam, mu)
+        if val is None or lam.normalize().k == 0:
+            continue
+        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
+                for v, nums in lam.values.items()}
+        counts.update(pack=0, prepare=0)
+        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 3)
+        assert counts == {"pack": 1, "prepare": 1}
+        prep = R._Prepared(g, val)
+        counts.update(pack=0, prepare=0)
+        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 3, prep=prep)
+        assert counts == {"pack": 0, "prepare": 0}
+        done += 1
+
+
+def test_fractional_assignment_rejects_malformed_rows():
+    cases = [(2, 2, (1, 2, 1), "wrong number of labels"),
+             (2, 2, (5, -1), "outside"),
+             (2, 2, (0, 5), "outside"),
+             (3, 2, (2, 1, 0), "do not sum to 1"),
+             (0, 1, (), "do not sum to 1")]
+    for nlabels, k, row, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            R.FractionalAssignment(nlabels, k, {1: row})
+    assert R.FractionalAssignment(2, 2, {1: (0, 4), 2: (1, 3)}).k == 2

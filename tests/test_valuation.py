@@ -17,7 +17,10 @@ def _fields(val):
 
 def _packed(g, val):
     p = R._Prepared(g, val)
-    return p.L, p.ut, p.ct, p.nut, p.nct, p.scale
+    zero = (0,) * (p.L * p.L)
+    return (p.L, [val.edge_utility.get(i, zero) for i in p.eidx],
+            [val.edge_cost.get(i, zero) for i in p.eidx], p.nut, p.nct,
+            p.scale)
 
 
 def _json_round_trip(tmp_path, h, val):
