@@ -4,7 +4,9 @@ Set ``LOCROUND_FORCE_PURE=1`` to force the pure-Python kernels.  Both
 backends honour one contract: ``pack_tables(nv, L, eu, ev, mgr, ut, ct)``
 packs a multigraph's flat L*L edge tables once, and the three table
 kernels take its result in place of ``ut, ct``.  The pure packing keeps
-the nonzero entries only (see ``pure``).
+the nonzero entries only (see ``pure``).  Both offer the same kernel
+names: a public ``pure`` kernel that ``_core`` lacks, such as
+``edge_agreements``, is the pure one in the compiled backend too.
 
 The compiled kernels (``_core``, generated from ``_core.pyx``) still take
 the dense tables, so the compiled backend's packing, ``DenseTables``,
@@ -70,12 +72,16 @@ def _dense_pure(slow, at):
 def with_fallback(core):
     """The kernels of the compiled module ``core`` under the packed-table
     contract, with each table kernel rerun in ``pure`` when it raises
-    ``OverflowError``.  The range check inside ``core`` calls its module
-    global ``_pure`` with the dense tables; that name is pointed at
-    wrappers that pack the tables for the pure kernels."""
-    impl = types.SimpleNamespace(**{name: getattr(core, name)
-                                    for name in dir(core)
-                                    if not name.startswith("_")})
+    ``OverflowError``, and every public ``pure`` kernel that ``core``
+    lacks taken from ``pure``, so both backends offer the same names.  The
+    range check inside ``core`` calls its module global ``_pure`` with the
+    dense tables; that name is pointed at wrappers that pack the tables
+    for the pure kernels."""
+    kernels = {name: getattr(pure, name) for name in dir(pure)
+               if not name.startswith("_") and callable(getattr(pure, name))}
+    kernels.update((name, getattr(core, name)) for name in dir(core)
+                   if not name.startswith("_"))
+    impl = types.SimpleNamespace(**kernels)
     impl.pack_tables = DenseTables
     dense = {}
     for name, at in _TABLE_KERNELS.items():

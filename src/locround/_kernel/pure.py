@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 
 # ---------------------------------------------------------------------------
 # primes and polynomial arithmetic over F_p
@@ -313,51 +314,46 @@ def pow2_floor(x):
     return 0 if x <= 0 else 1 << (x.bit_length() - 1)
 
 
-def _edge_agreements(eu, ev, colors, q, d, cache=None):
-    """Per-edge sorted agreement positions {z : f_u(z) == f_v(z) mod q}.
+def edge_agreements(eu, ev, colors, q, d, cache):
+    """Per-edge sorted agreement positions {z : f_u(z) == f_v(z) mod q} of
+    the degree-d polynomials whose base-q digits are the endpoint colors.
 
-    Monochromatic edges get None.  ``cache`` memoizes by color pair.
+    Monochromatic edges get None.  ``cache`` maps a color pair to its
+    positions, and may be shared by every coloring with the same (q, d).
     """
-    m = len(eu)
-    out = [None] * m
-    local = {} if cache is None else cache
-    for e in range(m):
-        cu = colors[eu[e]]
-        cv = colors[ev[e]]
+    out = []
+    for u, v in zip(eu, ev):
+        cu = colors[u]
+        cv = colors[v]
         if cu == cv:
+            out.append(None)
             continue
         key = (cu, cv) if cu < cv else (cv, cu)
-        hit = local.get(key)
+        hit = cache.get(key)
         if hit is None:
             pu = _digits(key[0], q, d)
             pv = _digits(key[1], q, d)
-            diff = [(a - b) % q for a, b in zip(pu, pv)]
-            hit = poly_roots(diff, q)
-            local[key] = hit
-        out[e] = hit
+            hit = cache[key] = poly_roots(
+                [(a - b) % q for a, b in zip(pu, pv)], q)
+        out.append(hit)
     return out
 
 
 def rs_defective_step(nv, eu, ev, mgr, w, nodew, colors, q, d, factor2,
-                      agree_cache=None):
+                      agree):
     """One candidate-set defective-coloring step; returns new colors in
     [0, q*q) and the max conflict-estimate bit length (for accounting).
 
-    Each node picks the candidate (z, f(z)) minimizing the (estimated)
-    weight of bichromatic edges to neighbors whose candidate set contains
-    the same pair, ties toward the smallest resulting color index.
+    ``agree`` is ``edge_agreements`` of ``colors`` at (q, d).  Each node
+    picks the candidate (z, f(z)) minimizing the (estimated) weight of
+    bichromatic edges to neighbors whose candidate set contains the same
+    pair, ties toward the smallest resulting color index.
     """
-    agree = _edge_agreements(eu, ev, colors, q, d, agree_cache)
     conf = [None] * nv      # z -> exact physical weight
     confm = [None] * nv if factor2 else None   # (z, mgr) -> weight
-    for e in range(len(eu)):
-        zs = agree[e]
+    for u, v, man, we, zs in zip(eu, ev, mgr, w, agree):
         if not zs:
             continue
-        u = eu[e]
-        v = ev[e]
-        we = w[e]
-        man = mgr[e]
         for node in (u, v):
             if factor2 and man >= 0:
                 dd_ = confm[node]
@@ -401,15 +397,14 @@ def rs_defective_step(nv, eu, ev, mgr, w, nodew, colors, q, d, factor2,
     return new_colors, maxbits
 
 
-def rs_proper_step(nv, eu, ev, colors, q, d, agree_cache=None):
-    """One conflict-free Linial step; requires q > d * edge-degree."""
-    agree = _edge_agreements(eu, ev, colors, q, d, agree_cache)
+def rs_proper_step(nv, eu, ev, colors, q, d, agree):
+    """One conflict-free Linial step; requires q > d * edge-degree.
+    ``agree`` is ``edge_agreements`` of ``colors`` at (q, d)."""
     blocked = [None] * nv
-    for e in range(len(eu)):
-        zs = agree[e]
+    for u, v, zs in zip(eu, ev, agree):
         if not zs:
             continue
-        for node in (eu[e], ev[e]):
+        for node in (u, v):
             s = blocked[node]
             if s is None:
                 s = blocked[node] = set()
@@ -442,93 +437,107 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
     z_v(i) = (1 + c // p) * i + (c % p) mod p.  In step i an uncommitted
     node takes color z_v(i) iff the (estimated) weight of its
     stage-one-bichromatic edges to neighbors committed to or currently
-    trying z_v(i) is < (thr_num/thr_den) of its total incident weight.
-    Event-driven: total work is near-linear in the edge count, while the
-    declared round count stays p steps.
+    trying z_v(i) is < (thr_num/thr_den) of its total incident weight:
+    each node commits at the first step where its final pending weight is
+    clear.  Zero-weight edges add 0 to every estimate and are skipped.
+
+    Step 0 is settled in one linear pass.  There z_v(0) = c % p, so an
+    edge blocks it exactly when its endpoints share c % p, and every node
+    clear at step 0 commits to c % p.  Sequence slopes, adjacency, pending
+    weights and the event heap are built only for the nodes left (the
+    late nodes), and the event loop runs steps 1..p-1 over them.  Total
+    work is near-linear in the edge count, while the declared round count
+    stays p steps.
 
     Returns (colors in [0, p), p, last_commit_step).
     """
     # blocked steps per node <= 2 / thr, need strictly more steps than that;
     # also p * (p - 1) >= ncolors so distinct colors get distinct orderings
-    import math as _math
-
     lo = max(2 * thr_den // thr_num + 1,
-             (1 + _math.isqrt(4 * ncolors + 1)) // 2)
+             (1 + math.isqrt(4 * ncolors + 1)) // 2)
     p = next_prime(lo)
     while p * (p - 1) < ncolors:
         p = next_prime(p + 1)
-    aa = [0] * nv
-    bb = [0] * nv
-    for v in range(nv):
-        c = colors[v]
-        aa[v] = 1 + c // p
-        bb[v] = c % p
 
+    # step 0; out[v] holds z_v(0) = c % p until v commits
+    out = [c % p for c in colors]
     wtot = list(nodew)
-    adj = [[] for _ in range(nv)]   # (other, weight, coincide_step or -1, mgr)
-    for e in range(len(eu)):
-        u, v, we = eu[e], ev[e], w[e]
+    est = [0] * nv          # step-0 weight, managed edges under factor2 apart
+    managed = {}            # (node, manager) -> step-0 weight under factor2
+    for u, v, man, we in zip(eu, ev, mgr, w):
         wtot[u] += we
         wtot[v] += we
-        if aa[u] == aa[v] and bb[u] == bb[v]:
-            continue    # stage-one monochromatic: not resolved here
+        if we and out[u] == out[v] and colors[u] != colors[v]:
+            if factor2 and man >= 0:
+                managed[u, man] = managed.get((u, man), 0) + we
+                managed[v, man] = managed.get((v, man), 0) + we
+            else:
+                est[u] += we
+                est[v] += we
+    for (v, _man), tot in managed.items():
+        est[v] += pow2_floor(tot)
+    # commit rule: estimate < thr * total weight (vacuous stake commits)
+    late = [v for v in range(nv)
+            if wtot[v] != 0 and est[v] * thr_den >= thr_num * wtot[v]]
+    if not late:
+        return out, p, 0
+
+    aa = {v: 1 + colors[v] // p for v in late}
+    ainv = {v: pow(a, -1, p) for v, a in aa.items()}
+    adj = {v: [] for v in late}     # (other, weight, coincide_step or -1, mgr)
+    pend = {v: {} for v in late}    # step -> {-1: physical, mgr: weight}
+
+    def add(v, step, man, we):
+        slot = pend[v].setdefault(step, {})
+        key = man if (factor2 and man >= 0) else -1
+        slot[key] = slot.get(key, 0) + we
+
+    for u, v, man, we in zip(eu, ev, mgr, w):
+        if not we or colors[u] == colors[v]:
+            continue
+        if u not in aa:
+            if v in aa:     # u committed at step 0 to out[u]
+                i2 = ((out[u] - out[v]) * ainv[v]) % p
+                if i2:
+                    add(v, i2, man, we)
+            continue
+        if v not in aa:     # v committed at step 0 to out[v]
+            i2 = ((out[v] - out[u]) * ainv[u]) % p
+            if i2:
+                add(u, i2, man, we)
+            continue
         if aa[u] != aa[v]:
-            i_star = ((bb[v] - bb[u]) * pow(aa[u] - aa[v], -1, p)) % p
+            i_star = ((out[v] - out[u]) * pow(aa[u] - aa[v], -1, p)) % p
+            if i_star:      # step 0 is settled
+                add(u, i_star, man, we)
+                add(v, i_star, man, we)
         else:
             i_star = -1
-        man = mgr[e]
         adj[u].append((v, we, i_star, man))
         adj[v].append((u, we, i_star, man))
-    # read only at nodes with a stage-one-bichromatic edge
-    ainv = [pow(aa[v], -1, p) if adj[v] else 0 for v in range(nv)]
-
-    # pend[v]: step -> {(-1): physical weight, mgr: weight}
-    pend = [None] * nv
-    for v in range(nv):
-        for (_u, we, i_star, man) in adj[v]:
-            if i_star < 0:
-                continue
-            d_ = pend[v]
-            if d_ is None:
-                d_ = pend[v] = {}
-            slot = d_.setdefault(i_star, {})
-            key = man if (factor2 and man >= 0) else -1
-            slot[key] = slot.get(key, 0) + we
-
-    def estimate(v, step):
-        d_ = pend[v]
-        if not d_ or step not in d_:
-            return 0
-        tot = 0
-        for key, val in d_[step].items():
-            tot += pow2_floor(val) if (factor2 and key >= 0) else val
-        return tot
 
     def clear(v, step):
-        # commit rule: estimate < thr * total weight (vacuous stake commits)
-        if wtot[v] == 0:
-            return True
-        return estimate(v, step) * thr_den < thr_num * wtot[v]
-
-    committed = [-1] * nv
-    heap = []
+        slot = pend[v].get(step)
+        tot = 0
+        if slot:
+            for key, val in slot.items():
+                tot += pow2_floor(val) if (factor2 and key >= 0) else val
+        return tot * thr_den < thr_num * wtot[v]
 
     def next_clear(v, after):
         s = after + 1
-        d_ = pend[v]
-        if d_:
-            while s < p and not clear(v, s):
-                s += 1
+        while s < p and not clear(v, s):
+            s += 1
         return s
 
-    for v in range(nv):
-        heapq.heappush(heap, (next_clear(v, -1), v))
+    committed = set()
+    heap = [(next_clear(v, 0), v) for v in late]
+    heapq.heapify(heap)
 
     # Pending-entry edits always target steps strictly after the step being
     # processed, so processing the heap in ascending step order sees the
     # final pending state for each step; removals re-push the affected node
     # so its earliest clear step is never overshot.
-    out = [0] * nv
     last_step = 0
     while heap:
         step = heap[0][0]
@@ -537,10 +546,10 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
         batch = []
         while heap and heap[0][0] == step:
             _s, v = heapq.heappop(heap)
-            if committed[v] >= 0:
+            if v in committed:
                 continue
             if clear(v, step):
-                committed[v] = step     # mark now; batch applies together
+                committed.add(v)    # mark now; batch applies together
                 batch.append(v)
             else:
                 heapq.heappush(heap, (next_clear(v, step), v))
@@ -549,30 +558,30 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
         last_step = step
         repush = set()
         for v in batch:
-            out[v] = (aa[v] * step + bb[v]) % p
+            out[v] = (aa[v] * step + out[v]) % p
         for v in batch:
             chi = out[v]
             for (u, we, i_star, man) in adj[v]:
-                if committed[u] >= 0:
+                if u in committed:
                     continue
-                du = pend[u]
-                key = man if (factor2 and man >= 0) else -1
-                if i_star > step and du is not None and i_star in du:
-                    slot = du[i_star]
-                    slot[key] = slot[key] - we
-                    if slot[key] == 0:
+                pu = pend[u]
+                if i_star > step:
+                    # every weight here is positive, so the entry is there
+                    key = man if (factor2 and man >= 0) else -1
+                    slot = pu[i_star]
+                    left = slot[key] - we
+                    if left:
+                        slot[key] = left
+                    else:
                         del slot[key]
                         if not slot:
-                            del du[i_star]
+                            del pu[i_star]
                     repush.add(u)
-                i2 = ((chi - bb[u]) * ainv[u]) % p
+                i2 = ((chi - out[u]) * ainv[u]) % p
                 if i2 > step:
-                    if du is None:
-                        du = pend[u] = {}
-                    slot = du.setdefault(i2, {})
-                    slot[key] = slot.get(key, 0) + we
+                    add(u, i2, man, we)
         for u in sorted(repush):
-            if committed[u] < 0:
+            if u not in committed:
                 heapq.heappush(heap, (next_clear(u, step), u))
     return out, p, last_step
 

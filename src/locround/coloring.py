@@ -68,8 +68,9 @@ class _Packing:
 
     Node ``i`` is ``nodes[i]``; edge ``j`` joins ``eu[j]`` and ``ev[j]``, is
     managed by node ``mgr[j]`` (-1 when it has no manager among the nodes)
-    and carries edge index ``eidx[j]``.  ``agree_cache`` memoizes candidate
-    agreements across Reed-Solomon steps and may be shared between packings.
+    and carries edge index ``eidx[j]``.  ``agree_cache`` memoizes the
+    candidate agreements of color pairs across Reed-Solomon steps and may
+    be shared between packings.
     """
 
     def __init__(self, g, agree_cache=None):
@@ -83,6 +84,19 @@ class _Packing:
             self.mgr.append(-1 if e.manager is None else index.get(e.manager, -1))
             self.eidx.append(e.index)
         self.agree_cache = {} if agree_cache is None else agree_cache
+        self._agreements = {}
+
+    def agreements(self, colors, q, d):
+        """Per-edge candidate agreements of ``colors`` at step (q, d),
+        walked once per (q, d) and input coloring, compared by value: the
+        steps of one rounding schedule share the plan and the start
+        coloring."""
+        hit = self._agreements.get((q, d))
+        if hit is None or hit[0] != colors:
+            hit = self._agreements[q, d] = (list(colors), _K.edge_agreements(
+                self.eu, self.ev, colors, q, d,
+                self.agree_cache.setdefault((q, d), {})))
+        return hit[1]
 
     def start(self, initial):
         """Initial colors and palette: the node ids with palette 2^63, or
@@ -128,7 +142,7 @@ def _stage_one(pk, w, nodew, delta, factor2, initial):
                                                        delta.numerator, dd):
         colors, mb = _K.rs_defective_step(
             pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, q, d, factor2,
-            pk.agree_cache.setdefault((q, d), {}))
+            pk.agreements(colors, q, d))
         palette = q * q
         rounds += 2
         max_bits = max(max_bits, mb + 9, 2 + palette.bit_length())
@@ -159,7 +173,7 @@ def _proper(pk, initial, max_degree):
     rounds, max_bits = 0, 0
     for (q, d) in _K.plan_proper_schedule(palette, max_degree):
         colors = _K.rs_proper_step(pk.nv, pk.eu, pk.ev, colors, q, d,
-                                   pk.agree_cache.setdefault((q, d), {}))
+                                   pk.agreements(colors, q, d))
         palette = q * q
         rounds += 1
         max_bits = max(max_bits, 2 + palette.bit_length())

@@ -44,8 +44,9 @@ class LubyIteration:
     marks: dict           # v -> Fraction marking probability
 
     def check(self):
+        good = set(self.good_nodes)
         for v in self.nodes:
-            if (v in set(self.good_nodes)) != (3 * len(self.in_nbrs[v]) >= self.degree[v]):
+            if (v in good) != (3 * len(self.in_nbrs[v]) >= self.degree[v]):
                 raise MisInvariantError(f"goodness misclassified at {v}")
         for v in self.good_nodes:
             s = sum(self.marks[u] for u in self.in_star[v])

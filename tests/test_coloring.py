@@ -130,3 +130,26 @@ def test_initial_coloring_reuse(rng):
     dc = C.weighted_defective_coloring(g, w, Fraction(1, 2), initial=pc.colors)
     ok, _ = C.defect_certificate(g, w, dc.colors, Fraction(1, 2), "per-node")
     assert ok
+
+
+def test_average_defective_zero_weight_managed_edges():
+    """Zero-weight edges under factor-2 managers add no pending weight in
+    the ordering reduction (this instance raised KeyError there)."""
+    spec = [(7, 2, None), (8, 9, 6), (8, 3, 9), (8, 5, 6), (6, 9, 8),
+            (8, 3, None), (1, 7, 9), (5, 8, 6), (8, 7, 9), (8, 5, 9),
+            (3, 1, 9), (9, 2, 6), (8, 5, 9), (9, 7, None), (7, 8, 9),
+            (3, 5, 9), (4, 1, 9), (3, 5, 6), (3, 8, None), (6, 8, None),
+            (9, 3, 6), (7, 1, 9)]
+    weight = [0, 3, 0, 3, 3, 3, 2, 0, 2, 0, 3, 2, 0, 0, 3, 2, 0, 3, 1, 0, 0,
+              0]
+    g = G.Multigraph(range(1, 10), [
+        G.Edge(u, v) if m is None else G.Edge(u, v, G.VIRTUAL, m)
+        for u, v, m in spec])
+    w = {e.index: Fraction(x) for e, x in zip(g.edges, weight)}
+    initial = {1: 7, 2: 152, 3: 115, 4: 300, 5: 6, 6: 189, 7: 4, 8: 78, 9: 41}
+    ac = C.average_defective_coloring(g, w, Fraction(1, 2), initial=initial,
+                                      aggregation="factor2")
+    assert ac.colors == {1: 7, 2: 4, 3: 2, 4: 4, 5: 6, 6: 5, 7: 2, 8: 3, 9: 1}
+    assert (ac.palette_size, ac.rounds) == (41, 84)
+    ok, _ = C.defect_certificate(g, w, ac.colors, Fraction(1, 2), "average")
+    assert ok

@@ -1,4 +1,6 @@
+import heapq
 import importlib.util
+import math
 import shutil
 import subprocess
 import sysconfig
@@ -102,6 +104,155 @@ def test_reduction_properties(rng):
                 mono[eu[e]] += w[e]
                 mono[ev[e]] += w[e]
         assert 16 * sum(mono) <= 2 * 1 * sum(tot) * 2
+
+
+def _reference_reduce(nv, eu, ev, mgr, w, nodew, colors, ncolors,
+                     thr_num, thr_den, factor2):
+    """Reference: the event-driven ordering reduction run over every node
+    from step 0, with zero-weight edges left out of the pending weights."""
+    lo = max(2 * thr_den // thr_num + 1,
+             (1 + math.isqrt(4 * ncolors + 1)) // 2)
+    p = pure.next_prime(lo)
+    while p * (p - 1) < ncolors:
+        p = pure.next_prime(p + 1)
+    aa = [1 + c // p for c in colors]
+    bb = [c % p for c in colors]
+    wtot = list(nodew)
+    adj = [[] for _ in range(nv)]
+    for e in range(len(eu)):
+        u, v, we = eu[e], ev[e], w[e]
+        wtot[u] += we
+        wtot[v] += we
+        if aa[u] == aa[v] and bb[u] == bb[v]:
+            continue
+        if aa[u] != aa[v]:
+            i_star = ((bb[v] - bb[u]) * pow(aa[u] - aa[v], -1, p)) % p
+        else:
+            i_star = -1
+        adj[u].append((v, we, i_star, mgr[e]))
+        adj[v].append((u, we, i_star, mgr[e]))
+    ainv = [pow(aa[v], -1, p) if adj[v] else 0 for v in range(nv)]
+    pend = [None] * nv
+    for v in range(nv):
+        for (_u, we, i_star, man) in adj[v]:
+            if i_star < 0 or not we:
+                continue
+            d_ = pend[v]
+            if d_ is None:
+                d_ = pend[v] = {}
+            slot = d_.setdefault(i_star, {})
+            key = man if (factor2 and man >= 0) else -1
+            slot[key] = slot.get(key, 0) + we
+
+    def estimate(v, step):
+        d_ = pend[v]
+        if not d_ or step not in d_:
+            return 0
+        tot = 0
+        for key, val in d_[step].items():
+            tot += pure.pow2_floor(val) if (factor2 and key >= 0) else val
+        return tot
+
+    def clear(v, step):
+        if wtot[v] == 0:
+            return True
+        return estimate(v, step) * thr_den < thr_num * wtot[v]
+
+    def next_clear(v, after):
+        s = after + 1
+        if pend[v]:
+            while s < p and not clear(v, s):
+                s += 1
+        return s
+
+    committed = [-1] * nv
+    heap = []
+    for v in range(nv):
+        heapq.heappush(heap, (next_clear(v, -1), v))
+    out = [0] * nv
+    last_step = 0
+    while heap:
+        step = heap[0][0]
+        if step >= p:
+            raise AssertionError("ordering reduction did not commit all nodes")
+        batch = []
+        while heap and heap[0][0] == step:
+            _s, v = heapq.heappop(heap)
+            if committed[v] >= 0:
+                continue
+            if clear(v, step):
+                committed[v] = step
+                batch.append(v)
+            else:
+                heapq.heappush(heap, (next_clear(v, step), v))
+        if not batch:
+            continue
+        last_step = step
+        repush = set()
+        for v in batch:
+            out[v] = (aa[v] * step + bb[v]) % p
+        for v in batch:
+            chi = out[v]
+            for (u, we, i_star, man) in adj[v]:
+                if committed[u] >= 0 or not we:
+                    continue
+                du = pend[u]
+                key = man if (factor2 and man >= 0) else -1
+                if i_star > step and du is not None and i_star in du:
+                    slot = du[i_star]
+                    slot[key] = slot[key] - we
+                    if slot[key] == 0:
+                        del slot[key]
+                        if not slot:
+                            del du[i_star]
+                    repush.add(u)
+                i2 = ((chi - bb[u]) * ainv[u]) % p
+                if i2 > step:
+                    if du is None:
+                        du = pend[u] = {}
+                    slot = du.setdefault(i2, {})
+                    slot[key] = slot.get(key, 0) + we
+        for u in sorted(repush):
+            if committed[u] < 0:
+                heapq.heappush(heap, (next_clear(u, step), u))
+    return out, p, last_step
+
+
+def _random_reduction_instance(rng):
+    """Small palettes with colors bunched modulo the prime, so that many
+    nodes miss step 0; thresholds 1/2..1/64, both factor-2 settings,
+    managers, zero edge weights and node weights."""
+    nv = rng.randint(1, 24)
+    thr_den = rng.choice((2, 3, 4, 8, 16, 32, 64))
+    p0 = pure.next_prime(2 * thr_den + 1)
+    ncolors = rng.randint(1, p0 * (p0 - 1) + rng.choice((0, 0, 40)))
+    few = rng.choice((2, 3, p0 + 2, ncolors))
+    colors = [(rng.randrange(ncolors) % few + p0 * rng.randrange(3)) % ncolors
+              for _ in range(nv)]
+    m = rng.randint(0, 6 * nv) if nv > 1 else 0
+    eu, ev, mgr, w = [], [], [], []
+    for _ in range(m):
+        a, b = rng.sample(range(nv), 2)
+        eu.append(a)
+        ev.append(b)
+        mgr.append(rng.choice((-1, -1, rng.randrange(nv), rng.randrange(nv))))
+        w.append(rng.choice((0, 1, rng.randint(1, 9), rng.randint(1, 1000))))
+    nodew = [rng.choice((0, 0, 0, rng.randint(1, 20))) for _ in range(nv)]
+    return (nv, eu, ev, mgr, w, nodew, colors, ncolors, 1, thr_den,
+            rng.random() < 0.5)
+
+
+def test_reduction_matches_event_driven_reference(rng):
+    """The step-0 pass plus the event loop over the late nodes gives the
+    colors, prime and last commit step of the all-node event loop."""
+    late = 0
+    trials = 3000
+    for _ in range(trials):
+        args = _random_reduction_instance(rng)
+        want = _reference_reduce(*args)
+        assert pure.reduce_colors_by_orderings(*args) == want, args
+        late += want[2] > 0
+    assert 5 * late >= trials
 
 
 def test_backend_reports():
@@ -305,3 +456,13 @@ def test_compiled_range_check_reaches_packed_pure(core):
     k = 60
     _check_fallback(core, 2, (3, 5, 7, 11),
                     [[1, (1 << k) - 1], [(1 << k) - 3, 3]], k, set())
+
+
+def test_fallback_offers_every_pure_kernel(core):
+    """Both backends honour one contract: every public callable of
+    ``pure`` is a kernel of the compiled backend too."""
+    impl = _kernel.with_fallback(core)
+    missing = [name for name in dir(pure) if not name.startswith("_")
+               and callable(getattr(pure, name)) and not hasattr(impl, name)]
+    assert missing == []
+    assert impl.edge_agreements is pure.edge_agreements

@@ -379,6 +379,46 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
         done += 1
 
 
+def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
+    """A packing walks its edges for the candidate agreements once per
+    (q, d) and input coloring: the first stage-one step of every rounding
+    step starts from the same coloring and shares one walk."""
+    walks = []
+    steps = []
+    agreements = R._K.edge_agreements
+    rs_step = R._K.rs_defective_step
+
+    def counted_agreements(eu, ev, colors, q, d, cache):
+        walks.append((q, d, tuple(colors)))
+        return agreements(eu, ev, colors, q, d, cache)
+
+    def counted_step(*args):
+        steps.append((args[7], args[8], tuple(args[6])))
+        return rs_step(*args)
+
+    monkeypatch.setattr(R._K, "edge_agreements", counted_agreements)
+    monkeypatch.setattr(R._K, "rs_defective_step", counted_step)
+    done = 0
+    while done < 4:
+        g, val, lam = _random_instance(rng, rng.randint(4, 12), 3, 4)
+        mu = Fraction(1, 4)
+        val = _margin_scaled(g, val, lam, mu)
+        if val is None or lam.normalize().k < 2:
+            continue
+        k = lam.normalize().k
+        walks.clear()
+        steps.clear()
+        R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        assert set(walks) == set(steps)
+        last = {}
+        for q, d, colors in walks:
+            assert last.get((q, d)) != colors
+            last[q, d] = colors
+        assert steps.count(steps[0]) == k and walks.count(steps[0]) == 1
+        assert len(walks) < len(steps)
+        done += 1
+
+
 def test_fractional_assignment_rejects_malformed_rows():
     cases = [(2, 2, (1, 2, 1), "wrong number of labels"),
              (2, 2, (5, -1), "outside"),
