@@ -339,8 +339,7 @@ def edge_agreements(eu, ev, colors, q, d, cache):
     return out
 
 
-def rs_defective_step(nv, eu, ev, mgr, w, nodew, colors, q, d, factor2,
-                      agree):
+def rs_defective_step(nv, eu, ev, mgr, w, colors, q, d, factor2, agree):
     """One candidate-set defective-coloring step; returns new colors in
     [0, q*q) and the max conflict-estimate bit length (for accounting).
 
@@ -429,9 +428,27 @@ def rs_proper_step(nv, eu, ev, colors, q, d, agree):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def reduction_prime(ncolors, thr_num, thr_den):
+    """The prime p of the ordering reduction of an ``ncolors``-coloring at
+    commit threshold thr_num/thr_den: the least prime p > 2 / thr with
+    p * (p - 1) >= ncolors.  A node is blocked at no more than 2 / thr
+    steps, so it has a clear step among p, and distinct colors below
+    p * (p - 1) get distinct orderings.  When every color lies in [0, p),
+    no edge joins two colors with one residue, every node commits at step
+    0 and the reduction returns its input.  Memoized."""
+    lo = max(2 * thr_den // thr_num + 1,
+             (1 + math.isqrt(4 * ncolors + 1)) // 2)
+    p = next_prime(lo)
+    while p * (p - 1) < ncolors:
+        p = next_prime(p + 1)
+    return p
+
+
 def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
                                thr_num, thr_den, factor2):
-    """Reduce a C-coloring to p colors over p steps, p prime.
+    """Reduce a C-coloring to p = ``reduction_prime(ncolors, thr_num,
+    thr_den)`` colors over p steps.
 
     Every stage-one color c < p*(p-1) is mapped to the color sequence
     z_v(i) = (1 + c // p) * i + (c % p) mod p.  In step i an uncommitted
@@ -451,13 +468,7 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
 
     Returns (colors in [0, p), p, last_commit_step).
     """
-    # blocked steps per node <= 2 / thr, need strictly more steps than that;
-    # also p * (p - 1) >= ncolors so distinct colors get distinct orderings
-    lo = max(2 * thr_den // thr_num + 1,
-             (1 + math.isqrt(4 * ncolors + 1)) // 2)
-    p = next_prime(lo)
-    while p * (p - 1) < ncolors:
-        p = next_prime(p + 1)
+    p = reduction_prime(ncolors, thr_num, thr_den)
 
     # step 0; out[v] holds z_v(0) = c % p until v commits
     out = [c % p for c in colors]

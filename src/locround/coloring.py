@@ -28,6 +28,7 @@ scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,10 +129,38 @@ def _weights_to_ints(weights, eidx):
     return w
 
 
-def _stage_one(pk, w, nodew, delta, factor2, initial):
+def _check_initial(g, initial):
+    """Reject an initial coloring that misses a node of ``g``, holds a
+    negative color or gives both endpoints of an edge one color."""
+    if initial is None:
+        return
+    for v in g.nodes:
+        if v not in initial:
+            raise ColoringError(f"initial coloring misses node {v}")
+        if initial[v] < 0:
+            raise ColoringError(f"initial color {initial[v]} of node {v} "
+                                f"is negative")
+    if not check_proper(g, initial):
+        raise ColoringError("initial coloring gives both endpoints of an "
+                            "edge one color")
+
+
+def _below(colors, bound):
+    """Whether every color lies in [0, bound)."""
+    return not colors or (min(colors) >= 0 and max(colors) < bound)
+
+
+def _stage_one(pk, weights, delta, factor2, initial):
     """Per-node delta-relative defective coloring by Reed-Solomon
-    candidate-set steps, two declared rounds each.  ``nodew`` counts toward
-    node totals but never conflicts.
+    candidate-set steps, two declared rounds each.  ``weights()`` returns
+    the packing's integer edge weights and node weights (which count
+    toward node totals but never conflict); it is called only by a step
+    that reads them.
+
+    A step whose colors all lie in [0, q) keeps them: each color's digit
+    polynomial is then the constant c, distinct colors never agree, and
+    the step would pick z = 0 at every node.  Such a step walks no
+    agreements and estimates nothing (1 bit).
 
     Returns (colors, palette, rounds, max message bits).
     """
@@ -140,26 +169,34 @@ def _stage_one(pk, w, nodew, delta, factor2, initial):
     rounds, max_bits = 0, 1
     for (q, d, _bn, _bd) in _K.plan_defective_schedule(palette,
                                                        delta.numerator, dd):
-        colors, mb = _K.rs_defective_step(
-            pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, q, d, factor2,
-            pk.agreements(colors, q, d))
+        if _below(colors, q):
+            mb = 1
+        else:
+            colors, mb = _K.rs_defective_step(
+                pk.nv, pk.eu, pk.ev, pk.mgr, weights()[0], colors, q, d,
+                factor2, pk.agreements(colors, q, d))
         palette = q * q
         rounds += 2
         max_bits = max(max_bits, mb + 9, 2 + palette.bit_length())
     return colors, palette, rounds, max_bits
 
 
-def _reduce(pk, w, nodew, colors, ncolors, delta, factor2):
+def _reduce(pk, weights, colors, ncolors, delta, factor2):
     """Prime-ordering reduction of a stage-one coloring with ``ncolors``
     colors to p colors over p steps, commit threshold delta/4 (delta/8
-    under factor-2 estimates), two declared rounds per step.
+    under factor-2 estimates), two declared rounds per step.  When every
+    color lies in [0, p) the reduction returns its input, so the kernel
+    and ``weights()`` are called only otherwise.
 
     Returns (colors, p, rounds, max message bits).
     """
     thr_den = 4 * delta.denominator * (2 if factor2 else 1)
-    colors, p, _last = _K.reduce_colors_by_orderings(
-        pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, ncolors,
-        delta.numerator, thr_den, factor2)
+    p = _K.reduction_prime(ncolors, delta.numerator, thr_den)
+    if not _below(colors, p):
+        w, nodew = weights()
+        colors, p, _last = _K.reduce_colors_by_orderings(
+            pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, ncolors,
+            delta.numerator, thr_den, factor2)
     return colors, p, 2 * p, 11 + p.bit_length()
 
 
@@ -228,6 +265,7 @@ def linial_coloring(g, initial=None, engine=None):
     pk = _Packing(g)
     if not pk.nodes:
         return ProperColoring({}, 1)
+    _check_initial(g, initial)
     colors, palette, rounds, max_bits = _proper(pk, initial, pk.max_degree())
     if engine is not None:
         engine.account(max_bits, rounds)
@@ -277,8 +315,10 @@ def weighted_defective_coloring(g, weights, delta, initial=None,
     if not pk.nodes:
         return DefectiveColoring({}, 1, "per-node", delta)
     w = _weights_to_ints(weights, pk.eidx)
+    _check_initial(g, initial)
+    nodew = [0] * pk.nv
     colors, palette, rounds, max_bits = _stage_one(
-        pk, w, [0] * pk.nv, delta, aggregation == "factor2", initial)
+        pk, lambda: (w, nodew), delta, aggregation == "factor2", initial)
     if engine is not None:
         engine.account(max_bits, rounds)
     out = DefectiveColoring(pk.mapping(colors), palette, "per-node", delta,
@@ -303,10 +343,11 @@ def average_defective_coloring(g, weights, delta, initial=None,
     if not pk.nodes:
         return DefectiveColoring({}, 1, "average", delta)
     w = _weights_to_ints(weights, pk.eidx)
+    nodew = [0] * pk.nv
     stage1 = weighted_defective_coloring(g, weights, delta / 2, initial,
                                          aggregation, engine)
     colors, p, rounds, max_bits = _reduce(
-        pk, w, [0] * pk.nv, [stage1.colors[v] for v in pk.nodes],
+        pk, lambda: (w, nodew), [stage1.colors[v] for v in pk.nodes],
         stage1.palette_size, delta, aggregation == "factor2")
     if engine is not None:
         engine.account(max_bits, rounds)
@@ -380,16 +421,21 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
 # ---------------------------------------------------------------------------
 
 
-def defective_colors_for_rounding(pk, w, nodew, delta, factor2, initial):
-    """Average (delta)-relative defective coloring over a packing with
-    node-level weights that count toward totals but never conflict.
+def defective_colors_for_rounding(pk, weights, delta, factor2, initial):
+    """Average (delta)-relative defective coloring over a packing.
+    ``weights()`` returns the integer edge weights and the node-level
+    weights, which count toward totals but never conflict.  It is called
+    at most once, and only when a Reed-Solomon step or the reduction reads
+    weights: start colors below the field size settle every loop without
+    them.  ``initial`` is not checked for properness.
 
     Returns (colors list, palette p, declared rounds, max message bits).
     """
     delta = Fraction(delta)
-    colors, palette, rounds1, bits1 = _stage_one(pk, w, nodew, delta / 2,
+    weights = functools.cache(weights)
+    colors, palette, rounds1, bits1 = _stage_one(pk, weights, delta / 2,
                                                  factor2, initial)
-    colors, p, rounds2, bits2 = _reduce(pk, w, nodew, colors, palette, delta,
+    colors, p, rounds2, bits2 = _reduce(pk, weights, colors, palette, delta,
                                         factor2)
     return colors, p, rounds1 + rounds2, max(bits1, bits2)
 

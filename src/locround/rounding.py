@@ -232,10 +232,13 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
                   uc0=None):
     """One basic rounding step: 1/(2K)-integral in, 1/K-integral out.
 
-    Computes edge weights u + eta*c, colors the multigraph with a weighted
-    average (delta/6)-relative defective coloring, then per color class
-    splits each node's odd-valued labels into halves by estimated marginal
-    potential and moves each by one integrality unit.  The exact guarantee
+    Colors the multigraph with a weighted average (delta/6)-relative
+    defective coloring, then per color class splits each node's odd-valued
+    labels into halves by estimated marginal potential and moves each by
+    one integrality unit.  The coloring is weighted by u + eta*c per edge;
+    those weights are computed only when it reads them, that is, when a
+    Reed-Solomon step meets a color at or above its field size or the
+    reduction a color at or above its prime.  The exact guarantee
 
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
@@ -257,16 +260,18 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
     if check:
         U0, C0 = prep.potential(lam, arr) if uc0 is None else uc0
     en, ed = _eta_ints(eta)
-    w, nodew = _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
-                                        prep.tables, prep.nut, prep.nct,
-                                        arr, lam.k, en, ed)
     factor2 = estimate_mode == "quantized"
     if delta == 0:
         colors, palette, rounds, maxbits = _coloring.proper_colors_for_rounding(
             prep, initial_coloring)
     else:
+        def weights():
+            return _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
+                                            prep.tables, prep.nut, prep.nct,
+                                            arr, lam.k, en, ed)
+
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
-            prep, w, nodew, delta / 6, factor2, initial_coloring)
+            prep, weights, delta / 6, factor2, initial_coloring)
     if engine is not None:
         engine.account(maxbits, rounds)
     mode_id = {"exact": 0, "worst": 1, "quantized": 2}[estimate_mode]

@@ -10,9 +10,12 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def random_simple_graph(rng, n, max_degree, density=0.2, id_range=None):
+def random_simple_graph(rng, n, max_degree, density=0.2, id_range=None,
+                        id_base=0):
+    """Random simple graph on n node ids drawn from [1, id_range), shifted
+    by ``id_base``; the shift leaves every random draw as it is."""
     hi = id_range or 8 * n + 2
-    nodes = sorted(rng.sample(range(1, hi), n)) if n else []
+    nodes = sorted(id_base + v for v in rng.sample(range(1, hi), n))
     deg = {v: 0 for v in nodes}
     pairs = set()
     if n >= 2:

@@ -252,12 +252,13 @@ def test_color_report_figures_are_the_cores(tmp_path, color_mode):
               "--delta", "1/4", "--color-mode", color_mode])
     metrics = json.loads(rep.read_text())["metrics"]
     pk = C._Packing(cli._load_weighted(str(g)).graph)
-    w, nodew, delta = [1] * len(pk.eu), [0] * pk.nv, Fraction(1, 4)
+    weights = lambda: ([1] * len(pk.eu), [0] * pk.nv)    # noqa: E731
+    delta = Fraction(1, 4)
     if color_mode == "defective":
-        _c, _p, rounds, bits = C._stage_one(pk, w, nodew, delta, False, None)
+        _c, _p, rounds, bits = C._stage_one(pk, weights, delta, False, None)
     else:
         _c, _p, rounds, bits = C.defective_colors_for_rounding(
-            pk, w, nodew, delta, False, None)
+            pk, weights, delta, False, None)
     assert (metrics["rounds"], metrics["max_bits"]) == (rounds, bits)
 
 

@@ -153,3 +153,65 @@ def test_average_defective_zero_weight_managed_edges():
     assert (ac.palette_size, ac.rounds) == (41, 84)
     ok, _ = C.defect_certificate(g, w, ac.colors, Fraction(1, 2), "average")
     assert ok
+
+
+def test_public_colorings_reject_malformed_initial():
+    """A missing node raised KeyError and a monochromatic edge the
+    coloring's own AssertionError; a negative color is rejected too."""
+    g = G.simple_graph([1, 2], [(1, 2)])
+    w = {0: 1}
+    cases = [({1: 0}, "misses node 2"), ({1: 0, 2: 0}, "both endpoints"),
+             ({1: 0, 2: -1}, "negative")]
+    for initial, msg in cases:
+        with pytest.raises(C.ColoringError, match=msg):
+            C.linial_coloring(g, initial=initial)
+        with pytest.raises(C.ColoringError, match=msg):
+            C.weighted_defective_coloring(g, w, Fraction(1, 2),
+                                          initial=initial)
+        with pytest.raises(C.ColoringError, match=msg):
+            C.average_defective_coloring(g, w, Fraction(1, 2),
+                                         initial=initial)
+    # an isolated node's color is unconstrained, and extra keys are ignored
+    h = G.simple_graph([1, 2, 3], [(1, 2)])
+    initial = {1: 0, 2: 1, 3: 1, 99: 5}
+    assert C.linial_coloring(h, initial=initial).palette_size >= 2
+    C.average_defective_coloring(h, {0: 1}, Fraction(1, 2), initial=initial)
+
+
+def test_closed_forms_match_the_kernels(rng, monkeypatch):
+    """Stage-one steps on colors below q and reductions on colors below p
+    are settled without the kernels; with those shortcuts off, the kernels
+    give the same colorings, palettes and figures.  Start colors straddle
+    q (and 0 on the rounding path), and collisions mod q push stage-one
+    colors around p."""
+    below0 = C._below
+    weighed = 0
+    for trial in range(120):
+        g = random_simple_graph(rng, rng.randint(2, 24), 5, 0.4)
+        order = list(g.nodes)
+        rng.shuffle(order)
+        top = rng.randint(len(order), 80)
+        initial = dict(zip(order, rng.sample(range(top), len(order))))
+        w = rand_weights(rng, g)
+        delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+        agg = rng.choice(["exact", "factor2"])
+        pk = C._Packing(g)
+        wi = C._weights_to_ints(w, pk.eidx)
+        # the rounding path does not check its start colors: some negative
+        shift = rng.choice([0, 0, top // 2])
+        start = {v: c - shift for v, c in initial.items()}
+        calls = []
+        runs = []
+        for below in (below0, lambda colors, bound: False):
+            monkeypatch.setattr(C, "_below", below)
+            ac = C.average_defective_coloring(g, w, delta, initial=initial,
+                                              aggregation=agg)
+            runs.append((ac.colors, ac.palette_size, ac.rounds,
+                         C.defective_colors_for_rounding(
+                             pk, lambda: (calls.append(below) or wi,
+                                          [0] * pk.nv),
+                             delta, agg == "factor2", start)))
+        assert runs[0] == runs[1], trial
+        assert len(calls) == len(set(calls))    # weights() at most once
+        weighed += below0 in calls
+    assert 0 < weighed < 120

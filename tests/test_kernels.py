@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from locround import _kernel
+from locround import _kernel, coloring, indepset, mis, rounding
 from locround._kernel import BACKEND, pure
+from conftest import random_simple_graph
 
 
 @pytest.fixture(scope="session")
@@ -466,3 +467,22 @@ def test_fallback_offers_every_pure_kernel(core):
                and callable(getattr(pure, name)) and not hasattr(impl, name)]
     assert missing == []
     assert impl.edge_agreements is pure.edge_agreements
+
+
+def test_pipeline_on_compiled_backend_matches_pure(rng, core, monkeypatch):
+    """Checked ``mis`` and ``maximal_matching`` with the rounding and
+    coloring modules on the compiled backend give the pure backend's
+    outputs and metrics, on small node ids (colorings settled in closed
+    form) and on ids at 2^40 and above (edge weights read through
+    ``DenseTables``)."""
+    compiled = _kernel.with_fallback(core)
+    for base in (0, 1 << 40):
+        g = random_simple_graph(rng, 14, 4, 0.3, id_base=base)
+        runs = []
+        for impl in (pure, compiled):
+            monkeypatch.setattr(rounding, "_K", impl)
+            monkeypatch.setattr(coloring, "_K", impl)
+            out_mis, m_mis, _info = mis.mis(g)
+            out_mm, m_mm, _iters = indepset.maximal_matching(g)
+            runs.append((out_mis, m_mis.to_json(), out_mm, m_mm.to_json()))
+        assert runs[0] == runs[1]

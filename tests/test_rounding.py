@@ -98,15 +98,17 @@ def test_step_parameter_validation():
         R.rounding_step(g, val, bad, Fraction(1, 2), Fraction(1))
 
 
-def _random_instance(rng, n, L, kmax, q=50):
-    g, (eu, ec, nu), lam = _random_rational_instance(rng, n, L, kmax, q)
+def _random_instance(rng, n, L, kmax, q=50, id_base=0):
+    g, (eu, ec, nu), lam = _random_rational_instance(rng, n, L, kmax, q,
+                                                     id_base)
     return g, R.Valuation.from_fractions(L, eu, ec, node_utility=nu), lam
 
 
-def _random_rational_instance(rng, n, L, kmax, q=50):
-    """A random graph, its rational edge utility/cost tables and node
-    utility rows, and a dyadic assignment."""
-    g = random_simple_graph(rng, n, 6, 0.3)
+def _random_rational_instance(rng, n, L, kmax, q=50, id_base=0):
+    """A random graph with node ids shifted by ``id_base``, its rational
+    edge utility/cost tables and node utility rows, and a dyadic
+    assignment."""
+    g = random_simple_graph(rng, n, 6, 0.3, id_base=id_base)
     den = rng.choice([1, 2, 4])
     eu = {}
     ec = {}
@@ -382,7 +384,8 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
 def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
     """A packing walks its edges for the candidate agreements once per
     (q, d) and input coloring: the first stage-one step of every rounding
-    step starts from the same coloring and shares one walk."""
+    step starts from the same coloring and shares one walk.  Node ids at
+    2^40 and above lie beyond the field size, so stage one walks."""
     walks = []
     steps = []
     agreements = R._K.edge_agreements
@@ -393,14 +396,15 @@ def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
         return agreements(eu, ev, colors, q, d, cache)
 
     def counted_step(*args):
-        steps.append((args[7], args[8], tuple(args[6])))
+        steps.append((args[6], args[7], tuple(args[5])))
         return rs_step(*args)
 
     monkeypatch.setattr(R._K, "edge_agreements", counted_agreements)
     monkeypatch.setattr(R._K, "rs_defective_step", counted_step)
     done = 0
     while done < 4:
-        g, val, lam = _random_instance(rng, rng.randint(4, 12), 3, 4)
+        g, val, lam = _random_instance(rng, rng.randint(4, 12), 3, 4,
+                                       id_base=1 << 40)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
         if val is None or lam.normalize().k < 2:
@@ -416,6 +420,26 @@ def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
             last[q, d] = colors
         assert steps.count(steps[0]) == k and walks.count(steps[0]) == 1
         assert len(walks) < len(steps)
+        done += 1
+
+
+def test_small_ids_round_without_weights_or_agreements(rng, monkeypatch):
+    """Node ids below the field size settle the rounding step's coloring
+    in closed form: a checked schedule computes no edge weights and walks
+    no agreements."""
+    calls = []
+    for name in ("edge_weights_for_step", "edge_agreements"):
+        monkeypatch.setattr(R._K, name,
+                            lambda *args, _name=name: calls.append(_name))
+    done = 0
+    while done < 3:
+        g, val, lam = _random_instance(rng, rng.randint(4, 12), 3, 4)
+        mu = Fraction(1, 4)
+        val = _margin_scaled(g, val, lam, mu)
+        if val is None or lam.normalize().k < 2 or not g.edges:
+            continue
+        ell = R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        assert set(ell) == set(g.nodes) and calls == []
         done += 1
 
 
