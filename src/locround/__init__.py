@@ -12,8 +12,8 @@ Library layout:
 - ``oracle``: brute-force and exact-LP ground truth for testing
 - ``cli``: command-line entry points
 
-The hot kernels live in ``locround._kernel`` (compiled extension with a
-pure-Python fallback selected at import).
+The hot kernels live in ``locround._kernel``: exact integer arithmetic in
+pure Python.
 """
 
 from ._kernel import BACKEND as kernel_backend

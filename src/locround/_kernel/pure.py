@@ -3,10 +3,7 @@
 Everything in here works on dense node indices and plain Python integers.
 Fractional label values are numerators over a common power-of-two
 denominator, and utility/cost tables are pre-scaled to integers by the
-caller, so all hot-loop arithmetic is exact integer arithmetic.  The
-compiled extension (``locround._kernel._core``) implements the same
-functions with C integers and falls back to this module per call when its
-magnitude bounds would overflow.
+caller, so all hot-loop arithmetic is exact integer arithmetic.
 
 Multigraphs are passed as parallel edge arrays ``eu``, ``ev`` (endpoint
 node indices), ``mgr`` (manager node index for virtual edges, -1 for

@@ -368,6 +368,7 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
+    _check_initial(g, initial)
     pk = _Packing(g)
     if not pk.nodes:
         return DefectiveColoring({}, 1, "per-node", delta)
@@ -427,7 +428,8 @@ def defective_colors_for_rounding(pk, weights, delta, factor2, initial):
     weights, which count toward totals but never conflict.  It is called
     at most once, and only when a Reed-Solomon step or the reduction reads
     weights: start colors below the field size settle every loop without
-    them.  ``initial`` is not checked for properness.
+    them.  ``initial`` is not checked here; ``round_to_integral`` checks it
+    once per schedule.
 
     Returns (colors list, palette p, declared rounds, max message bits).
     """

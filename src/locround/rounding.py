@@ -305,7 +305,9 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
 
     Requires ``u - c >= mu*u`` exactly; returns the integral labeling with
     ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.  ``uc0`` is the
-    exact (u, c) of ``lam`` when the caller already holds it.
+    exact (u, c) of ``lam`` when the caller already holds it.  An
+    ``initial_coloring`` that misses a node, holds a negative color or is
+    not proper raises ``ColoringError``.
     """
     if prep is None:
         prep = _Prepared(g, val)
@@ -321,6 +323,7 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
         raise ValueError("eps in [0,1], mu in (0,1] required")
+    _coloring._check_initial(prep.g, initial_coloring)
     lam = lam.normalize()
     U0, C0 = prep.potential(lam) if uc0 is None else uc0
     if U0 - C0 < mu * U0:

@@ -2,9 +2,9 @@
 
 Algorithm implementations have a precomputed round structure and declare
 their rounds and the bit profile of each communication phase through
-``advance`` / ``account`` / ``account_pipelined``.  Under CONGEST every
-declared message size is checked against the per-edge bit budget; a
-violation is recorded, or raises under ``strict``.
+``advance`` / ``account``.  Under CONGEST every declared message size is
+checked against the per-edge bit budget; a violation is recorded, or
+raises under ``strict``.
 """
 
 from __future__ import annotations
@@ -83,15 +83,6 @@ class RoundEngine:
                     f"round {self.round + 1}: {max_bits} bits exceeds budget "
                     f"{self.bit_budget}")
         self.advance(rounds)
-
-    def account_pipelined(self, total_bits):
-        """A per-edge stream of ``total_bits`` bits, split into budget-sized
-        rounds under CONGEST, sent whole in one LOCAL round."""
-        if self.mode == CONGEST and self.bit_budget:
-            rounds = max(1, -(-total_bits // self.bit_budget))
-            self.account(min(total_bits, self.bit_budget), rounds)
-        else:
-            self.account(total_bits, 1)
 
     def sample_potential(self, value):
         self.metrics.potential_samples.append((self.round, Fraction(value)))

@@ -171,6 +171,8 @@ def test_public_colorings_reject_malformed_initial():
         with pytest.raises(C.ColoringError, match=msg):
             C.average_defective_coloring(g, w, Fraction(1, 2),
                                          initial=initial)
+        with pytest.raises(C.ColoringError, match=msg):
+            C.greedy_defective_oracle(g, w, Fraction(1, 2), initial=initial)
     # an isolated node's color is unconstrained, and extra keys are ignored
     h = G.simple_graph([1, 2, 3], [(1, 2)])
     initial = {1: 0, 2: 1, 3: 1, 99: 5}

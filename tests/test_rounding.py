@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locround import graph as G, rounding as R
+from locround import coloring as C, graph as G, rounding as R
 from conftest import random_simple_graph
 
 
@@ -183,6 +183,27 @@ def test_full_rounding_fuzz(rng):
                                       ["exact", "worst", "quantized"]))
         assert set(ell) == set(g.nodes)
         done += 1
+
+
+def test_schedule_rejects_malformed_initial_coloring():
+    """A missing node raised KeyError, a monochromatic edge the misleading
+    "lost too much potential", and a negative color was accepted."""
+    g = two_node_graph()
+    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
+    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
+    half = {v: (Fraction(1, 2), Fraction(1, 2)) for v in (1, 2)}
+    cases = [({1: 0}, "misses node 2"), ({1: 0, 2: 0}, "both endpoints"),
+             ({1: -1, 2: 3}, "negative")]
+    for initial, msg in cases:
+        with pytest.raises(C.ColoringError, match=msg):
+            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
+                                initial_coloring=initial)
+        with pytest.raises(C.ColoringError, match=msg):
+            R.round_fractional(g, val, half, Fraction(1, 2), Fraction(1, 4),
+                               2, initial_coloring=initial)
+    ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
+                              initial_coloring={1: 0, 2: 1})
+    assert ell[1] != ell[2]
 
 
 def test_integral_input_returned_unchanged():

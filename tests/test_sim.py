@@ -20,8 +20,6 @@ def test_budget_violation_recorded():
 def test_strict_budget_aborts():
     g = G.simple_graph([1, 2], [(1, 2)])
     eng = S.RoundEngine(g, mode=S.CONGEST, bit_budget=8, strict=True)
-    eng.account_pipelined(96)          # split into 12 budget-sized rounds
-    assert eng.metrics.total_rounds == 12
     with pytest.raises(S.BudgetExceeded):
         eng.account(9)
 
