@@ -212,16 +212,13 @@ def _poly_divexact(a, b, p):
 # ---------------------------------------------------------------------------
 
 
-def _choose_prime_degree(ncolors, min_ratio_num, min_ratio_den, max_d=12):
-    """Smallest-palette (q, d) with q prime, q^(d+1) >= ncolors and
-    d/q <= min_ratio_num/min_ratio_den (candidate-set intersection over size).
-    """
+def _choose_prime_degree(ncolors, lower, max_d=12):
+    """Smallest-palette (q, d), the first d on ties: for each d in
+    1..max_d, q is the least prime >= max(2, lower(d)) with
+    q^(d+1) >= ncolors."""
     best = None
     for d in range(1, max_d + 1):
-        # q >= d * den / num, exact ceiling
-        qlo = -(-d * min_ratio_den // min_ratio_num)
-        q = max(2, qlo, _iroot_ceil(ncolors, d + 1))
-        q = next_prime(q)
+        q = next_prime(max(2, lower(d), _iroot_ceil(ncolors, d + 1)))
         while q ** (d + 1) < ncolors:
             q = next_prime(q + 1)
         if best is None or q * q < best[0] * best[0]:
@@ -255,20 +252,17 @@ def plan_defective_schedule(ncolors0, delta_num, delta_den):
         plan = []
         n = ncolors0
         for bn, bd in budgets:
-            q, d = _choose_prime_degree(n, bn, bd)
+            # d/q <= bn/bd (candidate-set intersection over size)
+            q, d = _choose_prime_degree(n, lambda d: -(-d * bd // bn))
             plan.append((q, d, bn, bd))
             n = q * q
         # converged when one more step at the coarsest budget cannot shrink
-        q2, _ = _choose_prime_degree(n, delta_num, 8 * delta_den)
+        q2, _ = _choose_prime_degree(
+            n, lambda d: -(-d * 8 * delta_den // delta_num))
         if q2 * q2 >= n:
             # drop trailing steps that stopped shrinking the palette
-            while len(plan) > 1:
-                q, d, _, _ = plan[-1]
-                prev_n = plan[-2][0] ** 2 if len(plan) >= 2 else ncolors0
-                if q * q >= prev_n:
-                    plan.pop()
-                else:
-                    break
+            while len(plan) > 1 and plan[-1][0] >= plan[-2][0]:
+                plan.pop()
             return tuple(plan)
     return tuple(plan)
 
@@ -281,15 +275,7 @@ def plan_proper_schedule(ncolors0, max_edge_degree):
     plan = []
     n = ncolors0
     for _ in range(20):
-        best = None
-        for d in range(1, 13):
-            q = max(2, dd * d + 1, _iroot_ceil(n, d + 1))
-            q = next_prime(q)
-            while q ** (d + 1) < n:
-                q = next_prime(q + 1)
-            if best is None or q * q < best[0] * best[0]:
-                best = (q, d)
-        q, d = best
+        q, d = _choose_prime_degree(n, lambda d: dd * d + 1)
         if q * q >= n and plan:
             break
         plan.append((q, d))
@@ -819,12 +805,22 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
     return max_qbits, touched
 
 
-def halve_assignment(nv, L, lam):
-    """After a rounding step all numerators are even; divide them by two."""
+def halve_assignment(nv, L, lam, k):
+    """Halves the rows of ``lam`` in place after a rounding step at
+    denominator 2^k, asserting that every numerator was even and
+    non-negative and that every halved row sums to 2^(k-1)."""
+    half = 1 << (k - 1)
     for v in range(nv):
         lv = lam[v]
+        s = 0
         for a in range(L):
             x = lv[a]
             if x & 1:
                 raise AssertionError("rounding step left an odd numerator")
-            lv[a] = x >> 1
+            if x < 0:
+                raise AssertionError("rounding step left a negative numerator")
+            x >>= 1
+            lv[a] = x
+            s += x
+        if s != half:
+            raise AssertionError(f"halved row does not sum to 2^{k - 1}")

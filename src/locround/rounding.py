@@ -61,9 +61,6 @@ class FractionalAssignment:
         }
         return cls(nlabels, k, scaled)
 
-    def fraction(self, v, a):
-        return Fraction(self.values[v][a], 1 << self.k)
-
     def normalize(self):
         """Reduce k while every numerator is even."""
         k = self.k
@@ -72,16 +69,6 @@ class FractionalAssignment:
             values = {v: tuple(x >> 1 for x in nums) for v, nums in values.items()}
             k -= 1
         return FractionalAssignment(self.nlabels, k, values)
-
-    def is_integral(self):
-        tot = 1 << self.k
-        return all(max(nums) == tot for nums in self.values.values())
-
-    def to_labeling(self):
-        if not self.is_integral():
-            raise ValueError("assignment is not integral")
-        tot = 1 << self.k
-        return {v: nums.index(tot) for v, nums in self.values.items()}
 
     @classmethod
     def integral(cls, nlabels, labeling):
@@ -183,22 +170,33 @@ class _Prepared(_coloring._Packing):
             self.nct = None
 
     def lam_array(self, lam):
-        return [list(lam.values[v]) for v in self.nodes]
+        """The rows of the FractionalAssignment ``lam`` in packing order, as
+        lists of numerators over 2^lam.k; nodes outside the graph are
+        ignored.  Raises ``ValueError`` when ``lam`` misses a node or has
+        another number of labels than the valuation."""
+        if lam.nlabels != self.L:
+            raise ValueError(f"assignment has {lam.nlabels} labels, "
+                             f"the valuation {self.L}")
+        values = lam.values
+        try:
+            return [list(values[v]) for v in self.nodes]
+        except KeyError as exc:
+            raise ValueError(f"assignment misses node {exc.args[0]}") from None
 
-    def potential(self, lam, lam_arr=None):
-        """Exact (utility, cost) of ``lam``: a FractionalAssignment, or a
-        mapping node -> rational distribution."""
-        if isinstance(lam, FractionalAssignment):
-            arr = self.lam_array(lam) if lam_arr is None else lam_arr
+    def potential(self, lam, k=None):
+        """Exact (utility, cost) of ``lam``: rows in packing order with
+        numerators over 2^k when ``k`` is given, otherwise a
+        FractionalAssignment or a mapping node -> rational distribution."""
+        if k is None and isinstance(lam, FractionalAssignment):
+            lam, k = self.lam_array(lam), lam.k
+        if k is not None:
             U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                     self.tables, self.nut, self.nct,
-                                     arr, lam.k)
-            D = 1 << lam.k
+                                     self.tables, self.nut, self.nct, lam, k)
+            D = 1 << k
         else:
-            # integer numerators over the least common denominator D; each
-            # is below 2^k with k = D.bit_length(), which is all the
-            # kernel's range check needs.  The kernel scales node terms by
-            # 2^k, so they are added here, at scale D.
+            # integer numerators over the least common denominator D.  The
+            # kernel scales node terms by 2^k, so they are added here, at
+            # scale D.
             rows = [[Fraction(x) for x in lam[v]] for v in self.nodes]
             D = math.lcm(*(x.denominator for row in rows for x in row))
             arr = [[x.numerator * (D // x.denominator) for x in row]
@@ -227,11 +225,12 @@ def _eta_ints(eta):
     return eta.numerator, eta.denominator
 
 
-def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
-                  initial_coloring=None, engine=None, prep=None, check=True,
-                  uc0=None):
+def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
+                  initial_coloring=None, engine=None, check=True, uc0=None):
     """One basic rounding step: 1/(2K)-integral in, 1/K-integral out.
 
+    ``lam`` is the rows of ``prep`` (``prep.lam_array``): numerators over
+    2^k, which the step rounds in place to numerators over 2^(k-1).
     Colors the multigraph with a weighted average (delta/6)-relative
     defective coloring, then per color class splits each node's odd-valued
     labels into halves by estimated marginal potential and moves each by
@@ -243,8 +242,8 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
     is asserted (zero tolerance) unless ``check=False``.  ``uc0`` is the
-    exact (u, c) of ``lam`` when the caller already holds it.  Returns
-    ``(out, (u', c'))``, with None for the pair when ``check=False``.
+    exact (u, c) of ``lam`` when the caller already holds it.  Returns the
+    exact (u', c'), or None when ``check=False``.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -252,13 +251,10 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         raise ValueError("delta must be in [0, 1]")
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    if lam.k < 1:
+    if k < 1:
         raise ValueError("assignment must be 1/(2K)-integral with K >= 1")
-    if prep is None:
-        prep = _Prepared(g, val)
-    arr = prep.lam_array(lam)
     if check:
-        U0, C0 = prep.potential(lam, arr) if uc0 is None else uc0
+        U0, C0 = prep.potential(lam, k) if uc0 is None else uc0
     en, ed = _eta_ints(eta)
     factor2 = estimate_mode == "quantized"
     if delta == 0:
@@ -268,7 +264,7 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
         def weights():
             return _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
                                             prep.tables, prep.nut, prep.nct,
-                                            arr, lam.k, en, ed)
+                                            lam, k, en, ed)
 
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
             prep, weights, delta / 6, factor2, initial_coloring)
@@ -280,21 +276,19 @@ def rounding_step(g, val, lam, delta, eta, estimate_mode="exact",
     dn, dd = delta.numerator, delta.denominator
     max_qbits, _touched = _K.rounding_color_loop(
         prep.nv, prep.L, prep.eu, prep.ev, prep.mgr, prep.tables,
-        prep.nut, prep.nct, arr, lam.k, colors, dn, dd, en, ed, mode_id)
+        prep.nut, prep.nct, lam, k, colors, dn, dd, en, ed, mode_id)
     if engine is not None:
         msg_bits = prep.L * (max_qbits + 2) + 2
         engine.account(msg_bits, 2 * palette)
-    _K.halve_assignment(prep.nv, prep.L, arr)
-    out = FractionalAssignment(lam.nlabels, lam.k - 1, {
-        v: tuple(arr[i]) for i, v in enumerate(prep.nodes)})
+    _K.halve_assignment(prep.nv, prep.L, lam, k)
     if not check:
-        return out, None
-    U1, C1 = prep.potential(out)
+        return None
+    U1, C1 = prep.potential(lam, k - 1)
     if U1 - eta * C1 < U0 - eta * C0 - delta * (U0 + eta * C0):
         raise RoundingInvariantError(
             f"rounding step lost too much potential: "
             f"{U1 - eta * C1} < {U0 - eta * C0 - delta * (U0 + eta * C0)}")
-    return out, (U1, C1)
+    return U1, C1
 
 
 def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
@@ -307,7 +301,8 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
     ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.  ``uc0`` is the
     exact (u, c) of ``lam`` when the caller already holds it.  An
     ``initial_coloring`` that misses a node, holds a negative color or is
-    not proper raises ``ColoringError``.
+    not proper raises ``ColoringError``; an assignment that misses a node
+    or has another number of labels than ``val`` raises ``ValueError``.
     """
     if prep is None:
         prep = _Prepared(g, val)
@@ -318,32 +313,35 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
 def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
                        engine, check, uc0):
     """``round_to_integral`` on a packed valuation; returns the labeling and
-    its exact (u, c), which is None when unchecked steps ran."""
+    its exact (u, c), which is None when unchecked steps ran.
+
+    The normalized assignment is converted once to the rows of ``prep``;
+    every step rounds those rows in place, and the labeling is read off
+    the final one-hot rows."""
     eps = Fraction(eps)
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
         raise ValueError("eps in [0,1], mu in (0,1] required")
     _coloring._check_initial(prep.g, initial_coloring)
     lam = lam.normalize()
-    U0, C0 = prep.potential(lam) if uc0 is None else uc0
+    k = lam.k
+    rows = prep.lam_array(lam)
+    U0, C0 = prep.potential(rows, k) if uc0 is None else uc0
     if U0 - C0 < mu * U0:
         raise RoundingInvariantError(
             f"precondition u - c >= mu*u violated: {U0 - C0} < {mu * U0}")
-    if lam.k == 0:
-        return lam.to_labeling(), (U0, C0)
-    k = lam.k
+    if k == 0:
+        return _labeling(prep, rows), (U0, C0)
     delta = eps * mu / (6 * k)
     if engine is not None:
         # pipelined initial fractional-value broadcast
-        engine.account(min(2 * prep.L + 2, (1 << min(lam.k, 20)) * 8), rounds=k)
+        engine.account(min(2 * prep.L + 2, (1 << min(k, 20)) * 8), rounds=k)
     phi0 = U0 - (1 + eps * mu / 2) * C0
-    cur = lam
     uc = (U0, C0)
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
-        cur, uc = rounding_step(prep.g, prep.val, cur, delta, eta_i,
-                                estimate_mode, initial_coloring, engine, prep,
-                                check=check, uc0=uc)
+        uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, estimate_mode,
+                           initial_coloring, engine, check=check, uc0=uc)
         if check:
             Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
@@ -353,13 +351,17 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
                     f"{phi_i} < (1-delta)^{i} * {phi0}")
             if engine is not None:
                 engine.sample_potential(phi_i)
-    ell = cur.to_labeling()
     if check:
         Uf, Cf = uc
         if Uf - Cf < (1 - eps) * (U0 - C0):
             raise RoundingInvariantError(
                 f"final guarantee failed: {Uf - Cf} < {(1 - eps) * (U0 - C0)}")
-    return ell, uc
+    return _labeling(prep, rows), uc
+
+
+def _labeling(prep, rows):
+    """The labeling of one-hot rows of ``prep``: node -> its label."""
+    return {v: row.index(1) for v, row in zip(prep.nodes, rows)}
 
 
 def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,

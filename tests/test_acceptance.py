@@ -110,11 +110,14 @@ def test_c1_rounding_step_lemma():
             mode = "exact"
         prep = R._Prepared(g, val)
         U0, C0 = prep.potential(lam)
-        out, uc1 = R.rounding_step(g, val, lam, delta, eta,
-                                   estimate_mode=mode, prep=prep)
+        rows = prep.lam_array(lam)
+        uc1 = R.rounding_step(prep, rows, lam.k, delta, eta,
+                              estimate_mode=mode)
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
-            U1, C1 = prep.potential(out)
+            U1, C1 = prep.potential({
+                v: [Fraction(x, 1 << (lam.k - 1)) for x in row]
+                for v, row in zip(prep.nodes, rows)})
             assert (U1, C1) == uc1
             assert U1 - eta * C1 >= U0 - eta * C0 - delta * (U0 + eta * C0)
     took = time.time() - t0

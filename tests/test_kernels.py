@@ -5,6 +5,8 @@ import json
 import math
 import random
 
+import pytest
+
 from locround._kernel import BACKEND, pure
 
 KERNEL_DIGEST = "5ac6d0e5ee654cd405e3b881cf4a2b082ba5f597b5ca2f49daa52a4dd0fa6ea5"
@@ -230,6 +232,18 @@ def test_reduction_matches_event_driven_reference(rng):
 
 def test_backend_reports():
     assert BACKEND == "pure"
+
+
+def test_halve_assignment_checks_rows():
+    """Rows over 2^3 halve in place to rows over 2^2; an odd, a negative
+    or a wrong-sum row is rejected."""
+    lam = [[2, 6], [8, 0]]
+    pure.halve_assignment(2, 2, lam, 3)
+    assert lam == [[1, 3], [4, 0]]
+    cases = [([3, 5], "odd"), ([10, -2], "negative"), ([2, 4], "sum")]
+    for row, msg in cases:
+        with pytest.raises(AssertionError, match=msg):
+            pure.halve_assignment(2, 2, [[4, 4], row], 3)
 
 
 def _random_tables(rng, L, m, kinds):

@@ -39,14 +39,23 @@ def test_evaluate_equal_label_indicator_uniform():
     assert C == Fraction(1, 2)
 
 
+def _step(g, val, lam, delta, eta, **kwargs):
+    """One rounding step on the rows of ``lam``: returns the packing and
+    the rows after the step, numerators over 2^(lam.k - 1)."""
+    prep = R._Prepared(g, val)
+    rows = prep.lam_array(lam)
+    R.rounding_step(prep, rows, lam.k, delta, eta, **kwargs)
+    return prep, rows
+
+
 def test_rounding_step_node_utility_forces_argmax():
     # lone node with node utility (0, 1): the full rounding must pick label 1
     g = G.simple_graph([7], [])
     val = R.Valuation.from_fractions(
         2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
     lam = R.FractionalAssignment(2, 1, {7: (1, 1)})
-    out, _uc = R.rounding_step(g, val, lam, Fraction(0), Fraction(1))
-    assert out.values[7] == (0, 1)
+    prep, rows = _step(g, val, lam, Fraction(0), Fraction(1))
+    assert rows[prep.index[7]] == [0, 1]
     # and through the full schedule from half-half
     lam = R.FractionalAssignment(2, 4, {7: (8, 8)})
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1))
@@ -57,9 +66,10 @@ def test_rounding_step_noop_without_odd_multiples():
     g = two_node_graph()
     val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 3, {1: (2, 6), 2: (4, 4)})
-    out, _uc = R.rounding_step(g, val, lam, Fraction(1, 2), Fraction(1))
-    assert out.k == 2
-    assert out.fraction(1, 0) == Fraction(2, 8) and out.fraction(2, 0) == Fraction(4, 8)
+    prep, rows = _step(g, val, lam, Fraction(1, 2), Fraction(1))
+    assert all(sum(row) == 1 << 2 for row in rows)
+    row1, row2 = rows[prep.index[1]], rows[prep.index[2]]
+    assert Fraction(row1[0], 4) == Fraction(2, 8) and Fraction(row2[0], 4) == Fraction(4, 8)
 
 
 def test_rounding_step_guarantee_cost_only_edge():
@@ -69,9 +79,9 @@ def test_rounding_step_guarantee_cost_only_edge():
     lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
     # internal exact assertion of the step lemma is the test
     for mode in ("exact", "worst", "quantized"):
-        out, _uc = R.rounding_step(g, val, lam, Fraction(1, 3), Fraction(2),
-                                   estimate_mode=mode)
-        assert out.k == 0
+        _prep, rows = _step(g, val, lam, Fraction(1, 3), Fraction(2),
+                            estimate_mode=mode)
+        assert all(sum(row) == 1 for row in rows)
 
 
 def test_valuation_bound_check():
@@ -90,12 +100,12 @@ def test_step_parameter_validation():
     val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
     with pytest.raises(ValueError):
-        R.rounding_step(g, val, lam, Fraction(-1, 2), Fraction(1))
+        _step(g, val, lam, Fraction(-1, 2), Fraction(1))
     with pytest.raises(ValueError):
-        R.rounding_step(g, val, lam, Fraction(1, 2), Fraction(1, 2))
+        _step(g, val, lam, Fraction(1, 2), Fraction(1, 2))
     bad = R.FractionalAssignment(2, 0, {1: (0, 1), 2: (1, 0)})
     with pytest.raises(ValueError):
-        R.rounding_step(g, val, bad, Fraction(1, 2), Fraction(1))
+        _step(g, val, bad, Fraction(1, 2), Fraction(1))
 
 
 def _random_instance(rng, n, L, kmax, q=50, id_base=0):
@@ -140,15 +150,15 @@ def test_step_invariants_fuzz(rng):
         delta = rng.choice([Fraction(0), Fraction(1, 7), Fraction(1)])
         eta = 1 + Fraction(rng.randint(0, 6), 4)
         mode = rng.choice(["exact", "worst", "quantized"])
-        out, _uc = R.rounding_step(g, val, lam, delta, eta,
-                                   estimate_mode=mode)
-        assert out.k == lam.k - 1       # integrality doubling
+        prep, rows = _step(g, val, lam, delta, eta, estimate_mode=mode)
         tot = 1 << lam.k
         for v in g.nodes:
-            assert sum(out.values[v]) << 1 == tot     # distributions survive
+            row = rows[prep.index[v]]
+            # integrality doubling: the distributions survive over 2^(k-1)
+            assert sum(row) << 1 == tot
             for a in range(L):
                 # moves by at most one old-scale unit
-                assert abs((out.values[v][a] << 1) - lam.values[v][a]) <= 1
+                assert abs((row[a] << 1) - lam.values[v][a]) <= 1
 
 
 def _margin_scaled(g, val, lam, mu):
@@ -274,8 +284,8 @@ def test_preprocess_sum_preserved(parts, scale):
 def test_worst_estimator_still_satisfies_lemma(rng):
     for _ in range(10):
         g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
-        R.rounding_step(g, val, lam, Fraction(1, 5), Fraction(3, 2),
-                        estimate_mode="worst")
+        _step(g, val, lam, Fraction(1, 5), Fraction(3, 2),
+              estimate_mode="worst")
 
 
 def _definition_uc(g, L, tables, lam):
@@ -325,10 +335,13 @@ def test_rational_potential_matches_definition(rng):
 
 
 def _count_calls(monkeypatch):
-    """Count kernel potential evaluations and rounding steps."""
-    counts = {"eval": 0, "steps": 0}
+    """Count kernel potential evaluations, rounding steps, conversions of
+    an assignment to rows and FractionalAssignments built."""
+    counts = {"eval": 0, "steps": 0, "rows": 0, "assignments": 0}
     kernel_eval = R._K.eval_potential
     step = R.rounding_step
+    lam_array = R._Prepared.lam_array
+    assignment = R.FractionalAssignment.__init__
 
     def counted_eval(*args):
         counts["eval"] += 1
@@ -338,8 +351,19 @@ def _count_calls(monkeypatch):
         counts["steps"] += 1
         return step(*args, **kwargs)
 
+    def counted_lam_array(self, lam):
+        counts["rows"] += 1
+        return lam_array(self, lam)
+
+    def counted_assignment(self, *args):
+        counts["assignments"] += 1
+        assignment(self, *args)
+
     monkeypatch.setattr(R._K, "eval_potential", counted_eval)
     monkeypatch.setattr(R, "rounding_step", counted_step)
+    monkeypatch.setattr(R._Prepared, "lam_array", counted_lam_array)
+    monkeypatch.setattr(R.FractionalAssignment, "__init__",
+                        counted_assignment)
     return counts
 
 
@@ -353,16 +377,18 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         if val is None or lam.normalize().k == 0:
             continue
         k = lam.normalize().k
-        counts.update(eval=0, steps=0)
+        # one conversion to rows; the only assignment built is normalize's
+        counts.update(eval=0, steps=0, rows=0, assignments=0)
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
-        assert counts == {"eval": k + 1, "steps": k}
-        counts.update(eval=0, steps=0)
+        assert counts == {"eval": k + 1, "steps": k, "rows": 1,
+                          "assignments": 1}
+        counts.update(eval=0, steps=0, rows=0, assignments=0)
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu, check=False)
-        assert counts == {"eval": 1, "steps": k}
+        assert counts == {"eval": 1, "steps": k, "rows": 1, "assignments": 1}
         # raw input, preprocessed input, one per step
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
-        counts.update(eval=0, steps=0)
+        counts.update(eval=0, steps=0, rows=0, assignments=0)
         R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 2)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
@@ -474,3 +500,26 @@ def test_fractional_assignment_rejects_malformed_rows():
         with pytest.raises(ValueError, match=msg):
             R.FractionalAssignment(nlabels, k, {1: row})
     assert R.FractionalAssignment(2, 2, {1: (0, 4), 2: (1, 3)}).k == 2
+
+
+def test_schedule_rejects_assignment_off_the_valuation():
+    """An assignment missing a node raised a bare KeyError, three labels
+    against a 2-label valuation the misleading "lost too much potential",
+    and one label an IndexError; nodes outside the graph are ignored."""
+    g = two_node_graph()
+    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
+    prep = R._Prepared(g, val)
+    cases = [(R.FractionalAssignment(2, 1, {1: (1, 1)}), "misses node 2"),
+             (R.FractionalAssignment(3, 2, {1: (2, 1, 1), 2: (1, 1, 2)}),
+              "3 labels"),
+             (R.FractionalAssignment(1, 0, {1: (1,), 2: (1,)}), "1 labels")]
+    for lam, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
+        with pytest.raises(ValueError, match=msg):
+            prep.potential(lam)
+    extra = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1), 9: (2, 0)})
+    ell = R.round_to_integral(g, val, extra, Fraction(1, 2), Fraction(1, 4))
+    assert set(ell) == {1, 2} and ell[1] != ell[2]
+    assert prep.potential(extra) == prep.potential(
+        R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)}))
