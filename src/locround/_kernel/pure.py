@@ -3,7 +3,11 @@
 Everything in here works on dense node indices and plain Python integers.
 Fractional label values are numerators over a common power-of-two
 denominator, and utility/cost tables are pre-scaled to integers by the
-caller, so all hot-loop arithmetic is exact integer arithmetic.
+caller, so all hot-loop arithmetic is exact integer arithmetic.  A
+rounding schedule keeps that denominator fixed: its step at a coarser
+denominator rounds the entries holding one bit (``unit``), and
+``file_rows`` files the rows by their lowest set bit so that the color
+loop visits only the rows holding the step's bit.
 
 Multigraphs are passed as parallel edge arrays ``eu``, ``ev`` (endpoint
 node indices), ``mgr`` (manager node index for virtual edges, -1 for
@@ -709,118 +713,131 @@ def edge_weights_for_step(nv, L, eu, ev, tables, nut, nct, lam, k,
 
 
 def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
-                        delta_num, delta_den, eta_num, eta_den, est_mode):
+                        delta_num, delta_den, eta_num, eta_den, est_mode,
+                        unit=1, rows=None):
     """Inner loop of the basic rounding step over the defective coloring.
 
-    Iterates the color classes in ascending color order; inside a class,
-    every node with labels at odd multiples of 2^-k splits them into equal
-    halves by estimated marginal potential and moves each value by one
-    unit.  Edges between nodes of one color are left out of the estimates.
-    ``est_mode``: 0 exact, 1 worst-in-band (test hook), 2 quantized
-    per-manager contributions (the bandwidth-saving estimator).
+    ``lam`` holds numerators over 2^k, and the step rounds the entries
+    that hold bit ``unit``.  Visits the rows ``rows`` (every row when None)
+    in ascending color order; every visited row with entries holding that
+    bit splits them into equal halves by estimated marginal potential and
+    moves each entry by ``unit``, up for the better half and down for the
+    rest.  Edges between nodes of one color are left out of the estimates,
+    so the order inside a color class does not matter.  ``est_mode``: 0
+    exact, 1 worst-in-band (test hook), 2 quantized per-manager
+    contributions (the bandwidth-saving estimator).
 
-    Mutates ``lam`` (numerators at denominator 2^k); afterwards every value
-    is even and the caller halves them.  Returns (max_qidx_bits, touched).
+    Mutates ``lam``; afterwards no visited entry holds bit ``unit``.
+    Returns (max_qidx_bits, touched), touched being the rows that moved.
     """
     twok = 1 << k
     inc = tables.inc
-    classes = {}
-    for v in range(nv):
-        classes.setdefault(colors[v], []).append(v)
     sixdd = 6 * delta_den
     max_qbits = 1
     touched = 0
-    for gamma in sorted(classes):
-        for v in classes[gamma]:
-            lamv = lam[v]
-            sv = [a for a in range(L) if lamv[a] & 1]
-            if not sv:
-                continue
-            touched += 1
-            row = v * L
-            nu = nc = None
-            if nut is not None:
-                nu = nut[v]
-                nc = nct[v]
-            phis = []
-            for a in sv:
-                # su, sc: lam-weighted utility and cost toward the other
-                # endpoints, plus 2^k times the node terms; in est_mode 2
-                # the managed edges' sums go per manager instead
-                su = 0
-                sc = 0
-                per_mgr = {} if est_mode == 2 else None
-                it = iter(inc[row + a])
-                for u, man, toward in zip(it, it, it):
-                    if colors[u] == gamma:
-                        continue
-                    lu = lam[u]
-                    ue = 0
-                    ce = 0
-                    for b, x, y in toward:
-                        lb = lu[b]
-                        if lb:
-                            ue += lb * x
-                            ce += lb * y
-                    if per_mgr is not None and man >= 0:
-                        slot = per_mgr.get(man)
-                        if slot is None:
-                            per_mgr[man] = [ue, ce]
-                        else:
-                            slot[0] += ue
-                            slot[1] += ce
+    order = range(nv) if rows is None else rows
+    for v in sorted(order, key=colors.__getitem__):
+        lamv = lam[v]
+        sv = [a for a in range(L) if lamv[a] & unit]
+        if not sv:
+            continue
+        touched += 1
+        gamma = colors[v]
+        row = v * L
+        nu = nc = None
+        if nut is not None:
+            nu = nut[v]
+            nc = nct[v]
+        phis = []
+        for a in sv:
+            # su, sc: lam-weighted utility and cost toward the other
+            # endpoints, plus 2^k times the node terms; in est_mode 2 the
+            # managed edges' sums go per manager instead
+            su = 0
+            sc = 0
+            per_mgr = {} if est_mode == 2 else None
+            it = iter(inc[row + a])
+            for u, man, toward in zip(it, it, it):
+                if colors[u] == gamma:
+                    continue
+                lu = lam[u]
+                ue = 0
+                ce = 0
+                for b, x, y in toward:
+                    lb = lu[b]
+                    if lb:
+                        ue += lb * x
+                        ce += lb * y
+                if per_mgr is not None and man >= 0:
+                    slot = per_mgr.get(man)
+                    if slot is None:
+                        per_mgr[man] = [ue, ce]
                     else:
-                        su += ue
-                        sc += ce
-                if nu is not None:
-                    su += twok * nu[a]
-                if nc is not None:
-                    sc += twok * nc[a]
-                # phi = eta_den*su - eta_num*sc and theta = eta_den*su +
-                # eta_num*sc are at scale table * 2^k * eta_den, and phi6
-                # at that scale times 6 * delta_den
-                phi6 = sixdd * (eta_den * su - eta_num * sc)
-                if est_mode == 1:
-                    phi6 -= delta_num * (eta_den * su + eta_num * sc)
-                # quantize each manager contribution down to its band grid
-                for pu, pc in per_mgr.values() if per_mgr else ():
-                    te = eta_den * pu + eta_num * pc
-                    if te == 0:
-                        continue
-                    grid = delta_num * te
-                    qidx = (sixdd * (eta_den * pu - eta_num * pc)) // grid
-                    if qidx:
-                        b_ = abs(qidx).bit_length()
-                        if b_ > max_qbits:
-                            max_qbits = b_
-                    phi6 += qidx * grid
-                phis.append((phi6, a))
-            phis.sort(reverse=True)     # labels are distinct: no ties
-            half = len(phis) // 2
-            for i, (_val, a) in enumerate(phis):
-                if i < half:
-                    lamv[a] += 1
+                        slot[0] += ue
+                        slot[1] += ce
                 else:
-                    lamv[a] -= 1
+                    su += ue
+                    sc += ce
+            if nu is not None:
+                su += twok * nu[a]
+            if nc is not None:
+                sc += twok * nc[a]
+            # phi = eta_den*su - eta_num*sc and theta = eta_den*su +
+            # eta_num*sc are at scale table * 2^k * eta_den, and phi6 at
+            # that scale times 6 * delta_den
+            phi6 = sixdd * (eta_den * su - eta_num * sc)
+            if est_mode == 1:
+                phi6 -= delta_num * (eta_den * su + eta_num * sc)
+            # quantize each manager contribution down to its band grid
+            for pu, pc in per_mgr.values() if per_mgr else ():
+                te = eta_den * pu + eta_num * pc
+                if te == 0:
+                    continue
+                grid = delta_num * te
+                qidx = (sixdd * (eta_den * pu - eta_num * pc)) // grid
+                if qidx:
+                    b_ = abs(qidx).bit_length()
+                    if b_ > max_qbits:
+                        max_qbits = b_
+                phi6 += qidx * grid
+            phis.append((phi6, a))
+        phis.sort(reverse=True)     # labels are distinct: no ties
+        half = len(phis) // 2
+        for i, (_val, a) in enumerate(phis):
+            if i < half:
+                lamv[a] += unit
+            else:
+                lamv[a] -= unit
     return max_qbits, touched
 
 
-def halve_assignment(nv, L, lam, k):
-    """Halves the rows of ``lam`` in place after a rounding step at
-    denominator 2^k, asserting that every numerator was even and
-    non-negative and that every halved row sums to 2^(k-1)."""
-    half = 1 << (k - 1)
-    for v in range(nv):
-        lv = lam[v]
+def file_rows(lam, rows, unit, total, buckets):
+    """Files each row index in ``rows`` in ``buckets`` (bit -> row
+    indices) under the lowest set bit of the OR of its entries in
+    ``lam``, leaving out one-hot rows, whose lowest bit is ``total``.
+
+    Asserts of every filed row that no entry is negative, that no entry
+    holds bit ``unit`` (0 tests no bit) and that the row sums to
+    ``total``: what a rounding step at ``unit`` must leave in each row it
+    moved.  Returns ``buckets``.
+    """
+    for v in rows:
+        acc = 0
         s = 0
-        for a in range(L):
-            x = lv[a]
-            if x & 1:
-                raise AssertionError("rounding step left an odd numerator")
+        for x in lam[v]:
             if x < 0:
-                raise AssertionError("rounding step left a negative numerator")
-            x >>= 1
-            lv[a] = x
+                raise AssertionError(f"row {v} holds a negative entry")
+            acc |= x
             s += x
-        if s != half:
-            raise AssertionError(f"halved row does not sum to 2^{k - 1}")
+        if acc & unit:
+            raise AssertionError(f"row {v} still holds bit {unit}")
+        if s != total:
+            raise AssertionError(f"row {v} does not sum to {total}")
+        low = acc & -acc
+        if low != total:
+            hit = buckets.get(low)
+            if hit is None:
+                buckets[low] = [v]
+            else:
+                hit.append(v)
+    return buckets

@@ -59,7 +59,9 @@ class Multigraph:
                 raise GraphFormatError(f"edge {e.u}-{e.v} uses unknown node")
             if e.kind == VIRTUAL and e.manager is None:
                 raise GraphFormatError("virtual edge without manager")
-            self.edges.append(Edge(e.u, e.v, e.kind, e.manager, i))
+            if type(e) is not Edge or e.index != i:    # edges are frozen
+                e = Edge(e.u, e.v, e.kind, e.manager, i)
+            self.edges.append(e)
         if comm_adjacency is None:
             comm_adjacency = {v: set() for v in self.nodes}
             for e in self.edges:
@@ -136,7 +138,7 @@ def simple_graph(nodes, pairs):
         if key in seen:
             continue
         seen.add(key)
-        edges.append(Edge(key[0], key[1]))
+        edges.append(Edge(key[0], key[1], PHYSICAL, None, len(edges)))
     return Multigraph(nodes, edges)
 
 

@@ -18,6 +18,7 @@ potential facts behind it.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -35,27 +36,43 @@ class MisInvariantError(AssertionError):
 
 @dataclass
 class LubyIteration:
+    """One Luby iteration.  ``mark_num[v] / mark_den`` is the marking
+    probability of v, 1/(20 deg(v)): the marks are compared as integers
+    over one denominator, and ``marks`` gives them as Fractions."""
+
     nodes: list
     degree: dict
     in_nbrs: dict
     out_nbrs: dict
     good_nodes: list
     in_star: dict
-    marks: dict           # v -> Fraction marking probability
+    mark_num: dict
+    mark_den: int
+
+    @functools.cached_property
+    def marks(self):
+        """v -> Fraction marking probability."""
+        den = self.mark_den
+        memo = {x: Fraction(x, den) for x in set(self.mark_num.values())}
+        return {v: memo[x] for v, x in self.mark_num.items()}
 
     def check(self):
         good = set(self.good_nodes)
         for v in self.nodes:
             if (v in good) != (3 * len(self.in_nbrs[v]) >= self.degree[v]):
                 raise MisInvariantError(f"goodness misclassified at {v}")
+        num = self.mark_num.__getitem__
+        den = self.mark_den
         for v in self.good_nodes:
-            s = sum(self.marks[u] for u in self.in_star[v])
-            if not (Fraction(1, 60) <= s <= Fraction(4, 60)):
-                raise MisInvariantError(f"IN*({v}) mass {s} outside [1/60, 4/60]")
+            s = sum(map(num, self.in_star[v]))
+            if not (den <= 60 * s <= 4 * den):     # 1/60 <= s/den <= 4/60
+                raise MisInvariantError(f"IN*({v}) mass {Fraction(s, den)} "
+                                        f"outside [1/60, 4/60]")
         for u in self.nodes:
-            s = sum(self.marks[w] for w in self.out_nbrs[u])
-            if s > Fraction(1, 20):
-                raise MisInvariantError(f"OUT({u}) mass {s} exceeds 1/20")
+            s = sum(map(num, self.out_nbrs[u]))
+            if 20 * s > den:                        # s/den > 1/20
+                raise MisInvariantError(f"OUT({u}) mass {Fraction(s, den)} "
+                                        f"exceeds 1/20")
 
 
 def _adjacency(g):
@@ -83,19 +100,22 @@ def classify_and_select_instar(adj):
                 outs.append(u)
         in_nbrs[v] = ins
         out_nbrs[v] = outs
-    marks = {v: Fraction(1, 20 * degree[v]) for v in nodes}
+    # 1/(20 deg(v)) is (D // deg(v)) / (20 D), D the lcm of the degrees
+    D = math.lcm(*set(degree.values()))
+    mark_num = {v: D // d for v, d in degree.items()}
     good = [v for v in nodes if 3 * len(in_nbrs[v]) >= degree[v]]
     in_star = {}
     for v in good:
-        acc = Fraction(0)
+        acc = 0
         chosen = []
         for u in in_nbrs[v]:     # ascending id
-            if acc >= Fraction(1, 60):
+            if 3 * acc >= D:     # mass acc / (20 D) reached 1/60
                 break
             chosen.append(u)
-            acc += marks[u]
+            acc += mark_num[u]
         in_star[v] = chosen
-    it = LubyIteration(nodes, degree, in_nbrs, out_nbrs, good, in_star, marks)
+    it = LubyIteration(nodes, degree, in_nbrs, out_nbrs, good, in_star,
+                       mark_num, 20 * D)
     it.check()
     return it
 
@@ -107,8 +127,11 @@ def build_mis_valuation(it):
     virtual edges carry the IN*(v)-pair terms, one edge per (manager, pair).
     Labels: 0 unmarked, 1 marked.  Every entry is a multiple of deg(v)/2,
     so the tables are built at scale 2.
+
+    The edge (u, w), w in OUT(u), collects deg(v)/2 for every v with u in
+    IN*(v), which sums to u's node utility; w in OUT(u) puts u outside
+    OUT(w), so no pair is reached from both ends.
     """
-    phys = {}
     virt = []
     node_util = {}
     for v in it.good_nodes:
@@ -119,15 +142,13 @@ def build_mis_valuation(it):
         for i in range(len(star)):
             for j in range(i + 1, len(star)):
                 virt.append((star[i], star[j], v, 2 * half))
-        for u in star:
-            for w in it.out_nbrs[u]:
-                key = (min(u, w), max(u, w))
-                phys[key] = phys.get(key, 0) + half
+    phys = sorted(((u, w) if u < w else (w, u), util)
+                  for u, util in node_util.items() for w in it.out_nbrs[u])
     edges = []
     comm = {v: set(it.in_nbrs[v]) | set(it.out_nbrs[v]) for v in it.nodes}
     ec = {}
     idx = 0
-    for (a, b), cost in sorted(phys.items()):
+    for (a, b), cost in phys:
         edges.append(_graph.Edge(a, b, _graph.PHYSICAL, None, idx))
         ec[idx] = (0, 0, 0, cost)
         idx += 1
@@ -148,7 +169,8 @@ def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
     it = classify_and_select_instar(adj)
     edges_before = sum(len(adj[v]) for v in it.nodes) // 2
     h, val = build_mis_valuation(it)
-    lam_raw = {v: (1 - it.marks[v], it.marks[v]) for v in it.nodes}
+    pairs = {m: (1 - m, m) for m in set(it.marks.values())}
+    lam_raw = {v: pairs[m] for v, m in it.marks.items()}
     prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
     uc_raw = None
     if check:

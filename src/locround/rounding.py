@@ -10,6 +10,10 @@ integrality denominator while losing at most a delta-fraction of
 eta schedule turns a fractional assignment with ``u - c >= mu*u`` into an
 integral one with ``u - c >= (1-eps)*(u - c)``.  All guarantees are
 asserted exactly in rational arithmetic on every call.
+
+A schedule keeps its rows over the fixed 2^K of the normalized
+assignment: the step at denominator 2^k moves the entries holding bit
+2^(K-k), and visits only the rows its ``_Frontier`` files under that bit.
 """
 
 from __future__ import annotations
@@ -225,25 +229,51 @@ def _eta_ints(eta):
     return eta.numerator, eta.denominator
 
 
-def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
-                  initial_coloring=None, engine=None, check=True, uc0=None):
-    """One basic rounding step: 1/(2K)-integral in, 1/K-integral out.
+class _Frontier:
+    """Where a rounding schedule's rows are not yet rounded.
 
-    ``lam`` is the rows of ``prep`` (``prep.lam_array``): numerators over
-    2^k, which the step rounds in place to numerators over 2^(k-1).
+    The rows are numerators over the schedule's fixed 2^K.  Every row that
+    is not one-hot is filed in ``buckets`` under the lowest set bit of the
+    OR of its entries: the step at denominator 2^k rounds the rows filed
+    under 2^(K-k), and no others.
+    """
+
+    __slots__ = ("K", "buckets")
+
+    def __init__(self, rows, K):
+        self.K = K
+        self.buckets = _K.file_rows(rows, range(len(rows)), 0, 1 << K, {})
+
+
+def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
+                  initial_coloring=None, engine=None, check=True, uc0=None,
+                  frontier=None):
+    """One basic rounding step: 2^-k-integral in, 2^-(k-1)-integral out.
+
+    ``lam`` is the rows of ``prep`` (``prep.lam_array``) as numerators over
+    a fixed 2^K, and the step rounds its entries at odd multiples of 2^-k
+    in place: those that hold bit unit = 2^(K-k).  K is k unless
+    ``frontier``, the ``_Frontier`` of ``lam`` inside a schedule, gives the
+    schedule's K; the step then visits only the rows filed under ``unit``
+    and files each row it moved again.  Every moved row is asserted to
+    hold no entry at bit ``unit``, no negative entry, and to sum to 2^K.
+
     Colors the multigraph with a weighted average (delta/6)-relative
-    defective coloring, then per color class splits each node's odd-valued
-    labels into halves by estimated marginal potential and moves each by
-    one integrality unit.  The coloring is weighted by u + eta*c per edge;
-    those weights are computed only when it reads them, that is, when a
+    defective coloring, then per color class splits each row's entries at
+    bit ``unit`` into halves by estimated marginal potential and moves each
+    by ``unit``.  The coloring is weighted by u + eta*c per edge; those
+    weights are computed only when it reads them, that is, when a
     Reed-Solomon step meets a color at or above its field size or the
     reduction a color at or above its prime.  The exact guarantee
 
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
     is asserted (zero tolerance) unless ``check=False``.  ``uc0`` is the
-    exact (u, c) of ``lam`` when the caller already holds it.  Returns the
-    exact (u', c'), or None when ``check=False``.
+    exact (u, c) of ``lam`` when the caller already holds it.  Without a
+    ``frontier``, an ``initial_coloring`` that misses a node, holds a
+    negative color or is not proper raises ``ColoringError``; a schedule
+    checks it once.  Returns the exact (u', c'), or None when
+    ``check=False``.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -252,9 +282,14 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
     if eta < 1:
         raise ValueError("eta must be >= 1")
     if k < 1:
-        raise ValueError("assignment must be 1/(2K)-integral with K >= 1")
+        raise ValueError("assignment must be 2^-k-integral with k >= 1")
+    if frontier is None:
+        _coloring._check_initial(prep.g, initial_coloring)
+        frontier = _Frontier(lam, k)
+    K = frontier.K
+    unit = 1 << (K - k)
     if check:
-        U0, C0 = prep.potential(lam, k) if uc0 is None else uc0
+        U0, C0 = prep.potential(lam, K) if uc0 is None else uc0
     en, ed = _eta_ints(eta)
     factor2 = estimate_mode == "quantized"
     if delta == 0:
@@ -262,9 +297,16 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
             prep, initial_coloring)
     else:
         def weights():
-            return _K.edge_weights_for_step(prep.nv, prep.L, prep.eu, prep.ev,
-                                            prep.tables, prep.nut, prep.nct,
-                                            lam, k, en, ed)
+            # at the scale of rows over 2^k: every term is a product of two
+            # entries that are multiples of ``unit``
+            w, nodew = _K.edge_weights_for_step(
+                prep.nv, prep.L, prep.eu, prep.ev, prep.tables, prep.nut,
+                prep.nct, lam, K, en, ed)
+            s = 2 * (K - k)
+            if s:
+                w = [x >> s for x in w]
+                nodew = [x >> s for x in nodew]
+            return w, nodew
 
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
             prep, weights, delta / 6, factor2, initial_coloring)
@@ -274,16 +316,18 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
     if delta == 0:
         mode_id = 0
     dn, dd = delta.numerator, delta.denominator
+    moved = frontier.buckets.pop(unit, [])
     max_qbits, _touched = _K.rounding_color_loop(
         prep.nv, prep.L, prep.eu, prep.ev, prep.mgr, prep.tables,
-        prep.nut, prep.nct, lam, k, colors, dn, dd, en, ed, mode_id)
+        prep.nut, prep.nct, lam, K, colors, dn, dd, en, ed, mode_id,
+        unit, moved)
     if engine is not None:
         msg_bits = prep.L * (max_qbits + 2) + 2
         engine.account(msg_bits, 2 * palette)
-    _K.halve_assignment(prep.nv, prep.L, lam, k)
+    _K.file_rows(lam, moved, unit, 1 << K, frontier.buckets)
     if not check:
         return None
-    U1, C1 = prep.potential(lam, k - 1)
+    U1, C1 = prep.potential(lam, K)
     if U1 - eta * C1 < U0 - eta * C0 - delta * (U0 + eta * C0):
         raise RoundingInvariantError(
             f"rounding step lost too much potential: "
@@ -315,9 +359,10 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
     """``round_to_integral`` on a packed valuation; returns the labeling and
     its exact (u, c), which is None when unchecked steps ran.
 
-    The normalized assignment is converted once to the rows of ``prep``;
-    every step rounds those rows in place, and the labeling is read off
-    the final one-hot rows."""
+    The normalized assignment is converted once to the rows of ``prep``,
+    numerators over its 2^k for the whole schedule; every step rounds the
+    rows of the frontier in place, and the labeling is read off the final
+    one-hot rows."""
     eps = Fraction(eps)
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
@@ -331,17 +376,19 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
         raise RoundingInvariantError(
             f"precondition u - c >= mu*u violated: {U0 - C0} < {mu * U0}")
     if k == 0:
-        return _labeling(prep, rows), (U0, C0)
+        return _labeling(prep, rows, k), (U0, C0)
     delta = eps * mu / (6 * k)
     if engine is not None:
         # pipelined initial fractional-value broadcast
         engine.account(min(2 * prep.L + 2, (1 << min(k, 20)) * 8), rounds=k)
     phi0 = U0 - (1 + eps * mu / 2) * C0
     uc = (U0, C0)
+    frontier = _Frontier(rows, k)
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
         uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, estimate_mode,
-                           initial_coloring, engine, check=check, uc0=uc)
+                           initial_coloring, engine, check=check, uc0=uc,
+                           frontier=frontier)
         if check:
             Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
@@ -356,12 +403,14 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
         if Uf - Cf < (1 - eps) * (U0 - C0):
             raise RoundingInvariantError(
                 f"final guarantee failed: {Uf - Cf} < {(1 - eps) * (U0 - C0)}")
-    return _labeling(prep, rows), uc
+    return _labeling(prep, rows, k), uc
 
 
-def _labeling(prep, rows):
-    """The labeling of one-hot rows of ``prep``: node -> its label."""
-    return {v: row.index(1) for v, row in zip(prep.nodes, rows)}
+def _labeling(prep, rows, k):
+    """The labeling of one-hot rows of ``prep`` over 2^k: node -> its
+    label."""
+    one = 1 << k
+    return {v: row.index(one) for v, row in zip(prep.nodes, rows)}
 
 
 def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,

@@ -116,7 +116,7 @@ def test_c1_rounding_step_lemma():
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
             U1, C1 = prep.potential({
-                v: [Fraction(x, 1 << (lam.k - 1)) for x in row]
+                v: [Fraction(x, 1 << lam.k) for x in row]
                 for v, row in zip(prep.nodes, rows)})
             assert (U1, C1) == uc1
             assert U1 - eta * C1 >= U0 - eta * C0 - delta * (U0 + eta * C0)

@@ -234,16 +234,19 @@ def test_backend_reports():
     assert BACKEND == "pure"
 
 
-def test_halve_assignment_checks_rows():
-    """Rows over 2^3 halve in place to rows over 2^2; an odd, a negative
-    or a wrong-sum row is rejected."""
-    lam = [[2, 6], [8, 0]]
-    pure.halve_assignment(2, 2, lam, 3)
-    assert lam == [[1, 3], [4, 0]]
-    cases = [([3, 5], "odd"), ([10, -2], "negative"), ([2, 4], "sum")]
+def test_file_rows_checks_moved_rows():
+    """Rows over 2^3 that a step at unit 2 moved are filed under their
+    lowest set bit, one-hot rows left out; a row that still holds bit 2,
+    holds a negative entry or sums to another total is rejected."""
+    lam = [[4, 4], [8, 0], [2, 6], [0, 8]]
+    assert pure.file_rows(lam, [0, 1, 3], 2, 8, {}) == {4: [0]}
+    assert pure.file_rows(lam, range(4), 0, 8, {4: [5]}) == {4: [5, 0],
+                                                            2: [2]}
+    cases = [([2, 6], "holds bit 2"), ([12, -4], "negative"),
+             ([4, 8], "sum")]
     for row, msg in cases:
         with pytest.raises(AssertionError, match=msg):
-            pure.halve_assignment(2, 2, [[4, 4], row], 3)
+            pure.file_rows([[4, 4], row], [0, 1], 2, 8, {})
 
 
 def _random_tables(rng, L, m, kinds):
@@ -380,6 +383,30 @@ def test_table_kernel_outputs_are_pinned():
     kernels gave the same outputs on every trial, including the ones whose
     values leave the range of 64-bit integers."""
     assert kernel_digest() == KERNEL_DIGEST
+
+
+def test_color_loop_on_a_frontier_matches_the_full_loop():
+    """Rows scaled by 2^s and rounded at unit 2^s, visiting only the rows
+    that hold that bit in the order given, move exactly as the full loop
+    moves the unscaled rows, scaled, with the same (max_qbits, touched)."""
+    trials = itertools.chain(_multigraph_trials(random.Random(5)),
+                             _aligned_trials(random.Random(5)))
+    for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
+         en, ed, mode) in trials:
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
+        want_lam = [list(r) for r in lam]
+        want = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut, nct,
+                                        want_lam, k, colors, dn, dd, en, ed,
+                                        mode)
+        for s in (1, 3):
+            got_lam = [[x << s for x in r] for r in lam]
+            rows = [v for v in reversed(range(n))
+                    if any(x >> s & 1 for x in got_lam[v])]
+            got = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut,
+                                           nct, got_lam, k + s, colors, dn,
+                                           dd, en, ed, mode, 1 << s, rows)
+            assert got == want
+            assert got_lam == [[x << s for x in r] for r in want_lam]
 
 
 def test_pack_tables_keeps_nonzero_entries():

@@ -41,7 +41,7 @@ def test_evaluate_equal_label_indicator_uniform():
 
 def _step(g, val, lam, delta, eta, **kwargs):
     """One rounding step on the rows of ``lam``: returns the packing and
-    the rows after the step, numerators over 2^(lam.k - 1)."""
+    the rows after the step, still numerators over 2^lam.k but all even."""
     prep = R._Prepared(g, val)
     rows = prep.lam_array(lam)
     R.rounding_step(prep, rows, lam.k, delta, eta, **kwargs)
@@ -55,7 +55,7 @@ def test_rounding_step_node_utility_forces_argmax():
         2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
     lam = R.FractionalAssignment(2, 1, {7: (1, 1)})
     prep, rows = _step(g, val, lam, Fraction(0), Fraction(1))
-    assert rows[prep.index[7]] == [0, 1]
+    assert rows[prep.index[7]] == [0, 2]
     # and through the full schedule from half-half
     lam = R.FractionalAssignment(2, 4, {7: (8, 8)})
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1))
@@ -67,9 +67,9 @@ def test_rounding_step_noop_without_odd_multiples():
     val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
     lam = R.FractionalAssignment(2, 3, {1: (2, 6), 2: (4, 4)})
     prep, rows = _step(g, val, lam, Fraction(1, 2), Fraction(1))
-    assert all(sum(row) == 1 << 2 for row in rows)
+    assert all(sum(row) == 1 << 3 for row in rows)
     row1, row2 = rows[prep.index[1]], rows[prep.index[2]]
-    assert Fraction(row1[0], 4) == Fraction(2, 8) and Fraction(row2[0], 4) == Fraction(4, 8)
+    assert Fraction(row1[0], 8) == Fraction(2, 8) and Fraction(row2[0], 8) == Fraction(4, 8)
 
 
 def test_rounding_step_guarantee_cost_only_edge():
@@ -81,7 +81,7 @@ def test_rounding_step_guarantee_cost_only_edge():
     for mode in ("exact", "worst", "quantized"):
         _prep, rows = _step(g, val, lam, Fraction(1, 3), Fraction(2),
                             estimate_mode=mode)
-        assert all(sum(row) == 1 for row in rows)
+        assert all(sum(row) == 2 and row[0] % 2 == 0 for row in rows)
 
 
 def test_valuation_bound_check():
@@ -155,10 +155,10 @@ def test_step_invariants_fuzz(rng):
         for v in g.nodes:
             row = rows[prep.index[v]]
             # integrality doubling: the distributions survive over 2^(k-1)
-            assert sum(row) << 1 == tot
+            assert sum(row) == tot and all(x % 2 == 0 for x in row)
             for a in range(L):
                 # moves by at most one old-scale unit
-                assert abs((row[a] << 1) - lam.values[v][a]) <= 1
+                assert abs(row[a] - lam.values[v][a]) <= 1
 
 
 def _margin_scaled(g, val, lam, mu):
@@ -214,6 +214,24 @@ def test_schedule_rejects_malformed_initial_coloring():
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
                               initial_coloring={1: 0, 2: 1})
     assert ell[1] != ell[2]
+
+
+def test_step_rejects_malformed_initial_coloring():
+    """One public rounding step checks its start coloring: a missing node
+    raised KeyError, a monochromatic edge the misleading "lost too much
+    potential", and a negative color was accepted."""
+    g = two_node_graph()
+    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
+    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
+    cases = [({1: 0}, "misses node 2"), ({1: 0, 2: 0}, "both endpoints"),
+             ({1: -1, 2: 3}, "negative")]
+    for initial, msg in cases:
+        with pytest.raises(C.ColoringError, match=msg):
+            _step(g, val, lam, Fraction(1, 2), Fraction(1),
+                  initial_coloring=initial)
+    _prep, rows = _step(g, val, lam, Fraction(1, 2), Fraction(1),
+                        initial_coloring={1: 0, 2: 1})
+    assert sorted(map(sorted, rows)) == [[0, 2], [0, 2]]
 
 
 def test_integral_input_returned_unchanged():
@@ -392,6 +410,73 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 2)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
+
+
+def test_color_loop_visits_only_the_frontier(rng, monkeypatch):
+    """Over a schedule the color loop visits exactly the rows holding the
+    bit of its step's level, and the start coloring is checked once."""
+    counts = {"visits": 0, "pairs": 0, "rows": 0, "checks": 0}
+    loop = R._K.rounding_color_loop
+    check_initial = C._check_initial
+
+    def counted_loop(nv, L, *args):
+        lam, unit, rows = args[6], args[14], args[15]
+        holding = [v for v in range(nv) if any(x & unit for x in lam[v])]
+        assert sorted(rows) == holding
+        counts["visits"] += len(rows)
+        counts["pairs"] += len(holding)
+        counts["rows"] += nv
+        return loop(nv, L, *args)
+
+    def counted_check(*args):
+        counts["checks"] += 1
+        return check_initial(*args)
+
+    monkeypatch.setattr(R._K, "rounding_color_loop", counted_loop)
+    monkeypatch.setattr(C, "_check_initial", counted_check)
+    done = 0
+    while done < 8:
+        g, val, lam = _random_instance(rng, rng.randint(2, 15), 3, 5)
+        mu = Fraction(1, 4)
+        val = _margin_scaled(g, val, lam, mu)
+        if val is None or lam.normalize().k == 0:
+            continue
+        initial = C.linial_coloring(g).colors
+        counts["checks"] = 0
+        R.round_to_integral(g, val, lam, Fraction(1, 2), mu,
+                            initial_coloring=initial,
+                            estimate_mode=rng.choice(["exact", "quantized"]))
+        assert counts["checks"] == 1
+        done += 1
+    assert counts["visits"] == counts["pairs"] < counts["rows"]
+
+
+def test_step_weights_do_not_depend_on_the_fixed_denominator(
+        rng, monkeypatch):
+    """A step at denominator 2^k hands its coloring the edge weights of its
+    rows over 2^k, whatever fixed 2^K the schedule keeps them over, so the
+    coloring's estimates and bit counts are those of halved rows."""
+    seen = []
+    colors_for = C.defective_colors_for_rounding
+
+    def capture(pk, weights, *args):
+        seen.append(weights())
+        return colors_for(pk, weights, *args)
+
+    monkeypatch.setattr(C, "defective_colors_for_rounding", capture)
+    for _ in range(6):
+        g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
+        prep = R._Prepared(g, val)
+        initial = {v: (1 << 45) + 7 * c
+                   for v, c in C.linial_coloring(g).colors.items()}
+        for s in (0, 3):
+            rows = [[x << s for x in r] for r in prep.lam_array(lam)]
+            R.rounding_step(prep, rows, lam.k, Fraction(1, 10),
+                            Fraction(3, 2), initial_coloring=initial,
+                            check=False,
+                            frontier=R._Frontier(rows, lam.k + s))
+        assert seen[-1] == seen[-2]
+        assert g.n_edges() == 0 or any(seen[-1][0])
 
 
 def test_tables_packed_once_per_prepared(rng, monkeypatch):
