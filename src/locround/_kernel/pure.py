@@ -142,6 +142,9 @@ def poly_roots(f, p):
         raise ValueError("zero polynomial has every root")
     if len(f) == 1:
         return []
+    if len(f) == 2:
+        # f0 + f1 x has the one root -f0 / f1
+        return [-f[0] * pow(f[1], p - 2, p) % p]
     if p <= 512 or len(f) - 1 >= p:
         return [z for z in range(p) if _poly_eval(f, z, p) == 0]
     # monic

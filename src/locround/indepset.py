@@ -38,11 +38,24 @@ def is_valuation(h, weights):
     return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
 
 
+def _two_label_rows(x, nodes):
+    """node -> (1 - x_v, x_v) as Fractions, one row object per distinct
+    value, which preprocessing and the rational potential convert once."""
+    rows = {}
+    out = {}
+    for v in nodes:
+        row = rows.get(x[v])
+        if row is None:
+            xv = Fraction(x[v])
+            row = rows[x[v]] = (1 - xv, xv)
+        out[v] = row
+    return out
+
+
 def _uc_at(prep, x):
     """Exact (u, c) at the point x of the independent-set valuation packed
     in ``prep``."""
-    return prep.potential({v: (1 - Fraction(x[v]), Fraction(x[v]))
-                           for v in prep.nodes})
+    return prep.potential(_two_label_rows(x, prep.nodes))
 
 
 def extract_is(h, weights, x_int, uc=None):
@@ -105,7 +118,7 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     if U1 <= C1:
         raise ISInvariantError("shifted solution lost its margin")
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
-    lam_raw = {v: (1 - xs[v], xs[v]) for v in h.nodes}
+    lam_raw = _two_label_rows(xs, h.nodes)
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, uc = _rounding.round_fractional(
         h, prep.val, lam_raw, eps, mu, 2, estimate_mode=estimate_mode,

@@ -55,11 +55,15 @@ def simplex_max(c, A, b, max_pivots=200_000):
     the ratio test read only true values, so the pivot sequence does not
     depend on how the input is scaled.
 
-    Returns (optimum, x, y) as Fractions, y the optimal dual (min y.b,
-    y A >= c, y >= 0), once an exact optimality certificate holds: primal
-    and dual feasibility, y >= 0 and equal objectives, checked in integers
-    on the caller's coefficients scaled by the LCM ``den`` of all their
-    denominators.  Raises LPUnbounded / LPInfeasible.
+    Returns the certified solution in integers, (cx, X, Y, prev, den):
+    the optimum is cx / (prev*den), x_j = X[j] / prev and
+    y_i = Y[i] / (prev*den), y the optimal dual (min y.b, y A >= c,
+    y >= 0).  ``den`` is the LCM of the denominators of all the caller's
+    coefficients and ``prev`` the final tableau denominator; neither is
+    reduced against the numerators.  The solution is returned once an
+    exact optimality certificate holds: primal and dual feasibility,
+    y >= 0 and equal objectives, checked in integers on den times the
+    caller's coefficients.  Raises LPUnbounded / LPInfeasible.
     """
     m = len(A)
     n = len(c)
@@ -67,12 +71,9 @@ def simplex_max(c, A, b, max_pivots=200_000):
     for v in itertools.chain(c, b, *(row.values() for row in A)):
         den = math.lcm(den, v.denominator)
 
-    def scaled(v):
-        return v.numerator * (den // v.denominator)
-
-    ci = [scaled(v) for v in c]
-    bi = [scaled(v) for v in b]
-    rows = [{j: scaled(a) for j, a in row.items() if a} for row in A]
+    ci = [_scaled(v, den) for v in c]
+    bi = [_scaled(v, den) for v in b]
+    rows = [{j: _scaled(a, den) for j, a in row.items() if a} for row in A]
 
     neg = [i for i in range(m) if bi[i] < 0]
     negset = set(neg)
@@ -241,27 +242,46 @@ def simplex_max(c, A, b, max_pivots=200_000):
     cx = sum(cj * xj for cj, xj in zip(ci, X) if xj)
     if sum(yi * bv for yi, bv in zip(Y, bi) if yi) != den * cx:
         raise AssertionError("duality gap after solve")
-    return (Fraction(cx, prev * den), [Fraction(xj, prev) for xj in X],
-            [Fraction(yi, prev * den) for yi in Y])
+    return cx, X, Y, prev, den
+
+
+def _scaled(v, den):
+    """``den`` times the int or Fraction ``v``, for ``den`` a multiple of
+    its denominator."""
+    return v.numerator * (den // v.denominator)
 
 
 def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
     """Exact LP optimum; ``max c.x, Ax <= b`` or ``min c.x, Ax >= b``
     (both with x >= 0), ``A`` given as sparse rows ``{column: coefficient}``
-    as in ``simplex_max``.  Unbounded and infeasible are reported
-    distinctly."""
+    as in ``simplex_max``.  Returns (optimum, x, y) as Fractions, y the
+    optimal dual.  Unbounded and infeasible are reported distinctly."""
     if len(objective) > budget.max_lp_vars:
         raise OverBudget(f"{len(objective)} variables over LP budget")
     if sense == "max":
-        return simplex_max(objective, A, b)
-    # min c.x, Ax >= b, x >= 0  solved through its dual max b.y, A^T y <= c
+        num, x, y, prev, den = simplex_max(objective, A, b)
+        xden, yden = prev, prev * den
+    else:
+        num, x, y, prev, den = _min_lp(objective, A, b)
+        xden, yden = prev * den, prev
+    return (Fraction(num, prev * den), [Fraction(v, xden) for v in x],
+            [Fraction(v, yden) for v in y])
+
+
+def _min_lp(objective, A, b):
+    """min c.x, Ax >= b, x >= 0, solved through its dual max b.y,
+    A^T y <= c by ``simplex_max``, whose dual is x.  Returns the integers
+    (num, X, Y, prev, den) of that solve: the optimum is num / (prev*den),
+    x_j = X[j] / (prev*den) and y_i = Y[i] / prev.  The recovered x is
+    checked feasible and of the optimal cost, in integers on den times the
+    coefficients."""
     At = [{} for _ in objective]
     for i, row in enumerate(A):
         for j, a in row.items():
             if a:
                 At[j][i] = a
     try:
-        opt, y, x = simplex_max(b, At, objective)
+        num, y, x, prev, den = simplex_max(b, At, objective)
     except LPUnbounded as exc:
         raise LPInfeasible("primal infeasible (dual unbounded)") from exc
     except LPInfeasible as exc:
@@ -271,12 +291,15 @@ def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
                     [{j: -a for j, a in row.items()} for row in A],
                     [-bv for bv in b])
         raise LPUnbounded("primal unbounded (dual infeasible)") from exc
+    D = prev * den
     for row, bv in zip(A, b):
-        if sum(a * x[j] for j, a in row.items() if a and x[j]) < bv:
+        if sum(_scaled(a, den) * x[j] for j, a in row.items()
+               if a and x[j]) < _scaled(bv, den) * D:
             raise AssertionError("recovered primal infeasible")
-    if sum(cj * xj for cj, xj in zip(objective, x) if cj and xj) != opt:
+    if sum(_scaled(cj, den) * xj for cj, xj in zip(objective, x)
+           if cj and xj) != den * num:
         raise AssertionError("duality gap in min recovery")
-    return opt, x, y
+    return num, x, y, prev, den
 
 
 def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
@@ -301,11 +324,11 @@ def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
     opt = Fraction(0)
     x = {}
     for comp in _graph_components(g):
-        o, xs, _y = simplex_max([w.get(v, 0) for v in comp],
-                                _closed_neighborhood_rows(g, comp),
-                                [1] * len(comp))
-        opt += o
-        x.update(zip(comp, xs))
+        num, xs, _y, prev, den = simplex_max(
+            [w.get(v, 0) for v in comp], _closed_neighborhood_rows(g, comp),
+            [1] * len(comp))
+        opt += Fraction(num, prev * den)
+        x.update((v, Fraction(xv, prev)) for v, xv in zip(comp, xs))
     return opt, {v: x[v] for v in nodes}
 
 
@@ -366,7 +389,12 @@ def setcover_lp(inst, costs=None, budget=DEFAULT_BUDGET):
     """Exact fractional set cover optimum: min sum cost(v) x_v with every
     element covered at least once.  ``costs`` maps every set to its cost
     and defaults to the instance's costs.  Solved per connected component
-    over sparse 0/1 rows.  Returns (optimum, x dict)."""
+    over sparse 0/1 rows.
+
+    Returns (optimum, x): the optimum a Fraction, and x[v] = (numerator,
+    D) for every set v of an element, its value numerator / D with D the
+    unreduced denominator of v's component.  All sets of one element
+    share D, so per-element sums are integer sums over D."""
     if costs is None:
         costs = inst.costs
     x = {}
@@ -376,10 +404,11 @@ def setcover_lp(inst, costs=None, budget=DEFAULT_BUDGET):
             raise OverBudget("set cover LP over budget")
         sidx = {v: j for j, v in enumerate(sets_)}
         A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
-        o, xs, _y = exact_lp([costs[v] for v in sets_], A, [1] * len(els),
-                             sense="min", budget=budget)
-        opt += o
-        x.update(zip(sets_, xs))
+        num, xs, _y, prev, den = _min_lp([costs[v] for v in sets_], A,
+                                         [1] * len(els))
+        D = prev * den
+        opt += Fraction(num, D)
+        x.update((v, (xv, D)) for v, xv in zip(sets_, xs))
     return opt, x
 
 

@@ -198,13 +198,20 @@ class _Prepared(_coloring._Packing):
                                      self.tables, self.nut, self.nct, lam, k)
             D = 1 << k
         else:
-            # integer numerators over the least common denominator D.  The
-            # kernel scales node terms by 2^k, so they are added here, at
-            # scale D.
-            rows = [[Fraction(x) for x in lam[v]] for v in self.nodes]
-            D = math.lcm(*(x.denominator for row in rows for x in row))
-            arr = [[x.numerator * (D // x.denominator) for x in row]
-                   for row in rows]
+            # integer numerators over the least common denominator D, each
+            # row object converted once.  The kernel scales node terms by
+            # 2^k, so they are added here, at scale D.
+            rows = [lam[v] for v in self.nodes]
+            distinct = {}
+            for row in rows:
+                if id(row) not in distinct:
+                    distinct[id(row)] = [Fraction(x) for x in row]
+            D = math.lcm(*(x.denominator for fr in distinct.values()
+                           for x in fr))
+            for key, fr in distinct.items():
+                distinct[key] = [x.numerator * (D // x.denominator)
+                                 for x in fr]
+            arr = [distinct[id(row)] for row in rows]
             U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
                                      self.tables, None, None,
                                      arr, D.bit_length())
@@ -427,21 +434,28 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
-    # each node's values as integer numerators over their common denominator
+    # each row's values as integer numerators over their common
+    # denominator, converted once per row object (MIS and set cover give
+    # every node with the same values one shared row); an entry keeps its
+    # row, so no id is reused while ``distinct`` lives
+    distinct = {}
     rows = []
     actual_min = None
     for v, nums in lam_raw.items():
-        fr = [Fraction(x) for x in nums]
-        D = math.lcm(*(x.denominator for x in fr))
-        N = [x.numerator * (D // x.denominator) for x in fr]
-        if sum(N) != D:
-            raise ValueError("input distributions must sum to 1")
-        if any(x < 0 for x in N):
-            raise ValueError("negative fractional value")
-        m = min((x for x in N if x), default=0)
-        if m and (actual_min is None or Fraction(m, D) < actual_min):
-            actual_min = Fraction(m, D)
-        rows.append((v, D, N))
+        hit = distinct.get(id(nums))
+        if hit is None:
+            fr = [Fraction(x) for x in nums]
+            D = math.lcm(*(x.denominator for x in fr))
+            N = [x.numerator * (D // x.denominator) for x in fr]
+            if sum(N) != D:
+                raise ValueError("input distributions must sum to 1")
+            if any(x < 0 for x in N):
+                raise ValueError("negative fractional value")
+            m = min((x for x in N if x), default=0)
+            if m and (actual_min is None or Fraction(m, D) < actual_min):
+                actual_min = Fraction(m, D)
+            hit = distinct[id(nums)] = [nums, D, N, None]
+        rows.append((v, hit))
     if actual_min is None:
         actual_min = Fraction(1)
     if lam_min is None:
@@ -456,8 +470,8 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
     while (1 << k) < target:
         k += 1
     two_k = 1 << k
-    values = {}
-    for v, D, N in rows:
+    for hit in distinct.values():
+        _nums, D, N, _out = hit
         floors = []
         rems = []
         for a, x in enumerate(N):
@@ -474,9 +488,9 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
             raise AssertionError("not enough fractional mass to rebalance")
         for j in range(deficit):
             floors[rems[j][1]] += 1
-        values[v] = tuple(floors)
-    out = FractionalAssignment(nlabels, k, values)
-    for v, D, N in rows:
+        hit[3] = tuple(floors)
+    out = FractionalAssignment(nlabels, k, {v: hit[3] for v, hit in rows})
+    for v, (_nums, D, N, _out) in rows:
         for x, y in zip(N, out.values[v]):
             if x == 0 and y != 0:
                 raise AssertionError("zero value moved")

@@ -3,7 +3,11 @@
 From a 2-approximate fractional cover x0, the algorithm scales
 x = x0/10 (zeroing values at most 1/(2t)), picks per element a greedy set
 family N*(u) with mass in [1/20, 1/5], and runs tau = ceil(log_1.01 s)
-rounding iterations.  Iteration i rounds x against
+rounding iterations.  Up to the rounding, x0 and x are integer pairs
+(numerator, denominator), all sets of one element sharing the
+denominator: the LP's per-component denominator D for x0 (a power of two
+under central-approx), 10 D for x.  Every pre-rounding condition is an
+integer comparison.  Iteration i rounds x against
 
     u(x~) = g_i * sum_{u in U_i} sum_{v in N*(u)} x~_v + 10 * sum_v w(v) x'_v
     c(x~) = g_i * sum_{u in U_i} sum_{v != v' in N*(u)} x~_v x~_v' + sum_v w(v) x~_v
@@ -45,53 +49,82 @@ def fractional_cover(inst, backend="central-exact", weighted=False,
 
     Both backends start from the exact LP optimum for the costs being
     minimised (set costs if ``weighted``, else unit costs).  central-exact:
-    that optimum (factor 1).  central-approx: it rounded up to powers of two
-    (factor 2, dyadic values).
-    Returns (x0, factor, opt_bound) with opt_bound = total cost / factor a
-    certified lower bound on the fractional optimum.
+    that optimum capped at 1 (factor 1), over the LP's per-component
+    denominators.  central-approx: it rounded up to powers of two
+    (factor 2), 1 over 2^e written over the largest such 2^E.
+    Returns (x0, factor, opt_bound): x0[v] = (numerator, denominator) for
+    every set, all sets of one element sharing the denominator, and
+    opt_bound = total cost / factor a certified lower bound on the
+    fractional optimum.
     """
     cost = inst.costs if weighted else {v: 1 for v in inst.sets}
     _lp_opt, x = _oracle.setcover_lp(inst, cost, budget=budget)
     if backend == "central-exact":
-        x0 = {v: min(Fraction(1), x.get(v, Fraction(0))) for v in inst.sets}
-        factor = Fraction(1)
-    elif backend == "central-approx":
         x0 = {}
         for v in inst.sets:
-            xv = x.get(v, Fraction(0))
-            if xv == 0:
-                x0[v] = Fraction(0)
-            elif xv >= 1:
-                x0[v] = Fraction(1)
-            else:
-                e = 0
-                while Fraction(1, 1 << (e + 1)) >= xv:
-                    e += 1
-                x0[v] = Fraction(1, 1 << e)
+            n, d = x.get(v, (0, 1))
+            x0[v] = (min(n, d), d)
+        factor = Fraction(1)
+    elif backend == "central-approx":
+        # e is the largest e with 1/2^e >= x_v = n/d, that is 2^e <= d // n
+        exps = {}
+        for v in inst.sets:
+            n, d = x.get(v, (0, 1))
+            if n:
+                exps[v] = 0 if n >= d else (d // n).bit_length() - 1
+        top = max(exps.values(), default=0)
+        x0 = {v: (1 << (top - exps[v]) if v in exps else 0, 1 << top)
+              for v in inst.sets}
         factor = Fraction(2)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     for u in inst.elements:
-        if sum(x0[v] for v in inst.element_sets[u]) < 1:
+        nums, d = _element_values(inst, x0, u)
+        if sum(nums) < d:
             raise CoverInvariantError(f"backend cover misses element {u}")
-    total = sum(Fraction(cost[v]) * x0[v] for v in inst.sets)
-    return x0, factor, total / factor
+    return x0, factor, Fraction(*_total_cost(x0, cost)) / factor
+
+
+def _element_values(inst, x, u):
+    """The numerators of ``x`` over the sets of element ``u``, in
+    ``inst.element_sets[u]`` order, and their shared denominator."""
+    sets_ = inst.element_sets[u]
+    d = x[sets_[0]][1]
+    nums = []
+    for v in sets_:
+        n, dv = x[v]
+        if dv != d:
+            raise ValueError(f"sets of element {u} do not share a denominator")
+        nums.append(n)
+    return nums, d
+
+
+def _total_cost(x, cost):
+    """sum_v cost(v) x_v as (numerator, denominator) integers."""
+    by_den = {}
+    for v, (n, d) in x.items():
+        if n:
+            by_den[d] = by_den.get(d, 0) + cost[v] * n
+    den = math.lcm(*by_den)
+    return sum(s * (den // d) for d, s in by_den.items()), den
 
 
 def build_scaled_x(x0, inst):
-    """x = x0/10 unless x0 <= 1/(2t); asserts (frac0) and (frac1)."""
+    """x = x0/10 unless x0 <= 1/(2t), as (numerator, 10 * denominator)
+    pairs over the denominators of x0; asserts (frac0) and (frac1)."""
     t = max(1, inst.t)
     x = {}
     for v in inst.sets:
-        if x0[v] <= Fraction(1, 2 * t):
-            x[v] = Fraction(0)
-        else:
-            x[v] = x0[v] / 10
-    for v in inst.sets:
-        if x[v] != 0 and not (Fraction(1, 20 * t) <= x[v] <= Fraction(1, 10)):
-            raise CoverInvariantError(f"(frac0) violated at set {v}: {x[v]}")
+        n, d = x0[v]
+        x[v] = (n if 2 * t * n > d else 0, 10 * d)
+    for v, (n, d) in x.items():
+        # 1/(20t) <= n/d <= 1/10
+        if n and not (d <= 20 * t * n and 10 * n <= d):
+            raise CoverInvariantError(
+                f"(frac0) violated at set {v}: {Fraction(n, d)}")
     for u in inst.elements:
-        if sum(x[v] for v in inst.element_sets[u]) < Fraction(1, 20):
+        nums, d = _element_values(inst, x, u)
+        if 20 * sum(nums) < d:
             raise CoverInvariantError(f"(frac1) violated at element {u}")
     return x
 
@@ -101,17 +134,20 @@ def select_n_star(inst, x):
     asserts (frac2)."""
     n_star = {}
     for u in inst.elements:
-        acc = Fraction(0)
+        nums, d = _element_values(inst, x, u)
+        acc = 0
         chosen = []
-        for v in inst.element_sets[u]:
-            if acc >= Fraction(1, 20):
+        for v, n in zip(inst.element_sets[u], nums):
+            if 20 * acc >= d:
                 break
-            if x[v] == 0:
+            if n == 0:
                 continue
             chosen.append(v)
-            acc += x[v]
-        if not (Fraction(1, 20) <= acc <= Fraction(1, 5)):
-            raise CoverInvariantError(f"(frac2) violated at element {u}: {acc}")
+            acc += n
+        # 1/20 <= acc/d <= 1/5
+        if not (d <= 20 * acc and 5 * acc <= d):
+            raise CoverInvariantError(
+                f"(frac2) violated at element {u}: {Fraction(acc, d)}")
         n_star[u] = chosen
     return n_star
 
@@ -220,8 +256,9 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     x0, factor, opt_bound = fractional_cover(inst, backend, weighted, budget)
     engine.metrics.oracle_assisted = True       # both backends solve the LP
     x = build_scaled_x(x0, inst)
-    total_x_cost = sum(Fraction(cost[v]) * x[v] for v in inst.sets)
-    if 10 * total_x_cost > factor * opt_bound * 2:
+    xn, xd = _total_cost(x, cost)
+    total0 = factor * opt_bound
+    if 10 * xn * total0.denominator > 2 * total0.numerator * xd:
         raise CoverInvariantError("(frac3) violated")
     if not inst.elements:
         return [], engine.metrics, {"tau": 0, "opt_bound": opt_bound,
@@ -231,7 +268,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
         n_star = select_n_star(inst, x)
     except CoverInvariantError:
         t = max(1, inst.t)
-        v_out = sorted(v for v in inst.sets if x0[v] >= Fraction(1, t))
+        v_out = sorted(v for v, (n, d) in x0.items() if t * n >= d)
         if not _oracle.covers(inst, v_out):
             raise
         engine.metrics.objective = Fraction(sum(cost[v] for v in v_out))
@@ -241,7 +278,14 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     w_eff = W if weighted else 1
     tau = _tau_for(inst.s * w_eff if inst.s else 2)
     # one shared preprocessing of the scaled solution (valuation-independent)
-    lam_raw = {v: (1 - x[v], x[v]) for v in inst.sets}
+    rows = {}
+    lam_raw = {}
+    for v in inst.sets:
+        row = rows.get(x[v])
+        if row is None:
+            n, d = x[v]
+            row = rows[x[v]] = (Fraction(d - n, d), Fraction(n, d))
+        lam_raw[v] = row
     lam = _rounding.preprocess_fractional(
         lam_raw, Fraction(1, 200), Fraction(1, 2), 2, check=False)
     # element-coverage coefficient 20 W / 1.01^(tau-i): the 20 W factor makes
@@ -262,7 +306,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     phi = [g0 * len(inst.elements) + 3 * tau * opt_bound]
     uncovered = [len(u_live)]
     v_stages = []
-    chosen_cost = Fraction(0)
+    chosen_cost = 0
     for i in range(1, tau + 1):
         g_i = coefs[i]
         if not u_live:
@@ -271,7 +315,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
             v_i, u_next = cover_iteration(
                 inst, n_star, u_live, g_i, lam, cost, mode, engine,
                 agree_cache, initial_coloring, check=check)
-        ci = sum(Fraction(cost[v]) for v in v_i)
+        ci = sum(cost[v] for v in v_i)
         if check:
             lhs = g_i * (len(u_live) - len(u_next)) - ci
             rhs = Fraction(2, 100) * g_i * len(u_live) - 3 * opt_bound
@@ -297,8 +341,8 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     if check:
         if not _oracle.covers(inst, v_out):
             raise CoverInvariantError("output does not cover the universe")
-        out_cost = sum(Fraction(cost[v]) for v in v_out)
-        vpp_cost = sum(Fraction(cost[v]) for v in v_double if v not in set(v_prime))
+        out_cost = sum(cost[v] for v in v_out)
+        vpp_cost = sum(cost[v] for v in set(v_double).difference(v_prime))
         if weighted:
             if vpp_cost > opt_bound:
                 raise CoverInvariantError(

@@ -29,6 +29,41 @@ def test_poly_roots_vs_brute(rng):
         got = pure.poly_roots(f, p)
         want = sorted(z for z in range(p) if pure._poly_eval(f, z, p) == 0)
         assert got == want
+    # degree 1, below and above the brute-force bound of 512: the one root
+    for p in (101, 1009, 13829):
+        for _ in range(40):
+            f = [rng.randrange(p), rng.randrange(1, p)]
+            if rng.random() < 0.5:
+                f += [0] * rng.randint(1, 4)     # zero top coefficients
+            want = [z for z in range(p) if pure._poly_eval(f, z, p) == 0]
+            assert pure.poly_roots(f, p) == want
+            assert len(want) == 1
+
+
+def test_edge_agreements_vs_brute(rng):
+    def values(c, q, d):
+        digits = [(c // q ** i) % q for i in range(d + 1)]
+        return [sum(a * z ** i for i, a in enumerate(digits)) % q
+                for z in range(q)]
+
+    for q, d, span in ((29, 2, 29 ** 2), (109, 9, 3300), (13, 3, 13 ** 4),
+                       (101, 1, 101 ** 2)):
+        n = 30
+        colors = [rng.randrange(span) for _ in range(n)]
+        colors[1] = colors[0]                   # one monochromatic edge
+        eu = [0] + [rng.randrange(n) for _ in range(60)]
+        ev = [1] + [rng.randrange(n) for _ in range(60)]
+        cache = {}
+        got = pure.edge_agreements(eu, ev, colors, q, d, cache)
+        for u, v, agree in zip(eu, ev, got):
+            if colors[u] == colors[v]:
+                assert agree is None
+                continue
+            fu = values(colors[u], q, d)
+            fv = values(colors[v], q, d)
+            assert agree == [z for z in range(q) if fu[z] == fv[z]]
+        # a second walk reads the cache and returns the same positions
+        assert pure.edge_agreements(eu, ev, colors, q, d, cache) == got
 
 
 def test_poly_roots_large_prime():

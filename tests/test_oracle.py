@@ -94,8 +94,11 @@ def test_per_component_lps_match_whole_system(rng):
         w = {v: rng.choice([0, 0, 1, 3, Fraction(7, 2)]) for v in nodes}
         idx = {v: i for i, v in enumerate(nodes)}
         rows = [{idx[u]: 1 for u in [v] + g.neighbors(v)} for v in nodes]
-        opt, x, y = O.simplex_max([w[v] for v in nodes], rows,
-                                  [1] * len(nodes))
+        num, X, Y, prev, den = O.simplex_max([w[v] for v in nodes], rows,
+                                             [1] * len(nodes))
+        opt = Fraction(num, prev * den)
+        x = [Fraction(xj, prev) for xj in X]
+        y = [Fraction(yi, prev * den) for yi in Y]
         assert O.packing_lp(g, weights=w) == (opt, dict(zip(nodes, x)))
         # the covering LP's optimum is the packing LP's dual
         assert O.dual_covering_lp(g, w) == (opt, dict(zip(nodes, y)))
@@ -197,9 +200,32 @@ def test_setcover_lp_feasible(rng):
                                3, 4, wmax=4)
         opt, x = O.setcover_lp(inst)
         for u in inst.elements:
-            assert sum(x[v] for v in inst.element_sets[u]) >= 1
+            nums, dens = zip(*(x[v] for v in inst.element_sets[u]))
+            assert len(set(dens)) == 1      # one denominator per component
+            assert sum(nums) >= dens[0]
         bopt, _ = O.brute_set_cover_opt(inst, weighted=True)
         assert opt <= bopt
+
+
+def test_setcover_lp_values_match_the_rational_lp(rng):
+    # the integer values equal the Fractions exact_lp returns for one
+    # rational min LP per component
+    for _ in range(8):
+        inst = random_setcover(rng, rng.randint(1, 12), rng.randint(1, 9),
+                               3, 4, wmax=rng.choice([1, 5]))
+        opt, x = O.setcover_lp(inst)
+        total = 0
+        for els, sets_ in O._components(inst):
+            sidx = {v: j for j, v in enumerate(sets_)}
+            A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
+            o, xs, _y = O.exact_lp([inst.costs[v] for v in sets_], A,
+                                   [1] * len(els), sense="min")
+            total += o
+            for v, xv in zip(sets_, xs):
+                assert Fraction(*x[v]) == xv
+        assert opt == total
+        assert set(x) == {v for u in inst.elements
+                          for v in inst.element_sets[u]}
 
 
 def test_scanners():

@@ -124,8 +124,8 @@ def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
         except SC.CoverInvariantError:
             continue
         lam = R.preprocess_fractional(
-            {v: (1 - x[v], x[v]) for v in inst.sets}, Fraction(1, 200),
-            Fraction(1, 2), 2, check=False)
+            {v: (1 - Fraction(*x[v]), Fraction(*x[v])) for v in inst.sets},
+            Fraction(1, 200), Fraction(1, 2), 2, check=False)
         tau = SC._tau_for(max(2, inst.s * wmax))
         for i in (1, tau // 2, tau):
             g_i = 20 * wmax * SC._g_coefficient(tau - i)
