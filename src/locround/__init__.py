@@ -2,7 +2,8 @@
 
 Library layout:
 
-- ``graph``: multigraphs, d2-multigraphs, set cover instances, ingestion
+- ``graph``: multigraphs with managed virtual edges, set cover instances,
+  ingestion, the line-graph view
 - ``sim``: synchronous round engine with LOCAL/CONGEST bit accounting
 - ``coloring``: proper / weighted defective / average defective colorings
 - ``rounding``: the generic rounding framework (step, schedule, preprocessing)

@@ -477,7 +477,13 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_graph.GraphFormatError, OSError) as exc:
+        # a bad input or a file that cannot be opened: one line and the
+        # usage status, as argparse gives for a bad argument
+        print(f"locround: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -107,13 +107,6 @@ class _Packing:
         colors = [initial[v] for v in self.nodes]
         return colors, max(colors) + 1
 
-    def max_degree(self):
-        degree = [0] * self.nv
-        for a, b in zip(self.eu, self.ev):
-            degree[a] += 1
-            degree[b] += 1
-        return max(degree, default=0)
-
     def mapping(self, colors):
         return dict(zip(self.nodes, colors))
 
@@ -266,7 +259,7 @@ def linial_coloring(g, initial=None, engine=None):
     if not pk.nodes:
         return ProperColoring({}, 1)
     _check_initial(g, initial)
-    colors, palette, rounds, max_bits = _proper(pk, initial, pk.max_degree())
+    colors, palette, rounds, max_bits = _proper(pk, initial, g.max_degree())
     if engine is not None:
         engine.account(max_bits, rounds)
     out = ProperColoring(pk.mapping(colors), palette, rounds)
@@ -443,5 +436,6 @@ def defective_colors_for_rounding(pk, weights, delta, factor2, initial):
 
 
 def proper_colors_for_rounding(pk, initial):
-    """Proper coloring over a packing (used by delta = 0 rounding)."""
-    return _proper(pk, initial, pk.max_degree())
+    """Proper coloring over a rounding packing, which keeps its graph as
+    ``pk.g`` (used by delta = 0 rounding)."""
+    return _proper(pk, initial, pk.g.max_degree())

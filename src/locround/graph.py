@@ -1,10 +1,12 @@
-"""Multigraphs, d2-multigraphs, set cover instances, and file ingestion.
+"""Multigraphs, set cover instances, file ingestion and the line-graph view.
 
 Nodes are identified by arbitrary non-negative 64-bit integers preserved
 from the input.  Edges are physical (endpoints adjacent in the underlying
 communication graph) or virtual (simulated by a manager node adjacent to
-both endpoints).  Instances are immutable after construction and safe to
-share between workers.
+both endpoints).  A builder of a d2-multigraph hands ``Multigraph`` the
+communication graph's adjacency, against which the constructor checks
+both kinds; the graph does not keep it.  Instances are immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ class Edge:
     manager: Optional[int] = None
     index: int = 0
 
-    def endpoints(self):
-        return (self.u, self.v)
-
     def other(self, x):
         return self.v if x == self.u else self.u
 
@@ -40,9 +39,12 @@ class Edge:
 class Multigraph:
     """Undirected multigraph with no self-loops over integer node ids.
 
-    ``comm_adjacency`` is the neighbor relation of the underlying
-    communication graph; physical edges run between comm-neighbors and each
-    virtual edge carries a manager comm-adjacent to both endpoints.
+    A caller that builds a d2-multigraph passes ``comm_adjacency``, the
+    neighbor relation of its communication graph (node -> set of
+    neighbors; managers may lie outside the node set).  The constructor
+    then checks the model: physical edges run between comm-neighbors and
+    each virtual edge's manager is comm-adjacent to both endpoints.  The
+    relation is not kept.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge],
@@ -59,45 +61,25 @@ class Multigraph:
                 raise GraphFormatError(f"edge {e.u}-{e.v} uses unknown node")
             if e.kind == VIRTUAL and e.manager is None:
                 raise GraphFormatError("virtual edge without manager")
-            if type(e) is not Edge or e.index != i:    # edges are frozen
-                e = Edge(e.u, e.v, e.kind, e.manager, i)
-            self.edges.append(e)
-        if comm_adjacency is None:
-            comm_adjacency = {v: set() for v in self.nodes}
-            for e in self.edges:
-                if e.kind == PHYSICAL:
-                    comm_adjacency[e.u].add(e.v)
-                    comm_adjacency[e.v].add(e.u)
-                elif e.manager is not None:
-                    comm_adjacency.setdefault(e.manager, set()).update((e.u, e.v))
-                    comm_adjacency[e.u].add(e.manager)
-                    comm_adjacency[e.v].add(e.manager)
-        # comm_adjacency may mention manager vertices outside the node set
-        # (the d2-multigraph nodes are a subset of the communication graph)
-        self.comm_adjacency = {v: frozenset(adj)
-                               for v, adj in comm_adjacency.items()}
-        for v in self.nodes:
-            self.comm_adjacency.setdefault(v, frozenset())
-        for e in self.edges:
-            if e.kind == PHYSICAL:
-                if e.v not in self.comm_adjacency[e.u]:
+            if comm_adjacency is not None and e.kind == PHYSICAL:
+                if e.v not in comm_adjacency.get(e.u, ()):
                     raise GraphFormatError(
                         f"physical edge {e.u}-{e.v} not comm-adjacent")
-            else:
-                if (e.u not in self.comm_adjacency[e.manager]
-                        or e.v not in self.comm_adjacency[e.manager]):
+            elif comm_adjacency is not None:
+                nbrs = comm_adjacency.get(e.manager, ())
+                if e.u not in nbrs or e.v not in nbrs:
                     raise GraphFormatError(
                         f"manager {e.manager} not adjacent to both endpoints "
                         f"of virtual edge {e.u}-{e.v}")
+            if type(e) is not Edge or e.index != i:    # edges are frozen
+                e = Edge(e.u, e.v, e.kind, e.manager, i)
+            self.edges.append(e)
         self._incident = {v: [] for v in self.nodes}
         for e in self.edges:
             self._incident[e.u].append(e)
             self._incident[e.v].append(e)
 
     # -- simple accessors ---------------------------------------------------
-
-    def __len__(self):
-        return len(self.nodes)
 
     def n_edges(self):
         return len(self.edges)
@@ -132,8 +114,6 @@ def simple_graph(nodes, pairs):
     seen = set()
     edges = []
     for u, v in pairs:
-        if u == v:
-            raise GraphFormatError(f"self-loop at node {u}")
         key = (min(u, v), max(u, v))
         if key in seen:
             continue
@@ -158,9 +138,6 @@ class WeightedGraph:
                 raise GraphFormatError(f"weight of node {v} must be a positive integer")
             self.weights[v] = int(w)
         self.W = max(self.weights.values(), default=1)
-
-    def weight(self, v):
-        return self.weights[v]
 
     def total_weight(self, nodes=None):
         it = self.graph.nodes if nodes is None else nodes
@@ -314,31 +291,6 @@ def parse_setcover(lines, path="<setcover>"):
 # ---------------------------------------------------------------------------
 
 
-def build_d2_multigraph(g: Multigraph, virtual_edge_spec):
-    """Extend ``g``'s physical edges with one virtual edge per (manager, pair).
-
-    ``virtual_edge_spec(manager) -> iterable of (u, v)`` must yield only
-    pairs of the manager's comm-neighbors.  Pairs repeated for the same
-    manager are aggregated (kept once).
-    """
-    edges = [e for e in g.edges if e.kind == PHYSICAL]
-    seen = set()
-    for w in g.nodes:
-        nbrs = g.comm_adjacency[w]
-        for (u, v) in virtual_edge_spec(w):
-            if u not in nbrs or v not in nbrs:
-                raise GraphFormatError(
-                    f"virtual pair ({u},{v}) not both adjacent to manager {w}")
-            if u == v:
-                raise GraphFormatError("virtual self-loop")
-            key = (w, min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(Edge(min(u, v), max(u, v), VIRTUAL, w))
-    return Multigraph(g.nodes, edges, dict(g.comm_adjacency))
-
-
 def line_graph_view(g: Multigraph):
     """Multigraph over the edges of ``g``: edge-nodes sharing an endpoint w
     are joined by a virtual edge managed by w.
@@ -351,17 +303,11 @@ def line_graph_view(g: Multigraph):
         raise GraphFormatError("line graph view requires a simple graph")
     base = (g.nodes[-1] + 1) if g.nodes else 0
     nodes = [base + e.index for e in g.edges]
-    comm = {i: set() for i in nodes}
-    for v in g.nodes:
-        comm[v] = set()
-    for e in g.edges:
-        en = base + e.index
-        for end in (e.u, e.v):
-            comm[en].add(end)
-            comm[end].add(en)
+    comm = {}           # an original node's comm-neighbors: its edge-nodes
     edges = []
     for v in g.nodes:
         inc = sorted(base + e.index for e in g.incident(v))
+        comm[v] = set(inc)
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
                 edges.append(Edge(inc[i], inc[j], VIRTUAL, v))

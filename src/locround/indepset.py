@@ -65,13 +65,10 @@ def extract_is(h, weights, x_int, uc=None):
     holds it."""
     selected = {v for v in h.nodes if x_int[v] == 1}
     survives = set(selected)
-    adj = {v: set() for v in h.nodes}
-    for e in h.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
     for v in selected:
         kv = (weights[v], v)
-        if any(u in selected and (weights[u], u) > kv for u in adj[v]):
+        if any(u in selected and (weights[u], u) > kv
+               for u in h.neighbors(v)):
             survives.discard(v)
     if uc is None:
         uc = _uc_at(_rounding._Prepared(h, is_valuation(h, weights)), x_int)
@@ -106,12 +103,7 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
         raise ISInvariantError(f"precondition u >= 2c violated: {U0} < {2 * C0}")
     if U0 == 0:
         return [], U0
-    degree = {v: 0 for v in h.nodes}
-    for e in h.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
-    dmax = max(degree.values(), default=0)
-    s = eps / (2 * max(dmax, 1))
+    s = eps / (2 * max(h.max_degree(), 1))
     xs = {v: (Fraction(x[v]) + s if Fraction(x[v]) + s <= 1 else Fraction(x[v]))
           for v in h.nodes}
     U1, C1 = _uc_at(prep, xs)
@@ -206,10 +198,6 @@ def local_ratio_combine(g, staged, weights):
 
     ``staged`` is the list [(I_i, w_i(I_i))] in forward order; asserts
     w(I) >= sum_i w_i(I_i) exactly."""
-    adj = {v: set() for v in g.nodes}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
     I = set()
     blocked = set()
     for (Ij, _val) in reversed(staged):
@@ -217,7 +205,7 @@ def local_ratio_combine(g, staged, weights):
             if v not in blocked:
                 I.add(v)
                 blocked.add(v)
-                blocked.update(adj[v])
+                blocked.update(g.neighbors(v))
     wI = sum(weights[v] for v in I)
     lower = sum(val for (_s, val) in staged)
     if wI < lower:
@@ -243,12 +231,8 @@ def _steps_for(eps, rho=Fraction(1, 4)):
 def _residual_weights(g, w_i, I_i):
     out = {}
     inI = set(I_i)
-    adj = {v: set() for v in g.nodes}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
     for u in g.nodes:
-        ded = sum(w_i[v] for v in (adj[u] | {u}) & inI)
+        ded = sum(w_i[v] for v in {u, *g.neighbors(u)} & inI)
         out[u] = max(0, w_i[u] - ded)
     return out
 

@@ -420,17 +420,17 @@ def _labeling(prep, rows, k):
     return {v: row.index(one) for v, row in zip(prep.nodes, rows)}
 
 
-def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
-                          g=None, val=None, check=True):
+def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
     """Round arbitrary rational distributions to a 1/2^k-integral assignment
     with 2^k the smallest power of two >= 9/(eps*mu*lam_min).
 
     Zero values stay zero; per node the values move by less than 2^-k and
-    keep their unit sum.  With a valuation given, both guarantees
+    keep their unit sum.  For any valuation with ``u - c >= mu*u`` on the
+    input, this gives
 
-        u' - c' >= (1-eps)(u - c)   and   u' - c' >= (mu/2) u'
+        u' - c' >= (1-eps)(u - c)   and   u' - c' >= (mu/2) u',
 
-    are asserted exactly (requires ``u - c >= mu*u`` on the input).
+    which ``_check_preprocessed`` asserts exactly.
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
@@ -496,9 +496,6 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None,
                 raise AssertionError("zero value moved")
             if abs(y * D - (x << k)) > D:
                 raise AssertionError("value moved by more than 2^-k")
-    if check and val is not None and g is not None:
-        prep = _Prepared(g, val)
-        _check_preprocessed(prep, prep.potential(lam_raw), out, eps, mu)
     return out
 
 
@@ -538,8 +535,7 @@ def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
         prep = _Prepared(g, val)
     if check and uc_raw is None:
         uc_raw = prep.potential(lam_raw)
-    lam = preprocess_fractional(lam_raw, eps / 2, mu, nlabels, lam_min,
-                                check=False)
+    lam = preprocess_fractional(lam_raw, eps / 2, mu, nlabels, lam_min)
     uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
            else None)
     ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, estimate_mode,
@@ -553,41 +549,3 @@ def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
             f"composed rounding guarantee failed: "
             f"{Uf - Cf} < {(1 - eps) * (U - C)}")
     return ell, ucf
-
-
-def valuation_to_json(g, val, lam=None):
-    """Serializable form: edge tables keyed by edge index, rationals as
-    "a/b" strings; inverse of the CLI `round` instance loader."""
-    def fr(x):
-        x = Fraction(x)
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-            else str(x.numerator)
-
-    def row(ints):
-        return [fr(Fraction(x, val.scale)) for x in ints]
-
-    L = val.nlabels
-    zero = (0,) * (L * L)
-    doc = {
-        "labels": L,
-        "nodes": [int(v) for v in g.nodes],
-        "edges": [],
-        "node_utility": {str(v): row(r)
-                         for v, r in sorted(val.node_utility.items())},
-        "node_cost": {str(v): row(r)
-                      for v, r in sorted(val.node_cost.items())},
-    }
-    for e in g.edges:
-        tu = val.edge_utility.get(e.index, zero)
-        tc = val.edge_cost.get(e.index, zero)
-        doc["edges"].append({
-            "index": e.index, "u": e.u, "v": e.v,
-            "manager": e.manager,
-            "utility": [row(tu[a * L:(a + 1) * L]) for a in range(L)],
-            "cost": [row(tc[a * L:(a + 1) * L]) for a in range(L)],
-        })
-    if lam is not None:
-        doc["assignment"] = {
-            str(v): [fr(Fraction(x, 1 << lam.k)) for x in nums]
-            for v, nums in sorted(lam.values.items())}
-    return doc

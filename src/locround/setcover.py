@@ -7,7 +7,9 @@ rounding iterations.  Up to the rounding, x0 and x are integer pairs
 (numerator, denominator), all sets of one element sharing the
 denominator: the LP's per-component denominator D for x0 (a power of two
 under central-approx), 10 D for x.  Every pre-rounding condition is an
-integer comparison.  Iteration i rounds x against
+integer comparison, and a failed one raises.  (frac2) cannot fail once
+(frac1) holds: x0 <= 1 keeps every nonzero x at most 1/10, so the greedy
+stops below 3/20.  Iteration i rounds x against
 
     u(x~) = g_i * sum_{u in U_i} sum_{v in N*(u)} x~_v + 10 * sum_v w(v) x'_v
     c(x~) = g_i * sum_{u in U_i} sum_{v != v' in N*(u)} x~_v x~_v' + sum_v w(v) x~_v
@@ -263,18 +265,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     if not inst.elements:
         return [], engine.metrics, {"tau": 0, "opt_bound": opt_bound,
                                     "phi": [], "uncovered": []}
-    # small-t fallback when the scaled solution lost feasibility margin
-    try:
-        n_star = select_n_star(inst, x)
-    except CoverInvariantError:
-        t = max(1, inst.t)
-        v_out = sorted(v for v, (n, d) in x0.items() if t * n >= d)
-        if not _oracle.covers(inst, v_out):
-            raise
-        engine.metrics.objective = Fraction(sum(cost[v] for v in v_out))
-        return v_out, engine.metrics, {"tau": 0, "opt_bound": opt_bound,
-                                       "phi": [], "uncovered": [],
-                                       "fallback": "small-t"}
+    n_star = select_n_star(inst, x)
     w_eff = W if weighted else 1
     tau = _tau_for(inst.s * w_eff if inst.s else 2)
     # one shared preprocessing of the scaled solution (valuation-independent)
@@ -287,7 +278,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
             row = rows[x[v]] = (Fraction(d - n, d), Fraction(n, d))
         lam_raw[v] = row
     lam = _rounding.preprocess_fractional(
-        lam_raw, Fraction(1, 200), Fraction(1, 2), 2, check=False)
+        lam_raw, Fraction(1, 200), Fraction(1, 2), 2)
     # element-coverage coefficient 20 W / 1.01^(tau-i): the 20 W factor makes
     # covering an element strictly dominate the cost of any single set in
     # late iterations, so the completion step V'' stays negligible

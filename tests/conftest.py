@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,3 +49,62 @@ def random_setcover(rng, ne, ns, t_cap, s_cap, wmax=1):
             deg_s[v] += 1
     costs = {v: rng.randint(1, wmax) for v in sets_} if wmax > 1 else {}
     return G.SetCoverInstance(els, sets_, inc, costs)
+
+
+def build_d2_multigraph(g, virtual_edge_spec):
+    """d2-multigraph over the simple graph ``g``: its edges plus one virtual
+    edge per (manager, pair).
+
+    ``virtual_edge_spec(manager) -> iterable of (u, v)`` must yield only
+    pairs of the manager's neighbors in ``g``; ``Multigraph`` checks that
+    against ``g``'s adjacency.  Pairs repeated for the same manager are
+    kept once.
+    """
+    edges = [e for e in g.edges if e.kind == G.PHYSICAL]
+    seen = set()
+    for w in g.nodes:
+        for (u, v) in virtual_edge_spec(w):
+            key = (w, min(u, v), max(u, v))
+            if key in seen:
+                continue
+            seen.add(key)
+            edges.append(G.Edge(key[1], key[2], G.VIRTUAL, w))
+    comm = {w: set(g.neighbors(w)) for w in g.nodes}
+    return G.Multigraph(g.nodes, edges, comm)
+
+
+def valuation_to_json(g, val, lam=None):
+    """The ``round`` instance document of ``(g, val, lam)``: edge tables
+    keyed by edge index, rationals as "a/b" strings."""
+    def fr(x):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
+            else str(x.numerator)
+
+    def row(ints):
+        return [fr(Fraction(x, val.scale)) for x in ints]
+
+    L = val.nlabels
+    zero = (0,) * (L * L)
+    doc = {
+        "labels": L,
+        "nodes": [int(v) for v in g.nodes],
+        "edges": [],
+        "node_utility": {str(v): row(r)
+                         for v, r in sorted(val.node_utility.items())},
+        "node_cost": {str(v): row(r)
+                      for v, r in sorted(val.node_cost.items())},
+    }
+    for e in g.edges:
+        tu = val.edge_utility.get(e.index, zero)
+        tc = val.edge_cost.get(e.index, zero)
+        doc["edges"].append({
+            "index": e.index, "u": e.u, "v": e.v,
+            "manager": e.manager,
+            "utility": [row(tu[a * L:(a + 1) * L]) for a in range(L)],
+            "cost": [row(tc[a * L:(a + 1) * L]) for a in range(L)],
+        })
+    if lam is not None:
+        doc["assignment"] = {
+            str(v): [fr(Fraction(x, 1 << lam.k)) for x in nums]
+            for v, nums in sorted(lam.values.items())}
+    return doc

@@ -21,6 +21,7 @@ from locround import oracle as O
 from locround import rounding as R
 from locround import setcover as SC
 from locround import sim as S
+from conftest import build_d2_multigraph
 
 
 def _report(num, name, detail):
@@ -176,7 +177,9 @@ def test_c3_preprocessing_lemma():
         if val is None:
             continue
         eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
-        R.preprocess_fractional(lam_fr, eps, mu, L, g=g, val=val)
+        out = R.preprocess_fractional(lam_fr, eps, mu, L)
+        prep = R._Prepared(g, val)
+        R._check_preprocessed(prep, prep.potential(lam_fr), out, eps, mu)
         done += 1
     _report(3, "preprocessing-lemma-exact",
             f"200 instances, {time.time() - t0:.1f}s")
@@ -191,9 +194,9 @@ def test_c4_defective_colorings():
         g = _graph(rng, n, 8, 0.15)
         if i % 4 == 0 and n >= 3:
             def spec(w, g=g):
-                nb = sorted(g.comm_adjacency[w])
+                nb = g.neighbors(w)
                 return [(nb[j], nb[j + 1]) for j in range(len(nb) - 1)]
-            g = G.build_d2_multigraph(g, spec)
+            g = build_d2_multigraph(g, spec)
         w = {e.index: Fraction(rng.randint(0, 9), rng.choice([1, 2]))
              for e in g.edges}
         delta = deltas[i % 4]

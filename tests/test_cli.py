@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from locround import cli, coloring as C, graph as G, oracle as O
+from conftest import valuation_to_json
 
 # one cost-10 set covers both elements; two cost-1 sets cover one each
 WEIGHTED_COVER = ("e 1\ne 2\ns 10 10\ns 11 1\ns 12 1\n"
@@ -123,7 +124,7 @@ def test_valuation_json_roundtrip(tmp_path):
     val = R.Valuation.from_fractions(
         2, eu, ec, node_utility={2: (Fraction(0), Fraction(3))})
     lam = R.FractionalAssignment(2, 2, {1: (1, 3), 2: (2, 2), 3: (4, 0)})
-    doc = R.valuation_to_json(g, val, lam)
+    doc = valuation_to_json(g, val, lam)
     p = tmp_path / "inst.json"
     p.write_text(_json.dumps(doc))
     g2, val2, lam2 = cli._load_rounding_instance(str(p))
@@ -272,6 +273,24 @@ def test_console_script_exits_zero(tmp_path):
         proc = _run_console_script(*argv)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
         assert json.loads(proc.stdout)["config"]["input"] == argv[-1]
+
+
+@pytest.mark.parametrize("text, argv, line", [
+    ("1 1\n", ["mis"], "g.edges:1: self-loop at node 1"),
+    ("n 1 0\n", ["wis", "--algo", "turan"],
+     "weight of node 1 must be a positive integer"),
+    (None, ["matching"], "No such file or directory"),
+], ids=["self-loop", "zero-weight", "missing-input"])
+def test_input_error_exits_two_with_one_line(tmp_path, text, argv, line):
+    g = tmp_path / "g.edges"
+    if text is not None:
+        g.write_text(text)
+    proc = _run_console_script(*argv, "--input", str(g))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("locround: error: ")
+    assert line in err[0]
 
 
 def test_setcover_unit_mode_on_weighted_input(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from locround import coloring as C, graph as G
-from conftest import random_simple_graph
+from conftest import build_d2_multigraph, random_simple_graph
 
 
 def unit_weights(g):
@@ -112,10 +112,10 @@ def test_defective_on_multigraph(rng):
     g = random_simple_graph(rng, 15, 5, 0.3)
 
     def spec(w, g=g):
-        nb = sorted(g.comm_adjacency[w])
+        nb = g.neighbors(w)
         return [(nb[i], nb[i + 1]) for i in range(len(nb) - 1)]
 
-    h = G.build_d2_multigraph(g, spec)
+    h = build_d2_multigraph(g, spec)
     w = rand_weights(rng, h)
     for agg in ("exact", "factor2"):
         ac = C.average_defective_coloring(h, w, Fraction(1, 4), aggregation=agg)

@@ -14,18 +14,18 @@ import random
 from fractions import Fraction
 
 from locround import coloring as C, graph as G
-from conftest import random_simple_graph
+from conftest import build_d2_multigraph, random_simple_graph
 
 DIGEST = "4f63ece1f9d8ecfd165a671cf313d64079f156bde65810e5d72d18e867d0a506"
 
 
 def _d2(rng, g):
     def spec(w):
-        nb = sorted(g.comm_adjacency[w])
+        nb = g.neighbors(w)
         return [(a, b) for i, a in enumerate(nb) for b in nb[i + 1:]
                 if rng.random() < 0.5]
 
-    return G.build_d2_multigraph(g, spec)
+    return build_d2_multigraph(g, spec)
 
 
 def _paths_and_cycles(rng):

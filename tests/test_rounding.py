@@ -248,7 +248,10 @@ def test_preprocess_example_third():
         2, {}, {}, node_utility={5: (Fraction(1), Fraction(1))})
     lam_raw = {5: (Fraction(1, 3), Fraction(2, 3))}
     out = R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2), 2,
-                                  lam_min=Fraction(1, 3), g=g, val=val)
+                                  lam_min=Fraction(1, 3))
+    prep = R._Prepared(g, val)
+    R._check_preprocessed(prep, prep.potential(lam_raw), out, Fraction(1, 2),
+                          Fraction(1, 2))
     # 2^k >= 9/(eps mu lam_min) = 108
     assert (1 << out.k) == 128
     assert sum(out.values[5]) == 128

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from locround import coloring as C, graph as G, rounding as R, sim
-from conftest import random_simple_graph
+from conftest import build_d2_multigraph, random_simple_graph
 
 DIGEST = "1d86e5149fa66aed9f4b63113130133f293b0f755861c7743fd373dc17d03c61"
 
@@ -30,11 +30,11 @@ SPREAD = 9221 * 18433 * 27653 * 36871
 
 def _d2(rng, g):
     def spec(w):
-        nb = sorted(g.comm_adjacency[w])
+        nb = g.neighbors(w)
         return [(a, b) for i, a in enumerate(nb) for b in nb[i + 1:]
                 if rng.random() < 0.5]
 
-    return G.build_d2_multigraph(g, spec)
+    return build_d2_multigraph(g, spec)
 
 
 def _valuation(rng, g, L, q=40):

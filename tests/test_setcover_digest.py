@@ -1,11 +1,11 @@
 """Pinned outputs of the full set cover algorithm.
 
-Checked ``set_cover`` runs on seeded instances, for every combination of
-unit and weighted costs, the central-exact and central-approx fractional
-backends and the LOCAL and CONGEST models, plus one instance forced onto
-the small-t fallback.  Every output set, tau, OPT_bound, the exact Phi
-trace, the uncovered counts and the engine's ``total_rounds`` and
-``max_bits_per_edge_round`` go into one sha256.
+Checked ``set_cover`` runs on seeded instances, three for every
+combination of unit and weighted costs, the central-exact and
+central-approx fractional backends and the LOCAL and CONGEST models.
+Every output set, tau, OPT_bound, the exact Phi trace, the uncovered
+counts and the engine's ``total_rounds`` and ``max_bits_per_edge_round``
+go into one sha256.
 """
 
 import hashlib
@@ -16,14 +16,13 @@ import random
 from locround import setcover as SC, sim
 from conftest import random_setcover
 
-DIGEST = "11126850b55c9103a65c2511bc39736b99ff55098fd098e316a4aad342849777"
+DIGEST = "db4d01d600fc21496abe6947cf15c9fc146fbbe8f2101872ecb625917835e159"
 
 
 def _record(V, metrics, info):
     return [V, info["tau"], str(info["opt_bound"]),
             [str(p) for p in info["phi"]], info["uncovered"],
-            info.get("fallback"), metrics.total_rounds,
-            metrics.max_bits_per_edge_round]
+            metrics.total_rounds, metrics.max_bits_per_edge_round]
 
 
 def _runs():
@@ -39,24 +38,12 @@ def _runs():
                                backend=backend)
 
 
-def _fallback_run(monkeypatch):
-    def no_n_star(inst, x):
-        raise SC.CoverInvariantError("(frac2) violated")
-
-    monkeypatch.setattr(SC, "select_n_star", no_n_star)
-    inst = random_setcover(random.Random(7), 12, 9, 3, 4)
-    return SC.set_cover(inst)
-
-
-def setcover_digest(monkeypatch):
+def setcover_digest():
     h = hashlib.sha256()
     for run in _runs():
         h.update(json.dumps(_record(*run)).encode())
-    fallback = _fallback_run(monkeypatch)
-    assert fallback[2]["fallback"] == "small-t"
-    h.update(json.dumps(_record(*fallback)).encode())
     return h.hexdigest()
 
 
-def test_setcover_outputs_are_pinned(monkeypatch):
-    assert setcover_digest(monkeypatch) == DIGEST
+def test_setcover_outputs_are_pinned():
+    assert setcover_digest() == DIGEST

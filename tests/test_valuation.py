@@ -7,7 +7,7 @@ from fractions import Fraction
 from locround import cli, graph as G, indepset as IS, mis as M
 from locround import rounding as R, setcover as SC
 from locround.mis import _adjacency
-from conftest import random_setcover, random_simple_graph
+from conftest import random_setcover, random_simple_graph, valuation_to_json
 
 
 def _fields(val):
@@ -27,7 +27,7 @@ def _json_round_trip(tmp_path, h, val):
     lam = R.FractionalAssignment.integral(val.nlabels,
                                           {v: 0 for v in h.nodes})
     path = tmp_path / "val.json"
-    path.write_text(json.dumps(R.valuation_to_json(h, val, lam)))
+    path.write_text(json.dumps(valuation_to_json(h, val, lam)))
     h2, val2, _lam = cli._load_rounding_instance(str(path))
     assert _packed(h2, val2) == _packed(h, val)
 
@@ -125,7 +125,7 @@ def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
             continue
         lam = R.preprocess_fractional(
             {v: (1 - Fraction(*x[v]), Fraction(*x[v])) for v in inst.sets},
-            Fraction(1, 200), Fraction(1, 2), 2, check=False)
+            Fraction(1, 200), Fraction(1, 2), 2)
         tau = SC._tau_for(max(2, inst.s * wmax))
         for i in (1, tau // 2, tau):
             g_i = 20 * wmax * SC._g_coefficient(tau - i)
