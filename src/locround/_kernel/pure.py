@@ -599,16 +599,18 @@ class Tables:
     whose utility or cost is nonzero, with a the label of ``eu[e]`` and b
     the label of ``ev[e]``.  Edges with equal tables share one tuple; an
     all-zero table gives the empty tuple.  ``inc[v * L + a]`` is a flat
-    list of ``other, manager, toward`` triples, one for every edge at node
-    v with a nonzero entry at v's label a; ``toward`` holds those entries
-    as ``(b, utility, cost)`` with b the label of ``other``.
+    list of ``other, manager, b, utility, cost`` quintuples, one for every
+    nonzero entry at node v's label a of an edge at v, with b the label of
+    ``other`` (the empty tuple when there is none).  ``managed`` tells
+    whether any of them has a manager (``manager >= 0``).
     """
 
-    __slots__ = ("entries", "inc")
+    __slots__ = ("entries", "inc", "managed")
 
-    def __init__(self, entries, inc):
+    def __init__(self, entries, inc, managed):
         self.entries = entries
         self.inc = inc
+        self.managed = managed
 
 
 def pack_tables(nv, L, eu, ev, mgr, ut, ct):
@@ -617,32 +619,39 @@ def pack_tables(nv, L, eu, ev, mgr, ut, ct):
     interned = {}
     entries = []
     inc = [()] * (nv * L)
+    managed = False
     for e in range(len(eu)):
         key = (ut[e], ct[e])
         hit = interned.get(key)
         if hit is None:
             ent = tuple((i // L, i % L, x, y)
                         for i, (x, y) in enumerate(zip(*key)) if x or y)
+            # per end: (own label, the entries toward the other end), for
+            # the labels that have some
             hit = interned[key] = (
                 ent,
-                [(a, tuple((b, x, y) for a_, b, x, y in ent if a_ == a))
-                 for a in range(L)],
-                [(b, tuple((a, x, y) for a, b_, x, y in ent if b_ == b))
-                 for b in range(L)])
+                [(a, t) for a in range(L)
+                 if (t := [(b, x, y) for a_, b, x, y in ent if a_ == a])],
+                [(b, t) for b in range(L)
+                 if (t := [(a, x, y) for a, b_, x, y in ent if b_ == b])])
         ent, toward_u, toward_v = hit
         entries.append(ent)
         if not ent:
             continue
+        man = mgr[e]
+        if man >= 0:
+            managed = True
         u = eu[e]
         v = ev[e]
         for node, other, toward in ((u, v, toward_u), (v, u, toward_v)):
             for a, t in toward:
-                if t:
-                    i = node * L + a
-                    if not inc[i]:
-                        inc[i] = []
-                    inc[i] += (other, mgr[e], t)
-    return Tables(entries, inc)
+                i = node * L + a
+                lst = inc[i]
+                if not lst:
+                    lst = inc[i] = []
+                for b, x, y in t:
+                    lst += (other, man, b, x, y)
+    return Tables(entries, inc, managed)
 
 
 def eval_potential(nv, L, eu, ev, tables, nut, nct, lam, k):
@@ -736,6 +745,8 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
     twok = 1 << k
     inc = tables.inc
     sixdd = 6 * delta_den
+    # without managed entries the quantized estimator is the exact one
+    per_manager = est_mode == 2 and tables.managed
     max_qbits = 1
     touched = 0
     order = range(nv) if rows is None else rows
@@ -754,33 +765,38 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
         phis = []
         for a in sv:
             # su, sc: lam-weighted utility and cost toward the other
-            # endpoints, plus 2^k times the node terms; in est_mode 2 the
-            # managed edges' sums go per manager instead
+            # endpoints, plus 2^k times the node terms; with per-manager
+            # estimates the managed entries' sums go per manager instead
             su = 0
             sc = 0
-            per_mgr = {} if est_mode == 2 else None
             it = iter(inc[row + a])
-            for u, man, toward in zip(it, it, it):
-                if colors[u] == gamma:
-                    continue
-                lu = lam[u]
-                ue = 0
-                ce = 0
-                for b, x, y in toward:
-                    lb = lu[b]
-                    if lb:
-                        ue += lb * x
-                        ce += lb * y
-                if per_mgr is not None and man >= 0:
+            if per_manager:
+                per_mgr = {}
+                for u, man, b, x, y in zip(it, it, it, it, it):
+                    if colors[u] == gamma:
+                        continue
+                    lb = lam[u][b]
+                    if not lb:
+                        continue
+                    if man < 0:
+                        su += lb * x
+                        sc += lb * y
+                        continue
                     slot = per_mgr.get(man)
                     if slot is None:
-                        per_mgr[man] = [ue, ce]
+                        per_mgr[man] = [lb * x, lb * y]
                     else:
-                        slot[0] += ue
-                        slot[1] += ce
-                else:
-                    su += ue
-                    sc += ce
+                        slot[0] += lb * x
+                        slot[1] += lb * y
+            else:
+                per_mgr = None
+                for u, _man, b, x, y in zip(it, it, it, it, it):
+                    if colors[u] == gamma:
+                        continue
+                    lb = lam[u][b]
+                    if lb:
+                        su += lb * x
+                        sc += lb * y
             if nu is not None:
                 su += twok * nu[a]
             if nc is not None:

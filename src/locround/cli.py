@@ -25,6 +25,10 @@ from . import setcover as _setcover
 from . import sim as _sim
 
 
+class UsageError(ValueError):
+    """An option value outside the range its algorithm accepts."""
+
+
 def _frac(s):
     return Fraction(s)
 
@@ -163,10 +167,28 @@ def cmd_matching(args):
     })
 
 
+# the --eps range of each wis algorithm: (upper end, whether it is included);
+# every range is open at 0.  basic and carowei round with a (1/2 - eps)
+# factor; beta and turan run the local-ratio ladder to (1 - eps).  lp4
+# runs at its own fixed eps.
+WIS_EPS = {"basic": (Fraction(1, 2), True), "carowei": (Fraction(1, 2), True),
+           "beta": (Fraction(1), False), "turan": (Fraction(1), False)}
+
+
+def _check_wis_eps(algo, eps):
+    if algo not in WIS_EPS:
+        return
+    hi, closed = WIS_EPS[algo]
+    if not (0 < eps and (eps <= hi if closed else eps < hi)):
+        raise UsageError(f"--eps {eps} is outside (0, {hi}{']' if closed else ')'}"
+                         f" for --algo {algo}")
+
+
 def cmd_wis(args):
+    eps = args.eps
+    _check_wis_eps(args.algo, eps)
     wg = _load_weighted(args.input)
     engine = _engine_for(wg.graph, args)
-    eps = args.eps
     cert = {}
     if args.algo == "basic":
         x = {v: Fraction(1, wg.graph.max_degree() + 1) for v in wg.graph.nodes}
@@ -479,9 +501,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (_graph.GraphFormatError, OSError) as exc:
-        # a bad input or a file that cannot be opened: one line and the
-        # usage status, as argparse gives for a bad argument
+    except (_graph.GraphFormatError, OSError, UsageError) as exc:
+        # a bad input, a file that cannot be opened or an option value out
+        # of range: one line and the usage status, as argparse gives for a
+        # bad argument
         print(f"locround: error: {exc}", file=sys.stderr)
         return 2
 

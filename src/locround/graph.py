@@ -3,16 +3,19 @@
 Nodes are identified by arbitrary non-negative 64-bit integers preserved
 from the input.  Edges are physical (endpoints adjacent in the underlying
 communication graph) or virtual (simulated by a manager node adjacent to
-both endpoints).  A builder of a d2-multigraph hands ``Multigraph`` the
-communication graph's adjacency, against which the constructor checks
-both kinds; the graph does not keep it.  Instances are immutable after
-construction and safe to share between workers.
+both endpoints).  An edge is an immutable named tuple that carries its
+position in the graph's edge list as ``index``; every builder here numbers
+its edges as it makes them, so ``Multigraph`` keeps them as they are.  A
+builder of a d2-multigraph hands ``Multigraph`` the communication graph's
+adjacency, against which the constructor checks both kinds; the graph
+does not keep it.  Instances are immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 MAX_ID = (1 << 63) - 1
 
@@ -24,8 +27,11 @@ class GraphFormatError(ValueError):
     """Raised on malformed instance files or invariant violations."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge: endpoints ``u`` and ``v``, ``kind`` PHYSICAL or VIRTUAL,
+    the ``manager`` of a virtual edge, and ``index``, the edge's position
+    in its graph's edge list."""
+
     u: int
     v: int
     kind: str = PHYSICAL
@@ -44,7 +50,8 @@ class Multigraph:
     neighbors; managers may lie outside the node set).  The constructor
     then checks the model: physical edges run between comm-neighbors and
     each virtual edge's manager is comm-adjacent to both endpoints.  The
-    relation is not kept.
+    relation is not kept.  An edge whose ``index`` is not its position
+    in ``edges`` is stored renumbered.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge],
@@ -52,32 +59,31 @@ class Multigraph:
         self.nodes = sorted(set(nodes))
         if self.nodes and (self.nodes[0] < 0 or self.nodes[-1] > MAX_ID):
             raise GraphFormatError("node ids must be in [0, 2^63)")
-        node_set = set(self.nodes)
-        self.edges = []
-        for i, e in enumerate(edges):
-            if e.u == e.v:
-                raise GraphFormatError(f"self-loop at node {e.u}")
-            if e.u not in node_set or e.v not in node_set:
-                raise GraphFormatError(f"edge {e.u}-{e.v} uses unknown node")
-            if e.kind == VIRTUAL and e.manager is None:
+        incident = self._incident = {v: [] for v in self.nodes}
+        comm = comm_adjacency
+        self.edges = list(edges)
+        for i, e in enumerate(self.edges):
+            u, v, kind, manager, index = e
+            if u == v:
+                raise GraphFormatError(f"self-loop at node {u}")
+            if u not in incident or v not in incident:
+                raise GraphFormatError(f"edge {u}-{v} uses unknown node")
+            if kind == VIRTUAL and manager is None:
                 raise GraphFormatError("virtual edge without manager")
-            if comm_adjacency is not None and e.kind == PHYSICAL:
-                if e.v not in comm_adjacency.get(e.u, ()):
+            if comm is not None and kind == PHYSICAL:
+                if v not in comm.get(u, ()):
                     raise GraphFormatError(
-                        f"physical edge {e.u}-{e.v} not comm-adjacent")
-            elif comm_adjacency is not None:
-                nbrs = comm_adjacency.get(e.manager, ())
-                if e.u not in nbrs or e.v not in nbrs:
+                        f"physical edge {u}-{v} not comm-adjacent")
+            elif comm is not None:
+                nbrs = comm.get(manager, ())
+                if u not in nbrs or v not in nbrs:
                     raise GraphFormatError(
-                        f"manager {e.manager} not adjacent to both endpoints "
-                        f"of virtual edge {e.u}-{e.v}")
-            if type(e) is not Edge or e.index != i:    # edges are frozen
-                e = Edge(e.u, e.v, e.kind, e.manager, i)
-            self.edges.append(e)
-        self._incident = {v: [] for v in self.nodes}
-        for e in self.edges:
-            self._incident[e.u].append(e)
-            self._incident[e.v].append(e)
+                        f"manager {manager} not adjacent to both endpoints "
+                        f"of virtual edge {u}-{v}")
+            if index != i:
+                e = self.edges[i] = e._replace(index=i)
+            incident[u].append(e)
+            incident[v].append(e)
 
     # -- simple accessors ---------------------------------------------------
 
@@ -95,10 +101,10 @@ class Multigraph:
 
     def is_simple_physical(self):
         seen = set()
-        for e in self.edges:
-            if e.kind != PHYSICAL:
+        for u, v, kind, _manager, _index in self.edges:
+            if kind != PHYSICAL:
                 return False
-            key = (min(e.u, e.v), max(e.u, e.v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 return False
             seen.add(key)
@@ -114,11 +120,12 @@ def simple_graph(nodes, pairs):
     seen = set()
     edges = []
     for u, v in pairs:
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
             continue
-        seen.add(key)
-        edges.append(Edge(key[0], key[1], PHYSICAL, None, len(edges)))
+        seen.add((u, v))
+        edges.append(Edge(u, v, PHYSICAL, None, len(edges)))
     return Multigraph(nodes, edges)
 
 
@@ -297,20 +304,22 @@ def line_graph_view(g: Multigraph):
 
     Edge-node ids are ``base + edge index`` with ``base`` past the largest
     original id, so managers (original nodes) and edge-nodes never collide.
+    Each virtual edge is built once, numbered as ``Multigraph`` keeps it.
     The returned graph carries ``edge_node_base`` for mapping back.
     """
     if not g.is_simple_physical():
         raise GraphFormatError("line graph view requires a simple graph")
     base = (g.nodes[-1] + 1) if g.nodes else 0
-    nodes = [base + e.index for e in g.edges]
+    nodes = range(base, base + len(g.edges))
     comm = {}           # an original node's comm-neighbors: its edge-nodes
     edges = []
     for v in g.nodes:
-        inc = sorted(base + e.index for e in g.incident(v))
+        # incidence lists are in edge-index order, so ``inc`` is ascending
+        inc = [base + e.index for e in g.incident(v)]
         comm[v] = set(inc)
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                edges.append(Edge(inc[i], inc[j], VIRTUAL, v))
+        for i, a in enumerate(inc):
+            for b in inc[i + 1:]:
+                edges.append(Edge(a, b, VIRTUAL, v, len(edges)))
     h = Multigraph(nodes, edges, comm)
     h.edge_node_base = base
     return h

@@ -38,18 +38,34 @@ def is_valuation(h, weights):
     return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
 
 
+def _per_value(x, nodes, make):
+    """{v: make(x[v]) for v in nodes}, calling ``make`` once per distinct
+    value.  A value object met before is found by its id, which costs no
+    hash of a Fraction; an equal value of another object by its value."""
+    by_id = {}
+    by_value = {}
+    out = {}
+    for v in nodes:
+        xv = x[v]
+        r = by_id.get(id(xv))
+        if r is None:
+            r = by_value.get(xv)
+            if r is None:
+                r = by_value[xv] = make(xv)
+            by_id[id(xv)] = r
+        out[v] = r
+    return out
+
+
+def _two_label_row(xv):
+    xv = Fraction(xv)
+    return 1 - xv, xv
+
+
 def _two_label_rows(x, nodes):
     """node -> (1 - x_v, x_v) as Fractions, one row object per distinct
     value, which preprocessing and the rational potential convert once."""
-    rows = {}
-    out = {}
-    for v in nodes:
-        row = rows.get(x[v])
-        if row is None:
-            xv = Fraction(x[v])
-            row = rows[x[v]] = (1 - xv, xv)
-        out[v] = row
-    return out
+    return _per_value(x, nodes, _two_label_row)
 
 
 def _uc_at(prep, x):
@@ -104,8 +120,12 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     if U0 == 0:
         return [], U0
     s = eps / (2 * max(h.max_degree(), 1))
-    xs = {v: (Fraction(x[v]) + s if Fraction(x[v]) + s <= 1 else Fraction(x[v]))
-          for v in h.nodes}
+
+    def shift(xv):
+        xv = Fraction(xv)
+        return xv + s if xv + s <= 1 else xv
+
+    xs = _per_value(x, h.nodes, shift)
     U1, C1 = _uc_at(prep, xs)
     if U1 <= C1:
         raise ISInvariantError("shifted solution lost its margin")
@@ -128,36 +148,48 @@ def fractional_matching_doubling_freeze(g):
     """Start every edge at the power of two <= 1/(2*Delta), then double all
     non-frozen edges until every edge has a saturated endpoint
     (node sum >= 1/4).  Returns {edge index: value}; asserts that 4y is a
-    feasible dual, so sum(y) >= S*/4 on the line graph."""
+    feasible dual, so sum(y) >= S*/4 on the line graph.
+
+    The values are integer numerators over 2^k, the start denominator, so
+    an endpoint saturates when 4 * sum >= 2^k.  An edge freezes once for
+    good, since sums only grow; each phase doubles the edges still live
+    and adds their old values to their endpoints' sums.  The returned
+    Fractions are one object per distinct value."""
     dmax = max((g.degree(v) for v in g.nodes), default=1)
     k = max(1, (2 * max(dmax, 1) - 1).bit_length())
-    y = {e.index: Fraction(1, 1 << k) for e in g.edges}
-    if not y:
-        return y
+    one = 1 << k
+    if not g.edges:
+        return {}
+    eu = [e.u for e in g.edges]
+    ev = [e.v for e in g.edges]
+    y = [1] * len(eu)
+    sums = dict.fromkeys(g.nodes, 0)
+    for u, v in zip(eu, ev):
+        sums[u] += 1
+        sums[v] += 1
+    live = range(len(eu))
     for _phase in range(k + 2):
-        sums = {v: Fraction(0) for v in g.nodes}
-        for e in g.edges:
-            sums[e.u] += y[e.index]
-            sums[e.v] += y[e.index]
-        frozen = {e.index: (sums[e.u] >= Fraction(1, 4)
-                            or sums[e.v] >= Fraction(1, 4))
-                  for e in g.edges}
-        if all(frozen.values()):
+        live = [i for i in live
+                if 4 * sums[eu[i]] < one and 4 * sums[ev[i]] < one]
+        if not live:
             break
-        for e in g.edges:
-            if not frozen[e.index]:
-                y[e.index] *= 2
-    sums = {v: Fraction(0) for v in g.nodes}
-    for e in g.edges:
-        sums[e.u] += y[e.index]
-        sums[e.v] += y[e.index]
-    for v in g.nodes:
-        if sums[v] > Fraction(1, 2):
-            raise ISInvariantError("doubling-freeze oversaturated a node")
-    for e in g.edges:
-        if 4 * max(sums[e.u], sums[e.v]) < 1:
+        for i in live:
+            yi = y[i]
+            sums[eu[i]] += yi
+            sums[ev[i]] += yi
+            y[i] = 2 * yi
+    # the checks read sums recomputed from the final values
+    sums = dict.fromkeys(g.nodes, 0)
+    for u, v, yi in zip(eu, ev, y):
+        sums[u] += yi
+        sums[v] += yi
+    if any(2 * s > one for s in sums.values()):
+        raise ISInvariantError("doubling-freeze oversaturated a node")
+    for u, v in zip(eu, ev):
+        if 4 * max(sums[u], sums[v]) < one:
             raise ISInvariantError("doubling-freeze left an unfrozen edge")
-    return y
+    value = {n: Fraction(n, one) for n in set(y)}
+    return {e.index: value[n] for e, n in zip(g.edges, y)}
 
 
 def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),

@@ -293,6 +293,40 @@ def test_input_error_exits_two_with_one_line(tmp_path, text, argv, line):
     assert line in err[0]
 
 
+@pytest.mark.parametrize("algo, eps, line", [
+    ("beta", "2", "--eps 2 is outside (0, 1) for --algo beta"),
+    ("beta", "1", "--eps 1 is outside (0, 1) for --algo beta"),
+    ("turan", "0", "--eps 0 is outside (0, 1) for --algo turan"),
+    ("carowei", "1", "--eps 1 is outside (0, 1/2] for --algo carowei"),
+    ("basic", "3/5", "--eps 3/5 is outside (0, 1/2] for --algo basic"),
+    ("basic", "0", "--eps 0 is outside (0, 1/2] for --algo basic"),
+])
+def test_wis_eps_out_of_range_exits_two_with_one_line(tmp_path, algo, eps,
+                                                      line):
+    g = tmp_path / "g.edges"
+    g.write_text("1 2\n2 3\n3 1\n")
+    proc = _run_console_script("wis", "--algo", algo, "--eps", eps,
+                               "--input", str(g))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"locround: error: {line}"]
+
+
+@pytest.mark.parametrize("algo, eps", [("basic", "1/2"), ("carowei", "1/2"),
+                                       ("beta", "99/100"), ("turan", "1/2"),
+                                       ("lp4", "7")])
+def test_wis_eps_in_range_runs(tmp_path, algo, eps):
+    """The upper ends that belong to a range run; lp4 runs at its own eps
+    whatever --eps says."""
+    g = tmp_path / "g.edges"
+    g.write_text("1 2\n2 3\n3 1\n")
+    rep = tmp_path / "wis.json"
+    assert cli.main(["--json", str(rep), "wis", "--algo", algo, "--eps", eps,
+                     "--input", str(g)]) == 0
+    doc = json.loads(rep.read_text())
+    assert len(doc["set"]) == 1
+    assert cli.main(["verify", str(rep)]) == 0
+
+
 def test_setcover_unit_mode_on_weighted_input(tmp_path):
     sc = tmp_path / "i.sc"
     sc.write_text(WEIGHTED_COVER)

@@ -452,9 +452,14 @@ def test_pack_tables_keeps_nonzero_entries():
     assert t.entries == [((1, 1, 5, 7),), ((1, 1, 5, 7),), (),
                          ((0, 0, 2, 0), (0, 1, 0, 3))]
     assert t.entries[0] is t.entries[1]
-    assert t.inc == [[2, -1, ((0, 2, 0),)],
-                     [1, -1, ((1, 5, 7),), 2, -1, ((0, 0, 3),)],
+    # flat (other, manager, b, utility, cost) quintuples per (node, label)
+    assert t.inc == [[2, -1, 0, 2, 0],
+                     [1, -1, 1, 5, 7, 2, -1, 0, 0, 3],
                      (),
-                     [0, -1, ((1, 5, 7),), 2, 0, ((1, 5, 7),)],
-                     [0, -1, ((0, 2, 0), (1, 0, 3))],
-                     [1, 0, ((1, 5, 7),)]]
+                     [0, -1, 1, 5, 7, 2, 0, 1, 5, 7],
+                     [0, -1, 0, 2, 0, 0, -1, 1, 0, 3],
+                     [1, 0, 1, 5, 7]]
+    assert t.managed
+    # a manager counts only on an edge with a nonzero entry
+    assert not pure.pack_tables(3, 2, [0, 1, 0, 2], [1, 2, 2, 0],
+                                [-1, -1, 1, -1], ut, ct).managed
