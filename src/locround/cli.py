@@ -167,26 +167,36 @@ def cmd_matching(args):
     })
 
 
+def _check_range(option, value, hi, closed, context=""):
+    """Raises ``UsageError`` unless ``value`` lies in (0, hi], or in
+    (0, hi) when the upper end is not ``closed``."""
+    if not (0 < value and (value <= hi if closed else value < hi)):
+        raise UsageError(f"{option} {value} is outside "
+                         f"(0, {hi}{']' if closed else ')'}{context}")
+
+
 # the --eps range of each wis algorithm: (upper end, whether it is included);
 # every range is open at 0.  basic and carowei round with a (1/2 - eps)
 # factor; beta and turan run the local-ratio ladder to (1 - eps).  lp4
-# runs at its own fixed eps.
+# runs at its own fixed eps and takes no --eps.
 WIS_EPS = {"basic": (Fraction(1, 2), True), "carowei": (Fraction(1, 2), True),
            "beta": (Fraction(1), False), "turan": (Fraction(1), False)}
-
-
-def _check_wis_eps(algo, eps):
-    if algo not in WIS_EPS:
-        return
-    hi, closed = WIS_EPS[algo]
-    if not (0 < eps and (eps <= hi if closed else eps < hi)):
-        raise UsageError(f"--eps {eps} is outside (0, {hi}{']' if closed else ')'}"
-                         f" for --algo {algo}")
+WIS_EPS_DEFAULT = Fraction(1, 10)
+LP4_EPS = Fraction(1, 5)
 
 
 def cmd_wis(args):
+    if args.algo == "lp4":
+        if args.eps is not None:
+            raise UsageError(f"--algo lp4 runs at eps = {LP4_EPS} and takes "
+                             f"no --eps")
+        args.eps = LP4_EPS
+    elif args.eps is None:
+        args.eps = WIS_EPS_DEFAULT
+    else:
+        _check_range("--eps", args.eps, *WIS_EPS[args.algo],
+                     f" for --algo {args.algo}")
     eps = args.eps
-    _check_wis_eps(args.algo, eps)
     wg = _load_weighted(args.input)
     engine = _engine_for(wg.graph, args)
     cert = {}
@@ -197,8 +207,8 @@ def cmd_wis(args):
         cert["u_of_x"] = _frac_str(u0)
         cert["bound"] = _frac_str((Fraction(1, 2) - eps) * u0)
     elif args.algo == "lp4":
-        I, sstar = _indepset.lp_guided_is(wg, eps=Fraction(1, 5),
-                                          engine=engine, mode=args.mode)
+        I, sstar = _indepset.lp_guided_is(wg, eps=eps, engine=engine,
+                                          mode=args.mode)
         cert["s_star"] = _frac_str(sstar)
         cert["bound"] = _frac_str(sstar / 4)
     elif args.algo == "beta":
@@ -253,6 +263,7 @@ def cmd_setcover(args):
 
 
 def cmd_color(args):
+    _check_range("--delta", args.delta, Fraction(1), True)
     wg = _load_weighted(args.input)
     g = wg.graph
     w = {e.index: Fraction(1) for e in g.edges}
@@ -290,20 +301,17 @@ def _defective_json(dc):
             "delta": _frac_str(dc.relative_defect), "certificate": cert}
 
 
-def _round_raw(lam):
-    return {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-            for v, nums in lam.values.items()}
-
-
 def cmd_round(args):
+    # eps = 0 leaves preprocessing no room to move a value onto a grid
+    _check_range("--eps", args.eps, Fraction(1), True)
+    _check_range("--mu", args.mu, Fraction(1), True)
     g, val, lam = _load_rounding_instance(args.valuation)
     engine = _engine_for(g, args)
-    lam_raw = _round_raw(lam)
     estimate = "quantized" if args.mode == _sim.CONGEST else "exact"
     prep = _rounding._Prepared(g, val)
-    U, C = prep.potential(lam_raw)
+    U, C = prep.potential(lam.values)
     ell, (Uf, Cf) = _rounding.round_fractional(
-        g, val, lam_raw, args.eps, args.mu, val.nlabels,
+        g, val, lam.values, args.eps, args.mu, val.nlabels,
         estimate_mode=estimate, engine=engine, prep=prep, uc_raw=(U, C))
     return _emit(args, {
         "algorithm": "round", "input": args.valuation,
@@ -396,7 +404,7 @@ def cmd_verify(args):
     elif algo == "round":
         g, val, lam = _load_rounding_instance(inp)
         prep = _rounding._Prepared(g, val)
-        U, C = prep.potential(_round_raw(lam))
+        U, C = prep.potential(lam.values)
         checks["fractional_uc"] = (Fraction(doc["fractional_u"]) == U
                                    and Fraction(doc["fractional_c"]) == C)
         ell = {int(v): a for v, a in doc["labels"].items()}
@@ -462,7 +470,8 @@ def main(argv=None):
     p.add_argument("--input", required=True)
     p.add_argument("--algo", choices=["basic", "lp4", "beta", "turan",
                                       "carowei"], required=True)
-    p.add_argument("--eps", type=_frac, default=Fraction(1, 10))
+    p.add_argument("--eps", type=_frac, default=None,
+                   help="default 1/10; lp4 runs at 1/5 and takes none")
     p.set_defaults(func=cmd_wis)
 
     p = sub.add_parser("setcover")
@@ -507,6 +516,10 @@ def main(argv=None):
         # bad argument
         print(f"locround: error: {exc}", file=sys.stderr)
         return 2
+    except _sim.BudgetExceeded as exc:
+        # a run that broke its --strict-budget: a failed check, status 1
+        print(f"locround: bit budget exceeded: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,40 +38,17 @@ def is_valuation(h, weights):
     return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
 
 
-def _per_value(x, nodes, make):
-    """{v: make(x[v]) for v in nodes}, calling ``make`` once per distinct
-    value.  A value object met before is found by its id, which costs no
-    hash of a Fraction; an equal value of another object by its value."""
-    by_id = {}
-    by_value = {}
-    out = {}
-    for v in nodes:
-        xv = x[v]
-        r = by_id.get(id(xv))
-        if r is None:
-            r = by_value.get(xv)
-            if r is None:
-                r = by_value[xv] = make(xv)
-            by_id[id(xv)] = r
-        out[v] = r
-    return out
+def _uc_at(prep, rows):
+    """Exact (u, c) of the independent-set valuation packed in ``prep`` at
+    the raw two-label rows ``rows``: (d - n, n) at x_v = n/d.  A function
+    of its own so that a traced benchmark run times it as a layer."""
+    return prep.potential(rows)
 
 
-def _two_label_row(xv):
-    xv = Fraction(xv)
-    return 1 - xv, xv
-
-
-def _two_label_rows(x, nodes):
-    """node -> (1 - x_v, x_v) as Fractions, one row object per distinct
-    value, which preprocessing and the rational potential convert once."""
-    return _per_value(x, nodes, _two_label_row)
-
-
-def _uc_at(prep, x):
-    """Exact (u, c) at the point x of the independent-set valuation packed
-    in ``prep``."""
-    return prep.potential(_two_label_rows(x, prep.nodes))
+def _rows_at(x, nodes):
+    """node -> (d - n, n), the raw two-label row of x_v = n/d."""
+    return {v: (xv.denominator - xv.numerator, xv.numerator)
+            for v, xv in zip(nodes, map(x.__getitem__, nodes))}
 
 
 def extract_is(h, weights, x_int, uc=None):
@@ -87,7 +64,8 @@ def extract_is(h, weights, x_int, uc=None):
                for u in h.neighbors(v)):
             survives.discard(v)
     if uc is None:
-        uc = _uc_at(_rounding._Prepared(h, is_valuation(h, weights)), x_int)
+        uc = _uc_at(_rounding._Prepared(h, is_valuation(h, weights)),
+                    _rows_at(x_int, h.nodes))
     U, C = uc
     wI = sum(weights[v] for v in survives)
     if wI < U - C:
@@ -103,8 +81,10 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     """Round a fractional solution with u(x) >= 2c(x) into an independent
     set of weight at least (1/2 - eps) u(x), asserted exactly.
 
-    Applies the x + eps/(2*Delta) utility shift (skipped where it would
-    exceed 1), then the preprocessing + rounding pipeline with
+    ``x`` maps each node to a rational in [0, 1] (a Fraction or an int),
+    read once by numerator and denominator into the raw row (d - n, n).
+    Applies the x + eps/(2*Delta) utility shift in integers (skipped where
+    it would exceed 1), then the preprocessing + rounding pipeline with
     mu = 1/2 - eps/2 (or the exact measured margin when smaller).
     ``prep`` is the packed independent-set valuation of ``(h, weights)``
     when the caller already holds it.
@@ -114,29 +94,32 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
         raise ValueError("eps must be in (0, 1/2]")
     if prep is None:
         prep = _rounding._Prepared(h, is_valuation(h, weights))
-    U0, C0 = _uc_at(prep, x)
+    rows = _rows_at(x, h.nodes)
+    U0, C0 = _uc_at(prep, rows)
     if U0 < 2 * C0:
         raise ISInvariantError(f"precondition u >= 2c violated: {U0} < {2 * C0}")
     if U0 == 0:
         return [], U0
     s = eps / (2 * max(h.max_degree(), 1))
-
-    def shift(xv):
-        xv = Fraction(xv)
-        return xv + s if xv + s <= 1 else xv
-
-    xs = _per_value(x, h.nodes, shift)
-    U1, C1 = _uc_at(prep, xs)
+    sn, sd = s.numerator, s.denominator
+    # x_v + s = (n sd + sn d) / (d sd), kept at x_v where it would exceed 1
+    shifted = {}
+    for v, (m, n) in rows.items():
+        d = m + n
+        t = n * sd + sn * d
+        shifted[v] = (d * sd - t, t) if t <= d * sd else (m, n)
+    U1, C1 = _uc_at(prep, shifted)
     if U1 <= C1:
         raise ISInvariantError("shifted solution lost its margin")
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
-    lam_raw = _two_label_rows(xs, h.nodes)
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, uc = _rounding.round_fractional(
-        h, prep.val, lam_raw, eps, mu, 2, estimate_mode=estimate_mode,
+        h, prep.val, shifted, eps, mu, 2, estimate_mode=estimate_mode,
         initial_coloring=initial_coloring, engine=engine, check=check,
         prep=prep, uc_raw=(U1, C1))
-    I = extract_is(h, weights, ell, _uc_at(prep, ell) if uc is None else uc)
+    if uc is None:
+        uc = _uc_at(prep, _rows_at(ell, h.nodes))
+    I = extract_is(h, weights, ell, uc)
     wI = sum(weights[v] for v in I)
     if check and wI < (Fraction(1, 2) - eps) * U0:
         raise ISInvariantError(
@@ -208,7 +191,7 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
     if sstar == 0:
         return [], sstar
     prep = _rounding._Prepared(g, is_valuation(g, w))
-    U, C = _uc_at(prep, xstar)
+    U, C = _uc_at(prep, _rows_at(xstar, g.nodes))
     if U < 2 * C:
         raise ISInvariantError("feasible LP point broke u >= 2c")
     n = max(1, len(g.nodes))

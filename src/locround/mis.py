@@ -18,7 +18,6 @@ potential facts behind it.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -37,8 +36,8 @@ class MisInvariantError(AssertionError):
 @dataclass
 class LubyIteration:
     """One Luby iteration.  ``mark_num[v] / mark_den`` is the marking
-    probability of v, 1/(20 deg(v)): the marks are compared as integers
-    over one denominator, and ``marks`` gives them as Fractions."""
+    probability of v, 1/(20 deg(v)): the marks are integers over one
+    denominator."""
 
     nodes: list
     degree: dict
@@ -48,13 +47,6 @@ class LubyIteration:
     in_star: dict
     mark_num: dict
     mark_den: int
-
-    @functools.cached_property
-    def marks(self):
-        """v -> Fraction marking probability."""
-        den = self.mark_den
-        memo = {x: Fraction(x, den) for x in set(self.mark_num.values())}
-        return {v: memo[x] for v, x in self.mark_num.items()}
 
     def check(self):
         good = set(self.good_nodes)
@@ -169,8 +161,8 @@ def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
     it = classify_and_select_instar(adj)
     edges_before = sum(len(adj[v]) for v in it.nodes) // 2
     h, val = build_mis_valuation(it)
-    pairs = {m: (1 - m, m) for m in set(it.marks.values())}
-    lam_raw = {v: pairs[m] for v, m in it.marks.items()}
+    den = it.mark_den
+    lam_raw = {v: (den - m, m) for v, m in it.mark_num.items()}
     prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
     uc_raw = None
     if check:

@@ -11,8 +11,10 @@ eta schedule turns a fractional assignment with ``u - c >= mu*u`` into an
 integral one with ``u - c >= (1-eps)*(u - c)``.  All guarantees are
 asserted exactly in rational arithmetic on every call.
 
-A schedule keeps its rows over the fixed 2^K of the normalized
-assignment: the step at denominator 2^k moves the entries holding bit
+Arbitrary rational input enters as raw rows, tuples of non-negative
+integers whose sum is the row's denominator; ``preprocess_fractional``
+rounds them onto the 2^-k grid.  A schedule keeps its rows over the fixed
+2^K of the normalized assignment: the step at denominator 2^k moves the entries holding bit
 2^(K-k), and visits only the rows its ``_Frontier`` files under that bit.
 """
 
@@ -190,44 +192,42 @@ class _Prepared(_coloring._Packing):
     def potential(self, lam, k=None):
         """Exact (utility, cost) of ``lam``: rows in packing order with
         numerators over 2^k when ``k`` is given, otherwise a
-        FractionalAssignment or a mapping node -> rational distribution."""
-        if k is None and isinstance(lam, FractionalAssignment):
+        FractionalAssignment or a mapping node -> raw row, a tuple of
+        non-negative integers whose sum is the row's denominator.
+
+        Raw rows are brought to D, the lcm of their sums, for one kernel
+        call.  The kernel scales node terms by 2^k, so when D is not a
+        power of two they are added here, at scale D."""
+        if isinstance(lam, FractionalAssignment):
             lam, k = self.lam_array(lam), lam.k
         if k is not None:
-            U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                     self.tables, self.nut, self.nct, lam, k)
             D = 1 << k
         else:
-            # integer numerators over the least common denominator D, each
-            # row object converted once.  The kernel scales node terms by
-            # 2^k, so they are added here, at scale D.
             rows = [lam[v] for v in self.nodes]
-            distinct = {}
-            for row in rows:
-                if id(row) not in distinct:
-                    distinct[id(row)] = [Fraction(x) for x in row]
-            D = math.lcm(*(x.denominator for fr in distinct.values()
-                           for x in fr))
-            for key, fr in distinct.items():
-                distinct[key] = [x.numerator * (D // x.denominator)
-                                 for x in fr]
-            arr = [distinct[id(row)] for row in rows]
-            U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                     self.tables, None, None,
-                                     arr, D.bit_length())
-            if self.nut is not None:
-                for row, nu, nc in zip(arr, self.nut, self.nct):
-                    if nu is not None:
-                        U += D * sum(map(operator.mul, row, nu))
-                    if nc is not None:
-                        C += D * sum(map(operator.mul, row, nc))
+            sums = list(map(sum, rows))
+            # an all-zero row adds nothing at any scale
+            D = math.lcm(*set(sums).difference((0,)))
+            lam = [row if s == D or not s else [x * (D // s) for x in row]
+                   for row, s in zip(rows, sums)]
+            k = D.bit_length() - 1
+        dyadic = D == 1 << k
+        node_tables = (self.nut, self.nct) if dyadic else (None, None)
+        U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
+                                 self.tables, *node_tables, lam, k)
+        if not dyadic and self.nut is not None:
+            for row, nu, nc in zip(lam, self.nut, self.nct):
+                if nu is not None:
+                    U += D * sum(map(operator.mul, row, nu))
+                if nc is not None:
+                    C += D * sum(map(operator.mul, row, nc))
         den = self.scale * D * D
         return Fraction(U, den), Fraction(C, den)
 
 
 def evaluate(val, lam, g):
     """Exact (utility, cost) of ``lam``, a FractionalAssignment or a
-    mapping node -> rational distribution."""
+    mapping node -> raw row (non-negative integers summing to the row's
+    denominator)."""
     return _Prepared(g, val).potential(lam)
 
 
@@ -421,11 +421,15 @@ def _labeling(prep, rows, k):
 
 
 def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
-    """Round arbitrary rational distributions to a 1/2^k-integral assignment
-    with 2^k the smallest power of two >= 9/(eps*mu*lam_min).
+    """Round raw rows to a 1/2^k-integral assignment with 2^k the smallest
+    power of two >= 9/(eps*mu*lam_min).
 
-    Zero values stay zero; per node the values move by less than 2^-k and
-    keep their unit sum.  For any valuation with ``u - c >= mu*u`` on the
+    ``lam_raw`` maps each node to a raw row: a tuple of non-negative
+    integers whose sum D is the row's denominator, so entry x stands for
+    x/D.  A row may be written over any multiple of its reduced
+    denominator; ``lam_min`` defaults to the least nonzero value.  Zero
+    values stay zero; per node the values move by less than 2^-k and keep
+    their unit sum.  For any valuation with ``u - c >= mu*u`` on the
     input, this gives
 
         u' - c' >= (1-eps)(u - c)   and   u' - c' >= (mu/2) u',
@@ -434,47 +438,41 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
-    # each row's values as integer numerators over their common
-    # denominator, converted once per row object (MIS and set cover give
-    # every node with the same values one shared row); an entry keeps its
-    # row, so no id is reused while ``distinct`` lives
-    distinct = {}
-    rows = []
-    actual_min = None
-    for v, nums in lam_raw.items():
-        hit = distinct.get(id(nums))
-        if hit is None:
-            fr = [Fraction(x) for x in nums]
-            D = math.lcm(*(x.denominator for x in fr))
-            N = [x.numerator * (D // x.denominator) for x in fr]
-            if sum(N) != D:
-                raise ValueError("input distributions must sum to 1")
-            if any(x < 0 for x in N):
-                raise ValueError("negative fractional value")
-            m = min((x for x in N if x), default=0)
-            if m and (actual_min is None or Fraction(m, D) < actual_min):
-                actual_min = Fraction(m, D)
-            hit = distinct[id(nums)] = [nums, D, N, None]
-        rows.append((v, hit))
-    if actual_min is None:
-        actual_min = Fraction(1)
+    # equal rows round alike, so each distinct row is checked and rounded
+    # once.  The least nonzero value is mn/md, 1 when every entry is zero.
+    dens = {}
+    mn = md = 1
+    for nums in lam_raw.values():
+        if nums in dens:
+            continue
+        D = dens[nums] = sum(nums)
+        if D <= 0:
+            raise ValueError("input distributions must sum to 1")
+        m = min(nums)
+        if m < 0:
+            raise ValueError("negative fractional value")
+        if not m:
+            m = min(filter(None, nums))
+        if m * md < mn * D:
+            mn, md = m, D
     if lam_min is None:
-        lam_min = actual_min
+        ln, ld = mn, md
     else:
         lam_min = Fraction(lam_min)
-        if actual_min < lam_min:
-            raise ValueError(
-                f"declared lam_min {lam_min} exceeds actual minimum {actual_min}")
-    k = 0
-    target = Fraction(9) / (eps * mu * lam_min)
-    while (1 << k) < target:
-        k += 1
+        ln, ld = lam_min.numerator, lam_min.denominator
+        if mn * ld < ln * md:
+            raise ValueError(f"declared lam_min {lam_min} exceeds actual "
+                             f"minimum {Fraction(mn, md)}")
+    # 2^k >= 9 ld / (eps mu ln), that is 2^k >= its ceiling
+    need = -(-9 * ld * eps.denominator * mu.denominator
+             // (eps.numerator * mu.numerator * ln))
+    k = (max(need, 1) - 1).bit_length()
     two_k = 1 << k
-    for hit in distinct.values():
-        _nums, D, N, _out = hit
+    rounded = {}
+    for nums, D in dens.items():
         floors = []
         rems = []
-        for a, x in enumerate(N):
+        for a, x in enumerate(nums):
             f, r = divmod(x << k, D)
             floors.append(f)
             if r:
@@ -488,15 +486,14 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
             raise AssertionError("not enough fractional mass to rebalance")
         for j in range(deficit):
             floors[rems[j][1]] += 1
-        hit[3] = tuple(floors)
-    out = FractionalAssignment(nlabels, k, {v: hit[3] for v, hit in rows})
-    for v, (_nums, D, N, _out) in rows:
-        for x, y in zip(N, out.values[v]):
+        for x, y in zip(nums, floors):
             if x == 0 and y != 0:
                 raise AssertionError("zero value moved")
             if abs(y * D - (x << k)) > D:
                 raise AssertionError("value moved by more than 2^-k")
-    return out
+        rounded[nums] = tuple(floors)
+    return FractionalAssignment(
+        nlabels, k, {v: rounded[nums] for v, nums in lam_raw.items()})
 
 
 def _check_preprocessed(prep, uc_raw, out, eps, mu):
@@ -523,11 +520,12 @@ def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
     """Preprocess + full rounding with the eps/2 + eps/2 split.
 
     Produces an integral labeling with ``u - c >= (1-eps)(u(lam) - c(lam))``
-    from any rational fractional assignment with ``u - c >= mu*u``; the
-    claim is asserted exactly end to end.  ``prep`` is the packed
-    ``(g, val)`` and ``uc_raw`` the exact (u, c) of ``lam_raw``, when the
-    caller already holds them.  Returns the labeling and its exact (u, c),
-    which is None when ``check=False``.
+    from any fractional assignment with ``u - c >= mu*u``, given as raw
+    rows (``preprocess_fractional``); the rows of a FractionalAssignment's
+    ``values`` are raw rows too.  The claim is asserted exactly end to
+    end.  ``prep`` is the packed ``(g, val)`` and ``uc_raw`` the exact
+    (u, c) of ``lam_raw``, when the caller already holds them.  Returns
+    the labeling and its exact (u, c), which is None when ``check=False``.
     """
     eps = Fraction(eps)
     mu = Fraction(mu)

@@ -269,16 +269,9 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     w_eff = W if weighted else 1
     tau = _tau_for(inst.s * w_eff if inst.s else 2)
     # one shared preprocessing of the scaled solution (valuation-independent)
-    rows = {}
-    lam_raw = {}
-    for v in inst.sets:
-        row = rows.get(x[v])
-        if row is None:
-            n, d = x[v]
-            row = rows[x[v]] = (Fraction(d - n, d), Fraction(n, d))
-        lam_raw[v] = row
     lam = _rounding.preprocess_fractional(
-        lam_raw, Fraction(1, 200), Fraction(1, 2), 2)
+        {v: (d - n, n) for v, (n, d) in x.items()},
+        Fraction(1, 200), Fraction(1, 2), 2)
     # element-coverage coefficient 20 W / 1.01^(tau-i): the 20 W factor makes
     # covering an element strictly dominate the cost of any single set in
     # late iterations, so the completion step V'' stays negligible

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -71,6 +72,18 @@ def build_d2_multigraph(g, virtual_edge_spec):
             edges.append(G.Edge(key[1], key[2], G.VIRTUAL, w))
     comm = {w: set(g.neighbors(w)) for w in g.nodes}
     return G.Multigraph(g.nodes, edges, comm)
+
+
+def raw_rows(lam):
+    """The raw rows of rational distributions: node -> the row's
+    numerators over the lcm of its denominators, a tuple of integers whose
+    sum is that denominator when the row sums to 1."""
+    out = {}
+    for v, row in lam.items():
+        fr = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in fr))
+        out[v] = tuple(x.numerator * (den // x.denominator) for x in fr)
+    return out
 
 
 def valuation_to_json(g, val, lam=None):

@@ -21,7 +21,7 @@ from locround import oracle as O
 from locround import rounding as R
 from locround import setcover as SC
 from locround import sim as S
-from conftest import build_d2_multigraph
+from conftest import build_d2_multigraph, raw_rows
 
 
 def _report(num, name, detail):
@@ -77,7 +77,7 @@ def _dyadic_assignment(rng, g, L, kmax):
 
 
 def _scale_to_margin(g, val, lam_fr, mu):
-    U, Cc = R.evaluate(val, lam_fr, g)
+    U, Cc = R.evaluate(val, raw_rows(lam_fr), g)
     if U == 0:
         return None
     if U - Cc < mu * U:
@@ -116,9 +116,9 @@ def test_c1_rounding_step_lemma():
                               estimate_mode=mode)
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
-            U1, C1 = prep.potential({
+            U1, C1 = prep.potential(raw_rows({
                 v: [Fraction(x, 1 << lam.k) for x in row]
-                for v, row in zip(prep.nodes, rows)})
+                for v, row in zip(prep.nodes, rows)}))
             assert (U1, C1) == uc1
             assert U1 - eta * C1 >= U0 - eta * C0 - delta * (U0 + eta * C0)
     took = time.time() - t0
@@ -177,9 +177,10 @@ def test_c3_preprocessing_lemma():
         if val is None:
             continue
         eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
-        out = R.preprocess_fractional(lam_fr, eps, mu, L)
+        out = R.preprocess_fractional(raw_rows(lam_fr), eps, mu, L)
         prep = R._Prepared(g, val)
-        R._check_preprocessed(prep, prep.potential(lam_fr), out, eps, mu)
+        R._check_preprocessed(prep, prep.potential(raw_rows(lam_fr)), out,
+                              eps, mu)
         done += 1
     _report(3, "preprocessing-lemma-exact",
             f"200 instances, {time.time() - t0:.1f}s")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from locround import cli, coloring as C, graph as G, oracle as O
-from conftest import valuation_to_json
+from conftest import raw_rows, valuation_to_json
 
 # one cost-10 set covers both elements; two cost-1 sets cover one each
 WEIGHTED_COVER = ("e 1\ne 2\ns 10 10\ns 11 1\ns 12 1\n"
@@ -130,7 +130,8 @@ def test_valuation_json_roundtrip(tmp_path):
     g2, val2, lam2 = cli._load_rounding_instance(str(p))
     lamf = {v: tuple(Fraction(x, 4) for x in nums)
             for v, nums in lam.values.items()}
-    assert R.evaluate(val, lamf, g) == R.evaluate(val2, lamf, g2)
+    assert (R.evaluate(val, raw_rows(lamf), g)
+            == R.evaluate(val2, raw_rows(lamf), g2))
     assert lam2.values == lam.values and lam2.k == lam.k
 
 
@@ -312,11 +313,9 @@ def test_wis_eps_out_of_range_exits_two_with_one_line(tmp_path, algo, eps,
 
 
 @pytest.mark.parametrize("algo, eps", [("basic", "1/2"), ("carowei", "1/2"),
-                                       ("beta", "99/100"), ("turan", "1/2"),
-                                       ("lp4", "7")])
+                                       ("beta", "99/100"), ("turan", "1/2")])
 def test_wis_eps_in_range_runs(tmp_path, algo, eps):
-    """The upper ends that belong to a range run; lp4 runs at its own eps
-    whatever --eps says."""
+    """The upper ends that belong to a range run."""
     g = tmp_path / "g.edges"
     g.write_text("1 2\n2 3\n3 1\n")
     rep = tmp_path / "wis.json"
@@ -325,6 +324,101 @@ def test_wis_eps_in_range_runs(tmp_path, algo, eps):
     doc = json.loads(rep.read_text())
     assert len(doc["set"]) == 1
     assert cli.main(["verify", str(rep)]) == 0
+
+
+TRIANGLE = "1 2\n2 3\n3 1\n"
+
+ROUND_INSTANCE = {
+    "labels": 2,
+    "nodes": [1, 2],
+    "edges": [{"u": 1, "v": 2,
+               "utility": [["2", "2"], ["2", "2"]],
+               "cost": [["0", "1"], ["1", "0"]]}],
+    "assignment": {"1": ["1/2", "1/2"], "2": ["1/4", "3/4"]},
+}
+
+
+def _usage_inputs(tmp_path):
+    g = tmp_path / "g.edges"
+    g.write_text(TRIANGLE)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(ROUND_INSTANCE))
+    return {"GRAPH": str(g), "INSTANCE": str(inst)}
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["color", "--input", "GRAPH", "--delta", "0"],
+     "--delta 0 is outside (0, 1]"),
+    (["color", "--input", "GRAPH", "--delta", "2"],
+     "--delta 2 is outside (0, 1]"),
+    (["color", "--input", "GRAPH", "--delta=-1/2",
+      "--color-mode", "greedy-oracle"],
+     "--delta -1/2 is outside (0, 1]"),
+    (["round", "--valuation", "INSTANCE", "--mu", "0"],
+     "--mu 0 is outside (0, 1]"),
+    (["round", "--valuation", "INSTANCE", "--mu", "3/2"],
+     "--mu 3/2 is outside (0, 1]"),
+    (["round", "--valuation", "INSTANCE", "--eps", "3"],
+     "--eps 3 is outside (0, 1]"),
+    (["round", "--valuation", "INSTANCE", "--eps", "0"],
+     "--eps 0 is outside (0, 1]"),
+    (["wis", "--algo", "lp4", "--input", "GRAPH", "--eps", "7"],
+     "--algo lp4 runs at eps = 1/5 and takes no --eps"),
+    (["wis", "--algo", "lp4", "--input", "GRAPH", "--eps", "1/5"],
+     "--algo lp4 runs at eps = 1/5 and takes no --eps"),
+], ids=["delta-0", "delta-2", "greedy-delta-negative", "mu-0", "mu-3/2",
+        "eps-3", "eps-0", "lp4-eps-7", "lp4-eps-1/5"])
+def test_option_out_of_range_exits_two_with_one_line(tmp_path, argv, line):
+    """These ended in a ColoringError, ZeroDivisionError or ValueError
+    traceback with status 1, or (lp4) ran and echoed an eps it did not
+    use; no report is written."""
+    paths = _usage_inputs(tmp_path)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep),
+                               *(paths.get(a, a) for a in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"locround: error: {line}"]
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["color", "--input", "GRAPH", "--delta", "1"], {"delta": "1/1"}),
+    (["round", "--valuation", "INSTANCE", "--eps", "1", "--mu", "1/4"],
+     {"eps": "1/1", "mu": "1/4"}),
+    (["wis", "--algo", "lp4", "--input", "GRAPH"], {"eps": "1/5"}),
+    (["wis", "--algo", "beta", "--input", "GRAPH"], {"eps": "1/10"}),
+], ids=["delta-1", "round-eps-1", "lp4-default", "beta-default"])
+def test_option_at_the_end_of_its_range_runs(tmp_path, argv, echoed):
+    """The closed upper ends run and verify, and a report echoes the eps
+    its run used: lp4 its own 1/5, the other wis algorithms 1/10."""
+    paths = _usage_inputs(tmp_path)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep),
+                               *(paths.get(a, a) for a in argv))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    config = json.loads(rep.read_text())["config"]
+    assert {k: config[k] for k in echoed} == echoed
+    assert cli.main(["verify", str(rep)]) == 0
+
+
+def test_strict_budget_overrun_exits_one_with_one_line(tmp_path):
+    """A --strict-budget overrun printed a BudgetExceeded traceback; it
+    keeps status 1, a failed check, with one stderr line."""
+    paths = _usage_inputs(tmp_path)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--mode", "congest", "--bit-budget", "1",
+                               "--strict-budget", "--json", str(rep), "mis",
+                               "--input", paths["GRAPH"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "locround: bit budget exceeded: round 1: 6 bits exceeds budget 1"]
+    assert not rep.exists()
+    # the same run without --strict-budget records the overrun and exits 0
+    proc = _run_console_script("--mode", "congest", "--bit-budget", "1",
+                               "--json", str(rep), "mis",
+                               "--input", paths["GRAPH"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(rep.read_text())["metrics"]["violations"]
 
 
 def test_setcover_unit_mode_on_weighted_input(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from locround import graph as G, indepset as IS, oracle as O, rounding as R
-from conftest import random_simple_graph, random_weighted_graph
+from conftest import random_simple_graph, random_weighted_graph, raw_rows
 
 
 def wgraph(nodes, pairs, weights):
@@ -13,7 +13,7 @@ def wgraph(nodes, pairs, weights):
 def _is_uc(wg, x):
     val = IS.is_valuation(wg.graph, wg.weights)
     lam = {v: (1 - Fraction(x[v]), Fraction(x[v])) for v in wg.graph.nodes}
-    return R.evaluate(val, lam, wg.graph)
+    return R.evaluate(val, raw_rows(lam), wg.graph)
 
 
 def test_is_valuation_examples():

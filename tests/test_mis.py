@@ -20,7 +20,7 @@ def test_star_instar_prefix():
     it = M.classify_and_select_instar(_adjacency(g))
     assert 0 in it.good_nodes
     assert it.in_star[0] == [1]      # one leaf already reaches 1/60
-    assert it.marks[1] == Fraction(1, 20)
+    assert Fraction(it.mark_num[1], it.mark_den) == Fraction(1, 20)
 
 
 def test_instar_stops_at_exactly_one_sixtieth():
@@ -32,7 +32,7 @@ def test_instar_stops_at_exactly_one_sixtieth():
     it = M.classify_and_select_instar(_adjacency(g))
     assert it.in_nbrs[100] == [1, 2, 3, 4] and 100 in it.good_nodes
     assert it.in_star[100] == [1]
-    assert it.marks[1] == Fraction(1, 60)
+    assert Fraction(it.mark_num[1], it.mark_den) == Fraction(1, 60)
 
 
 def test_isolated_nodes_absorbed():
@@ -137,8 +137,10 @@ def test_luby_check_trips_each_assertion():
     for star in ([1], [1, 2, 3, 4], [6, 2]):
         it = _iteration(degree, ins, {1: [5], 2: [6, 3, 4]}, [9], {9: star})
         it.check()
-        assert sum(it.marks[u] for u in star) >= Fraction(1, 60)
-    assert it.marks[5] == Fraction(1, 20) and it.marks[6] == Fraction(1, 80)
+        assert (Fraction(sum(it.mark_num[u] for u in star), it.mark_den)
+                >= Fraction(1, 60))
+    assert Fraction(it.mark_num[5], it.mark_den) == Fraction(1, 20)
+    assert Fraction(it.mark_num[6], it.mark_den) == Fraction(1, 80)
     cases = [
         ({}, [], {}, "goodness misclassified at 9"),
         ({}, [9, 1], {9: [1]}, "goodness misclassified at 1"),

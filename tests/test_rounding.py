@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locround import coloring as C, graph as G, rounding as R
-from conftest import random_simple_graph
+from conftest import random_simple_graph, raw_rows
 
 
 def two_node_graph():
@@ -16,7 +16,7 @@ def test_evaluate_integral_is_lookup():
     tab = ((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7)))
     val = R.Valuation.from_fractions(2, {0: tab}, {0: tab})
     lam = {1: (Fraction(0), Fraction(1)), 2: (Fraction(1), Fraction(0))}
-    U, C = R.evaluate(val, lam, g)
+    U, C = R.evaluate(val, raw_rows(lam), g)
     assert U == 5 and C == 5
 
 
@@ -26,7 +26,7 @@ def test_evaluate_constant_table():
     val = R.Valuation.from_fractions(2, {0: ones}, {})
     for lam1 in (Fraction(1, 3), Fraction(2, 5), Fraction(1)):
         lam = {1: (1 - lam1, lam1), 2: (Fraction(1, 2), Fraction(1, 2))}
-        U, _ = R.evaluate(val, lam, g)
+        U, _ = R.evaluate(val, raw_rows(lam), g)
         assert U == 1
 
 
@@ -35,7 +35,7 @@ def test_evaluate_equal_label_indicator_uniform():
     eq = ((1, 0), (0, 1))
     val = R.Valuation.from_fractions(2, {}, {0: eq})
     lam = {v: (Fraction(1, 2), Fraction(1, 2)) for v in (1, 2)}
-    _, C = R.evaluate(val, lam, g)
+    _, C = R.evaluate(val, raw_rows(lam), g)
     assert C == Fraction(1, 2)
 
 
@@ -164,7 +164,7 @@ def test_step_invariants_fuzz(rng):
 def _margin_scaled(g, val, lam, mu):
     lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
             for v, nums in lam.values.items()}
-    U, C = R.evaluate(val, lamf, g)
+    U, C = R.evaluate(val, raw_rows(lamf), g)
     if U == 0:
         return None
     if U - C < mu * U:
@@ -209,7 +209,8 @@ def test_schedule_rejects_malformed_initial_coloring():
             R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
                                 initial_coloring=initial)
         with pytest.raises(C.ColoringError, match=msg):
-            R.round_fractional(g, val, half, Fraction(1, 2), Fraction(1, 4),
+            R.round_fractional(g, val, raw_rows(half), Fraction(1, 2),
+                               Fraction(1, 4),
                                2, initial_coloring=initial)
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
                               initial_coloring={1: 0, 2: 1})
@@ -247,10 +248,11 @@ def test_preprocess_example_third():
     val = R.Valuation.from_fractions(
         2, {}, {}, node_utility={5: (Fraction(1), Fraction(1))})
     lam_raw = {5: (Fraction(1, 3), Fraction(2, 3))}
-    out = R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2), 2,
-                                  lam_min=Fraction(1, 3))
+    out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
+                                  Fraction(1, 2), 2, lam_min=Fraction(1, 3))
     prep = R._Prepared(g, val)
-    R._check_preprocessed(prep, prep.potential(lam_raw), out, Fraction(1, 2),
+    R._check_preprocessed(prep, prep.potential(raw_rows(lam_raw)), out,
+                          Fraction(1, 2),
                           Fraction(1, 2))
     # 2^k >= 9/(eps mu lam_min) = 108
     assert (1 << out.k) == 128
@@ -261,8 +263,8 @@ def test_preprocess_example_third():
 
 def test_preprocess_keeps_dyadic_unchanged():
     lam_raw = {1: (Fraction(3, 128), Fraction(125, 128))}
-    out = R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2), 2,
-                                  lam_min=Fraction(3, 128))
+    out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
+                                  Fraction(1, 2), 2, lam_min=Fraction(3, 128))
     assert out.values[1] == (3 * (1 << out.k) // 128,
                              125 * (1 << out.k) // 128)
 
@@ -274,7 +276,7 @@ def test_preprocess_zero_stays_zero(rng):
         for v in range(5):
             v0 = Fraction(rng.randint(0, 6), 7)
             lam_raw[v] = (v0, 0, 1 - v0)
-        out = R.preprocess_fractional(lam_raw, Fraction(1, 4),
+        out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 4),
                                       Fraction(1, 2), L)
         for v, nums in lam_raw.items():
             for a, x in enumerate(nums):
@@ -287,8 +289,8 @@ def test_preprocess_zero_stays_zero(rng):
 def test_preprocess_rejects_wrong_lam_min():
     lam_raw = {1: (Fraction(1, 10), Fraction(9, 10))}
     with pytest.raises(ValueError):
-        R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2), 2,
-                                lam_min=Fraction(1, 5))
+        R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
+                                Fraction(1, 2), 2, lam_min=Fraction(1, 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,8 +299,8 @@ def test_preprocess_rejects_wrong_lam_min():
 def test_preprocess_sum_preserved(parts, scale):
     total = sum(parts)
     lam_raw = {0: tuple(Fraction(p, total) for p in parts)}
-    out = R.preprocess_fractional(lam_raw, Fraction(1, 2), Fraction(1, 2),
-                                  len(parts))
+    out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
+                                  Fraction(1, 2), len(parts))
     assert sum(out.values[0]) == 1 << out.k
 
 
@@ -352,7 +354,8 @@ def test_rational_potential_matches_definition(rng):
             # plain ints where the value is 0 or 1
             raw[v] = tuple(p // den if p in (0, den) else Fraction(p, den)
                            for p in parts)
-        assert R.evaluate(val, raw, g) == _definition_uc(g, L, tables, raw)
+        assert R.evaluate(val, raw_rows(raw), g) == _definition_uc(
+            g, L, tables, raw)
 
 
 def _count_calls(monkeypatch):
@@ -410,7 +413,7 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
         counts.update(eval=0, steps=0, rows=0, assignments=0)
-        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 2)
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 2)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
 
@@ -507,11 +510,12 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 3)
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 3)
         assert counts == {"pack": 1, "prepare": 1}
         prep = R._Prepared(g, val)
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, lamf, Fraction(1, 2), mu, 3, prep=prep)
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 3,
+                           prep=prep)
         assert counts == {"pack": 0, "prepare": 0}
         done += 1
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 from locround import cli, graph as G, indepset as IS, mis as M
 from locround import rounding as R, setcover as SC
 from locround.mis import _adjacency
-from conftest import random_setcover, random_simple_graph, valuation_to_json
+from conftest import (random_setcover, random_simple_graph, raw_rows,
+                      valuation_to_json)
 
 
 def _fields(val):
@@ -124,7 +125,8 @@ def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
         except SC.CoverInvariantError:
             continue
         lam = R.preprocess_fractional(
-            {v: (1 - Fraction(*x[v]), Fraction(*x[v])) for v in inst.sets},
+            raw_rows({v: (1 - Fraction(*x[v]), Fraction(*x[v]))
+                      for v in inst.sets}),
             Fraction(1, 200), Fraction(1, 2), 2)
         tau = SC._tau_for(max(2, inst.s * wmax))
         for i in (1, tau // 2, tau):
