@@ -310,6 +310,10 @@ def cmd_round(args):
     estimate = "quantized" if args.mode == _sim.CONGEST else "exact"
     prep = _rounding._Prepared(g, val)
     U, C = prep.potential(lam.values)
+    if U - C < args.mu * U:
+        # the rounding's precondition u - c >= mu*u, checked before the run
+        raise UsageError(f"--mu {args.mu} is above the input's margin: "
+                         f"u - c = {U - C} < mu*u = {args.mu * U}")
     ell, (Uf, Cf) = _rounding.round_fractional(
         g, val, lam.values, args.eps, args.mu, val.nlabels,
         estimate_mode=estimate, engine=engine, prep=prep, uc_raw=(U, C))
@@ -331,10 +335,18 @@ def _load_rounding_instance(path):
     nodes = [int(v) for v in doc["nodes"]]
     edges = []
     eu, ec = {}, {}
+    node_set = set(nodes)
     for i, e in enumerate(doc["edges"]):
-        kind = _graph.VIRTUAL if e.get("manager") is not None else _graph.PHYSICAL
-        edges.append(_graph.Edge(int(e["u"]), int(e["v"]), kind,
-                                 e.get("manager"), i))
+        manager = e.get("manager")
+        kind = _graph.PHYSICAL
+        if manager is not None:
+            # a virtual edge is simulated by its manager, a node of the
+            # instance
+            kind, manager = _graph.VIRTUAL, int(manager)
+            if manager not in node_set:
+                raise _graph.GraphFormatError(
+                    f"{path}: edge {i}: manager {manager} is not a node")
+        edges.append(_graph.Edge(int(e["u"]), int(e["v"]), kind, manager, i))
         eu[i] = e["utility"]
         ec[i] = e["cost"]
     g = _graph.Multigraph(nodes, edges)

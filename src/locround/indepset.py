@@ -89,12 +89,19 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     ``prep`` is the packed independent-set valuation of ``(h, weights)``
     when the caller already holds it.
     """
+    return _round_is_rows(h, weights, _rows_at(x, h.nodes), eps, engine,
+                          initial_coloring, mode, check, prep)
+
+
+def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
+                   check, prep):
+    """``basic_is_round`` at the raw two-label rows ``rows``: node ->
+    (d - n, n) at x_v = n/d."""
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 2)):
         raise ValueError("eps must be in (0, 1/2]")
     if prep is None:
         prep = _rounding._Prepared(h, is_valuation(h, weights))
-    rows = _rows_at(x, h.nodes)
     U0, C0 = _uc_at(prep, rows)
     if U0 < 2 * C0:
         raise ISInvariantError(f"precondition u >= 2c violated: {U0} < {2 * C0}")
@@ -180,28 +187,27 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
                  budget=_oracle.DEFAULT_BUDGET):
     """Independent set of weight >= S*(w)/4 from the exact LP optimum.
 
-    The LP point is floored to the dyadic grid 2^-j with j chosen so the
-    floor loses at most S*/12; the rounding's (1/2 - 1/5) factor then still
-    clears 1/4.  Returns (I, S*)."""
+    The LP point, integers X_v over each component's denominator D, is
+    floored to the dyadic grid 2^-j with j chosen so the floor loses at
+    most S*/12; the rounding's (1/2 - 1/5) factor then still clears 1/4.
+    Returns (I, S*)."""
     g = wg.graph
     w = weights if weights is not None else wg.weights
-    sstar, xstar = _oracle.packing_lp(g, weights=w, budget=budget)
+    sstar, xstar = _oracle.packing_lp_integers(g, weights=w, budget=budget)
     if engine is not None:
         engine.metrics.oracle_assisted = True
     if sstar == 0:
         return [], sstar
     prep = _rounding._Prepared(g, is_valuation(g, w))
-    U, C = _uc_at(prep, _rows_at(xstar, g.nodes))
+    U, C = _uc_at(prep, {v: (D - X, X) for v, (X, D) in xstar.items()})
     if U < 2 * C:
         raise ISInvariantError("feasible LP point broke u >= 2c")
     n = max(1, len(g.nodes))
     j = (6 * n - 1).bit_length() + 1
     grid = 1 << j
-    xt = {v: Fraction((Fraction(xstar[v]) * grid).__floor__(), grid)
-          for v in g.nodes}
-    I, _u = basic_is_round(g, w, xt, eps, engine=engine,
-                           initial_coloring=coloring, mode=mode, check=check,
-                           prep=prep)
+    floors = {v: (X << j) // D for v, (X, D) in xstar.items()}
+    I, _u = _round_is_rows(g, w, {v: (grid - f, f) for v, f in floors.items()},
+                           eps, engine, coloring, mode, check, prep)
     wI = sum(w[v] for v in I)
     if check and 4 * wI < sstar:
         raise ISInvariantError(f"S*/4 bound failed: {wI} < {sstar}/4")

@@ -48,12 +48,20 @@ def simplex_max(c, A, b, max_pivots=200_000):
 
     ``A`` is a list of m sparse rows ``{column: coefficient}`` over the
     n = len(c) columns; coefficients, ``b`` and ``c`` are ints or
-    Fractions.  The rows are laid out in a dense integer tableau whose
-    rows carry one shared positive denominator ``prev``; each pivot applies
-    the Sylvester identity T' = (piv*T - T[col] x prow) / prev with exact
-    integer division, so entries stay minor-sized integers.  Pricing and
-    the ratio test read only true values, so the pivot sequence does not
-    depend on how the input is scaled.
+    Fractions.  Variables are labelled 0..n-1 (original), n..n+m-1
+    (slacks) and n+m.. (one artificial per row with a negative rhs).  The
+    rows are laid out in a condensed (Tucker) integer tableau: one column
+    per nonbasic variable, whose labels sit in a list, plus the rhs, over
+    one shared positive denominator ``prev``.  The basic columns of the
+    full tableau are ``prev`` times unit vectors and are not stored.  A
+    pivot applies the Sylvester identity T' = (piv*T - T[col] x prow) /
+    prev with exact integer division to the rows other than the pivot
+    row, and the entering column then holds the leaving variable's:
+    ``prev`` in the pivot row and the negated old entries elsewhere (J.
+    Edmonds, 1967).  The integers are those of the full fraction-free
+    tableau, so entries stay minor-sized.  Pricing and the ratio test read
+    only true values, so the pivot sequence does not depend on how the
+    input is scaled.
 
     Returns the certified solution in integers, (cx, X, Y, prev, den):
     the optimum is cx / (prev*den), x_j = X[j] / prev and
@@ -67,164 +75,96 @@ def simplex_max(c, A, b, max_pivots=200_000):
     """
     m = len(A)
     n = len(c)
-    den = 1
-    for v in itertools.chain(c, b, *(row.values() for row in A)):
-        den = math.lcm(den, v.denominator)
+    den = math.lcm(*{v.denominator for v in
+                     itertools.chain(c, b, *(row.values() for row in A))})
 
     ci = [_scaled(v, den) for v in c]
     bi = [_scaled(v, den) for v in b]
     rows = [{j: _scaled(a, den) for j, a in row.items() if a} for row in A]
 
     neg = [i for i in range(m) if bi[i] < 0]
-    negset = set(neg)
     n_art = len(neg)
-    total = n + m + n_art
-    # columns: 0..n-1 original, n..n+m-1 slacks, then artificials; entries
-    # are true values scaled by prev.  The divisions by prev are exact only
-    # from a fraction-free state of an integer matrix: with each row that
-    # holds a fraction scaled by den, the starting basis has determinant
-    # p0 = den^(number of such rows), so the tableau starts at p0 times the
-    # true values.
-    p0 = den ** sum(1 for row, bv in zip(rows, bi)
-                    if bv % den or any(a % den for a in row.values()))
+    nm = n + m
+    # entries are true values scaled by prev.  The divisions by prev are
+    # exact only from a fraction-free state of an integer matrix: with each
+    # row that holds a fraction scaled by den, the starting basis has
+    # determinant p0 = den^(number of such rows), so the tableau starts at
+    # p0 times the true values.
+    p0 = 1
+    if den > 1:
+        p0 = den ** sum(1 for row, bv in zip(rows, bi)
+                        if bv % den or any(a % den for a in row.values()))
+    # nonbasic at the start: the originals, and the slack of each row with
+    # a negative rhs, which is negated and has its artificial basic
+    labels = list(range(n)) + [n + i for i in neg]
+    width = n + n_art
     T = []
     basis = []
-    art_col = {}
     k = 0
     for i in range(m):
-        row = [0] * (total + 1)
+        row = [0] * (width + 1)
         for j, a in rows[i].items():
             row[j] = p0 * a // den
-        row[n + i] = p0
         row[-1] = p0 * bi[i] // den
-        if i in negset:
+        if bi[i] < 0:
             row = [-x for x in row]
-            col = n + m + k
-            art_col[i] = col
-            row[col] = p0
-            basis.append(col)
+            row[n + k] = -p0
+            basis.append(nm + k)
             k += 1
         else:
             basis.append(n + i)
         T.append(row)
-    state = {"prev": p0}
-
-    def pivot(z, r, col):
-        # Edmonds integer pivoting: divisions by the previous pivot are
-        # exact (entries are subdeterminants); the final optimality
-        # certificate independently guards against any arithmetic slip.
-        prev = state["prev"]
-        piv = T[r][col]
-        prow = T[r]
-        for i in range(m):
-            if i != r:
-                f = T[i][col]
-                if f:
-                    T[i] = [(piv * a - f * p) // prev
-                            for a, p in zip(T[i], prow)]
-                elif piv != prev:
-                    T[i] = [(piv * a) // prev for a in T[i]]
-        f = z[col]
-        if f:
-            z[:] = [(piv * a - f * p) // prev for a, p in zip(z, prow)]
-        elif piv != prev:
-            z[:] = [(piv * a) // prev for a in z]
-        basis[r] = col
-        if piv < 0:
-            # only the phase-1 cleanup pivots on a negative entry; negate
-            # everything so that prev stays positive and the signs the
-            # pricing and the ratio test read are the signs of true values
-            for i in range(m):
-                T[i] = [-a for a in T[i]]
-            z[:] = [-a for a in z]
-            piv = -piv
-        state["prev"] = piv
-
-    def make_zrow(obj_num):
-        # z[j] = prev * (sum_i obj[basis_i] T_true[i][j] - obj[j]): each
-        # T entry already carries the factor prev
-        prev = state["prev"]
-        z = [-o * prev for o in obj_num] + [0]
-        for i, bc in enumerate(basis):
-            cb = obj_num[bc]
-            if cb:
-                row = T[i]
-                for j in range(total + 1):
-                    if row[j]:
-                        z[j] += cb * row[j]
-        return z
-
-    def run(z, allowed, limit):
-        degenerate = 0
-        bland = False
-        for _ in range(limit):
-            enter = -1
-            if bland:
-                for j in allowed:
-                    if z[j] < 0:
-                        enter = j
-                        break
-            else:
-                best = 0
-                for j in allowed:
-                    zj = z[j]
-                    if zj < best:
-                        best = zj
-                        enter = j
-            if enter < 0:
-                return
-            ratio_num = ratio_den = None
-            leave = -1
-            for i in range(m):
-                a = T[i][enter]
-                if a > 0:
-                    # compare T[i][-1]/a with the incumbent by cross mult
-                    if (leave < 0 or T[i][-1] * ratio_den < ratio_num * a
-                            or (T[i][-1] * ratio_den == ratio_num * a
-                                and basis[i] < basis[leave])):
-                        ratio_num = T[i][-1]
-                        ratio_den = a
-                        leave = i
-            if leave < 0:
-                raise LPUnbounded("unbounded direction")
-            if ratio_num == 0:
-                degenerate += 1
-                if degenerate > 4 * (len(allowed) + m):
-                    bland = True
-            else:
-                degenerate = 0
-            pivot(z, leave, enter)
-        raise RuntimeError("simplex pivot limit exceeded")
+    prev = p0
 
     if n_art:
-        obj1 = [0] * total
+        # phase 1 maximizes minus the sum of the artificials: its reduced
+        # costs are minus the sum of the artificial rows
+        z = [0] * (width + 1)
         for i in neg:
-            obj1[art_col[i]] = -1
-        z1 = make_zrow(obj1)
-        run(z1, list(range(total)), max_pivots)
-        if any(T[i][-1] != 0 for i in range(m) if basis[i] >= n + m):
+            z = [a - t for a, t in zip(z, T[i])]
+        T.append(z)
+        prev = _run(T, labels, basis, prev, max_pivots, nm + n_art + m)
+        if any(T[i][-1] != 0 for i in range(m) if basis[i] >= nm):
             raise LPInfeasible("phase-1 optimum nonzero")
         for i in range(m):
-            if basis[i] >= n + m:
+            if basis[i] >= nm:
+                # pivot an artificial out on its row's nonzero entry of the
+                # smallest original or slack label
                 row = T[i]
-                for j in range(n + m):
-                    if row[j]:
-                        pivot(z1, i, j)
-                        break
+                cand = [(lab, p) for p, lab in enumerate(labels)
+                        if lab < nm and row[p]]
+                if cand:
+                    prev = _pivot(T, labels, basis, i, min(cand)[1], prev)
+        T.pop()
+        # nothing reads an artificial column in phase 2
+        keep = [p for p, lab in enumerate(labels) if lab < nm]
+        if len(keep) < len(labels):
+            labels = [labels[p] for p in keep]
+            keep.append(-1)
+            T = [[row[p] for p in keep] for row in T]
 
-    obj = ci + [0] * (m + n_art)
-    z = make_zrow(obj)
-    run(z, list(range(n + m)), max_pivots)
+    # z = prev * (c_B B^-1 N - c_N): minus c scaled by prev in the
+    # nonbasic columns, plus the rows of basic originals weighted by c
+    z = [-ci[lab] * prev if lab < n else 0 for lab in labels] + [0]
+    for row, bc in zip(T, basis):
+        if bc < n and ci[bc]:
+            cb = ci[bc]
+            z = [a + cb * t for a, t in zip(z, row)]
+    T.append(z)
+    prev = _run(T, labels, basis, prev, max_pivots, nm + m)
+    z = T.pop()
 
     # true values x = X/prev and y = Y/(prev*den); the slack column of a
     # negated row is negated too, so Y is read off the slack reduced costs
-    # of every row alike
-    prev = state["prev"]
+    # of every row alike, 0 where a slack is basic
     X = [0] * n
     for i, bc in enumerate(basis):
         if bc < n:
             X[bc] = T[i][-1]
-    Y = z[n:n + m]
+    Y = [0] * m
+    for lab, zj in zip(labels, z):
+        if lab >= n:
+            Y[lab - n] = zj
     # exact optimality certificate, in integers on den times the caller's
     # coefficients: primal/dual feasibility, y >= 0 and equal objectives
     for i, row in enumerate(rows):
@@ -243,6 +183,94 @@ def simplex_max(c, A, b, max_pivots=200_000):
     if sum(yi * bv for yi, bv in zip(Y, bi) if yi) != den * cx:
         raise AssertionError("duality gap after solve")
     return cx, X, Y, prev, den
+
+
+def _run(T, labels, basis, prev, limit, bland_width):
+    """Pivots the condensed tableau ``T``, whose last row is the reduced
+    costs, to optimality; returns the final ``prev``.  Dantzig pricing
+    (ties to the smallest label) until more than 4 * ``bland_width``
+    degenerate pivots in a row, then Bland's rule; the ratio test breaks
+    ties toward the smallest basic label."""
+    m = len(basis)
+    degenerate = 0
+    bland = False
+    for _ in range(limit):
+        z = T[m]
+        zc = z[:-1]
+        best = min(zc, default=0)
+        if best >= 0:
+            return prev
+        if bland:
+            enter = labels.index(min([lab for lab, zj in zip(labels, zc)
+                                      if zj < 0]))
+        elif zc.count(best) > 1:
+            enter = labels.index(min([lab for lab, zj in zip(labels, zc)
+                                      if zj == best]))
+        else:
+            enter = zc.index(best)
+        ratio_num = ratio_den = None
+        leave = -1
+        for i, a in enumerate([row[enter] for row in T[:m]]):
+            if a > 0:
+                # compare the row's rhs/a with the incumbent by cross mult
+                rhs = T[i][-1]
+                if (leave < 0 or rhs * ratio_den < ratio_num * a
+                        or (rhs * ratio_den == ratio_num * a
+                            and basis[i] < basis[leave])):
+                    ratio_num = rhs
+                    ratio_den = a
+                    leave = i
+        if leave < 0:
+            raise LPUnbounded("unbounded direction")
+        if ratio_num == 0:
+            degenerate += 1
+            if degenerate > 4 * bland_width:
+                bland = True
+        else:
+            degenerate = 0
+        prev = _pivot(T, labels, basis, leave, enter, prev)
+    raise RuntimeError("simplex pivot limit exceeded")
+
+
+def _pivot(T, labels, basis, r, p, prev):
+    """Edmonds integer pivot of the condensed tableau ``T`` (the reduced
+    costs its last row) on row ``r`` and the nonbasic column at position
+    ``p``; returns the new ``prev``.  Divisions by the previous pivot are
+    exact (entries are subdeterminants); the final optimality certificate
+    independently guards against any arithmetic slip."""
+    prow = T[r]
+    piv = prow[p]
+    col = [row[p] for row in T]
+    if piv == prev:
+        # (prev*a - f*q) / prev = a - f*q/prev: a row changes only where
+        # the pivot row is nonzero, and not at all where f is 0
+        nz = [(j, q) for j, q in enumerate(prow) if q]
+        for i, f in enumerate(col):
+            if f and i != r:
+                row = T[i]
+                for j, q in nz:
+                    row[j] -= f * q // prev
+                row[p] = -f
+    else:
+        for i, f in enumerate(col):
+            if f:
+                if i != r:
+                    row = [(piv * a - f * q) // prev
+                           for a, q in zip(T[i], prow)]
+                    row[p] = -f
+                    T[i] = row
+            else:
+                T[i] = [(piv * a) // prev for a in T[i]]
+    prow[p] = prev
+    labels[p], basis[r] = basis[r], labels[p]
+    if piv < 0:
+        # only the phase-1 cleanup pivots on a negative entry; negate
+        # everything so that prev stays positive and the signs the
+        # pricing and the ratio test read are the signs of true values
+        for i, row in enumerate(T):
+            T[i] = [-a for a in row]
+        piv = -piv
+    return piv
 
 
 def _scaled(v, den):
@@ -305,14 +333,26 @@ def _min_lp(objective, A, b):
 def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
     """LP: max sum w(v) x_v  s.t.  for all v: sum_{u in N+(v)} x_u <= 1.
 
-    Returns (S*, x dict).  ``weights`` overrides the graph's weights
-    (residual weight functions); nodes of weight 0 still constrain.  One
-    LP is solved per connected component, over its nodes in graph order.
-    The constraints are block diagonal and the rhs is nonnegative (no
-    phase 1), so a pivot in one block leaves the reduced costs of the
-    others alone, and Dantzig pricing on the whole system interleaves these
-    per-block runs: the merged x is the vertex one solve over all nodes
-    returns, unless its degenerate-pivot count brings in the Bland fallback.
+    Returns (S*, x dict), x as Fractions; ``packing_lp_integers`` solves
+    it."""
+    opt, x = packing_lp_integers(wg, weights, budget)
+    return opt, {v: Fraction(xv, D) for v, (xv, D) in x.items()}
+
+
+def packing_lp_integers(wg, weights=None, budget=DEFAULT_BUDGET):
+    """The packing LP of ``packing_lp``, with its point in integers.
+
+    Returns (S*, x): S* a Fraction, and x[v] = (numerator, D) for every
+    node in graph order, its value numerator / D with D the unreduced
+    denominator of v's component.  ``weights`` overrides the graph's
+    weights (residual weight functions); nodes of weight 0 still
+    constrain.  One LP is solved per connected component, over its nodes
+    in graph order.  The constraints are block diagonal and the rhs is
+    nonnegative (no phase 1), so a pivot in one block leaves the reduced
+    costs of the others alone, and Dantzig pricing on the whole system
+    interleaves these per-block runs: the merged x is the vertex one solve
+    over all nodes returns, unless its degenerate-pivot count brings in
+    the Bland fallback.
     """
     g = wg.graph if hasattr(wg, "graph") else wg
     w = weights if weights is not None else getattr(wg, "weights", None)
@@ -328,7 +368,7 @@ def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
             [w.get(v, 0) for v in comp], _closed_neighborhood_rows(g, comp),
             [1] * len(comp))
         opt += Fraction(num, prev * den)
-        x.update((v, Fraction(xv, prev)) for v, xv in zip(comp, xs))
+        x.update((v, (xv, prev)) for v, xv in zip(comp, xs))
     return opt, {v: x[v] for v in nodes}
 
 

@@ -401,6 +401,36 @@ def test_option_at_the_end_of_its_range_runs(tmp_path, argv, echoed):
     assert cli.main(["verify", str(rep)]) == 0
 
 
+def test_round_mu_above_the_input_margin_exits_two_with_one_line(tmp_path):
+    """The instance's margin (u - c)/u is 3/4; --mu 1 ended in a
+    RoundingInvariantError traceback with status 1."""
+    paths = _usage_inputs(tmp_path)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               paths["INSTANCE"], "--eps", "1", "--mu", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "locround: error: --mu 1 is above the input's margin: "
+        "u - c = 3/2 < mu*u = 2"]
+    assert not rep.exists()
+
+
+def test_round_rejects_a_manager_outside_the_instance(tmp_path):
+    """A virtual edge managed by node 99 of a two-node instance ran and
+    reported guarantee_ok: true."""
+    inst = tmp_path / "inst.json"
+    bad = json.loads(json.dumps(ROUND_INSTANCE))
+    bad["edges"][0]["manager"] = 99
+    inst.write_text(json.dumps(bad))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               str(inst), "--mu", "1/4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"locround: error: {inst}: edge 0: manager 99 is not a node"]
+    assert not rep.exists()
+
+
 def test_strict_budget_overrun_exits_one_with_one_line(tmp_path):
     """A --strict-budget overrun printed a BudgetExceeded traceback; it
     keeps status 1, a failed check, with one stderr line."""
