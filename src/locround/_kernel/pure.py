@@ -310,6 +310,11 @@ def edge_agreements(eu, ev, colors, q, d, cache):
 
     Monochromatic edges get None.  ``cache`` maps a color pair to its
     positions, and may be shared by every coloring with the same (q, d).
+    A pair a < b whose digits differ only in the lowest is settled as []
+    (f_a - f_b is a nonzero constant); one whose digits differ only in the
+    lowest two has the one root (b - a) / (a//q - b//q) mod q of the
+    linear f_a - f_b.  Other pairs take ``poly_roots`` over their d + 1
+    digits.
     """
     out = []
     for u, v in zip(eu, ev):
@@ -321,10 +326,16 @@ def edge_agreements(eu, ev, colors, q, d, cache):
         key = (cu, cv) if cu < cv else (cv, cu)
         hit = cache.get(key)
         if hit is None:
-            pu = _digits(key[0], q, d)
-            pv = _digits(key[1], q, d)
-            hit = cache[key] = poly_roots(
-                [(a - b) % q for a, b in zip(pu, pv)], q)
+            a, b = key
+            ha, hb = a // q, b // q
+            if ha == hb:
+                hit = []
+            elif ha // q == hb // q:
+                hit = [(b - a) * pow(ha - hb, -1, q) % q]
+            else:
+                hit = poly_roots([(x - y) % q for x, y in
+                                  zip(_digits(a, q, d), _digits(b, q, d))], q)
+            cache[key] = hit
         out.append(hit)
     return out
 
@@ -336,7 +347,9 @@ def rs_defective_step(nv, eu, ev, mgr, w, colors, q, d, factor2, agree):
     ``agree`` is ``edge_agreements`` of ``colors`` at (q, d).  Each node
     picks the candidate (z, f(z)) minimizing the (estimated) weight of
     bichromatic edges to neighbors whose candidate set contains the same
-    pair, ties toward the smallest resulting color index.
+    pair, ties toward the smallest resulting color index.  A color c below
+    q^2 is evaluated in closed form, f_c(z) = (c % q + (c // q) z) mod q;
+    a larger one by Horner over its d + 1 digits.
     """
     conf = [None] * nv      # z -> exact physical weight
     confm = [None] * nv if factor2 else None   # (z, mgr) -> weight
@@ -359,6 +372,7 @@ def rs_defective_step(nv, eu, ev, mgr, w, colors, q, d, factor2, agree):
                     dd_[z] = dd_.get(z, 0) + we
     new_colors = [0] * nv
     maxbits = 1
+    qq = q * q
     for v in range(nv):
         if not conf[v] and not (factor2 and confm[v]):
             new_colors[v] = colors[v] % q     # z = 0, no conflict
@@ -371,24 +385,30 @@ def rs_defective_step(nv, eu, ev, mgr, w, colors, q, d, factor2, agree):
                     est[z] = est.get(z, 0) + r
                     if r.bit_length() > maxbits:
                         maxbits = r.bit_length()
-        fv = _digits(colors[v], q, d)
-        best = None
         z0 = 0
         while z0 in est:
             z0 += 1
         if z0 < q:
-            best = (0, z0 * q + _poly_eval(fv, z0, q))
-        for z, wt in est.items():
-            cand = (wt, z * q + _poly_eval(fv, z, q))
-            if best is None or cand < best:
-                best = cand
+            est[z0] = 0
+        # candidates (z, f(z)) have distinct colors z * q + f(z), so the
+        # least (weight, color) is unique
+        c = colors[v]
+        if c < qq:
+            c0, c1 = c % q, c // q
+            best = min((wt, z * q + (c0 + c1 * z) % q)
+                       for z, wt in est.items())
+        else:
+            fv = _digits(c, q, d)
+            best = min((wt, z * q + _poly_eval(fv, z, q))
+                       for z, wt in est.items())
         new_colors[v] = best[1]
     return new_colors, maxbits
 
 
 def rs_proper_step(nv, eu, ev, colors, q, d, agree):
     """One conflict-free Linial step; requires q > d * edge-degree.
-    ``agree`` is ``edge_agreements`` of ``colors`` at (q, d)."""
+    ``agree`` is ``edge_agreements`` of ``colors`` at (q, d).  Candidate
+    values are evaluated as in ``rs_defective_step``."""
     blocked = [None] * nv
     for u, v, zs in zip(eu, ev, agree):
         if not zs:
@@ -399,6 +419,7 @@ def rs_proper_step(nv, eu, ev, colors, q, d, agree):
                 s = blocked[node] = set()
             s.update(zs)
     new_colors = [0] * nv
+    qq = q * q
     for v in range(nv):
         s = blocked[v]
         if not s:
@@ -409,7 +430,9 @@ def rs_proper_step(nv, eu, ev, colors, q, d, agree):
             z += 1
         if z >= q:
             raise AssertionError("no free candidate color; palette too small")
-        new_colors[v] = z * q + _poly_eval(_digits(colors[v], q, d), z, q)
+        c = colors[v]
+        new_colors[v] = z * q + ((c % q + c // q * z) % q if c < qq
+                                 else _poly_eval(_digits(c, q, d), z, q))
     return new_colors
 
 

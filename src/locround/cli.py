@@ -249,10 +249,12 @@ def _load_cover(path, from_dominating_set):
 
 def cmd_setcover(args):
     inst = _load_cover(args.input, args.from_dominating_set)
+    engine = _engine_for(_setcover.network_nodes(inst), args)
     cost_mode = "weighted" if args.weighted else "unit"
     V, metrics, info = _setcover.set_cover(inst, mode=args.mode,
                                            cost_mode=cost_mode,
-                                           backend=args.backend)
+                                           backend=args.backend,
+                                           engine=engine)
     return _emit(args, {
         "algorithm": "setcover", "input": args.input, "sets": V,
         "tau": info["tau"], "opt_bound": _frac_str(info["opt_bound"]),

@@ -169,11 +169,14 @@ def _tau_for(bound):
     return max(21, tau)
 
 
+def _g_numerator(m):
+    """ceil(2^G_BITS / 1.01^m), the numerator of g over 2^G_BITS."""
+    return -(-((100 ** m) << G_BITS) // 101 ** m)
+
+
 def _g_coefficient(m):
     """Exact dyadic ceil(2^G_BITS / 1.01^m) / 2^G_BITS."""
-    num = (100 ** m) * (1 << G_BITS)
-    den = 101 ** m
-    return Fraction(-(-num // den), 1 << G_BITS)
+    return Fraction(_g_numerator(m), 1 << G_BITS)
 
 
 def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
@@ -235,25 +238,33 @@ def cover_iteration(inst, n_star, u_live, g_i, lam, cost, mode, engine,
     return v_i, u_next
 
 
+def network_nodes(inst):
+    """The nodes of the element-set incidence network as a Multigraph
+    without edges, which is all a ``RoundEngine`` reads: its node count
+    |U| + |V| sizes the default CONGEST budget.  Raises GraphFormatError
+    on an id outside [0, 2^63)."""
+    return _graph.Multigraph(inst.elements + inst.sets, ())
+
+
 def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
               backend="central-exact", engine=None, check=True,
               budget=_oracle.DEFAULT_BUDGET):
     """Full Algorithm: returns (V_out, metrics, info).
 
+    Without an ``engine`` it runs on one over ``network_nodes(inst)``.
     info carries tau, OPT_bound, the exact Phi trace, and per-iteration
     uncovered counts.  Asserted invariants: (frac0)-(frac3), the
     per-iteration potential decrease inequality, Phi monotonicity,
     coverage, and cost(V_out) <= 3 tau OPT_bound; the weighted variant
-    additionally asserts w(V'') <= OPT_bound.
+    additionally asserts w(V'') <= OPT_bound.  Once every element is
+    covered, the remaining iterations round nothing: their Phi values
+    follow in closed form, and their two inequalities both read
+    OPT_bound >= 0, checked once.
     """
     weighted = cost_mode == "weighted"
     cost = inst.costs if weighted else {v: 1 for v in inst.sets}
     if engine is None:
-        gg = _graph.Multigraph(
-            list(inst.elements) + list(inst.sets),
-            [_graph.Edge(u, v, _graph.PHYSICAL, None, i)
-             for i, (u, v) in enumerate(inst.incidence)])
-        engine = _sim.RoundEngine(gg, mode=mode)
+        engine = _sim.RoundEngine(network_nodes(inst), mode=mode)
     W = inst.W if weighted else 1
     x0, factor, opt_bound = fractional_cover(inst, backend, weighted, budget)
     engine.metrics.oracle_assisted = True       # both backends solve the LP
@@ -278,9 +289,10 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     g0 = 20 * w_eff * _g_coefficient(tau)
     if g0 * len(inst.elements) > tau * opt_bound:
         raise CoverInvariantError("Phi_0 > 3 tau OPT_bound")
-    coefs = [20 * w_eff * _g_coefficient(tau - i) for i in range(tau + 1)]
+    # g_{i+1} <= 1.02 g_i, compared by the numerators over 2^G_BITS
+    gnum = [_g_numerator(tau - i) for i in range(tau + 1)]
     for i in range(tau):
-        if coefs[i + 1] > coefs[i] * Fraction(102, 100):
+        if 100 * gnum[i + 1] > 102 * gnum[i]:
             raise CoverInvariantError("geometric coefficient stepped too far")
     initial_coloring = None
     if mode == _sim.LOCAL:
@@ -289,16 +301,15 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     u_live = set(inst.elements)
     phi = [g0 * len(inst.elements) + 3 * tau * opt_bound]
     uncovered = [len(u_live)]
-    v_stages = []
+    v_prime = set()
     chosen_cost = 0
-    for i in range(1, tau + 1):
-        g_i = coefs[i]
-        if not u_live:
-            v_i, u_next = [], set()
-        else:
-            v_i, u_next = cover_iteration(
-                inst, n_star, u_live, g_i, lam, cost, mode, engine,
-                agree_cache, initial_coloring, check=check)
+    i = 0
+    while u_live and i < tau:
+        i += 1
+        g_i = 20 * w_eff * _g_coefficient(tau - i)
+        v_i, u_next = cover_iteration(
+            inst, n_star, u_live, g_i, lam, cost, mode, engine,
+            agree_cache, initial_coloring, check=check)
         ci = sum(cost[v] for v in v_i)
         if check:
             lhs = g_i * (len(u_live) - len(u_next)) - ci
@@ -307,10 +318,10 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
                 raise CoverInvariantError(
                     f"potential-decrease inequality failed at step {i}: "
                     f"{lhs} < {rhs}")
-        v_stages.append(v_i)
+        v_prime.update(v_i)
         chosen_cost += ci
         u_live = u_next
-        phi_i = (coefs[i] * len(u_live) + chosen_cost
+        phi_i = (g_i * len(u_live) + chosen_cost
                  + 3 * (tau - i) * opt_bound)
         if check and phi_i > phi[-1]:
             raise CoverInvariantError(
@@ -318,9 +329,21 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
         phi.append(phi_i)
         uncovered.append(len(u_live))
         engine.sample_potential(phi_i)
-    v_prime = sorted(set(v for stage in v_stages for v in stage))
+    # idle steps j > i: U_j and V'_j are empty, so the decrease inequality
+    # reads 0 >= -3 OPT_bound and Phi_j = chosen_cost + 3 (tau - j) OPT_bound
+    # falls from Phi_{j-1} by 3 OPT_bound
+    if check and i < tau and opt_bound < 0:
+        raise CoverInvariantError(
+            f"potential-decrease inequality failed at step {i + 1}: "
+            f"0 < {-3 * opt_bound}")
+    num, den = opt_bound.numerator, opt_bound.denominator
+    for j in range(i + 1, tau + 1):
+        phi_j = Fraction(chosen_cost * den + 3 * (tau - j) * num, den)
+        phi.append(phi_j)
+        uncovered.append(0)
+        engine.sample_potential(phi_j)
     v_double = sorted(set(min(inst.element_sets[u]) for u in sorted(u_live)))
-    v_out = sorted(set(v_prime) | set(v_double))
+    v_out = sorted(v_prime.union(v_double))
     engine.account(64, 2)
     if check:
         if not _oracle.covers(inst, v_out):

@@ -48,10 +48,12 @@ class RunMetrics:
 
 
 class RoundEngine:
-    """Synchronous engine over a :class:`locround.graph.Multigraph`."""
+    """Synchronous engine for a network given as a
+    :class:`locround.graph.Multigraph`.  It reads only the graph's node
+    count n, which sizes the default CONGEST budget of 64 ceil(log2 n)
+    bits, and keeps no reference to the graph."""
 
     def __init__(self, graph, mode=LOCAL, bit_budget=None, strict=False):
-        self.graph = graph
         self.mode = mode
         if bit_budget is None and mode == CONGEST:
             n = max(2, len(graph.nodes))

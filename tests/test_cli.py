@@ -451,6 +451,42 @@ def test_strict_budget_overrun_exits_one_with_one_line(tmp_path):
     assert json.loads(rep.read_text())["metrics"]["violations"]
 
 
+def test_setcover_strict_budget_overrun_exits_one_with_one_line(tmp_path):
+    """setcover ran on an engine of its own and ignored --bit-budget and
+    --strict-budget: it exited 0 with no violations."""
+    sc = tmp_path / "two.sc"
+    sc.write_text("e 1\ne 2\ns 10\ns 11\nc 1 10\nc 2 11\n")
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--mode", "congest", "--bit-budget", "1",
+                               "--strict-budget", "--json", str(rep),
+                               "setcover", "--input", str(sc))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "locround: bit budget exceeded: round 1: 6 bits exceeds budget 1"]
+    assert not rep.exists()
+    proc = _run_console_script("--mode", "congest", "--bit-budget", "1",
+                               "--json", str(rep), "setcover", "--input",
+                               str(sc))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    metrics = json.loads(rep.read_text())["metrics"]
+    assert metrics["violations"][0] == {"round": 1, "edge": ["-", "-"],
+                                        "bits": 6}
+    assert all(v["bits"] > 1 for v in metrics["violations"])
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 63])
+def test_setcover_id_outside_the_id_space_exits_two(tmp_path, bad):
+    sc = tmp_path / "bad.sc"
+    sc.write_text(f"e {bad}\ne 2\ns 10\nc {bad} 10\nc 2 10\n")
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "setcover", "--input",
+                               str(sc))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "locround: error: node ids must be in [0, 2^63)"]
+    assert not rep.exists()
+
+
 def test_setcover_unit_mode_on_weighted_input(tmp_path):
     sc = tmp_path / "i.sc"
     sc.write_text(WEIGHTED_COVER)
