@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -311,13 +312,13 @@ def cmd_round(args):
     engine = _engine_for(g, args)
     estimate = "quantized" if args.mode == _sim.CONGEST else "exact"
     prep = _rounding._Prepared(g, val)
-    U, C = prep.potential(lam.values)
+    U, C = prep.potential(lam)
     if U - C < args.mu * U:
         # the rounding's precondition u - c >= mu*u, checked before the run
         raise UsageError(f"--mu {args.mu} is above the input's margin: "
                          f"u - c = {U - C} < mu*u = {args.mu * U}")
     ell, (Uf, Cf) = _rounding.round_fractional(
-        g, val, lam.values, args.eps, args.mu, val.nlabels,
+        g, val, lam, args.eps, args.mu, val.nlabels,
         estimate_mode=estimate, engine=engine, prep=prep, uc_raw=(U, C))
     return _emit(args, {
         "algorithm": "round", "input": args.valuation,
@@ -356,10 +357,32 @@ def _load_rounding_instance(path):
     nct = {int(v): row for v, row in doc.get("node_cost", {}).items()}
     val = _rounding.Valuation.from_fractions(L, eu, ec, node_utility=nut,
                                              node_cost=nct)
-    lam = _rounding.FractionalAssignment.from_fractions(
-        L, {int(v): tuple(Fraction(x) for x in row)
-            for v, row in doc["assignment"].items()})
+    lam = {int(v): _raw_row(path, v, row, L)
+           for v, row in doc["assignment"].items()}
+    for v in nodes:
+        if v not in lam:
+            raise _graph.GraphFormatError(f"{path}: node {v} has no "
+                                          f"assignment row")
     return g, val, lam
+
+
+def _raw_row(path, v, row, L):
+    """Node ``v``'s assignment row of L rationals as a raw row: their
+    numerators over the lcm of their denominators."""
+    where = f"{path}: assignment of node {v}"
+    try:
+        fr = [Fraction(x) for x in row]
+    except (TypeError, ValueError) as exc:
+        raise _graph.GraphFormatError(f"{where}: {exc}") from None
+    if len(fr) != L:
+        raise _graph.GraphFormatError(f"{where}: {len(fr)} values, not {L}")
+    if any(x < 0 for x in fr):
+        raise _graph.GraphFormatError(f"{where}: negative value")
+    if sum(fr) != 1:
+        raise _graph.GraphFormatError(f"{where}: values sum to {sum(fr)}, "
+                                      f"not 1")
+    den = math.lcm(*(x.denominator for x in fr))
+    return tuple(x.numerator * (den // x.denominator) for x in fr)
 
 
 def cmd_oracle(args):
@@ -418,7 +441,7 @@ def cmd_verify(args):
     elif algo == "round":
         g, val, lam = _load_rounding_instance(inp)
         prep = _rounding._Prepared(g, val)
-        U, C = prep.potential(lam.values)
+        U, C = prep.potential(lam)
         checks["fractional_uc"] = (Fraction(doc["fractional_u"]) == U
                                    and Fraction(doc["fractional_c"]) == C)
         ell = {int(v): a for v, a in doc["labels"].items()}
@@ -426,7 +449,8 @@ def cmd_verify(args):
             a in range(val.nlabels) for a in ell.values()))
         if checks["labels"]:
             Uf, Cf = prep.potential(
-                _rounding.FractionalAssignment.integral(val.nlabels, ell))
+                {v: tuple(int(a == lab) for a in range(val.nlabels))
+                 for v, lab in ell.items()})
             checks["final_uc"] = (Fraction(doc["final_u"]) == Uf
                                   and Fraction(doc["final_c"]) == Cf)
             eps = Fraction(doc["eps"])

@@ -13,6 +13,7 @@ T rounds of that to (1-eps) * S*(w).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -214,11 +215,10 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
     return I, sstar
 
 
-def local_ratio_combine(g, staged, weights):
-    """Reverse-greedy union of the local-ratio sets.
-
-    ``staged`` is the list [(I_i, w_i(I_i))] in forward order; asserts
-    w(I) >= sum_i w_i(I_i) exactly."""
+def local_ratio_combine(g, staged):
+    """Reverse-greedy union of the local-ratio sets: ``staged`` is the list
+    [(I_i, w_i(I_i))] in forward order, and each node joins unless a node
+    taken before it is a neighbor."""
     I = set()
     blocked = set()
     for (Ij, _val) in reversed(staged):
@@ -227,12 +227,6 @@ def local_ratio_combine(g, staged, weights):
                 I.add(v)
                 blocked.add(v)
                 blocked.update(g.neighbors(v))
-    wI = sum(weights[v] for v in I)
-    lower = sum(val for (_s, val) in staged)
-    if wI < lower:
-        raise ISInvariantError(f"local-ratio charge failed: {wI} < {lower}")
-    if not _oracle.is_independent(g, I):
-        raise ISInvariantError("combined set is not independent")
     return sorted(I)
 
 
@@ -264,115 +258,124 @@ def _induced(g, support):
     return _graph.simple_graph(sorted(sup), pairs)
 
 
-def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
-                   deep_check=False, check=True,
-                   budget=_oracle.DEFAULT_BUDGET):
-    """(1-eps) * S*(w) independent set via the local-ratio ladder; against
-    neighborhood independence beta this is a (1-eps)/beta approximation.
+def _check_dual_certificate(g, w_t, I_t, w_next):
+    """Asserts w_t(I_t) >= S*(w'_t), w'_t = w_t - w_next, by weak duality:
+    y = w_t on I_t and 0 elsewhere has objective w_t(I_t) and is feasible
+    for the covering LP min y(V), y(N+[u]) >= w'_t(u) for all u, y >= 0."""
+    inI = set(I_t)
+    for u in g.nodes:
+        y = sum(w_t[v] for v in {u, *g.neighbors(u)} & inI)
+        if y < w_t[u] - w_next[u]:
+            raise ISInvariantError(
+                f"y(N+[{u}]) = {y} below w'_t({u}) = {w_t[u] - w_next[u]}: "
+                f"no certificate of w_t(I_t) >= S*(w'_t)")
 
-    ``deep_check`` additionally verifies, per step, the dual-LP facts
-    Upsilon_t <= S*(w_{t+1}) and w_i(I_i) >= S*(w'_i) (small instances).
-    Returns (I, S*(w), trace)."""
+
+def _ladder(wg, eps, engine, check, step, bound):
+    """The local-ratio ladder over residual weights: T rounds, each an
+    independent set I_t of the residual support, then the reverse-greedy
+    union.  Returns (I, B(w_1), [Upsilon_1, ...]).
+
+    ``step(sub, w_t, cols) -> (I_t, B(w_t))`` runs one round on the
+    support graph at its residual weights and start colors; ``bound(w)``
+    is B of the residual left after the last round, read only when it has
+    support.  ``check`` asserts, with Upsilon_t = B(w_1) - sum_{s<=t}
+    w_s(I_s): per round Upsilon_t <= (3/4)^t B(w_1) (first, so that it
+    fires although the next two imply it), 4 w_t(I_t) >= B(w_t),
+    Upsilon_{t-1} <= B(w_t) and ``_check_dual_certificate``; then the last
+    Upsilon against ``bound``, w(I) >= (1-eps) B(w_1) (which those checks
+    and the next one imply), the local-ratio charge w(I) >= sum_t
+    w_t(I_t), and that I is independent."""
     eps = Fraction(eps)
     g = wg.graph
-    coloring = _coloring.linial_coloring(g, engine=engine)
-    cols = {v: coloring.colors[v] for v in g.nodes}
-    T = _steps_for(eps)
-    w_i = {v: Fraction(wg.weights[v]) for v in g.nodes}
-    sstar0 = None
+    cols = _coloring.linial_coloring(g, engine=engine).colors
+    w_t = {v: Fraction(wg.weights[v]) for v in g.nodes}
+    B1 = None
     staged = []
     upsilons = []
-    for i in range(1, T + 1):
-        support = sorted(v for v in g.nodes if w_i[v] > 0)
+    for t in range(1, _steps_for(eps) + 1):
+        support = sorted(v for v in g.nodes if w_t[v] > 0)
         if not support:
             break
-        sub = _induced(g, support)
-        subcols = {v: cols[v] for v in support}
-        I_i, sstar_i = lp_guided_is(
-            _graph.WeightedGraph(sub, {v: 1 for v in support}),
-            weights={v: w_i[v] for v in support}, coloring=subcols,
-            engine=engine, mode=mode, check=check, budget=budget)
-        if sstar0 is None:
-            sstar0 = sstar_i
-        val_i = sum(w_i[v] for v in I_i)
-        staged.append((I_i, val_i))
-        w_next = _residual_weights(g, w_i, I_i)
-        ups = sstar0 - sum(val for (_s, val) in staged)
+        I_t, B_t = step(_induced(g, support), {v: w_t[v] for v in support},
+                        {v: cols[v] for v in support})
+        if B1 is None:
+            B1 = B_t
+        val_t = sum(w_t[v] for v in I_t)
+        staged.append((I_t, val_t))
+        ups = B1 - sum(val for (_s, val) in staged)
+        w_next = _residual_weights(g, w_t, I_t)
+        if check:
+            if ups > (Fraction(3, 4) ** t) * B1:
+                raise ISInvariantError(
+                    f"potential did not shrink: Upsilon_{t} = {ups}")
+            if 4 * val_t < B_t:
+                raise ISInvariantError(
+                    f"round {t}: 4 w_t(I_t) = {4 * val_t} below B(w_t) = {B_t}")
+            if upsilons and upsilons[-1] > B_t:
+                raise ISInvariantError(
+                    f"Upsilon_{t - 1} = {upsilons[-1]} exceeds B(w_{t}) = {B_t}")
+            _check_dual_certificate(g, w_t, I_t, w_next)
         upsilons.append(ups)
-        t = len(staged)
-        if check and ups > (Fraction(3, 4) ** t) * sstar0:
-            raise ISInvariantError(
-                f"potential did not shrink: Upsilon_{t} = {ups}")
-        if deep_check:
-            sub_next = _induced(g, [v for v in g.nodes if w_next[v] > 0] or [])
-            if len(sub_next.nodes) > 0:
-                s_next, _x = _oracle.packing_lp(
-                    sub_next, weights={v: w_next[v] for v in sub_next.nodes},
-                    budget=budget)
-            else:
-                s_next = Fraction(0)
-            if ups > s_next:
-                raise ISInvariantError(
-                    f"Upsilon_{t} = {ups} exceeds S*(w_next) = {s_next}")
-            wprime = {v: w_i[v] - w_next[v] for v in g.nodes}
-            s_prime, _y = _oracle.dual_covering_lp(g, wprime, budget=budget)
-            if val_i < s_prime:
-                raise ISInvariantError(
-                    f"w_i(I_i) = {val_i} below S*(w'_i) = {s_prime}")
-        w_i = w_next
-    if sstar0 is None:
+        w_t = w_next
+    if B1 is None:
         return [], Fraction(0), []
-    I = local_ratio_combine(g, staged, wg.weights)
-    wI = sum(wg.weights[v] for v in I)
-    if check and wI < (1 - eps) * sstar0:
-        raise ISInvariantError(
-            f"(1-eps) S* bound failed: {wI} < {(1 - eps) * sstar0}")
-    return I, sstar0, upsilons
+    if check:
+        last = bound(w_t) if any(w_t.values()) else 0
+        if upsilons[-1] > last:
+            raise ISInvariantError(
+                f"Upsilon_{len(upsilons)} = {upsilons[-1]} exceeds B = {last} "
+                f"of the last residual")
+    I = local_ratio_combine(g, staged)
+    if check:
+        wI = sum(wg.weights[v] for v in I)
+        if wI < (1 - eps) * B1:
+            raise ISInvariantError(
+                f"(1-eps) B bound failed: {wI} < {(1 - eps) * B1}")
+        lower = sum(val for (_s, val) in staged)
+        if wI < lower:
+            raise ISInvariantError(f"local-ratio charge failed: {wI} < {lower}")
+        if not _oracle.is_independent(g, I):
+            raise ISInvariantError("combined set is not independent")
+    return I, B1, upsilons
+
+
+def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
+                   check=True, budget=_oracle.DEFAULT_BUDGET):
+    """(1-eps) * S*(w) independent set via the local-ratio ladder fed by
+    ``lp_guided_is``, B = S*; against neighborhood independence beta this
+    is a (1-eps)/beta approximation.  Returns (I, S*(w), trace)."""
+    g = wg.graph
+
+    def step(sub, w, cols):
+        return lp_guided_is(
+            _graph.WeightedGraph(sub, {v: 1 for v in sub.nodes}), weights=w,
+            coloring=cols, engine=engine, mode=mode, check=check,
+            budget=budget)
+
+    def bound(w):
+        sub = _induced(g, [v for v in g.nodes if w[v] > 0])
+        return _oracle.packing_lp(sub, weights=w, budget=budget)[0]
+
+    return _ladder(wg, eps, engine, check, step, bound)
 
 
 def turan_fraction_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
                       check=True):
     """Independent set of weight >= (1-eps) w(V)/(Delta+1): the local-ratio
-    ladder fed by the uniform fractional solution x = 1/(Delta+1), no LP."""
-    eps = Fraction(eps)
-    g = wg.graph
-    if not g.nodes:
-        return []
-    coloring = _coloring.linial_coloring(g, engine=engine)
-    cols = {v: coloring.colors[v] for v in g.nodes}
-    dmax = g.max_degree()
-    target = Fraction(wg.total_weight(), dmax + 1)
-    T = _steps_for(eps)
-    w_i = {v: Fraction(wg.weights[v]) for v in g.nodes}
-    staged = []
-    for t in range(1, T + 1):
-        support = sorted(v for v in g.nodes if w_i[v] > 0)
-        if not support:
-            break
-        sub = _induced(g, support)
-        x = {v: Fraction(1, dmax + 1) for v in support}
-        I_t, u_t = basic_is_round(sub, {v: w_i[v] for v in support}, x,
-                                  Fraction(1, 4), engine=engine,
-                                  initial_coloring={v: cols[v] for v in support},
-                                  mode=mode, check=check)
-        val_t = sum(w_i[v] for v in I_t)
-        wv_t = sum(w_i[v] for v in support)
-        if check and 4 * (dmax + 1) * val_t < wv_t:
-            raise ISInvariantError("per-step w_t(V)/(4(Delta+1)) bound failed")
-        staged.append((I_t, val_t))
-        w_i = _residual_weights(g, w_i, I_t)
-        ups = target - sum(val for (_s, val) in staged)
-        if check:
-            if ups > (Fraction(3, 4) ** len(staged)) * target:
-                raise ISInvariantError(f"Upsilon_{t} = {ups} did not shrink")
-            if ups > Fraction(sum(w_i.values()), dmax + 1):
-                raise ISInvariantError(
-                    f"Upsilon_{t} = {ups} above w_next(V)/(Delta+1)")
-    I = local_ratio_combine(g, staged, wg.weights) if staged else []
-    wI = sum(wg.weights[v] for v in I)
-    if check and wI < (1 - eps) * target:
-        raise ISInvariantError(f"Turan bound failed: {wI} < {(1 - eps) * target}")
-    return I
+    ladder fed by the uniform fractional solution x = 1/(Delta+1), whose
+    utility is B = w(V)/(Delta+1); no LP."""
+    share = Fraction(1, wg.graph.max_degree() + 1)
+
+    def step(sub, w, cols):
+        return basic_is_round(sub, w, dict.fromkeys(sub.nodes, share),
+                              Fraction(1, 4), engine=engine,
+                              initial_coloring=cols, mode=mode, check=check)
+
+    def bound(w):
+        return share * sum(w.values())
+
+    return _ladder(wg, eps, engine, check, step, bound)[0]
 
 
 def caro_wei_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
@@ -463,37 +466,33 @@ def maximal_matching(g, mode=_sim.LOCAL, engine=None, check=True):
 def edge_coloring_sq(g, engine=None):
     """Proper O(Delta^2) edge coloring: each node labels its edges by
     ascending neighbor id, label pairs split the edges into paths and
-    cycles, and each class is 3-colored.  Returns {(u, v): color}."""
+    cycles, and each class is 3-colored.  The classes are colored as the
+    components of one graph of maximum degree 2, whose edges join the
+    edges of a class that share an endpoint; that gives each class the
+    coloring it gets alone.  Returns {(u, v): color}."""
     label = {}
     for v in g.nodes:
         for i, u in enumerate(g.neighbors(v)):
             label[(v, u)] = i + 1
-    classes = {}
+    base = (g.nodes[-1] + 1) if g.nodes else 0
+    keys = []
+    present = {}
     for e in g.edges:
         a = label[(e.u, e.v)]
         b = label[(e.v, e.u)]
         key = (min(a, b), max(a, b))
-        classes.setdefault(key, []).append(e)
+        keys.append(key)
+        for end in (e.u, e.v):
+            present.setdefault((end, key), []).append(base + e.index)
+    pairs = [p for lst in present.values()
+             for p in itertools.combinations(lst, 2)]
+    col3 = _coloring.three_color_paths_cycles(_graph.simple_graph(
+        [base + e.index for e in g.edges], pairs)).colors
+    class_ids = {key: i for i, key in enumerate(sorted(set(keys)))}
     out = {}
-    class_ids = {key: i for i, key in enumerate(sorted(classes))}
-    for key in sorted(classes):
-        edges = classes[key]
-        base = (g.nodes[-1] + 1) if g.nodes else 0
-        enodes = [base + e.index for e in edges]
-        present = {}
-        for e in edges:
-            for end in (e.u, e.v):
-                present.setdefault(end, []).append(base + e.index)
-        cls_pairs = []
-        for v, lst in sorted(present.items()):
-            for i in range(len(lst)):
-                for j in range(i + 1, len(lst)):
-                    cls_pairs.append((lst[i], lst[j]))
-        cls_g = _graph.simple_graph(enodes, cls_pairs)
-        col3 = _coloring.three_color_paths_cycles(cls_g)
-        for e in edges:
-            out[(min(e.u, e.v), max(e.u, e.v))] = (
-                3 * class_ids[key] + col3.colors[base + e.index])
+    for e, key in zip(g.edges, keys):
+        out[(min(e.u, e.v), max(e.u, e.v))] = (
+            3 * class_ids[key] + col3[base + e.index])
     # properness scan over the line graph
     for v in g.nodes:
         seen = set()

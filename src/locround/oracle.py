@@ -279,23 +279,6 @@ def _scaled(v, den):
     return v.numerator * (den // v.denominator)
 
 
-def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
-    """Exact LP optimum; ``max c.x, Ax <= b`` or ``min c.x, Ax >= b``
-    (both with x >= 0), ``A`` given as sparse rows ``{column: coefficient}``
-    as in ``simplex_max``.  Returns (optimum, x, y) as Fractions, y the
-    optimal dual.  Unbounded and infeasible are reported distinctly."""
-    if len(objective) > budget.max_lp_vars:
-        raise OverBudget(f"{len(objective)} variables over LP budget")
-    if sense == "max":
-        num, x, y, prev, den = simplex_max(objective, A, b)
-        xden, yden = prev, prev * den
-    else:
-        num, x, y, prev, den = _min_lp(objective, A, b)
-        xden, yden = prev * den, prev
-    return (Fraction(num, prev * den), [Fraction(v, xden) for v in x],
-            [Fraction(v, yden) for v in y])
-
-
 def _min_lp(objective, A, b):
     """min c.x, Ax >= b, x >= 0, solved through its dual max b.y,
     A^T y <= c by ``simplex_max``, whose dual is x.  Returns the integers
@@ -370,26 +353,6 @@ def packing_lp_integers(wg, weights=None, budget=DEFAULT_BUDGET):
         opt += Fraction(num, prev * den)
         x.update((v, (xv, prev)) for v, xv in zip(comp, xs))
     return opt, {v: x[v] for v in nodes}
-
-
-def dual_covering_lp(wg, wprime, budget=DEFAULT_BUDGET):
-    """LP (dual of the packing LP): min sum y_v s.t. for all v:
-    sum_{u in N+(v)} y_u >= w'(v), y >= 0.  Solved per connected component
-    like ``packing_lp``.  Returns (opt, y dict)."""
-    g = wg.graph if hasattr(wg, "graph") else wg
-    nodes = list(g.nodes)
-    if len(nodes) > budget.max_lp_vars:
-        raise OverBudget(f"{len(nodes)} variables over LP budget")
-    opt = Fraction(0)
-    y = {}
-    for comp in _graph_components(g):
-        o, ys, _x = exact_lp([1] * len(comp),
-                             _closed_neighborhood_rows(g, comp),
-                             [wprime.get(v, 0) for v in comp], sense="min",
-                             budget=budget)
-        opt += o
-        y.update(zip(comp, ys))
-    return opt, {v: y[v] for v in nodes}
 
 
 def _graph_components(g):

@@ -51,22 +51,6 @@ class FractionalAssignment:
             if sum(nums) != tot:
                 raise ValueError(f"node {v}: values do not sum to 1")
 
-    @classmethod
-    def from_fractions(cls, nlabels, values):
-        """Exact conversion; every value must be dyadic."""
-        k = 0
-        for nums in values.values():
-            for x in nums:
-                d = Fraction(x).denominator
-                if d & (d - 1):
-                    raise ValueError(f"non-dyadic value {x}")
-                k = max(k, d.bit_length() - 1)
-        scaled = {
-            v: tuple(int(Fraction(x) * (1 << k)) for x in nums)
-            for v, nums in values.items()
-        }
-        return cls(nlabels, k, scaled)
-
     def normalize(self):
         """Reduce k while every numerator is even."""
         k = self.k
@@ -75,13 +59,6 @@ class FractionalAssignment:
             values = {v: tuple(x >> 1 for x in nums) for v, nums in values.items()}
             k -= 1
         return FractionalAssignment(self.nlabels, k, values)
-
-    @classmethod
-    def integral(cls, nlabels, labeling):
-        return cls(nlabels, 0, {
-            v: tuple(1 if a == lab else 0 for a in range(nlabels))
-            for v, lab in labeling.items()
-        })
 
 
 class Valuation:

@@ -289,7 +289,7 @@ def test_c7_c8_beta_and_local_ratio():
         n = rng.randint(3, 18)
         g = _graph(rng, n, rng.randint(2, 6), 0.3)
         wg = G.WeightedGraph(g, {v: rng.randint(1, 9) for v in g.nodes})
-        I, sstar, ups = IS.beta_approx_is(wg, eps, deep_check=True)
+        I, sstar, ups = IS.beta_approx_is(wg, eps)
         wI = sum(wg.weights[v] for v in I)
         assert wI >= (1 - eps) * sstar
         opt, _ = O.brute_max_weight_is(wg)

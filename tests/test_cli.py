@@ -132,7 +132,8 @@ def test_valuation_json_roundtrip(tmp_path):
             for v, nums in lam.values.items()}
     assert (R.evaluate(val, raw_rows(lamf), g)
             == R.evaluate(val2, raw_rows(lamf), g2))
-    assert lam2.values == lam.values and lam2.k == lam.k
+    assert {v: tuple(Fraction(x, sum(row)) for x in row)
+            for v, row in lam2.items()} == lamf
 
 
 @pytest.mark.parametrize("field,table", [
@@ -428,6 +429,47 @@ def test_round_rejects_a_manager_outside_the_instance(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         f"locround: error: {inst}: edge 0: manager 99 is not a node"]
+    assert not rep.exists()
+
+
+def test_round_takes_a_non_dyadic_assignment(tmp_path):
+    """The row ["2/3", "1/3"] ended in a "non-dyadic value 2/3" traceback
+    with status 1, although the rounding preprocesses any rational row."""
+    inst = tmp_path / "inst.json"
+    doc = json.loads(json.dumps(ROUND_INSTANCE))
+    doc["assignment"]["1"] = ["2/3", "1/3"]
+    inst.write_text(json.dumps(doc))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               str(inst), "--mu", "1/4")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(rep.read_text())
+    assert report["guarantee_ok"] is True
+    assert (report["fractional_u"], report["fractional_c"]) == ("2/1", "7/12")
+    proc = _run_console_script("verify", str(rep))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("row,line", [
+    (["1/2", "1/4", "1/4"], "assignment of node 1: 3 values, not 2"),
+    (["3/2", "-1/2"], "assignment of node 1: negative value"),
+    (["1/2", "1/3"], "assignment of node 1: values sum to 5/6, not 1"),
+    (["x", "1"], "assignment of node 1: Invalid literal for Fraction: 'x'"),
+    (None, "node 1 has no assignment row"),
+], ids=["length", "negative", "sum", "literal", "missing"])
+def test_round_rejects_a_malformed_assignment_row(tmp_path, row, line):
+    inst = tmp_path / "inst.json"
+    doc = json.loads(json.dumps(ROUND_INSTANCE))
+    if row is None:
+        del doc["assignment"]["1"]
+    else:
+        doc["assignment"]["1"] = row
+    inst.write_text(json.dumps(doc))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               str(inst), "--mu", "1/4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"locround: error: {inst}: {line}"]
     assert not rep.exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from locround import graph as G, indepset as IS, oracle as O, rounding as R
 from conftest import random_simple_graph, random_weighted_graph, raw_rows
+from rational_lp import dual_covering_lp
 
 
 def wgraph(nodes, pairs, weights):
@@ -88,23 +89,101 @@ def test_lp_guided_examples(rng):
 
 def test_local_ratio_combine_cases():
     g = G.simple_graph([1, 2, 3, 4], [(1, 2), (3, 4)])
-    w = {v: 1 for v in g.nodes}
-    I = IS.local_ratio_combine(g, [([1], 1)], w)
+    I = IS.local_ratio_combine(g, [([1], 1)])
     assert I == [1]
-    I = IS.local_ratio_combine(g, [([1], 1), ([3], 1)], w)
+    I = IS.local_ratio_combine(g, [([1], 1), ([3], 1)])
     assert I == [1, 3]
 
 
 def test_beta_approx_vs_oracle(rng):
     for _ in range(4):
         wg = random_weighted_graph(rng, rng.randint(3, 14), 4, 0.3)
-        I, sstar, ups = IS.beta_approx_is(wg, Fraction(1, 10), deep_check=True)
+        I, sstar, ups = IS.beta_approx_is(wg, Fraction(1, 10))
         wI = sum(wg.weights[v] for v in I)
         assert wI >= Fraction(9, 10) * sstar
         opt, _ = O.brute_max_weight_is(wg)
         beta = O.neighborhood_independence(wg.graph)
         assert beta * wI >= Fraction(9, 10) * opt
         assert O.is_independent(wg.graph, I)
+
+
+def _scripted_ladder(rounds, eps=Fraction(1, 2), bound=lambda w: 0,
+                     check=True):
+    """``_ladder`` on the path 1-2 plus the lone node 3, weights 4, 8, 4,
+    whose rounds return the scripted (I_t, B(w_t)) in turn."""
+    wg = wgraph([1, 2, 3], [(1, 2)], {1: 4, 2: 8, 3: 4})
+    script = iter(rounds)
+    return IS._ladder(wg, eps, None, check, lambda sub, w, cols: next(script),
+                      bound)
+
+
+def test_ladder_check_trips_each_assertion(monkeypatch):
+    """Round 1 takes {3} at B = 16: Upsilon_1 = 12 = (3/4) 16, and 1, 2
+    keep 4, 8.  Each case breaks one inequality and keeps the ones checked
+    before it."""
+    cases = [
+        ([([3], 100)], "potential did not shrink: Upsilon_1 = 96"),
+        # Upsilon_2 = 8 <= 9, but 4 * 4 < 17
+        ([([3], 16), ([1], 17)], r"round 2: 4 w_t\(I_t\) = 16 below"),
+        ([([3], 16), ([1], 11)], r"Upsilon_1 = 12 exceeds B\(w_2\) = 11"),
+        # {2} clears 1 and 2: nothing is left, so B = 0 after round 2
+        ([([3], 16), ([2], 12)], "Upsilon_2 = 4 exceeds B = 0 of the last"),
+        # 1 and 2 conflict: the union keeps 1 and 3, 8 of the 16 charged
+        ([([1, 2], 12), ([3], 4)], "local-ratio charge failed: 8 < 16"),
+    ]
+    for rounds, msg in cases:
+        with pytest.raises(IS.ISInvariantError, match=msg):
+            _scripted_ladder(rounds)
+    # eps = 9/10 is one round; 1 and 2 keep weight, so ``bound`` reads it
+    seen = []
+    with pytest.raises(IS.ISInvariantError,
+                       match="Upsilon_1 = 12 exceeds B = 11 of the last"):
+        _scripted_ladder([([3], 16)], Fraction(9, 10),
+                         lambda w: seen.append(w) or 11)
+    assert seen == [{1: 4, 2: 8, 3: 0}]
+    # unchecked, no ladder check runs and ``bound`` is not read
+    assert _scripted_ladder([([3], 100), ([2], 1)], bound=None,
+                            check=False) == ([2, 3], 100, [96, 88])
+    # the union passes every check above; a light or dependent one fails
+    for union, msg in (([], r"\(1-eps\) B bound failed: 0 < 6"),
+                       ([1, 2], "combined set is not independent")):
+        monkeypatch.setattr(IS, "local_ratio_combine", lambda *args: union)
+        with pytest.raises(IS.ISInvariantError, match=msg):
+            _scripted_ladder([([2, 3], 12)])
+    monkeypatch.undo()
+    # a residual that deducts twice what I_t covers: 2 loses 8, y = 4
+    residual = IS._residual_weights
+
+    def doubled(g, w, I):
+        return {u: max(0, 2 * r - w[u]) for u, r in residual(g, w, I).items()}
+
+    monkeypatch.setattr(IS, "_residual_weights", doubled)
+    with pytest.raises(IS.ISInvariantError,
+                       match=r"y\(N\+\[2\]\) = 4 below w'_t\(2\) = 8"):
+        _scripted_ladder([([1], 16)])
+
+
+def test_ladder_certificate_matches_the_covering_lp(rng, monkeypatch):
+    """On seeded beta and Turan ladders, every round's w'_t = w_t - w_{t+1}
+    has S*(w'_t), the covering LP optimum, at most w_t(I_t), and the
+    certificate scan passes on the same inputs."""
+    seen = []
+    residual = IS._residual_weights
+
+    def recording(g, w, I):
+        seen.append((g, w, I, residual(g, w, I)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(IS, "_residual_weights", recording)
+    for _ in range(6):
+        wg = random_weighted_graph(rng, rng.randint(2, 16), 5, 0.3, wmax=30)
+        IS.beta_approx_is(wg, Fraction(1, 2))
+        IS.turan_fraction_is(wg, Fraction(1, 2))
+    assert len(seen) >= 12
+    for g, w, I, w_next in seen:
+        opt, _y = dual_covering_lp(g, {v: w[v] - w_next[v] for v in g.nodes})
+        assert opt <= sum(w[v] for v in I)
+        IS._check_dual_certificate(g, w, I, w_next)
 
 
 def test_turan_bound(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from locround import graph as G, oracle as O
 from conftest import random_simple_graph, random_setcover
+from rational_lp import dual_covering_lp, exact_lp
 
 
 def test_brute_is_examples():
@@ -61,7 +62,7 @@ def test_strong_duality_fuzz(rng):
     for _ in range(12):
         g = random_simple_graph(rng, rng.randint(1, 10), 4, 0.3)
         wp = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
-        o1, y = O.dual_covering_lp(g, wp)
+        o1, y = dual_covering_lp(g, wp)
         o2, x = O.packing_lp(g, weights=wp)
         assert o1 == o2
 
@@ -101,7 +102,7 @@ def test_per_component_lps_match_whole_system(rng):
         y = [Fraction(yi, prev * den) for yi in Y]
         assert O.packing_lp(g, weights=w) == (opt, dict(zip(nodes, x)))
         # the covering LP's optimum is the packing LP's dual
-        assert O.dual_covering_lp(g, w) == (opt, dict(zip(nodes, y)))
+        assert dual_covering_lp(g, w) == (opt, dict(zip(nodes, y)))
 
 
 def _solve_square(M, r):
@@ -165,10 +166,10 @@ def test_small_lps_match_vertex_enumeration(rng):
         best = _vertex_optimum(c, A, b, sense)
         if best is None:
             with pytest.raises(O.LPInfeasible):
-                O.exact_lp(c, A, b, sense=sense)
+                exact_lp(c, A, b, sense=sense)
             seen["infeasible"] += 1
             continue
-        opt, x, _y = O.exact_lp(c, A, b, sense=sense)
+        opt, x, _y = exact_lp(c, A, b, sense=sense)
         assert opt == best
         assert sum(cj * xj for cj, xj in zip(c, x)) == opt
         seen[sense] += 1
@@ -179,7 +180,7 @@ def test_lp_infeasible_and_unbounded():
     with pytest.raises(O.LPInfeasible):
         O.simplex_max([1], [{0: 1}], [-1])              # x <= -1
     with pytest.raises(O.LPInfeasible):
-        O.exact_lp([1], [{0: -1}], [1], sense="min")    # -x >= 1
+        exact_lp([1], [{0: -1}], [1], sense="min")    # -x >= 1
     with pytest.raises(O.LPUnbounded):
         O.simplex_max([1, 1], [{1: 1}], [2])            # x0 is free
 
@@ -187,10 +188,10 @@ def test_lp_infeasible_and_unbounded():
 def test_exact_min_tells_unbounded_from_infeasible():
     # min -x, x >= 1: the dual (max y, y <= -1) is infeasible
     with pytest.raises(O.LPUnbounded):
-        O.exact_lp([-1], [{0: 1}], [1], sense="min")
+        exact_lp([-1], [{0: 1}], [1], sense="min")
     # min -x0 - x1, x0 - x1 >= 1, x1 - x0 >= 1: primal and dual infeasible
     with pytest.raises(O.LPInfeasible):
-        O.exact_lp([-1, -1], [{0: 1, 1: -1}, {0: -1, 1: 1}], [1, 1],
+        exact_lp([-1, -1], [{0: 1, 1: -1}, {0: -1, 1: 1}], [1, 1],
                    sense="min")
 
 
@@ -218,7 +219,7 @@ def test_setcover_lp_values_match_the_rational_lp(rng):
         for els, sets_ in O._components(inst):
             sidx = {v: j for j, v in enumerate(sets_)}
             A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
-            o, xs, _y = O.exact_lp([inst.costs[v] for v in sets_], A,
+            o, xs, _y = exact_lp([inst.costs[v] for v in sets_], A,
                                    [1] * len(els), sense="min")
             total += o
             for v, xv in zip(sets_, xs):

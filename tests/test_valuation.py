@@ -25,8 +25,8 @@ def _packed(g, val):
 
 
 def _json_round_trip(tmp_path, h, val):
-    lam = R.FractionalAssignment.integral(val.nlabels,
-                                          {v: 0 for v in h.nodes})
+    lam = R.FractionalAssignment(
+        val.nlabels, 0, {v: (1,) + (0,) * (val.nlabels - 1) for v in h.nodes})
     path = tmp_path / "val.json"
     path.write_text(json.dumps(valuation_to_json(h, val, lam)))
     h2, val2, _lam = cli._load_rounding_instance(str(path))
