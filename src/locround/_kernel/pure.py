@@ -23,6 +23,12 @@ grouped by the node's own label.  In every algorithm here an edge has one
 nonzero entry, so the kernels do one product per edge, not L*L, and a
 label without an entry costs nothing.  Only zero terms are skipped, so
 the results are those of the dense sums.
+
+The color loop ranks a row's labels at the step's bit by their estimated
+marginal potential phi.  It compares the phis unscaled unless a
+worst-in-band or quantized per-manager term joins them, and settles a row
+with two such labels, every row in the algorithms here, by one comparison
+in place of a sort.
 """
 
 from __future__ import annotations
@@ -755,12 +761,20 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
     ``lam`` holds numerators over 2^k, and the step rounds the entries
     that hold bit ``unit``.  Visits the rows ``rows`` (every row when None)
     in ascending color order; every visited row with entries holding that
-    bit splits them into equal halves by estimated marginal potential and
-    moves each entry by ``unit``, up for the better half and down for the
-    rest.  Edges between nodes of one color are left out of the estimates,
-    so the order inside a color class does not matter.  ``est_mode``: 0
-    exact, 1 worst-in-band (test hook), 2 quantized per-manager
-    contributions (the bandwidth-saving estimator).
+    bit splits them into equal halves by estimated marginal potential phi
+    and moves each entry by ``unit``, up for the better half and down for
+    the rest.  The halves are those of sorting the (phi, label) pairs in
+    descending order: a row with two such labels a0 < a1 is settled by one
+    comparison, raising a1 when its phi is at least a0's.  Edges between
+    nodes of one color are left out of the estimates, so the order inside
+    a color class does not matter.  ``est_mode``: 0 exact, 1 worst-in-band
+    (test hook), 2 quantized per-manager contributions (the
+    bandwidth-saving estimator).
+
+    phi is eta_den*su - eta_num*sc, at scale table * 2^k * eta_den.  Only
+    when a worst-in-band or a quantized per-manager term joins it is it
+    taken to that scale times 6*delta_den, for every row of the call; a
+    positive factor orders the rows' phis alike.
 
     Mutates ``lam``; afterwards no visited entry holds bit ``unit``.
     Returns (max_qidx_bits, touched), touched being the rows that moved.
@@ -770,12 +784,14 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
     sixdd = 6 * delta_den
     # without managed entries the quantized estimator is the exact one
     per_manager = est_mode == 2 and tables.managed
+    scaled = est_mode == 1 or per_manager
+    labels = range(L)
     max_qbits = 1
     touched = 0
     order = range(nv) if rows is None else rows
     for v in sorted(order, key=colors.__getitem__):
         lamv = lam[v]
-        sv = [a for a in range(L) if lamv[a] & unit]
+        sv = [a for a in labels if lamv[a] & unit]
         if not sv:
             continue
         touched += 1
@@ -792,9 +808,11 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
             # estimates the managed entries' sums go per manager instead
             su = 0
             sc = 0
-            it = iter(inc[row + a])
-            if per_manager:
+            per_mgr = None
+            ent = inc[row + a]
+            if ent and per_manager:
                 per_mgr = {}
+                it = iter(ent)
                 for u, man, b, x, y in zip(it, it, it, it, it):
                     if colors[u] == gamma:
                         continue
@@ -811,8 +829,8 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
                     else:
                         slot[0] += lb * x
                         slot[1] += lb * y
-            else:
-                per_mgr = None
+            elif ent:
+                it = iter(ent)
                 for u, _man, b, x, y in zip(it, it, it, it, it):
                     if colors[u] == gamma:
                         continue
@@ -824,28 +842,34 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
                 su += twok * nu[a]
             if nc is not None:
                 sc += twok * nc[a]
-            # phi = eta_den*su - eta_num*sc and theta = eta_den*su +
-            # eta_num*sc are at scale table * 2^k * eta_den, and phi6 at
-            # that scale times 6 * delta_den
-            phi6 = sixdd * (eta_den * su - eta_num * sc)
-            if est_mode == 1:
-                phi6 -= delta_num * (eta_den * su + eta_num * sc)
-            # quantize each manager contribution down to its band grid
-            for pu, pc in per_mgr.values() if per_mgr else ():
-                te = eta_den * pu + eta_num * pc
-                if te == 0:
-                    continue
-                grid = delta_num * te
-                qidx = (sixdd * (eta_den * pu - eta_num * pc)) // grid
-                if qidx:
-                    b_ = abs(qidx).bit_length()
-                    if b_ > max_qbits:
-                        max_qbits = b_
-                phi6 += qidx * grid
-            phis.append((phi6, a))
-        phis.sort(reverse=True)     # labels are distinct: no ties
-        half = len(phis) // 2
-        for i, (_val, a) in enumerate(phis):
+            phi = eta_den * su - eta_num * sc
+            if scaled:
+                phi *= sixdd
+                if est_mode == 1:
+                    phi -= delta_num * (eta_den * su + eta_num * sc)
+                # quantize each manager contribution down to its band grid
+                for pu, pc in per_mgr.values() if per_mgr else ():
+                    te = eta_den * pu + eta_num * pc
+                    if te == 0:
+                        continue
+                    grid = delta_num * te
+                    qidx = (sixdd * (eta_den * pu - eta_num * pc)) // grid
+                    if qidx:
+                        b_ = abs(qidx).bit_length()
+                        if b_ > max_qbits:
+                            max_qbits = b_
+                    phi += qidx * grid
+            phis.append(phi)
+        if len(sv) == 2:
+            up, down = sv
+            if phis[1] >= phis[0]:      # a tie raises the larger label
+                up, down = down, up
+            lamv[up] += unit
+            lamv[down] -= unit
+            continue
+        ranked = sorted(zip(phis, sv), reverse=True)   # labels are distinct
+        half = len(ranked) // 2
+        for i, (_phi, a) in enumerate(ranked):
             if i < half:
                 lamv[a] += unit
             else:

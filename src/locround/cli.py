@@ -331,9 +331,19 @@ def cmd_round(args):
     })
 
 
-def _load_rounding_instance(path):
+def _load_json(path):
+    """The JSON document in ``path``; a file that does not hold one is a
+    format error."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise _graph.GraphFormatError(
+                f"{path}: not a JSON document: {exc}") from None
+
+
+def _load_rounding_instance(path):
+    doc = _load_json(path)
     L = doc["labels"]
     nodes = [int(v) for v in doc["nodes"]]
     edges = []
@@ -408,8 +418,7 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.report)
     algo = doc.get("algorithm", "")
     checks = {}
     inp = doc.get("input") or doc.get("config", {}).get("input")

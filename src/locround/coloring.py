@@ -86,6 +86,7 @@ class _Packing:
             self.eidx.append(e.index)
         self.agree_cache = {} if agree_cache is None else agree_cache
         self._agreements = {}
+        self._start = None
 
     def agreements(self, colors, q, d):
         """Per-edge candidate agreements of ``colors`` at step (q, d),
@@ -93,19 +94,40 @@ class _Packing:
         steps of one rounding schedule share the plan and the start
         coloring."""
         hit = self._agreements.get((q, d))
-        if hit is None or hit[0] != colors:
-            hit = self._agreements[q, d] = (list(colors), _K.edge_agreements(
+        # the start colors are a tuple already, and match by identity
+        key = tuple(colors)
+        if hit is None or (hit[0] is not key and hit[0] != key):
+            hit = self._agreements[q, d] = (key, _K.edge_agreements(
                 self.eu, self.ev, colors, q, d,
                 self.agree_cache.setdefault((q, d), {})))
         return hit[1]
 
     def start(self, initial):
         """Initial colors and palette: the node ids with palette 2^63, or
-        the colors of the mapping ``initial`` with palette max + 1."""
-        if initial is None:
-            return list(self.nodes), ID_SPACE
-        colors = [initial[v] for v in self.nodes]
-        return colors, max(colors) + 1
+        the colors of the mapping ``initial`` with palette max + 1.  The
+        colors are a tuple, built once while ``initial`` is the same
+        mapping holding the same colors: the steps of a rounding schedule
+        all start from it."""
+        hit = self._start
+        if (hit is None or hit[0] is not initial
+                or (initial is not None and hit[1] != initial)):
+            if initial is None:
+                colors, palette = tuple(self.nodes), ID_SPACE
+                copy = None
+            else:
+                colors = tuple([initial[v] for v in self.nodes])
+                palette = max(colors) + 1
+                copy = dict(initial)
+            hit = self._start = (initial, copy, colors, palette, _span(colors))
+        return hit[2], hit[3]
+
+    def span(self, colors):
+        """(min, max) of ``colors``, None when there are none; kept for
+        the start colors."""
+        hit = self._start
+        if hit is not None and hit[2] is colors:
+            return hit[4]
+        return _span(colors)
 
     def mapping(self, colors):
         return dict(zip(self.nodes, colors))
@@ -138,9 +160,14 @@ def _check_initial(g, initial):
                             "edge one color")
 
 
-def _below(colors, bound):
-    """Whether every color lies in [0, bound)."""
-    return not colors or (min(colors) >= 0 and max(colors) < bound)
+def _span(colors):
+    return (min(colors), max(colors)) if colors else None
+
+
+def _below(span, bound):
+    """Whether every color of ``span``, the (min, max) of a coloring (None
+    when it has no colors), lies in [0, bound)."""
+    return span is None or (span[0] >= 0 and span[1] < bound)
 
 
 def _stage_one(pk, weights, delta, factor2, initial):
@@ -162,7 +189,7 @@ def _stage_one(pk, weights, delta, factor2, initial):
     rounds, max_bits = 0, 1
     for (q, d, _bn, _bd) in _K.plan_defective_schedule(palette,
                                                        delta.numerator, dd):
-        if _below(colors, q):
+        if _below(pk.span(colors), q):
             mb = 1
         else:
             colors, mb = _K.rs_defective_step(
@@ -185,7 +212,7 @@ def _reduce(pk, weights, colors, ncolors, delta, factor2):
     """
     thr_den = 4 * delta.denominator * (2 if factor2 else 1)
     p = _K.reduction_prime(ncolors, delta.numerator, thr_den)
-    if not _below(colors, p):
+    if not _below(pk.span(colors), p):
         w, nodew = weights()
         colors, p, _last = _K.reduce_colors_by_orderings(
             pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, ncolors,
@@ -372,7 +399,7 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
         adj[a].append((b, w[j]))
         adj[b].append((a, w[j]))
     tot = [sum(wt for (_u, wt) in adj[v]) for v in range(pk.nv)]
-    cols, _n0 = pk.start(initial)
+    cols = pk.start(initial)[0]
     order_key = [(cols[i], i) for i in range(pk.nv)]
     colors = [-1] * pk.nv
     rounds = 0
@@ -424,7 +451,8 @@ def defective_colors_for_rounding(pk, weights, delta, factor2, initial):
     them.  ``initial`` is not checked here; ``round_to_integral`` checks it
     once per schedule.
 
-    Returns (colors list, palette p, declared rounds, max message bits).
+    Returns (colors, palette p, declared rounds, max message bits); the
+    colors are the packing's start tuple when no loop recolored.
     """
     delta = Fraction(delta)
     weights = functools.cache(weights)

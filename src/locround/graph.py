@@ -203,8 +203,8 @@ class SetCoverInstance:
 def load_graph(path, fmt="edge-list"):
     """Parse an instance file.
 
-    Edge-list format: lines ``u v [w]`` (the optional third token is
-    ignored here), ``n <id> <weight>`` node declarations, ``#`` comments.
+    Edge-list format: edge lines ``u v``, ``n <id> <weight>`` node
+    declarations, ``#`` comments.
     Set cover format: ``e <id>``, ``s <id> [cost]``, ``c <element> <set>``.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -241,8 +241,8 @@ def parse_edge_list(lines, path="<edge-list>"):
             nodes.add(vid)
             weights[vid] = w
             continue
-        if len(toks) not in (2, 3):
-            _fail(path, lineno, "edge line needs 'u v [w]'")
+        if len(toks) != 2:
+            _fail(path, lineno, "edge line needs 'u v'")
         try:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:

@@ -71,7 +71,8 @@ class Valuation:
     without a table has zeros.  ``node_utility[v]`` and ``node_cost[v]``
     are rows of L integers.  The constructor divides ``scale`` and every
     entry by their gcd, so ``scale`` is the least common denominator of the
-    entries.  ``from_fractions`` converts rational tables.
+    entries, and rows that keys share stay shared.  ``from_fractions``
+    converts rational tables.
     """
 
     def __init__(self, nlabels, edge_utility, edge_cost,
@@ -87,8 +88,13 @@ class Valuation:
                 if g != 1:
                     g = math.gcd(g, *row)
         if g != 1:
-            groups = [{key: tuple(x // g for x in row)
-                       for key, row in tables.items()} for tables in groups]
+            # each row object is divided once, so rows that keys share
+            # stay shared
+            rows = {id(row): row
+                    for tables in groups for row in tables.values()}
+            rows = {i: tuple(x // g for x in row) for i, row in rows.items()}
+            groups = [{key: rows[id(row)] for key, row in tables.items()}
+                      for tables in groups]
         (self.edge_utility, self.edge_cost,
          self.node_utility, self.node_cost) = groups
         self.scale = scale // g

@@ -366,14 +366,17 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
 
 def _two_hop_set_coloring(inst):
     """Proper coloring of the conflict graph over sets sharing an element
-    (the rounding graph is a subgraph); palette O((st)^2)."""
+    (the rounding graph is a subgraph); palette O((st)^2).  Each pair is
+    ordered, because ``element_sets`` are sorted, and kept once."""
     pairs = set()
     for u in inst.elements:
         nb = inst.element_sets[u]
         for i in range(len(nb)):
             for j in range(i + 1, len(nb)):
                 pairs.add((nb[i], nb[j]))
-    g2 = _graph.simple_graph(list(inst.sets), sorted(pairs))
+    g2 = _graph.Multigraph(
+        inst.sets, [_graph.Edge(a, b, _graph.PHYSICAL, None, i)
+                    for i, (a, b) in enumerate(sorted(pairs))])
     pc = _coloring.linial_coloring(g2)
     return dict(pc.colors)
 

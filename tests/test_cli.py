@@ -295,6 +295,38 @@ def test_input_error_exits_two_with_one_line(tmp_path, text, argv, line):
     assert line in err[0]
 
 
+def test_edge_line_with_a_third_token_exits_two_with_one_line(tmp_path):
+    """An edge line is ``u v``, as the README says: a third token is an
+    input error, not a token to drop silently.  No report is written."""
+    g = tmp_path / "g.edges"
+    g.write_text("1 2\n1 2 x\n")
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "mis", "--input", str(g))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"locround: error: {g}:2: edge line needs 'u v'"]
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", "FILE"],
+                                  ["round", "--valuation", "FILE"]],
+                         ids=["verify", "round"])
+def test_malformed_json_exits_two_with_one_line(tmp_path, argv):
+    """A report or rounding instance that is not JSON is an input error
+    named by its path, not a JSONDecodeError traceback.  No report is
+    written."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep),
+                               *(str(bad) if a == "FILE" else a for a in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"locround: error: {bad}: not a JSON document")
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("algo, eps, line", [
     ("beta", "2", "--eps 2 is outside (0, 1) for --algo beta"),
     ("beta", "1", "--eps 1 is outside (0, 1) for --algo beta"),
