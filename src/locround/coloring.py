@@ -86,7 +86,6 @@ class _Packing:
             self.eidx.append(e.index)
         self.agree_cache = {} if agree_cache is None else agree_cache
         self._agreements = {}
-        self._start = None
 
     def agreements(self, colors, q, d):
         """Per-edge candidate agreements of ``colors`` at step (q, d),
@@ -94,40 +93,22 @@ class _Packing:
         steps of one rounding schedule share the plan and the start
         coloring."""
         hit = self._agreements.get((q, d))
-        # the start colors are a tuple already, and match by identity
-        key = tuple(colors)
-        if hit is None or (hit[0] is not key and hit[0] != key):
-            hit = self._agreements[q, d] = (key, _K.edge_agreements(
+        if hit is None or hit[0] != colors:
+            hit = self._agreements[q, d] = (list(colors), _K.edge_agreements(
                 self.eu, self.ev, colors, q, d,
                 self.agree_cache.setdefault((q, d), {})))
         return hit[1]
 
     def start(self, initial):
-        """Initial colors and palette: the node ids with palette 2^63, or
-        the colors of the mapping ``initial`` with palette max + 1.  The
-        colors are a tuple, built once while ``initial`` is the same
-        mapping holding the same colors: the steps of a rounding schedule
-        all start from it."""
-        hit = self._start
-        if (hit is None or hit[0] is not initial
-                or (initial is not None and hit[1] != initial)):
-            if initial is None:
-                colors, palette = tuple(self.nodes), ID_SPACE
-                copy = None
-            else:
-                colors = tuple([initial[v] for v in self.nodes])
-                palette = max(colors) + 1
-                copy = dict(initial)
-            hit = self._start = (initial, copy, colors, palette, _span(colors))
-        return hit[2], hit[3]
-
-    def span(self, colors):
-        """(min, max) of ``colors``, None when there are none; kept for
-        the start colors."""
-        hit = self._start
-        if hit is not None and hit[2] is colors:
-            return hit[4]
-        return _span(colors)
+        """Initial colors, palette and span: the node ids with palette
+        2^63, or the colors of the mapping ``initial`` with palette max + 1;
+        the span is their (min, max), None when there are none."""
+        if initial is None:
+            colors, palette = list(self.nodes), ID_SPACE
+        else:
+            colors = [initial[v] for v in self.nodes]
+            palette = max(colors) + 1
+        return colors, palette, _span(colors)
 
     def mapping(self, colors):
         return dict(zip(self.nodes, colors))
@@ -165,54 +146,56 @@ def _span(colors):
 
 
 def _below(span, bound):
-    """Whether every color of ``span``, the (min, max) of a coloring (None
-    when it has no colors), lies in [0, bound)."""
+    """Whether every color of a coloring with ``span``, its (min, max) or
+    None when it has no colors, lies in [0, bound)."""
     return span is None or (span[0] >= 0 and span[1] < bound)
 
 
-def _stage_one(pk, weights, delta, factor2, initial):
+def _stage_one(pk, weights, delta, factor2, start):
     """Per-node delta-relative defective coloring by Reed-Solomon
-    candidate-set steps, two declared rounds each.  ``weights()`` returns
-    the packing's integer edge weights and node weights (which count
-    toward node totals but never conflict); it is called only by a step
-    that reads them.
+    candidate-set steps, two declared rounds each, from ``start``, the
+    packing's start colors, palette and span (``_Packing.start``).
+    ``weights()`` returns the packing's integer edge weights and node
+    weights (which count toward node totals but never conflict); it is
+    called only by a step that reads them.
 
     A step whose colors all lie in [0, q) keeps them: each color's digit
     polynomial is then the constant c, distinct colors never agree, and
     the step would pick z = 0 at every node.  Such a step walks no
     agreements and estimates nothing (1 bit).
 
-    Returns (colors, palette, rounds, max message bits).
+    Returns (colors, their span, palette, rounds, max message bits).
     """
-    colors, palette = pk.start(initial)
+    colors, palette, span = start
     dd = delta.denominator * (2 if factor2 else 1)
     rounds, max_bits = 0, 1
     for (q, d, _bn, _bd) in _K.plan_defective_schedule(palette,
                                                        delta.numerator, dd):
-        if _below(pk.span(colors), q):
+        if _below(span, q):
             mb = 1
         else:
             colors, mb = _K.rs_defective_step(
                 pk.nv, pk.eu, pk.ev, pk.mgr, weights()[0], colors, q, d,
                 factor2, pk.agreements(colors, q, d))
+            span = _span(colors)
         palette = q * q
         rounds += 2
         max_bits = max(max_bits, mb + 9, 2 + palette.bit_length())
-    return colors, palette, rounds, max_bits
+    return colors, span, palette, rounds, max_bits
 
 
-def _reduce(pk, weights, colors, ncolors, delta, factor2):
+def _reduce(pk, weights, colors, span, ncolors, delta, factor2):
     """Prime-ordering reduction of a stage-one coloring with ``ncolors``
-    colors to p colors over p steps, commit threshold delta/4 (delta/8
-    under factor-2 estimates), two declared rounds per step.  When every
-    color lies in [0, p) the reduction returns its input, so the kernel
-    and ``weights()`` are called only otherwise.
+    colors and span ``span`` to p colors over p steps, commit threshold
+    delta/4 (delta/8 under factor-2 estimates), two declared rounds per
+    step.  When every color lies in [0, p) the reduction returns its
+    input, so the kernel and ``weights()`` are called only otherwise.
 
     Returns (colors, p, rounds, max message bits).
     """
     thr_den = 4 * delta.denominator * (2 if factor2 else 1)
     p = _K.reduction_prime(ncolors, delta.numerator, thr_den)
-    if not _below(pk.span(colors), p):
+    if not _below(span, p):
         w, nodew = weights()
         colors, p, _last = _K.reduce_colors_by_orderings(
             pk.nv, pk.eu, pk.ev, pk.mgr, w, nodew, colors, ncolors,
@@ -220,13 +203,14 @@ def _reduce(pk, weights, colors, ncolors, delta, factor2):
     return colors, p, 2 * p, 11 + p.bit_length()
 
 
-def _proper(pk, initial, max_degree):
+def _proper(pk, start, max_degree):
     """Conflict-free candidate-set steps for edge degree ``max_degree``,
-    one declared round each.
+    one declared round each, from the packing's ``start`` colors, palette
+    and span (``_Packing.start``).
 
     Returns (colors, palette, rounds, max message bits over the steps).
     """
-    colors, palette = pk.start(initial)
+    colors, palette, _lohi = start
     rounds, max_bits = 0, 0
     for (q, d) in _K.plan_proper_schedule(palette, max_degree):
         colors = _K.rs_proper_step(pk.nv, pk.eu, pk.ev, colors, q, d,
@@ -286,7 +270,8 @@ def linial_coloring(g, initial=None, engine=None):
     if not pk.nodes:
         return ProperColoring({}, 1)
     _check_initial(g, initial)
-    colors, palette, rounds, max_bits = _proper(pk, initial, g.max_degree())
+    colors, palette, rounds, max_bits = _proper(pk, pk.start(initial),
+                                                g.max_degree())
     if engine is not None:
         engine.account(max_bits, rounds)
     out = ProperColoring(pk.mapping(colors), palette, rounds)
@@ -303,7 +288,7 @@ def three_color_paths_cycles(g, engine=None):
     pk = _Packing(g)
     if not pk.nodes:
         return ProperColoring({}, 3)
-    colors, _palette, rounds, max_bits = _proper(pk, None, 2)
+    colors, _palette, rounds, max_bits = _proper(pk, pk.start(None), 2)
     # shrink to 3 colors: iterate colors downward, recolor greedily
     adj = [[] for _ in pk.nodes]
     for a, b in zip(pk.eu, pk.ev):
@@ -337,8 +322,9 @@ def weighted_defective_coloring(g, weights, delta, initial=None,
     w = _weights_to_ints(weights, pk.eidx)
     _check_initial(g, initial)
     nodew = [0] * pk.nv
-    colors, palette, rounds, max_bits = _stage_one(
-        pk, lambda: (w, nodew), delta, aggregation == "factor2", initial)
+    colors, _lohi, palette, rounds, max_bits = _stage_one(
+        pk, lambda: (w, nodew), delta, aggregation == "factor2",
+        pk.start(initial))
     if engine is not None:
         engine.account(max_bits, rounds)
     out = DefectiveColoring(pk.mapping(colors), palette, "per-node", delta,
@@ -366,9 +352,10 @@ def average_defective_coloring(g, weights, delta, initial=None,
     nodew = [0] * pk.nv
     stage1 = weighted_defective_coloring(g, weights, delta / 2, initial,
                                          aggregation, engine)
+    colors = [stage1.colors[v] for v in pk.nodes]
     colors, p, rounds, max_bits = _reduce(
-        pk, lambda: (w, nodew), [stage1.colors[v] for v in pk.nodes],
-        stage1.palette_size, delta, aggregation == "factor2")
+        pk, lambda: (w, nodew), colors, _span(colors), stage1.palette_size,
+        delta, aggregation == "factor2")
     if engine is not None:
         engine.account(max_bits, rounds)
     out = DefectiveColoring(pk.mapping(colors), p, "average", delta,
@@ -442,28 +429,31 @@ def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
 # ---------------------------------------------------------------------------
 
 
-def defective_colors_for_rounding(pk, weights, delta, factor2, initial):
-    """Average (delta)-relative defective coloring over a packing.
-    ``weights()`` returns the integer edge weights and the node-level
-    weights, which count toward totals but never conflict.  It is called
-    at most once, and only when a Reed-Solomon step or the reduction reads
-    weights: start colors below the field size settle every loop without
-    them.  ``initial`` is not checked here; ``round_to_integral`` checks it
-    once per schedule.
+def defective_colors_for_rounding(pk, weights, delta, factor2, start):
+    """Average (delta)-relative defective coloring over a packing, from
+    its ``start`` colors, palette and span (``_Packing.start``), which a
+    rounding schedule builds once for all its steps.  ``weights()``
+    returns the integer edge weights and the node-level weights, which
+    count toward totals but never conflict.  It is called at most once,
+    and only when a Reed-Solomon step or the reduction reads weights:
+    start colors below the field size settle every loop without them.
+    The start colors are not checked here; ``round_to_integral`` checks
+    its initial coloring once per schedule.
 
-    Returns (colors, palette p, declared rounds, max message bits); the
-    colors are the packing's start tuple when no loop recolored.
+    Returns (colors list, palette p, declared rounds, max message bits);
+    the list is the start colors when no loop recolored.
     """
     delta = Fraction(delta)
     weights = functools.cache(weights)
-    colors, palette, rounds1, bits1 = _stage_one(pk, weights, delta / 2,
-                                                 factor2, initial)
-    colors, p, rounds2, bits2 = _reduce(pk, weights, colors, palette, delta,
-                                        factor2)
+    colors, span, palette, rounds1, bits1 = _stage_one(
+        pk, weights, delta / 2, factor2, start)
+    colors, p, rounds2, bits2 = _reduce(pk, weights, colors, span, palette,
+                                        delta, factor2)
     return colors, p, rounds1 + rounds2, max(bits1, bits2)
 
 
-def proper_colors_for_rounding(pk, initial):
+def proper_colors_for_rounding(pk, start):
     """Proper coloring over a rounding packing, which keeps its graph as
-    ``pk.g`` (used by delta = 0 rounding)."""
-    return _proper(pk, initial, pk.g.max_degree())
+    ``pk.g`` (used by delta = 0 rounding), from its ``start`` colors,
+    palette and span."""
+    return _proper(pk, start, pk.g.max_degree())

@@ -30,14 +30,11 @@ class ISInvariantError(AssertionError):
 
 def is_valuation(h, weights):
     """Valuation of the independent-set estimator on any multigraph, built
-    at the common denominator of the weights (1 for integer weights).
-    Edges with equal costs share one table."""
+    at the common denominator of the weights (1 for integer weights)."""
     scale = math.lcm(*(Fraction(weights[v]).denominator for v in h.nodes
                        if type(weights[v]) is not int))
     w = {v: int(weights[v] * scale) for v in h.nodes}
-    costs = [min(w[e.u], w[e.v]) for e in h.edges]
-    rows = {c: (0, 0, 0, c) for c in set(costs)}
-    ec = {e.index: rows[c] for e, c in zip(h.edges, costs)}
+    ec = {e.index: (0, 0, 0, min(w[e.u], w[e.v])) for e in h.edges}
     nut = {v: (0, w[v]) for v in h.nodes}
     return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
 

@@ -138,16 +138,16 @@ def build_mis_valuation(it):
                   for u, util in node_util.items() for w in it.out_nbrs[u])
     edges = []
     comm = {v: set(it.in_nbrs[v]) | set(it.out_nbrs[v]) for v in it.nodes}
-    costs = []
+    ec = {}
+    idx = 0
     for (a, b), cost in phys:
-        edges.append(_graph.Edge(a, b, _graph.PHYSICAL, None, len(edges)))
-        costs.append(cost)
+        edges.append(_graph.Edge(a, b, _graph.PHYSICAL, None, idx))
+        ec[idx] = (0, 0, 0, cost)
+        idx += 1
     for (a, b, mgr, cost) in virt:
-        edges.append(_graph.Edge(a, b, _graph.VIRTUAL, mgr, len(edges)))
-        costs.append(cost)
-    # edges with equal costs share one table
-    rows = {c: (0, 0, 0, c) for c in set(costs)}
-    ec = {i: rows[c] for i, c in enumerate(costs)}
+        edges.append(_graph.Edge(a, b, _graph.VIRTUAL, mgr, idx))
+        ec[idx] = (0, 0, 0, cost)
+        idx += 1
     h = _graph.Multigraph(it.nodes, edges, comm)
     nut = {v: (0, w) for v, w in node_util.items()}
     val = _rounding.Valuation(2, {}, ec, node_utility=nut, scale=2)

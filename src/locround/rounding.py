@@ -71,8 +71,7 @@ class Valuation:
     without a table has zeros.  ``node_utility[v]`` and ``node_cost[v]``
     are rows of L integers.  The constructor divides ``scale`` and every
     entry by their gcd, so ``scale`` is the least common denominator of the
-    entries, and rows that keys share stay shared.  ``from_fractions``
-    converts rational tables.
+    entries.  ``from_fractions`` converts rational tables.
     """
 
     def __init__(self, nlabels, edge_utility, edge_cost,
@@ -88,13 +87,8 @@ class Valuation:
                 if g != 1:
                     g = math.gcd(g, *row)
         if g != 1:
-            # each row object is divided once, so rows that keys share
-            # stay shared
-            rows = {id(row): row
-                    for tables in groups for row in tables.values()}
-            rows = {i: tuple(x // g for x in row) for i, row in rows.items()}
-            groups = [{key: rows[id(row)] for key, row in tables.items()}
-                      for tables in groups]
+            groups = [{key: tuple(x // g for x in row)
+                       for key, row in tables.items()} for tables in groups]
         (self.edge_utility, self.edge_cost,
          self.node_utility, self.node_cost) = groups
         self.scale = scale // g
@@ -225,14 +219,17 @@ class _Frontier:
     The rows are numerators over the schedule's fixed 2^K.  Every row that
     is not one-hot is filed in ``buckets`` under the lowest set bit of the
     OR of its entries: the step at denominator 2^k rounds the rows filed
-    under 2^(K-k), and no others.
+    under 2^(K-k), and no others.  ``start`` is the packing's start
+    colors, palette and span (``_Packing.start``) of the schedule's
+    initial coloring, built once for all its steps.
     """
 
-    __slots__ = ("K", "buckets")
+    __slots__ = ("K", "buckets", "start")
 
-    def __init__(self, rows, K):
+    def __init__(self, rows, K, start):
         self.K = K
         self.buckets = _K.file_rows(rows, range(len(rows)), 0, 1 << K, {})
+        self.start = start
 
 
 def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
@@ -244,8 +241,9 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
     a fixed 2^K, and the step rounds its entries at odd multiples of 2^-k
     in place: those that hold bit unit = 2^(K-k).  K is k unless
     ``frontier``, the ``_Frontier`` of ``lam`` inside a schedule, gives the
-    schedule's K; the step then visits only the rows filed under ``unit``
-    and files each row it moved again.  Every moved row is asserted to
+    schedule's K and its start colors, and ``initial_coloring`` is not
+    read; the step then visits only the rows filed under ``unit`` and
+    files each row it moved again.  Every moved row is asserted to
     hold no entry at bit ``unit``, no negative entry, and to sum to 2^K.
 
     Colors the multigraph with a weighted average (delta/6)-relative
@@ -275,7 +273,7 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
         raise ValueError("assignment must be 2^-k-integral with k >= 1")
     if frontier is None:
         _coloring._check_initial(prep.g, initial_coloring)
-        frontier = _Frontier(lam, k)
+        frontier = _Frontier(lam, k, prep.start(initial_coloring))
     K = frontier.K
     unit = 1 << (K - k)
     if check:
@@ -284,7 +282,7 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
     factor2 = estimate_mode == "quantized"
     if delta == 0:
         colors, palette, rounds, maxbits = _coloring.proper_colors_for_rounding(
-            prep, initial_coloring)
+            prep, frontier.start)
     else:
         def weights():
             # at the scale of rows over 2^k: every term is a product of two
@@ -299,7 +297,7 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
             return w, nodew
 
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
-            prep, weights, delta / 6, factor2, initial_coloring)
+            prep, weights, delta / 6, factor2, frontier.start)
     if engine is not None:
         engine.account(maxbits, rounds)
     mode_id = {"exact": 0, "worst": 1, "quantized": 2}[estimate_mode]
@@ -373,11 +371,11 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
         engine.account(min(2 * prep.L + 2, (1 << min(k, 20)) * 8), rounds=k)
     phi0 = U0 - (1 + eps * mu / 2) * C0
     uc = (U0, C0)
-    frontier = _Frontier(rows, k)
+    frontier = _Frontier(rows, k, prep.start(initial_coloring))
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
         uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, estimate_mode,
-                           initial_coloring, engine, check=check, uc0=uc,
+                           engine=engine, check=check, uc0=uc,
                            frontier=frontier)
         if check:
             Ui, Ci = uc

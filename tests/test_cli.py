@@ -258,10 +258,11 @@ def test_color_report_figures_are_the_cores(tmp_path, color_mode):
     weights = lambda: ([1] * len(pk.eu), [0] * pk.nv)    # noqa: E731
     delta = Fraction(1, 4)
     if color_mode == "defective":
-        _c, _p, rounds, bits = C._stage_one(pk, weights, delta, False, None)
+        _c, _s, _p, rounds, bits = C._stage_one(pk, weights, delta, False,
+                                                pk.start(None))
     else:
         _c, _p, rounds, bits = C.defective_colors_for_rounding(
-            pk, weights, delta, False, None)
+            pk, weights, delta, False, pk.start(None))
     assert (metrics["rounds"], metrics["max_bits"]) == (rounds, bits)
 
 

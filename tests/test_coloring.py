@@ -208,13 +208,11 @@ def test_closed_forms_match_the_kernels(rng, monkeypatch):
             monkeypatch.setattr(C, "_below", below)
             ac = C.average_defective_coloring(g, w, delta, initial=initial,
                                               aggregation=agg)
-            colors, *figures = C.defective_colors_for_rounding(
-                pk, lambda: (calls.append(below) or wi, [0] * pk.nv),
-                delta, agg == "factor2", start)
-            # a loop that keeps its start colors returns the packing's tuple
-            # of them, one that recolors a new list
             runs.append((ac.colors, ac.palette_size, ac.rounds,
-                         list(colors), figures))
+                         C.defective_colors_for_rounding(
+                             pk, lambda: (calls.append(below) or wi,
+                                          [0] * pk.nv),
+                             delta, agg == "factor2", pk.start(start))))
         assert runs[0] == runs[1], trial
         assert len(calls) == len(set(calls))    # weights() at most once
         weighed += below0 in calls

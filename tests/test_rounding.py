@@ -478,9 +478,9 @@ def test_step_weights_do_not_depend_on_the_fixed_denominator(
         for s in (0, 3):
             rows = [[x << s for x in r] for r in prep.lam_array(lam)]
             R.rounding_step(prep, rows, lam.k, Fraction(1, 10),
-                            Fraction(3, 2), initial_coloring=initial,
-                            check=False,
-                            frontier=R._Frontier(rows, lam.k + s))
+                            Fraction(3, 2), check=False,
+                            frontier=R._Frontier(rows, lam.k + s,
+                                                 prep.start(initial)))
         assert seen[-1] == seen[-2]
         assert g.n_edges() == 0 or any(seen[-1][0])
 

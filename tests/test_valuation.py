@@ -111,34 +111,6 @@ def test_is_valuation_matches_rational_tables(rng, tmp_path):
         _json_round_trip(tmp_path, g, val)
 
 
-def _assert_equal_rows_shared(val):
-    first = {}
-    for row in val.edge_cost.values():
-        assert first.setdefault(tuple(row), row) is row
-
-
-def test_equal_costs_share_one_table(rng):
-    """Edges with equal costs share one cost row, from the builder through
-    the constructor's gcd division, so packing compares them by identity.
-    A row given as a list is divided too."""
-    for _ in range(6):
-        g = random_simple_graph(rng, rng.randint(5, 30), 6, 0.4)
-        _assert_equal_rows_shared(
-            IS.is_valuation(g, {v: rng.randint(1, 3) for v in g.nodes}))
-    # an 8-cycle's MIS tables are built at scale 2 and reduced to scale 1
-    cycle = G.simple_graph(range(1, 9), [(i, i % 8 + 1) for i in range(1, 9)])
-    h, val = M.build_mis_valuation(M.classify_and_select_instar(
-        _adjacency(cycle)))
-    assert val.scale == 1
-    _assert_equal_rows_shared(val)
-    row = (0, 0, 0, 6)
-    val = R.Valuation(2, {}, {0: row, 1: row, 2: [0, 0, 0, 4]}, scale=4)
-    assert val.scale == 2
-    assert val.edge_cost == {0: (0, 0, 0, 3), 1: (0, 0, 0, 3),
-                             2: (0, 0, 0, 2)}
-    assert val.edge_cost[0] is val.edge_cost[1]
-
-
 def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
     checked = set()
     for trial in range(8):
