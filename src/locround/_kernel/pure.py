@@ -225,12 +225,12 @@ def _poly_divexact(a, b, p):
 # ---------------------------------------------------------------------------
 
 
-def _choose_prime_degree(ncolors, lower, max_d=12):
+def _choose_prime_degree(ncolors, lower):
     """Smallest-palette (q, d), the first d on ties: for each d in
-    1..max_d, q is the least prime >= max(2, lower(d)) with
+    1..12, q is the least prime >= max(2, lower(d)) with
     q^(d+1) >= ncolors."""
     best = None
-    for d in range(1, max_d + 1):
+    for d in range(1, 13):
         q = next_prime(max(2, lower(d), _iroot_ceil(ncolors, d + 1)))
         while q ** (d + 1) < ncolors:
             q = next_prime(q + 1)

@@ -284,7 +284,9 @@ def cmd_color(args):
                                                   engine=engine)
         out = _defective_json(dc)
     elif args.color_mode == "greedy-oracle":
-        dc = _coloring.greedy_defective_oracle(g, w, args.delta, engine=engine)
+        dc = _coloring.greedy_defective_oracle(g, w, args.delta)
+        # the reference oracle colors the nodes one at a time, centrally
+        engine.metrics.oracle_assisted = True
         out = _defective_json(dc)
     else:
         raise SystemExit(f"unknown --mode {args.color_mode}")
@@ -318,8 +320,8 @@ def cmd_round(args):
         raise UsageError(f"--mu {args.mu} is above the input's margin: "
                          f"u - c = {U - C} < mu*u = {args.mu * U}")
     ell, (Uf, Cf) = _rounding.round_fractional(
-        g, val, lam, args.eps, args.mu, val.nlabels,
-        estimate_mode=estimate, engine=engine, prep=prep, uc_raw=(U, C))
+        g, val, lam, args.eps, args.mu, estimate_mode=estimate,
+        engine=engine, prep=prep, uc_raw=(U, C))
     return _emit(args, {
         "algorithm": "round", "input": args.valuation,
         "eps": _frac_str(args.eps),
@@ -331,12 +333,24 @@ def cmd_round(args):
     })
 
 
+class _JSONObject(dict):
+    """An object of the JSON file ``path``: a key it lacks is a format
+    error that names the file and the key."""
+
+    def __init__(self, path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise _graph.GraphFormatError(f"{self.path}: missing key {key!r}")
+
+
 def _load_json(path):
     """The JSON document in ``path``; a file that does not hold one is a
-    format error."""
+    format error, and so is reading a key one of its objects lacks."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=lambda d: _JSONObject(path, d))
         except ValueError as exc:
             raise _graph.GraphFormatError(
                 f"{path}: not a JSON document: {exc}") from None
@@ -431,7 +445,8 @@ def cmd_verify(args):
         wg = _load_weighted(inp)
         index = {(min(e.u, e.v), max(e.u, e.v)): e.index
                  for e in wg.graph.edges}
-        ids = [index[tuple(sorted(p))] for p in doc["matching"]]
+        # a pair that is no edge has no index and fails both checks
+        ids = [index.get(tuple(sorted(p))) for p in doc["matching"]]
         checks["matching"] = _oracle.is_matching(wg.graph, ids)
         checks["maximal"] = _oracle.is_maximal_matching(wg.graph, ids)
     elif algo.startswith("wis"):
@@ -557,10 +572,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (_graph.GraphFormatError, OSError, UsageError) as exc:
-        # a bad input, a file that cannot be opened or an option value out
-        # of range: one line and the usage status, as argparse gives for a
-        # bad argument
+    except (_graph.GraphFormatError, OSError, UsageError,
+            _oracle.OverBudget) as exc:
+        # a bad input, a file that cannot be opened, an option value out
+        # of range or an instance beyond an oracle's limits: one line and
+        # the usage status, as argparse gives for a bad argument
         print(f"locround: error: {exc}", file=sys.stderr)
         return 2
     except _sim.BudgetExceeded as exc:

@@ -280,7 +280,7 @@ def linial_coloring(g, initial=None, engine=None):
     return out
 
 
-def three_color_paths_cycles(g, engine=None):
+def three_color_paths_cycles(g):
     """Proper 3-coloring of a graph with maximum degree 2."""
     for v in g.nodes:
         if g.degree(v) > 2:
@@ -288,7 +288,7 @@ def three_color_paths_cycles(g, engine=None):
     pk = _Packing(g)
     if not pk.nodes:
         return ProperColoring({}, 3)
-    colors, _palette, rounds, max_bits = _proper(pk, pk.start(None), 2)
+    colors, _palette, rounds, _bits = _proper(pk, pk.start(None), 2)
     # shrink to 3 colors: iterate colors downward, recolor greedily
     adj = [[] for _ in pk.nodes]
     for a, b in zip(pk.eu, pk.ev):
@@ -303,8 +303,6 @@ def three_color_paths_cycles(g, engine=None):
     out = ProperColoring(pk.mapping(colors), 3, rounds)
     if not check_proper(g, out.colors):
         raise AssertionError("3-coloring produced a conflict")
-    if engine is not None:
-        engine.account(max_bits, rounds)
     return out
 
 
@@ -367,7 +365,7 @@ def average_defective_coloring(g, weights, delta, initial=None,
     return out
 
 
-def greedy_defective_oracle(g, weights, delta, initial=None, engine=None):
+def greedy_defective_oracle(g, weights, delta, initial=None):
     """Slow reference defective coloring: iterate the classes of a proper
     coloring, each node picking the color with least committed conflicting
     weight, then local-improvement passes until every node's relative

@@ -208,7 +208,10 @@ def load_graph(path, fmt="edge-list"):
     Set cover format: ``e <id>``, ``s <id> [cost]``, ``c <element> <set>``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if fmt == "edge-list":
         return parse_edge_list(lines, path)
     if fmt == "setcover":

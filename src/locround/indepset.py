@@ -78,7 +78,7 @@ def extract_is(h, weights, x_int, uc=None):
 
 
 def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
-                   mode=_sim.LOCAL, check=True, prep=None):
+                   mode=_sim.LOCAL, check=True):
     """Round a fractional solution with u(x) >= 2c(x) into an independent
     set of weight at least (1/2 - eps) u(x), asserted exactly.
 
@@ -87,9 +87,8 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     Applies the x + eps/(2*Delta) utility shift in integers (skipped where
     it would exceed 1), then the preprocessing + rounding pipeline with
     mu = 1/2 - eps/2 (or the exact measured margin when smaller).
-    ``prep`` is the packed independent-set valuation of ``(h, weights)``
-    when the caller already holds it.
     """
+    prep = _rounding._Prepared(h, is_valuation(h, weights))
     return _round_is_rows(h, weights, _rows_at(x, h.nodes), eps, engine,
                           initial_coloring, mode, check, prep)
 
@@ -97,12 +96,11 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
 def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
                    check, prep):
     """``basic_is_round`` at the raw two-label rows ``rows``: node ->
-    (d - n, n) at x_v = n/d."""
+    (d - n, n) at x_v = n/d, with ``prep`` the packed independent-set
+    valuation of ``(h, weights)``."""
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 2)):
         raise ValueError("eps must be in (0, 1/2]")
-    if prep is None:
-        prep = _rounding._Prepared(h, is_valuation(h, weights))
     U0, C0 = _uc_at(prep, rows)
     if U0 < 2 * C0:
         raise ISInvariantError(f"precondition u >= 2c violated: {U0} < {2 * C0}")
@@ -122,7 +120,7 @@ def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, uc = _rounding.round_fractional(
-        h, prep.val, shifted, eps, mu, 2, estimate_mode=estimate_mode,
+        h, prep.val, shifted, eps, mu, estimate_mode=estimate_mode,
         initial_coloring=initial_coloring, engine=engine, check=check,
         prep=prep, uc_raw=(U1, C1))
     if uc is None:
@@ -184,8 +182,7 @@ def fractional_matching_doubling_freeze(g):
 
 
 def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
-                 engine=None, mode=_sim.LOCAL, check=True,
-                 budget=_oracle.DEFAULT_BUDGET):
+                 engine=None, mode=_sim.LOCAL, check=True):
     """Independent set of weight >= S*(w)/4 from the exact LP optimum.
 
     The LP point, integers X_v over each component's denominator D, is
@@ -194,7 +191,7 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
     Returns (I, S*)."""
     g = wg.graph
     w = weights if weights is not None else wg.weights
-    sstar, xstar = _oracle.packing_lp_integers(g, weights=w, budget=budget)
+    sstar, xstar = _oracle.packing_lp_integers(g, weights=w)
     if engine is not None:
         engine.metrics.oracle_assisted = True
     if sstar == 0:
@@ -230,13 +227,14 @@ def local_ratio_combine(g, staged):
     return sorted(I)
 
 
-def _steps_for(eps, rho=Fraction(1, 4)):
-    """Smallest T with (1-rho)^T <= eps (exact integer search)."""
+def _steps_for(eps):
+    """Smallest T with (3/4)^T <= eps (exact integer search): each rung of
+    the ladder takes at least a quarter of what is left, rho = 1/4."""
     eps = Fraction(eps)
     t = 0
     acc = Fraction(1)
     while acc > eps:
-        acc *= 1 - rho
+        acc *= Fraction(3, 4)
         t += 1
         if t > 10_000:
             raise ValueError("eps too small")
@@ -341,7 +339,7 @@ def _ladder(wg, eps, engine, check, step, bound):
 
 
 def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
-                   check=True, budget=_oracle.DEFAULT_BUDGET):
+                   check=True):
     """(1-eps) * S*(w) independent set via the local-ratio ladder fed by
     ``lp_guided_is``, B = S*; against neighborhood independence beta this
     is a (1-eps)/beta approximation.  Returns (I, S*(w), trace)."""
@@ -350,12 +348,11 @@ def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
     def step(sub, w, cols):
         return lp_guided_is(
             _graph.WeightedGraph(sub, {v: 1 for v in sub.nodes}), weights=w,
-            coloring=cols, engine=engine, mode=mode, check=check,
-            budget=budget)
+            coloring=cols, engine=engine, mode=mode, check=check)
 
     def bound(w):
         sub = _induced(g, [v for v in g.nodes if w[v] > 0])
-        return _oracle.packing_lp(sub, weights=w, budget=budget)[0]
+        return _oracle.packing_lp(sub, weights=w)[0]
 
     return _ladder(wg, eps, engine, check, step, bound)
 

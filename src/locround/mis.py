@@ -154,10 +154,10 @@ def build_mis_valuation(it):
     return h, val
 
 
-def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
-                                engine=None, agree_cache=None, check=True):
-    """One derandomized iteration; returns (joined, removed, edges_removed,
-    edges_before)."""
+def luby_derandomized_iteration(adj, mode=_sim.LOCAL, engine=None,
+                                agree_cache=None, check=True):
+    """One derandomized iteration, rounding at eps = mu = 1/2; returns
+    (joined, removed, edges_removed, edges_before)."""
     it = classify_and_select_instar(adj)
     edges_before = sum(len(adj[v]) for v in it.nodes) // 2
     h, val = build_mis_valuation(it)
@@ -176,8 +176,9 @@ def luby_derandomized_iteration(adj, eps=Fraction(1, 2), mode=_sim.LOCAL,
             raise MisInvariantError("good-degree mass below |E|/2")
     estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, _uc = _rounding.round_fractional(
-        h, val, lam_raw, eps, Fraction(1, 2), 2, estimate_mode=estimate_mode,
-        engine=engine, check=check, prep=prep, uc_raw=uc_raw)
+        h, val, lam_raw, Fraction(1, 2), Fraction(1, 2),
+        estimate_mode=estimate_mode, engine=engine, check=check, prep=prep,
+        uc_raw=uc_raw)
     marked = {v for v, lab in ell.items() if lab == 1}
     joined = sorted(u for u in marked
                     if not any(w in marked for w in it.out_nbrs[u]))

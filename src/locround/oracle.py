@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,13 +26,10 @@ class LPInfeasible(RuntimeError):
     pass
 
 
-@dataclass
-class OracleBudget:
-    max_nodes: int = 20
-    max_lp_vars: int = 10_000
-
-
-DEFAULT_BUDGET = OracleBudget()
+# the budget: brute force takes at most MAX_BRUTE_NODES nodes or sets, an
+# exact LP at most MAX_LP_VARS variables (one component, for set cover)
+MAX_BRUTE_NODES = 20
+MAX_LP_VARS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +309,16 @@ def _min_lp(objective, A, b):
     return num, x, y, prev, den
 
 
-def packing_lp(wg, weights=None, budget=DEFAULT_BUDGET):
+def packing_lp(wg, weights=None):
     """LP: max sum w(v) x_v  s.t.  for all v: sum_{u in N+(v)} x_u <= 1.
 
     Returns (S*, x dict), x as Fractions; ``packing_lp_integers`` solves
     it."""
-    opt, x = packing_lp_integers(wg, weights, budget)
+    opt, x = packing_lp_integers(wg, weights)
     return opt, {v: Fraction(xv, D) for v, (xv, D) in x.items()}
 
 
-def packing_lp_integers(wg, weights=None, budget=DEFAULT_BUDGET):
+def packing_lp_integers(wg, weights=None):
     """The packing LP of ``packing_lp``, with its point in integers.
 
     Returns (S*, x): S* a Fraction, and x[v] = (numerator, D) for every
@@ -342,7 +338,7 @@ def packing_lp_integers(wg, weights=None, budget=DEFAULT_BUDGET):
     if w is None:
         w = {v: 1 for v in g.nodes}
     nodes = list(g.nodes)
-    if len(nodes) > budget.max_lp_vars:
+    if len(nodes) > MAX_LP_VARS:
         raise OverBudget("packing LP over budget")
     opt = Fraction(0)
     x = {}
@@ -388,7 +384,7 @@ def _closed_neighborhood_rows(g, nodes):
     return rows
 
 
-def setcover_lp(inst, costs=None, budget=DEFAULT_BUDGET):
+def setcover_lp(inst, costs=None):
     """Exact fractional set cover optimum: min sum cost(v) x_v with every
     element covered at least once.  ``costs`` maps every set to its cost
     and defaults to the instance's costs.  Solved per connected component
@@ -403,7 +399,7 @@ def setcover_lp(inst, costs=None, budget=DEFAULT_BUDGET):
     x = {}
     opt = Fraction(0)
     for (els, sets_) in _components(inst):
-        if len(sets_) > budget.max_lp_vars:
+        if len(sets_) > MAX_LP_VARS:
             raise OverBudget("set cover LP over budget")
         sidx = {v: j for j, v in enumerate(sets_)}
         A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
@@ -447,12 +443,12 @@ def _components(inst):
 # ---------------------------------------------------------------------------
 
 
-def brute_max_weight_is(wg, budget=DEFAULT_BUDGET):
+def brute_max_weight_is(wg):
     """Exact maximum weight independent set by branch and bound."""
     g = wg.graph if hasattr(wg, "graph") else wg
     w = getattr(wg, "weights", None) or {v: 1 for v in g.nodes}
     nodes = list(g.nodes)
-    if len(nodes) > budget.max_nodes:
+    if len(nodes) > MAX_BRUTE_NODES:
         raise OverBudget(f"{len(nodes)} nodes over oracle budget")
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -483,10 +479,10 @@ def brute_max_weight_is(wg, budget=DEFAULT_BUDGET):
     return best[0], witness
 
 
-def brute_set_cover_opt(inst, budget=DEFAULT_BUDGET, weighted=False):
+def brute_set_cover_opt(inst, weighted=False):
     """Exact minimum (cost) set cover by branch and bound on the least-
     covered element."""
-    if len(inst.sets) > budget.max_nodes:
+    if len(inst.sets) > MAX_BRUTE_NODES:
         raise OverBudget(f"{len(inst.sets)} sets over oracle budget")
     cost = (lambda v: inst.costs[v]) if weighted else (lambda v: 1)
     els = list(inst.elements)
@@ -512,23 +508,23 @@ def brute_set_cover_opt(inst, budget=DEFAULT_BUDGET, weighted=False):
     return best[0], best[1]
 
 
-def neighborhood_independence(g, budget=DEFAULT_BUDGET):
+def neighborhood_independence(g):
     """beta = max over nodes v of the max independent set size in G[N(v)]."""
-    if len(g.nodes) > 6 * budget.max_nodes:
+    if len(g.nodes) > 6 * MAX_BRUTE_NODES:
         raise OverBudget("graph over oracle budget")
     from .graph import simple_graph
 
     beta = 1 if g.nodes else 0
     for v in g.nodes:
         nb = g.neighbors(v)
-        if len(nb) > budget.max_nodes:
+        if len(nb) > MAX_BRUTE_NODES:
             raise OverBudget(f"neighborhood of {v} over budget")
         if not nb:
             continue
         nbset = set(nb)
         pairs = [(e.u, e.v) for e in g.edges if e.u in nbset and e.v in nbset]
         sub = simple_graph(nb, pairs)
-        size, _w = brute_max_weight_is(sub, budget)
+        size, _w = brute_max_weight_is(sub)
         beta = max(beta, int(size))
     return beta
 

@@ -95,10 +95,9 @@ class Valuation:
 
     @classmethod
     def from_fractions(cls, nlabels, edge_utility, edge_cost,
-                       node_utility=None, node_cost=None, bound=None):
+                       node_utility=None, node_cost=None):
         """Integer form of rational tables: edge tables nested as
-        ``[a][b]`` and keyed by edge index, node rows keyed by node.  With
-        ``bound`` = q, every nonzero entry must lie in [1/q, q]."""
+        ``[a][b]`` and keyed by edge index, node rows keyed by node."""
         L = nlabels
         for i, t in (*edge_utility.items(), *edge_cost.items()):
             if len(t) != L or any(len(row) != L for row in t):
@@ -115,19 +114,10 @@ class Valuation:
                    for tables in (node_utility, node_cost)]
         scale = math.lcm(*(x.denominator for tables in groups
                            for row in tables.values() for x in row))
-        val = cls(nlabels, *({key: tuple(x.numerator * (scale // x.denominator)
-                                         for x in row)
-                              for key, row in tables.items()}
-                             for tables in groups), scale=scale)
-        if bound is not None:
-            lo, hi = Fraction(1, bound), Fraction(bound)
-            for tables in groups:
-                for row in tables.values():
-                    for x in row:
-                        if x and not (lo <= x <= hi):
-                            raise ValueError(
-                                f"entry {x} outside declared bound [{lo}, {hi}]")
-        return val
+        return cls(nlabels, *({key: tuple(x.numerator * (scale // x.denominator)
+                                          for x in row)
+                               for key, row in tables.items()}
+                              for tables in groups), scale=scale)
 
 
 class _Prepared(_coloring._Packing):
@@ -495,9 +485,9 @@ def _check_preprocessed(prep, uc_raw, out, eps, mu):
     return U1, C1
 
 
-def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
-                     estimate_mode="exact", initial_coloring=None,
-                     engine=None, check=True, prep=None, uc_raw=None):
+def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
+                     initial_coloring=None, engine=None, check=True,
+                     prep=None, uc_raw=None):
     """Preprocess + full rounding with the eps/2 + eps/2 split.
 
     Produces an integral labeling with ``u - c >= (1-eps)(u(lam) - c(lam))``
@@ -514,7 +504,7 @@ def round_fractional(g, val, lam_raw, eps, mu, nlabels, lam_min=None,
         prep = _Prepared(g, val)
     if check and uc_raw is None:
         uc_raw = prep.potential(lam_raw)
-    lam = preprocess_fractional(lam_raw, eps / 2, mu, nlabels, lam_min)
+    lam = preprocess_fractional(lam_raw, eps / 2, mu, val.nlabels)
     uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
            else None)
     ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, estimate_mode,

@@ -45,8 +45,7 @@ class CoverInvariantError(AssertionError):
     pass
 
 
-def fractional_cover(inst, backend="central-exact", weighted=False,
-                     budget=_oracle.DEFAULT_BUDGET):
+def fractional_cover(inst, backend="central-exact", weighted=False):
     """Feasible fractional cover with a declared approximation factor.
 
     Both backends start from the exact LP optimum for the costs being
@@ -60,7 +59,7 @@ def fractional_cover(inst, backend="central-exact", weighted=False,
     fractional optimum.
     """
     cost = inst.costs if weighted else {v: 1 for v in inst.sets}
-    _lp_opt, x = _oracle.setcover_lp(inst, cost, budget=budget)
+    _lp_opt, x = _oracle.setcover_lp(inst, cost)
     if backend == "central-exact":
         x0 = {}
         for v in inst.sets:
@@ -247,8 +246,7 @@ def network_nodes(inst):
 
 
 def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
-              backend="central-exact", engine=None, check=True,
-              budget=_oracle.DEFAULT_BUDGET):
+              backend="central-exact", engine=None, check=True):
     """Full Algorithm: returns (V_out, metrics, info).
 
     Without an ``engine`` it runs on one over ``network_nodes(inst)``.
@@ -266,7 +264,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     if engine is None:
         engine = _sim.RoundEngine(network_nodes(inst), mode=mode)
     W = inst.W if weighted else 1
-    x0, factor, opt_bound = fractional_cover(inst, backend, weighted, budget)
+    x0, factor, opt_bound = fractional_cover(inst, backend, weighted)
     engine.metrics.oracle_assisted = True       # both backends solve the LP
     x = build_scaled_x(x0, inst)
     xn, xd = _total_cost(x, cost)

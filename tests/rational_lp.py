@@ -10,17 +10,17 @@ w_t(I_t).
 
 from fractions import Fraction
 
-from locround.oracle import (DEFAULT_BUDGET, OverBudget,
+from locround.oracle import (MAX_LP_VARS, OverBudget,
                              _closed_neighborhood_rows, _graph_components,
                              _min_lp, simplex_max)
 
 
-def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
+def exact_lp(objective, A, b, sense="max"):
     """Exact LP optimum; ``max c.x, Ax <= b`` or ``min c.x, Ax >= b``
     (both with x >= 0), ``A`` given as sparse rows ``{column: coefficient}``
     as in ``simplex_max``.  Returns (optimum, x, y) as Fractions, y the
     optimal dual.  Unbounded and infeasible are reported distinctly."""
-    if len(objective) > budget.max_lp_vars:
+    if len(objective) > MAX_LP_VARS:
         raise OverBudget(f"{len(objective)} variables over LP budget")
     if sense == "max":
         num, x, y, prev, den = simplex_max(objective, A, b)
@@ -32,21 +32,20 @@ def exact_lp(objective, A, b, sense="max", budget=DEFAULT_BUDGET):
             [Fraction(v, yden) for v in y])
 
 
-def dual_covering_lp(wg, wprime, budget=DEFAULT_BUDGET):
+def dual_covering_lp(wg, wprime):
     """LP (dual of the packing LP): min sum y_v s.t. for all v:
     sum_{u in N+(v)} y_u >= w'(v), y >= 0.  Solved per connected component
     like ``packing_lp``.  Returns (opt, y dict)."""
     g = wg.graph if hasattr(wg, "graph") else wg
     nodes = list(g.nodes)
-    if len(nodes) > budget.max_lp_vars:
+    if len(nodes) > MAX_LP_VARS:
         raise OverBudget(f"{len(nodes)} variables over LP budget")
     opt = Fraction(0)
     y = {}
     for comp in _graph_components(g):
         o, ys, _x = exact_lp([1] * len(comp),
                              _closed_neighborhood_rows(g, comp),
-                             [wprime.get(v, 0) for v in comp], sense="min",
-                             budget=budget)
+                             [wprime.get(v, 0) for v in comp], sense="min")
         opt += o
         y.update(zip(comp, ys))
     return opt, {v: y[v] for v in nodes}

@@ -574,3 +574,99 @@ def test_setcover_unit_mode_on_weighted_input(tmp_path):
     assert Fraction(doc["opt_bound"]) <= unit_opt
     # the fractional cover is a central LP solve
     assert doc["metrics"]["oracle_assisted"] is True
+
+
+@pytest.mark.parametrize("oracle, fmt, text, line", [
+    ("wis", "edges", "".join(f"n {v} 1\n" for v in range(1, 22)),
+     "21 nodes over oracle budget"),
+    ("setcover", "sc", "e 1\n" + "".join(f"s {v}\nc 1 {v}\n"
+                                          for v in range(2, 23)),
+     "21 sets over oracle budget"),
+], ids=["wis", "setcover"])
+def test_oracle_over_its_limit_exits_two_with_one_line(tmp_path, oracle, fmt,
+                                                       text, line):
+    """An instance past a brute-force oracle's 20 nodes or sets ended in
+    an OverBudget traceback with status 1.  No report is written."""
+    inp = tmp_path / f"big.{fmt}"
+    inp.write_text(text)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "oracle", oracle,
+                               "--input", str(inp))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"locround: error: {line}"]
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("argv", [["mis"], ["setcover"]],
+                         ids=["edge-list", "setcover"])
+def test_instance_that_is_not_utf8_exits_two_with_one_line(tmp_path, argv):
+    """A file starting with the bytes ff fe ended in a UnicodeDecodeError
+    traceback with status 1."""
+    inp = tmp_path / "bad.txt"
+    inp.write_bytes(b"\xff\xfe1 2\n")
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), *argv, "--input",
+                               str(inp))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"locround: error: {inp}: not UTF-8 text")
+    assert not rep.exists()
+
+
+def test_round_instance_without_labels_exits_two_with_one_line(tmp_path):
+    """{"nodes": [1, 2]} ended in a KeyError: 'labels' traceback."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"nodes": [1, 2]}))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               str(inst))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"locround: error: {inst}: missing key 'labels'"]
+    assert not rep.exists()
+
+
+def test_wis_report_without_its_bound_exits_two_with_one_line(tmp_path):
+    """A wis report without certificate.bound ended in a KeyError: 'bound'
+    traceback from verify."""
+    g = tmp_path / "g.edges"
+    g.write_text(TRIANGLE)
+    rep = tmp_path / "wis.json"
+    assert cli.main(["--json", str(rep), "wis", "--algo", "basic",
+                     "--input", str(g)]) == 0
+    doc = json.loads(rep.read_text())
+    del doc["certificate"]["bound"]
+    rep.write_text(json.dumps(doc))
+    proc = _run_console_script("verify", str(rep))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"locround: error: {rep}: missing key 'bound'"]
+
+
+def test_matching_report_with_a_non_edge_fails_its_check(tmp_path):
+    """The pair [1, 5] is no edge of the triangle: verify ended in a
+    KeyError: (1, 5) traceback; it is a failed check, status 1."""
+    g = tmp_path / "tri.edges"
+    g.write_text(TRIANGLE)
+    rep = tmp_path / "matching.json"
+    rep.write_text(json.dumps({"algorithm": "matching", "input": str(g),
+                               "matching": [[1, 5]]}))
+    proc = _run_console_script("verify", str(rep))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout) == {
+        "ok": False, "checks": {"matching": False, "maximal": False}}
+
+
+def test_greedy_oracle_color_report_is_oracle_assisted(tmp_path):
+    """The greedy oracle colors the nodes one at a time, centrally; its
+    report said "oracle_assisted": false, like a distributed coloring's."""
+    g = tmp_path / "g.edges"
+    g.write_text(TRIANGLE)
+    for mode, central in (("greedy-oracle", True), ("defective", False)):
+        rep = tmp_path / f"{mode}.json"
+        assert cli.main(["--json", str(rep), "color", "--input", str(g),
+                         "--color-mode", mode]) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["metrics"]["oracle_assisted"] is central
+        assert cli.main(["verify", str(rep)]) == 0

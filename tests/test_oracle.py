@@ -29,6 +29,49 @@ def test_brute_is_budget():
         O.brute_max_weight_is(big)
 
 
+def _edgeless(n):
+    return G.simple_graph(list(range(n)), [])
+
+
+def _star(leaves):
+    return G.simple_graph(list(range(leaves + 1)),
+                          [(0, i) for i in range(1, leaves + 1)])
+
+
+def _one_element_cover(nsets):
+    """One element in every one of ``nsets`` sets: one component."""
+    sets_ = list(range(2, nsets + 2))
+    return G.SetCoverInstance([1], sets_, [(1, v) for v in sets_])
+
+
+# each OverBudget site: the oracle, the largest input it takes and the
+# message of the one just past it
+ORACLE_LIMITS = {
+    "brute-is": (lambda n: O.brute_max_weight_is(_edgeless(n)), 20,
+                 "21 nodes over oracle budget"),
+    "brute-cover": (lambda n: O.brute_set_cover_opt(_one_element_cover(n)),
+                    20, "21 sets over oracle budget"),
+    "beta-graph": (lambda n: O.neighborhood_independence(_edgeless(n)), 120,
+                   "graph over oracle budget"),
+    "beta-neighborhood": (lambda n: O.neighborhood_independence(_star(n)),
+                          20, "neighborhood of 0 over budget"),
+    "packing-lp": (lambda n: O.packing_lp_integers(_edgeless(n)), 10_000,
+                   "packing LP over budget"),
+    "cover-lp": (lambda n: O.setcover_lp(_one_element_cover(n)), 10_000,
+                 "set cover LP over budget"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ORACLE_LIMITS))
+def test_oracle_limit_fires_one_past_it(site):
+    """Every OverBudget site takes an input at its limit and refuses the
+    one just past it, with its own message."""
+    run, limit, msg = ORACLE_LIMITS[site]
+    run(limit)
+    with pytest.raises(O.OverBudget, match=f"^{msg}$"):
+        run(limit + 1)
+
+
 def test_brute_setcover_examples():
     single = G.SetCoverInstance([1], [9], [(1, 9)])
     assert O.brute_set_cover_opt(single)[0] == 1

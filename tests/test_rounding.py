@@ -87,10 +87,7 @@ def test_rounding_step_guarantee_cost_only_edge():
 def test_valuation_bound_check():
     g = two_node_graph()
     tab = ((Fraction(2), Fraction(3)), (Fraction(0), Fraction(7)))
-    # all entries in [1/10, 10]
-    R.Valuation.from_fractions(2, {0: tab}, {}, bound=10)
-    with pytest.raises(ValueError):
-        R.Valuation.from_fractions(2, {0: tab}, {}, bound=5)   # 7 > 5
+    R.Valuation.from_fractions(2, {0: tab}, {})
     with pytest.raises(ValueError):
         R.Valuation.from_fractions(2, {0: ((-1, 0), (0, 0))}, {})
 
@@ -210,8 +207,7 @@ def test_schedule_rejects_malformed_initial_coloring():
                                 initial_coloring=initial)
         with pytest.raises(C.ColoringError, match=msg):
             R.round_fractional(g, val, raw_rows(half), Fraction(1, 2),
-                               Fraction(1, 4),
-                               2, initial_coloring=initial)
+                               Fraction(1, 4), initial_coloring=initial)
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
                               initial_coloring={1: 0, 2: 1})
     assert ell[1] != ell[2]
@@ -413,7 +409,7 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
         counts.update(eval=0, steps=0, rows=0, assignments=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 2)
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
 
@@ -510,11 +506,11 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
         lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
                 for v, nums in lam.values.items()}
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 3)
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu)
         assert counts == {"pack": 1, "prepare": 1}
         prep = R._Prepared(g, val)
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu, 3,
+        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu,
                            prep=prep)
         assert counts == {"pack": 0, "prepare": 0}
         done += 1
