@@ -356,15 +356,28 @@ def _load_json(path):
                 f"{path}: not a JSON document: {exc}") from None
 
 
+# the JSON type of each Python type json.load returns for one
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _typed(path, what, value, kind):
+    """``value``, read as ``what`` of the JSON file ``path``; a value that
+    is not of the JSON type of ``kind`` is a format error naming it."""
+    if not isinstance(value, kind):
+        raise _graph.GraphFormatError(
+            f"{path}: {what} is not a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
 def _load_rounding_instance(path):
-    doc = _load_json(path)
+    doc = _typed(path, "the document", _load_json(path), dict)
     L = doc["labels"]
-    nodes = [int(v) for v in doc["nodes"]]
+    nodes = [int(v) for v in _typed(path, "key 'nodes'", doc["nodes"], list)]
     edges = []
     eu, ec = {}, {}
     node_set = set(nodes)
-    for i, e in enumerate(doc["edges"]):
-        manager = e.get("manager")
+    for i, e in enumerate(_typed(path, "key 'edges'", doc["edges"], list)):
+        manager = _typed(path, f"edge {i}", e, dict).get("manager")
         kind = _graph.PHYSICAL
         if manager is not None:
             # a virtual edge is simulated by its manager, a node of the
@@ -377,12 +390,14 @@ def _load_rounding_instance(path):
         eu[i] = e["utility"]
         ec[i] = e["cost"]
     g = _graph.Multigraph(nodes, edges)
-    nut = {int(v): row for v, row in doc.get("node_utility", {}).items()}
-    nct = {int(v): row for v, row in doc.get("node_cost", {}).items()}
+    nut, nct = (
+        {int(v): row for v, row in
+         _typed(path, f"key {key!r}", doc.get(key, {}), dict).items()}
+        for key in ("node_utility", "node_cost"))
     val = _rounding.Valuation.from_fractions(L, eu, ec, node_utility=nut,
                                              node_cost=nct)
-    lam = {int(v): _raw_row(path, v, row, L)
-           for v, row in doc["assignment"].items()}
+    lam = {int(v): _raw_row(path, v, row, L) for v, row in _typed(
+        path, "key 'assignment'", doc["assignment"], dict).items()}
     for v in nodes:
         if v not in lam:
             raise _graph.GraphFormatError(f"{path}: node {v} has no "
@@ -431,11 +446,23 @@ def cmd_oracle(args):
     raise SystemExit(f"unknown oracle {args.oracle}")
 
 
+def _report_input(path, doc, config):
+    """The instance file a report names: its ``input``, or else its
+    ``config.input``."""
+    for key, inp in (("input", doc.get("input")),
+                     ("config.input", config.get("input"))):
+        if inp is not None:
+            return _typed(path, f"key {key!r}", inp, str)
+    raise _graph.GraphFormatError(f"{path}: missing key 'input'")
+
+
 def cmd_verify(args):
-    doc = _load_json(args.report)
-    algo = doc.get("algorithm", "")
+    path = args.report
+    doc = _typed(path, "the document", _load_json(path), dict)
+    config = _typed(path, "key 'config'", doc.get("config", {}), dict)
+    algo = _typed(path, "key 'algorithm'", doc.get("algorithm", ""), str)
     checks = {}
-    inp = doc.get("input") or doc.get("config", {}).get("input")
+    inp = _report_input(path, doc, config)
     if algo in ("mis", "mis-baseline"):
         wg = _load_weighted(inp)
         S = doc["set"]
@@ -456,8 +483,7 @@ def cmd_verify(args):
         bound = Fraction(doc["certificate"]["bound"])
         checks["weight_bound"] = sum(wg.weights[v] for v in S) >= bound
     elif algo == "setcover":
-        inst = _load_cover(inp, doc.get("config", {}).get(
-            "from_dominating_set", False))
+        inst = _load_cover(inp, config.get("from_dominating_set", False))
         checks["covers"] = _oracle.covers(inst, doc["sets"])
         phi = [Fraction(p) for p in doc["phi"]]
         checks["phi_monotone"] = all(phi[i + 1] <= phi[i]
@@ -491,7 +517,8 @@ def cmd_verify(args):
                 g, w, colors, Fraction(doc["delta"]), doc["kind"])
             checks["defect"] = ok
     else:
-        raise SystemExit(f"cannot verify algorithm {algo!r}")
+        raise _graph.GraphFormatError(
+            f"{path}: cannot verify algorithm {algo!r}")
     ok = all(checks.values())
     print(json.dumps({"ok": ok, "checks": checks}, sort_keys=True))
     return 0 if ok else 1
@@ -571,6 +598,8 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     try:
+        if args.bit_budget is not None and args.bit_budget < 1:
+            raise UsageError(f"--bit-budget {args.bit_budget} is below 1")
         return args.func(args)
     except (_graph.GraphFormatError, OSError, UsageError,
             _oracle.OverBudget) as exc:

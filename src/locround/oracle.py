@@ -1,10 +1,12 @@
-"""Independent ground-truth oracles: exact rational LP, brute-force optima,
-and certificate scanners.
+"""Exact rational LP, brute-force optima and certificate scanners.
 
-Everything here is deliberately separate from the algorithms under test:
-exact rational arithmetic only, no shared code paths with the rounding
-pipeline.  Oracles refuse inputs beyond their budget instead of running
-unboundedly.
+Everything here runs in exact rational arithmetic.  The brute-force
+optima and the scanners share no code with the rounding pipeline and
+check its outputs.  The exact LP does not stand apart: ``set_cover``,
+``lp_guided_is`` and ``beta_approx_is`` solve their fractional optimum
+through ``packing_lp_integers``, ``packing_lp`` and ``setcover_lp``, and
+its optimality certificate is checked on every such solve.  Oracles
+refuse inputs beyond their budget instead of running unboundedly.
 """
 
 from __future__ import annotations
@@ -38,26 +40,26 @@ MAX_LP_VARS = 10_000
 
 
 def simplex_max(c, A, b, max_pivots=200_000):
-    """Exact simplex for max c.x  s.t.  A x <= b, x >= 0, with integer
-    (fraction-free) pivoting, Dantzig pricing, and a Bland fallback against
-    cycling.
+    """Exact simplex for max c.x  s.t.  A x <= b, x >= 0, with b >= 0,
+    integer (fraction-free) pivoting, Dantzig pricing, and a Bland
+    fallback against cycling.
 
     ``A`` is a list of m sparse rows ``{column: coefficient}`` over the
     n = len(c) columns; coefficients, ``b`` and ``c`` are ints or
-    Fractions.  Variables are labelled 0..n-1 (original), n..n+m-1
-    (slacks) and n+m.. (one artificial per row with a negative rhs).  The
-    rows are laid out in a condensed (Tucker) integer tableau: one column
-    per nonbasic variable, whose labels sit in a list, plus the rhs, over
-    one shared positive denominator ``prev``.  The basic columns of the
-    full tableau are ``prev`` times unit vectors and are not stored.  A
-    pivot applies the Sylvester identity T' = (piv*T - T[col] x prow) /
-    prev with exact integer division to the rows other than the pivot
-    row, and the entering column then holds the leaving variable's:
-    ``prev`` in the pivot row and the negated old entries elsewhere (J.
-    Edmonds, 1967).  The integers are those of the full fraction-free
-    tableau, so entries stay minor-sized.  Pricing and the ratio test read
-    only true values, so the pivot sequence does not depend on how the
-    input is scaled.
+    Fractions.  With b >= 0, x = 0 is feasible and the slacks form the
+    start basis; a negative b_i raises ValueError.  Variables are labelled
+    0..n-1 (original) and n..n+m-1 (slacks).  The rows are laid out in a
+    condensed (Tucker) integer tableau: one column per nonbasic variable,
+    whose labels sit in a list, plus the rhs, over one shared positive
+    denominator ``prev``.  The basic columns of the full tableau are
+    ``prev`` times unit vectors and are not stored.  A pivot applies the
+    Sylvester identity T' = (piv*T - T[col] x prow) / prev with exact
+    integer division to the rows other than the pivot row, and the
+    entering column then holds the leaving variable's: ``prev`` in the
+    pivot row and the negated old entries elsewhere (J. Edmonds, 1967).
+    The integers are those of the full fraction-free tableau, so entries
+    stay minor-sized.  Pricing and the ratio test read only true values,
+    so the pivot sequence does not depend on how the input is scaled.
 
     Returns the certified solution in integers, (cx, X, Y, prev, den):
     the optimum is cx / (prev*den), x_j = X[j] / prev and
@@ -67,8 +69,10 @@ def simplex_max(c, A, b, max_pivots=200_000):
     reduced against the numerators.  The solution is returned once an
     exact optimality certificate holds: primal and dual feasibility,
     y >= 0 and equal objectives, checked in integers on den times the
-    caller's coefficients.  Raises LPUnbounded / LPInfeasible.
+    caller's coefficients.  Raises LPUnbounded.
     """
+    if any(bv < 0 for bv in b):
+        raise ValueError("simplex_max takes b >= 0")
     m = len(A)
     n = len(c)
     den = math.lcm(*{v.denominator for v in
@@ -78,9 +82,6 @@ def simplex_max(c, A, b, max_pivots=200_000):
     bi = [_scaled(v, den) for v in b]
     rows = [{j: _scaled(a, den) for j, a in row.items() if a} for row in A]
 
-    neg = [i for i in range(m) if bi[i] < 0]
-    n_art = len(neg)
-    nm = n + m
     # entries are true values scaled by prev.  The divisions by prev are
     # exact only from a fraction-free state of an integer matrix: with each
     # row that holds a fraction scaled by den, the starting basis has
@@ -90,69 +91,23 @@ def simplex_max(c, A, b, max_pivots=200_000):
     if den > 1:
         p0 = den ** sum(1 for row, bv in zip(rows, bi)
                         if bv % den or any(a % den for a in row.values()))
-    # nonbasic at the start: the originals, and the slack of each row with
-    # a negative rhs, which is negated and has its artificial basic
-    labels = list(range(n)) + [n + i for i in neg]
-    width = n + n_art
+    # the originals are nonbasic at the start, the slacks basic
+    labels = list(range(n))
+    basis = list(range(n, n + m))
     T = []
-    basis = []
-    k = 0
     for i in range(m):
-        row = [0] * (width + 1)
+        row = [0] * (n + 1)
         for j, a in rows[i].items():
             row[j] = p0 * a // den
         row[-1] = p0 * bi[i] // den
-        if bi[i] < 0:
-            row = [-x for x in row]
-            row[n + k] = -p0
-            basis.append(nm + k)
-            k += 1
-        else:
-            basis.append(n + i)
         T.append(row)
-    prev = p0
-
-    if n_art:
-        # phase 1 maximizes minus the sum of the artificials: its reduced
-        # costs are minus the sum of the artificial rows
-        z = [0] * (width + 1)
-        for i in neg:
-            z = [a - t for a, t in zip(z, T[i])]
-        T.append(z)
-        prev = _run(T, labels, basis, prev, max_pivots, nm + n_art + m)
-        if any(T[i][-1] != 0 for i in range(m) if basis[i] >= nm):
-            raise LPInfeasible("phase-1 optimum nonzero")
-        for i in range(m):
-            if basis[i] >= nm:
-                # pivot an artificial out on its row's nonzero entry of the
-                # smallest original or slack label
-                row = T[i]
-                cand = [(lab, p) for p, lab in enumerate(labels)
-                        if lab < nm and row[p]]
-                if cand:
-                    prev = _pivot(T, labels, basis, i, min(cand)[1], prev)
-        T.pop()
-        # nothing reads an artificial column in phase 2
-        keep = [p for p, lab in enumerate(labels) if lab < nm]
-        if len(keep) < len(labels):
-            labels = [labels[p] for p in keep]
-            keep.append(-1)
-            T = [[row[p] for p in keep] for row in T]
-
-    # z = prev * (c_B B^-1 N - c_N): minus c scaled by prev in the
-    # nonbasic columns, plus the rows of basic originals weighted by c
-    z = [-ci[lab] * prev if lab < n else 0 for lab in labels] + [0]
-    for row, bc in zip(T, basis):
-        if bc < n and ci[bc]:
-            cb = ci[bc]
-            z = [a + cb * t for a, t in zip(z, row)]
-    T.append(z)
-    prev = _run(T, labels, basis, prev, max_pivots, nm + m)
+    # z = prev * (c_B B^-1 N - c_N), and c_B = 0 on the slack basis
+    T.append([-cj * p0 for cj in ci] + [0])
+    prev = _run(T, labels, basis, p0, max_pivots, n + 2 * m)
     z = T.pop()
 
-    # true values x = X/prev and y = Y/(prev*den); the slack column of a
-    # negated row is negated too, so Y is read off the slack reduced costs
-    # of every row alike, 0 where a slack is basic
+    # true values x = X/prev and y = Y/(prev*den); Y is read off the slack
+    # reduced costs, 0 where a slack is basic
     X = [0] * n
     for i, bc in enumerate(basis):
         if bc < n:
@@ -259,13 +214,6 @@ def _pivot(T, labels, basis, r, p, prev):
                 T[i] = [(piv * a) // prev for a in T[i]]
     prow[p] = prev
     labels[p], basis[r] = basis[r], labels[p]
-    if piv < 0:
-        # only the phase-1 cleanup pivots on a negative entry; negate
-        # everything so that prev stays positive and the signs the
-        # pricing and the ratio test read are the signs of true values
-        for i, row in enumerate(T):
-            T[i] = [-a for a in row]
-        piv = -piv
     return piv
 
 
@@ -277,11 +225,14 @@ def _scaled(v, den):
 
 def _min_lp(objective, A, b):
     """min c.x, Ax >= b, x >= 0, solved through its dual max b.y,
-    A^T y <= c by ``simplex_max``, whose dual is x.  Returns the integers
-    (num, X, Y, prev, den) of that solve: the optimum is num / (prev*den),
-    x_j = X[j] / (prev*den) and y_i = Y[i] / prev.  The recovered x is
-    checked feasible and of the optimal cost, in integers on den times the
-    coefficients."""
+    A^T y <= c by ``simplex_max``, whose dual is x.  The costs c are
+    >= 0, so y = 0 starts the dual; a negative cost raises ValueError.
+    Returns the integers (num, X, Y, prev, den) of that solve: the optimum
+    is num / (prev*den), x_j = X[j] / (prev*den) and y_i = Y[i] / prev.
+    The recovered x is checked feasible and of the optimal cost, in
+    integers on den times the coefficients."""
+    if any(cj < 0 for cj in objective):
+        raise ValueError("a min LP takes costs >= 0")
     At = [{} for _ in objective]
     for i, row in enumerate(A):
         for j, a in row.items():
@@ -291,13 +242,6 @@ def _min_lp(objective, A, b):
         num, y, x, prev, den = simplex_max(b, At, objective)
     except LPUnbounded as exc:
         raise LPInfeasible("primal infeasible (dual unbounded)") from exc
-    except LPInfeasible as exc:
-        # an infeasible dual leaves the primal infeasible or unbounded;
-        # a phase-1 solve of Ax >= b tells which (it raises LPInfeasible)
-        simplex_max([0] * len(objective),
-                    [{j: -a for j, a in row.items()} for row in A],
-                    [-bv for bv in b])
-        raise LPUnbounded("primal unbounded (dual infeasible)") from exc
     D = prev * den
     for row, bv in zip(A, b):
         if sum(_scaled(a, den) * x[j] for j, a in row.items()
@@ -326,12 +270,12 @@ def packing_lp_integers(wg, weights=None):
     denominator of v's component.  ``weights`` overrides the graph's
     weights (residual weight functions); nodes of weight 0 still
     constrain.  One LP is solved per connected component, over its nodes
-    in graph order.  The constraints are block diagonal and the rhs is
-    nonnegative (no phase 1), so a pivot in one block leaves the reduced
-    costs of the others alone, and Dantzig pricing on the whole system
-    interleaves these per-block runs: the merged x is the vertex one solve
-    over all nodes returns, unless its degenerate-pivot count brings in
-    the Bland fallback.
+    in graph order.  The constraints are block diagonal and every run
+    starts from the slack basis, so a pivot in one block leaves the
+    reduced costs of the others alone, and Dantzig pricing on the whole
+    system interleaves these per-block runs: the merged x is the vertex
+    one solve over all nodes returns, unless its degenerate-pivot count
+    brings in the Bland fallback.
     """
     g = wg.graph if hasattr(wg, "graph") else wg
     w = weights if weights is not None else getattr(wg, "weights", None)

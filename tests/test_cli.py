@@ -644,6 +644,79 @@ def test_wis_report_without_its_bound_exits_two_with_one_line(tmp_path):
         f"locround: error: {rep}: missing key 'bound'"]
 
 
+def _exits_two_with_one_line(proc, rep, line):
+    """Status 2, nothing on stdout, the one stderr line ``line`` and no
+    report at ``rep``."""
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"locround: error: {line}"]
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("doc, line", [
+    ({"algorithm": "mis", "set": []}, "missing key 'input'"),
+    ({"algorithm": "mis", "set": [], "config": {}}, "missing key 'input'"),
+    ({"algorithm": "mis", "set": [], "input": 7},
+     "key 'input' is not a JSON string"),
+    ({"algorithm": "mis", "set": [], "config": {"input": 7}},
+     "key 'config.input' is not a JSON string"),
+], ids=["no-input", "no-config-input", "input-number",
+        "config-input-number"])
+def test_verify_report_without_an_input_path_exits_two_with_one_line(
+        tmp_path, doc, line):
+    """A report with neither input nor config.input ended in a TypeError
+    traceback with status 1; a number there was opened as a file
+    descriptor ([Errno 9] Bad file descriptor)."""
+    rep = tmp_path / "report.json"
+    rep.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(out), "verify", str(rep))
+    _exits_two_with_one_line(proc, out, f"{rep}: {line}")
+
+
+@pytest.mark.parametrize("argv, doc, line", [
+    (["verify"], [1], "the document is not a JSON object"),
+    (["verify"], {"algorithm": 5}, "key 'algorithm' is not a JSON string"),
+    (["verify"], {"algorithm": "mis", "input": "g.edges", "config": 3},
+     "key 'config' is not a JSON object"),
+    (["verify"], {"algorithm": "sort", "input": "g.edges"},
+     "cannot verify algorithm 'sort'"),
+    (["round", "--valuation"], dict(ROUND_INSTANCE, edges=[5]),
+     "edge 0 is not a JSON object"),
+    (["round", "--valuation"], dict(ROUND_INSTANCE, node_utility=[1]),
+     "key 'node_utility' is not a JSON object"),
+    (["round", "--valuation"], [ROUND_INSTANCE],
+     "the document is not a JSON object"),
+], ids=["verify-array", "verify-algorithm-number", "verify-config-number",
+        "verify-unknown-algorithm", "round-edge-number",
+        "round-node-utility-array", "round-array"])
+def test_json_of_the_wrong_type_exits_two_with_one_line(tmp_path, argv, doc,
+                                                        line):
+    """A JSON value of the wrong type where the command reads an object
+    or a string ended in an AttributeError traceback with status 1 (an
+    unknown algorithm: a bare message with status 1)."""
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), *argv, str(inp))
+    _exits_two_with_one_line(proc, rep, f"{inp}: {line}")
+
+
+@pytest.mark.parametrize("budget", [["--bit-budget", "0"],
+                                    ["--bit-budget", "-5"],
+                                    ["--bit-budget=-5"]],
+                         ids=["zero", "negative", "negative-joined"])
+def test_bit_budget_below_one_exits_two_with_one_line(tmp_path, budget):
+    """--bit-budget 0 and -5 ran with status 0 and recorded one violation
+    per accounted phase."""
+    g = tmp_path / "g.edges"
+    g.write_text(TRIANGLE)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--mode", "congest", *budget, "--json",
+                               str(rep), "mis", "--input", str(g))
+    value = budget[-1].split("=")[-1]
+    _exits_two_with_one_line(proc, rep, f"--bit-budget {value} is below 1")
+
+
 def test_matching_report_with_a_non_edge_fails_its_check(tmp_path):
     """The pair [1, 5] is no edge of the triangle: verify ended in a
     KeyError: (1, 5) traceback; it is a failed check, status 1."""

@@ -1,13 +1,14 @@
 """``oracle.simplex_max`` keeps only the nonbasic columns of the tableau.
 It must take the same pivots through the same integers as the dense
 tableau of ``dense_simplex.py``: the same 5-tuple, or the same exception
-class with the same message, on every LP."""
+class with the same message, on every LP.  Every LP here has b >= 0, the
+only form ``simplex_max`` takes."""
 
 import random
 from fractions import Fraction
 
 from locround import oracle as O
-from conftest import random_simple_graph
+from conftest import random_setcover, random_simple_graph
 from dense_simplex import dense_simplex_max
 
 
@@ -27,33 +28,25 @@ def _coef(rng, fractions, lo=-5, hi=5):
 
 
 def _random_lp(rng):
-    """max c.x, A x <= b over n, m in 1..8, with int or Fraction
-    coefficients and zeros.  Half the LPs are anchored: b = A x0 + s for a
-    point x0 >= 0 and s >= 0, with A of both signs, so that a negative b
-    needs a phase 1 that ends feasible; the others draw b freely."""
+    """max c.x, A x <= b over n, m in 1..8, with b >= 0, int or Fraction
+    coefficients and zeros.  Three in ten LPs draw A of both signs;
+    the others draw A >= 0, so that a column with a positive cost and no
+    positive entry leaves the LP unbounded.  A zero in b makes its row
+    degenerate at the start."""
     n = rng.randint(1, 8)
     m = rng.randint(1, 8)
     fractions = rng.random() < 0.5
     c = [_coef(rng, fractions) for _ in range(n)]
-    if rng.random() < 0.5:
-        A = [{j: a for j in range(n) if (a := _coef(rng, fractions))}
-             for _ in range(m)]
-        x0 = [rng.randint(0, 3) for _ in range(n)]
-        b = [sum(a * x0[j] for j, a in row.items()) + rng.randint(0, 2)
-             for row in A]
-        return c, A, b
     lo = -3 if rng.random() < 0.3 else 0
     A = [{j: a for j in range(n) if (a := _coef(rng, fractions, lo))}
          for _ in range(m)]
-    p_neg = rng.choice((0, 0.2, 0.5))
-    b = [-_coef(rng, fractions, 0, 4) if rng.random() < p_neg
-         else _coef(rng, fractions, 0, 9) for _ in range(m)]
+    b = [_coef(rng, fractions, 0, 9) for _ in range(m)]
     return c, A, b
 
 
 def test_same_outcome_on_seeded_random_lps():
     rng = random.Random(20)
-    kinds = {"optimal": 0, "phase1": 0, "LPInfeasible": 0, "LPUnbounded": 0,
+    kinds = {"optimal": 0, "degenerate": 0, "LPUnbounded": 0,
              "RuntimeError": 0}
     for _ in range(2400):
         c, A, b = _random_lp(rng)
@@ -65,13 +58,23 @@ def test_same_outcome_on_seeded_random_lps():
         if isinstance(got[0], type):
             kinds[got[0].__name__] += 1
         else:
-            kinds["phase1" if min(b) < 0 else "optimal"] += 1
+            kinds["degenerate" if min(b) == 0 else "optimal"] += 1
     assert all(v >= 20 for v in kinds.values()), kinds
 
 
+def _covering_args(costs, A, b):
+    """The max LP ``_min_lp`` hands ``simplex_max`` for min costs.x,
+    A x >= b, x >= 0: its dual max b.y, A^T y <= costs."""
+    At = [{} for _ in costs]
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            At[j][i] = a
+    return b, At, costs
+
+
 def test_same_outcome_on_packing_and_covering_lps():
-    """Connected packing LPs of up to 30 nodes, and their covering duals
-    with a phase 1, take hundreds of pivots."""
+    """Connected packing LPs of up to 30 nodes take hundreds of pivots;
+    set cover LPs of up to 30 elements are posed through their duals."""
     rng = random.Random(21)
     for n in (5, 12, 20, 30):
         for _ in range(3):
@@ -82,9 +85,14 @@ def test_same_outcome_on_packing_and_covering_lps():
                     for v in nodes]
             w = [Fraction(rng.randint(1, 9), rng.randint(1, 3))
                  for _ in nodes]
+            inst = random_setcover(rng, n, n, 3, 4)
+            sidx = {v: j for j, v in enumerate(inst.sets)}
+            cover = [{sidx[v]: 1 for v in inst.element_sets[u]}
+                     for u in inst.elements]
+            costs = [Fraction(rng.randint(1, 9), rng.randint(1, 3))
+                     for _ in inst.sets]
             for args in ((w, rows, [1] * n),
-                         ([-1] * n, [{j: -a for j, a in r.items()}
-                                    for r in rows], [-x for x in w])):
+                         _covering_args(costs, cover, [1] * n)):
                 got = O.simplex_max(*args)
                 assert got == dense_simplex_max(*args)
 
@@ -98,12 +106,11 @@ def test_same_outcome_on_edge_cases():
         [0, 0, 1])
     cases = [
         beale,
-        ([1], [{0: 1}], [-1]),                          # infeasible
         ([1, 1], [{1: 1}], [2]),                        # unbounded
         ([1, 1], [{0: 1, 1: 1}, {0: -1, 1: -1}], [0, 0]),
         ([0, 0], [{}, {}], [0, -0]),                    # empty rows
-        ([2, -1], [{0: 1}, {0: -1}], [3, -3]),          # x0 = 3 by two rows
-        ([-1, -1], [{0: -1, 1: -1}, {0: -1}], [-2, -1]),  # phase 1 to a min
+        ([2, 1], [{0: 1}, {0: -1, 1: 1}], [3, 0]),      # x0 = 3, x1 = 3
+        ([-1, -1], [{0: 1, 1: 1}], [2]),                # optimal at the start
         ([1, 2], [{0: 1, 1: 1}] * 3, [4, 4, 4]),        # degenerate ties
     ]
     for args in cases:

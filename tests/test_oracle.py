@@ -197,15 +197,18 @@ def test_small_lps_match_vertex_enumeration(rng):
         sense = rng.choice(["max", "min"])
         A = [{j: coef() for j in range(n) if rng.random() < 0.8}
              for _ in range(m)]
-        b = [coef() for _ in range(m)]
         if sense == "max":
-            # a positive box keeps the max bounded; negative rhs rows make
-            # phase 1 run
+            # simplex_max takes b >= 0; a positive box keeps the max
+            # bounded
+            b = [abs(coef()) for _ in range(m)]
             c = [coef() for _ in range(n)]
             A.append({j: Fraction(rng.randint(1, 3)) for j in range(n)})
             b.append(Fraction(rng.randint(1, 6)))
         else:
-            c = [abs(coef()) for _ in range(n)]        # bounded below by 0
+            # costs >= 0 bound the min below by 0, so an infeasible min is
+            # one whose dual is unbounded
+            b = [coef() for _ in range(m)]
+            c = [abs(coef()) for _ in range(n)]
         best = _vertex_optimum(c, A, b, sense)
         if best is None:
             with pytest.raises(O.LPInfeasible):
@@ -221,21 +224,25 @@ def test_small_lps_match_vertex_enumeration(rng):
 
 def test_lp_infeasible_and_unbounded():
     with pytest.raises(O.LPInfeasible):
-        O.simplex_max([1], [{0: 1}], [-1])              # x <= -1
-    with pytest.raises(O.LPInfeasible):
         exact_lp([1], [{0: -1}], [1], sense="min")    # -x >= 1
     with pytest.raises(O.LPUnbounded):
         O.simplex_max([1, 1], [{1: 1}], [2])            # x0 is free
 
 
-def test_exact_min_tells_unbounded_from_infeasible():
-    # min -x, x >= 1: the dual (max y, y <= -1) is infeasible
-    with pytest.raises(O.LPUnbounded):
-        exact_lp([-1], [{0: 1}], [1], sense="min")
-    # min -x0 - x1, x0 - x1 >= 1, x1 - x0 >= 1: primal and dual infeasible
-    with pytest.raises(O.LPInfeasible):
-        exact_lp([-1, -1], [{0: 1, 1: -1}, {0: -1, 1: 1}], [1, 1],
-                   sense="min")
+@pytest.mark.parametrize("solve, msg", [
+    (lambda: O.simplex_max([1], [{0: 1}], [-1]), "simplex_max takes b >= 0"),
+    (lambda: O.simplex_max([1, 1], [{0: 1}, {1: 1}], [2, Fraction(-1, 3)]),
+     "simplex_max takes b >= 0"),
+    (lambda: O._min_lp([-1], [{0: 1}], [1]), "a min LP takes costs >= 0"),
+    (lambda: O._min_lp([1, Fraction(-1, 2)], [{0: 1, 1: 1}], [1]),
+     "a min LP takes costs >= 0"),
+], ids=["max-b", "max-fraction-b", "min-cost", "min-fraction-cost"])
+def test_lp_outside_the_slack_start_raises_value_error(solve, msg):
+    """The exact simplex starts from the slack basis: a max LP with a
+    negative rhs, or a min LP with a negative cost (its dual's rhs), has
+    no feasible start there and is refused before any pivot."""
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        solve()
 
 
 def test_setcover_lp_feasible(rng):
