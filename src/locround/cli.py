@@ -369,59 +369,102 @@ def _typed(path, what, value, kind):
     return value
 
 
+def _node_id(path, what, x):
+    """``x``, read as the node id ``what`` of the JSON file ``path``: an
+    integer, or the decimal string of one, as object keys are."""
+    if type(x) in (int, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise _graph.GraphFormatError(f"{path}: {what} is not an integer: {x!r}")
+
+
+def _rationals(path, where, row, L):
+    """``row``, read as ``where`` of the JSON file ``path``: an array of
+    L non-negative rationals, each a number or a string such as "1/3"."""
+    where = f"{path}: {where}"
+    if not isinstance(row, list):
+        raise _graph.GraphFormatError(f"{where}: not a JSON array")
+    if len(row) != L:
+        raise _graph.GraphFormatError(f"{where}: {len(row)} values, not {L}")
+    try:
+        fr = [Fraction(x) for x in row]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _graph.GraphFormatError(f"{where}: {exc}") from None
+    if min(fr) < 0:
+        raise _graph.GraphFormatError(f"{where}: negative value")
+    return fr
+
+
 def _load_rounding_instance(path):
+    """The graph, the integer ``Valuation`` and the raw assignment rows of
+    the ``round`` instance in ``path``.  Every row is read by
+    ``_rationals``; the valuation is built at the lcm of the denominators
+    of its tables, and an assignment row at the lcm of its own."""
     doc = _typed(path, "the document", _load_json(path), dict)
     L = doc["labels"]
-    nodes = [int(v) for v in _typed(path, "key 'nodes'", doc["nodes"], list)]
-    edges = []
-    eu, ec = {}, {}
+    if type(L) is not int or L < 1:
+        raise _graph.GraphFormatError(
+            f"{path}: key 'labels' is not a positive integer: {L!r}")
+    nodes = [_node_id(path, "a node of key 'nodes'", v)
+             for v in _typed(path, "key 'nodes'", doc["nodes"], list)]
     node_set = set(nodes)
+    edges = []
+    tables = [{}, {}, {}, {}]
     for i, e in enumerate(_typed(path, "key 'edges'", doc["edges"], list)):
         manager = _typed(path, f"edge {i}", e, dict).get("manager")
         kind = _graph.PHYSICAL
         if manager is not None:
             # a virtual edge is simulated by its manager, a node of the
             # instance
-            kind, manager = _graph.VIRTUAL, int(manager)
+            kind = _graph.VIRTUAL
+            manager = _node_id(path, f"edge {i}: manager", manager)
             if manager not in node_set:
                 raise _graph.GraphFormatError(
                     f"{path}: edge {i}: manager {manager} is not a node")
-        edges.append(_graph.Edge(int(e["u"]), int(e["v"]), kind, manager, i))
-        eu[i] = e["utility"]
-        ec[i] = e["cost"]
+        edges.append(_graph.Edge(_node_id(path, f"edge {i}: key 'u'", e["u"]),
+                                 _node_id(path, f"edge {i}: key 'v'", e["v"]),
+                                 kind, manager, i))
+        for key, t in zip(("utility", "cost"), tables):
+            where = f"edge {i}: key {key!r}"
+            rows = _typed(path, where, e[key], list)
+            if len(rows) != L:
+                raise _graph.GraphFormatError(
+                    f"{path}: {where}: {len(rows)} rows, not {L}")
+            t[i] = [x for a, row in enumerate(rows)
+                    for x in _rationals(path, f"{where}: row {a}", row, L)]
     g = _graph.Multigraph(nodes, edges)
-    nut, nct = (
-        {int(v): row for v, row in
-         _typed(path, f"key {key!r}", doc.get(key, {}), dict).items()}
-        for key in ("node_utility", "node_cost"))
-    val = _rounding.Valuation.from_fractions(L, eu, ec, node_utility=nut,
-                                             node_cost=nct)
-    lam = {int(v): _raw_row(path, v, row, L) for v, row in _typed(
-        path, "key 'assignment'", doc["assignment"], dict).items()}
-    for v in nodes:
+    lam = {}
+    for key, t in zip(("node_utility", "node_cost", "assignment"),
+                      (*tables[2:], lam)):
+        doc_rows = doc[key] if t is lam else doc.get(key, {})
+        for v, row in _typed(path, f"key {key!r}", doc_rows, dict).items():
+            v = _node_id(path, f"a node of key {key!r}", v)
+            if v not in node_set:
+                raise _graph.GraphFormatError(
+                    f"{path}: key {key!r}: {v} is not a node")
+            t[v] = _rationals(path, f"assignment of node {v}" if t is lam
+                              else f"key {key!r}: node {v}", row, L)
+    for v in g.nodes:
         if v not in lam:
             raise _graph.GraphFormatError(f"{path}: node {v} has no "
                                           f"assignment row")
-    return g, val, lam
+        fr = lam[v]
+        if sum(fr) != 1:
+            raise _graph.GraphFormatError(f"{path}: assignment of node {v}: "
+                                          f"values sum to {sum(fr)}, not 1")
+        lam[v] = _numerators(fr, math.lcm(*(x.denominator for x in fr)))
+    scale = math.lcm(*(x.denominator for t in tables for row in t.values()
+                       for x in row))
+    return g, _rounding.Valuation(
+        L, *({key: _numerators(row, scale) for key, row in t.items()}
+             for t in tables), scale=scale), lam
 
 
-def _raw_row(path, v, row, L):
-    """Node ``v``'s assignment row of L rationals as a raw row: their
-    numerators over the lcm of their denominators."""
-    where = f"{path}: assignment of node {v}"
-    try:
-        fr = [Fraction(x) for x in row]
-    except (TypeError, ValueError) as exc:
-        raise _graph.GraphFormatError(f"{where}: {exc}") from None
-    if len(fr) != L:
-        raise _graph.GraphFormatError(f"{where}: {len(fr)} values, not {L}")
-    if any(x < 0 for x in fr):
-        raise _graph.GraphFormatError(f"{where}: negative value")
-    if sum(fr) != 1:
-        raise _graph.GraphFormatError(f"{where}: values sum to {sum(fr)}, "
-                                      f"not 1")
-    den = math.lcm(*(x.denominator for x in fr))
-    return tuple(x.numerator * (den // x.denominator) for x in fr)
+def _numerators(row, den):
+    """The rationals ``row`` as numerators over ``den``."""
+    return tuple(x.numerator * (den // x.denominator) for x in row)
 
 
 def cmd_oracle(args):

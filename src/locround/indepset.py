@@ -136,14 +136,15 @@ def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
 def fractional_matching_doubling_freeze(g):
     """Start every edge at the power of two <= 1/(2*Delta), then double all
     non-frozen edges until every edge has a saturated endpoint
-    (node sum >= 1/4).  Returns {edge index: value}; asserts that 4y is a
-    feasible dual, so sum(y) >= S*/4 on the line graph.
+    (node sum >= 1/4).  Returns {edge index: raw row (2^k - n, n)} at
+    y_e = n/2^k; asserts that 4y is a feasible dual, so sum(y) >= S*/4 on
+    the line graph.
 
     The values are integer numerators over 2^k, the start denominator, so
     an endpoint saturates when 4 * sum >= 2^k.  An edge freezes once for
     good, since sums only grow; each phase doubles the edges still live
-    and adds their old values to their endpoints' sums.  The returned
-    Fractions are one object per distinct value."""
+    and adds their old values to their endpoints' sums.  The returned rows
+    are one object per distinct value."""
     dmax = max((g.degree(v) for v in g.nodes), default=1)
     k = max(1, (2 * max(dmax, 1) - 1).bit_length())
     one = 1 << k
@@ -177,8 +178,8 @@ def fractional_matching_doubling_freeze(g):
     for u, v in zip(eu, ev):
         if 4 * max(sums[u], sums[v]) < one:
             raise ISInvariantError("doubling-freeze left an unfrozen edge")
-    value = {n: Fraction(n, one) for n in set(y)}
-    return {e.index: value[n] for e, n in zip(g.edges, y)}
+    row = {n: (one - n, n) for n in set(y)}
+    return {e.index: row[n] for e, n in zip(g.edges, y)}
 
 
 def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
@@ -430,10 +431,11 @@ def maximal_matching(g, mode=_sim.LOCAL, engine=None, check=True):
         ecol_h = {base + e.index: ecol[(min(e.u, e.v), max(e.u, e.v))]
                   for e in sub.edges}
         y = fractional_matching_doubling_freeze(sub)
-        x = {base + i: y[i] for i in y}
         w1 = {v: 1 for v in h.nodes}
-        I, _u = basic_is_round(h, w1, x, Fraction(1, 6), engine=engine,
-                               initial_coloring=ecol_h, mode=mode, check=check)
+        I, _u = _round_is_rows(
+            h, w1, {base + i: row for i, row in y.items()}, Fraction(1, 6),
+            engine, ecol_h, mode, check,
+            _rounding._Prepared(h, is_valuation(h, w1)))
         matched = []
         edge_of = {base + e.index: (e.u, e.v) for e in sub.edges}
         for en in I:

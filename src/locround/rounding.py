@@ -1,7 +1,8 @@
 """Generic deterministic rounding of fractional label assignments.
 
 A fractional label assignment gives every node a distribution over a finite
-label alphabet with all values dyadic (integer multiples of 2^-k).  A
+label alphabet, as a raw row: a tuple of non-negative integers whose sum is
+the row's denominator, so entry x of a row over D stands for x/D.  A
 valuation attaches a non-negative utility and cost table to every edge of a
 multigraph (depending only on the two endpoint labels) and optionally to
 every node (depending on its own label).  The rounding step halves the
@@ -11,15 +12,17 @@ eta schedule turns a fractional assignment with ``u - c >= mu*u`` into an
 integral one with ``u - c >= (1-eps)*(u - c)``.  All guarantees are
 asserted exactly in rational arithmetic on every call.
 
-Arbitrary rational input enters as raw rows, tuples of non-negative
-integers whose sum is the row's denominator; ``preprocess_fractional``
-rounds them onto the 2^-k grid.  A schedule keeps its rows over the fixed
-2^K of the normalized assignment: the step at denominator 2^k moves the entries holding bit
-2^(K-k), and visits only the rows its ``_Frontier`` files under that bit.
+``preprocess_fractional`` rounds raw rows over any denominators onto rows
+over one 2^k.  A schedule reads such rows into packing order, strips the
+trailing zero bits they share and keeps them over the fixed 2^K that is
+left: the step at denominator 2^k moves the entries holding bit 2^(K-k),
+and visits only the rows its ``_Frontier`` files under that bit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -32,35 +35,6 @@ class RoundingInvariantError(AssertionError):
     """An exact lemma-level inequality failed at runtime."""
 
 
-class FractionalAssignment:
-    """Per-node distributions over labels, all values multiples of 2^-k.
-
-    ``values[v]`` is a tuple of integer numerators summing to 2^k.
-    """
-
-    def __init__(self, nlabels, k, values):
-        self.nlabels = nlabels
-        self.k = k
-        self.values = dict(values)
-        tot = 1 << k
-        for v, nums in self.values.items():
-            if len(nums) != nlabels:
-                raise ValueError(f"node {v}: wrong number of labels")
-            if nums and (min(nums) < 0 or max(nums) > tot):
-                raise ValueError(f"node {v}: value outside [0, 1]")
-            if sum(nums) != tot:
-                raise ValueError(f"node {v}: values do not sum to 1")
-
-    def normalize(self):
-        """Reduce k while every numerator is even."""
-        k = self.k
-        values = self.values
-        while k > 0 and all(x % 2 == 0 for nums in values.values() for x in nums):
-            values = {v: tuple(x >> 1 for x in nums) for v, nums in values.items()}
-            k -= 1
-        return FractionalAssignment(self.nlabels, k, values)
-
-
 class Valuation:
     """Edge and node utility/cost tables: non-negative rationals held as
     integers over one common denominator ``scale``.
@@ -71,7 +45,8 @@ class Valuation:
     without a table has zeros.  ``node_utility[v]`` and ``node_cost[v]``
     are rows of L integers.  The constructor divides ``scale`` and every
     entry by their gcd, so ``scale`` is the least common denominator of the
-    entries.  ``from_fractions`` converts rational tables.
+    entries.  The ``round`` loader of ``locround.cli`` builds one from
+    rational tables.
     """
 
     def __init__(self, nlabels, edge_utility, edge_cost,
@@ -92,32 +67,6 @@ class Valuation:
         (self.edge_utility, self.edge_cost,
          self.node_utility, self.node_cost) = groups
         self.scale = scale // g
-
-    @classmethod
-    def from_fractions(cls, nlabels, edge_utility, edge_cost,
-                       node_utility=None, node_cost=None):
-        """Integer form of rational tables: edge tables nested as
-        ``[a][b]`` and keyed by edge index, node rows keyed by node."""
-        L = nlabels
-        for i, t in (*edge_utility.items(), *edge_cost.items()):
-            if len(t) != L or any(len(row) != L for row in t):
-                raise ValueError(f"table of edge {i} is not {L} x {L}")
-        for v, row in (*(node_utility or {}).items(),
-                       *(node_cost or {}).items()):
-            if len(row) != L:
-                raise ValueError(f"node table of {v} needs {L} entries")
-        groups = [{i: [Fraction(x) for row in t for x in row]
-                   for i, t in tables.items()}
-                  for tables in (edge_utility, edge_cost)]
-        groups += [{v: [Fraction(x) for x in row]
-                    for v, row in (tables or {}).items()}
-                   for tables in (node_utility, node_cost)]
-        scale = math.lcm(*(x.denominator for tables in groups
-                           for row in tables.values() for x in row))
-        return cls(nlabels, *({key: tuple(x.numerator * (scale // x.denominator)
-                                          for x in row)
-                               for key, row in tables.items()}
-                              for tables in groups), scale=scale)
 
 
 class _Prepared(_coloring._Packing):
@@ -142,35 +91,35 @@ class _Prepared(_coloring._Packing):
             self.nut = None
             self.nct = None
 
-    def lam_array(self, lam):
-        """The rows of the FractionalAssignment ``lam`` in packing order, as
-        lists of numerators over 2^lam.k; nodes outside the graph are
-        ignored.  Raises ``ValueError`` when ``lam`` misses a node or has
-        another number of labels than the valuation."""
-        if lam.nlabels != self.L:
-            raise ValueError(f"assignment has {lam.nlabels} labels, "
-                             f"the valuation {self.L}")
-        values = lam.values
+    def rows(self, lam):
+        """The rows of the mapping ``lam`` node -> raw row in packing
+        order; nodes outside the graph are ignored.  Raises
+        ``ValueError`` when ``lam`` misses a node, or a row has another
+        number of labels than the valuation or a negative entry."""
         try:
-            return [list(values[v]) for v in self.nodes]
+            rows = [lam[v] for v in self.nodes]
         except KeyError as exc:
             raise ValueError(f"assignment misses node {exc.args[0]}") from None
+        other = set(map(len, rows)) - {self.L}
+        if other:
+            raise ValueError(f"assignment has {min(other)} labels, "
+                             f"the valuation {self.L}")
+        if rows and min(map(min, rows)) < 0:
+            raise ValueError("assignment has a negative entry")
+        return rows
 
     def potential(self, lam, k=None):
         """Exact (utility, cost) of ``lam``: rows in packing order with
-        numerators over 2^k when ``k`` is given, otherwise a
-        FractionalAssignment or a mapping node -> raw row, a tuple of
-        non-negative integers whose sum is the row's denominator.
+        numerators over 2^k when ``k`` is given, otherwise a mapping node
+        -> raw row, read by ``rows``.
 
         Raw rows are brought to D, the lcm of their sums, for one kernel
         call.  The kernel scales node terms by 2^k, so when D is not a
         power of two they are added here, at scale D."""
-        if isinstance(lam, FractionalAssignment):
-            lam, k = self.lam_array(lam), lam.k
         if k is not None:
             D = 1 << k
         else:
-            rows = [lam[v] for v in self.nodes]
+            rows = self.rows(lam)
             sums = list(map(sum, rows))
             # an all-zero row adds nothing at any scale
             D = math.lcm(*set(sums).difference((0,)))
@@ -192,9 +141,8 @@ class _Prepared(_coloring._Packing):
 
 
 def evaluate(val, lam, g):
-    """Exact (utility, cost) of ``lam``, a FractionalAssignment or a
-    mapping node -> raw row (non-negative integers summing to the row's
-    denominator)."""
+    """Exact (utility, cost) of ``lam``, a mapping node -> raw row
+    (non-negative integers summing to the row's denominator)."""
     return _Prepared(g, val).potential(lam)
 
 
@@ -222,19 +170,18 @@ class _Frontier:
         self.start = start
 
 
-def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
-                  initial_coloring=None, engine=None, check=True, uc0=None,
-                  frontier=None):
+def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
+                  engine=None, check=True, uc0=None):
     """One basic rounding step: 2^-k-integral in, 2^-(k-1)-integral out.
 
-    ``lam`` is the rows of ``prep`` (``prep.lam_array``) as numerators over
-    a fixed 2^K, and the step rounds its entries at odd multiples of 2^-k
-    in place: those that hold bit unit = 2^(K-k).  K is k unless
-    ``frontier``, the ``_Frontier`` of ``lam`` inside a schedule, gives the
-    schedule's K and its start colors, and ``initial_coloring`` is not
-    read; the step then visits only the rows filed under ``unit`` and
-    files each row it moved again.  Every moved row is asserted to
-    hold no entry at bit ``unit``, no negative entry, and to sum to 2^K.
+    ``lam`` is the rows of ``prep`` in packing order as numerators over
+    the fixed 2^K of ``frontier``, the ``_Frontier`` of ``lam`` inside a
+    schedule, which also holds the schedule's start colors.  The step
+    rounds the entries of ``lam`` at odd multiples of 2^-k in place:
+    those that hold bit unit = 2^(K-k).  It visits only the rows filed
+    under ``unit`` and files each row it moved again.  Every moved row is
+    asserted to hold no entry at bit ``unit``, no negative entry, and to
+    sum to 2^K.
 
     Colors the multigraph with a weighted average (delta/6)-relative
     defective coloring, then per color class splits each row's entries at
@@ -247,11 +194,8 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
     is asserted (zero tolerance) unless ``check=False``.  ``uc0`` is the
-    exact (u, c) of ``lam`` when the caller already holds it.  Without a
-    ``frontier``, an ``initial_coloring`` that misses a node, holds a
-    negative color or is not proper raises ``ColoringError``; a schedule
-    checks it once.  Returns the exact (u', c'), or None when
-    ``check=False``.
+    exact (u, c) of ``lam`` when the caller already holds it.  Returns the
+    exact (u', c'), or None when ``check=False``.
     """
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -261,9 +205,6 @@ def rounding_step(prep, lam, k, delta, eta, estimate_mode="exact",
         raise ValueError("eta must be >= 1")
     if k < 1:
         raise ValueError("assignment must be 2^-k-integral with k >= 1")
-    if frontier is None:
-        _coloring._check_initial(prep.g, initial_coloring)
-        frontier = _Frontier(lam, k, prep.start(initial_coloring))
     K = frontier.K
     unit = 1 << (K - k)
     if check:
@@ -319,12 +260,14 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
     """Full rounding schedule: k steps with delta = eps*mu/(6k) and
     eta_i = 1 + (1 - i/k) * eps*mu/2.
 
+    ``lam`` maps each node to a raw row, and all rows sum to one 2^k.
     Requires ``u - c >= mu*u`` exactly; returns the integral labeling with
     ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.  ``uc0`` is the
     exact (u, c) of ``lam`` when the caller already holds it.  An
     ``initial_coloring`` that misses a node, holds a negative color or is
-    not proper raises ``ColoringError``; an assignment that misses a node
-    or has another number of labels than ``val`` raises ``ValueError``.
+    not proper raises ``ColoringError``.  An assignment that misses a node,
+    has another number of labels than ``val``, a negative entry or rows
+    whose sums are not one power of two raises ``ValueError``.
     """
     if prep is None:
         prep = _Prepared(g, val)
@@ -337,18 +280,26 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
     """``round_to_integral`` on a packed valuation; returns the labeling and
     its exact (u, c), which is None when unchecked steps ran.
 
-    The normalized assignment is converted once to the rows of ``prep``,
-    numerators over its 2^k for the whole schedule; every step rounds the
-    rows of the frontier in place, and the labeling is read off the final
-    one-hot rows."""
+    The rows of ``prep`` are read once, and the trailing zero bits that
+    all their entries and 2^k share are stripped in one pass: the rows
+    that are left are numerators over one 2^k for the whole schedule.
+    Every step rounds the rows of the frontier in place, and the labeling
+    is read off the final one-hot rows."""
     eps = Fraction(eps)
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
         raise ValueError("eps in [0,1], mu in (0,1] required")
     _coloring._check_initial(prep.g, initial_coloring)
-    lam = lam.normalize()
-    k = lam.k
-    rows = prep.lam_array(lam)
+    rows = prep.rows(lam)
+    sums = set(map(sum, rows)) or {1}
+    D = sums.pop()
+    if sums or D < 1 or D & (D - 1):
+        raise ValueError("assignment rows do not sum to one power of two")
+    bits = functools.reduce(operator.or_,
+                            itertools.chain.from_iterable(rows), D)
+    s = (bits & -bits).bit_length() - 1
+    k = D.bit_length() - 1 - s
+    rows = [[x >> s for x in row] for row in rows]
     U0, C0 = prep.potential(rows, k) if uc0 is None else uc0
     if U0 - C0 < mu * U0:
         raise RoundingInvariantError(
@@ -364,9 +315,8 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
     frontier = _Frontier(rows, k, prep.start(initial_coloring))
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
-        uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, estimate_mode,
-                           engine=engine, check=check, uc0=uc,
-                           frontier=frontier)
+        uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, frontier,
+                           estimate_mode, engine=engine, check=check, uc0=uc)
         if check:
             Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
@@ -391,9 +341,9 @@ def _labeling(prep, rows, k):
     return {v: row.index(one) for v, row in zip(prep.nodes, rows)}
 
 
-def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
-    """Round raw rows to a 1/2^k-integral assignment with 2^k the smallest
-    power of two >= 9/(eps*mu*lam_min).
+def preprocess_fractional(lam_raw, eps, mu, lam_min=None):
+    """Round raw rows onto rows over 2^k, the smallest power of two
+    >= 9/(eps*mu*lam_min); returns node -> row, each row summing to 2^k.
 
     ``lam_raw`` maps each node to a raw row: a tuple of non-negative
     integers whose sum D is the row's denominator, so entry x stands for
@@ -463,8 +413,7 @@ def preprocess_fractional(lam_raw, eps, mu, nlabels, lam_min=None):
             if abs(y * D - (x << k)) > D:
                 raise AssertionError("value moved by more than 2^-k")
         rounded[nums] = tuple(floors)
-    return FractionalAssignment(
-        nlabels, k, {v: rounded[nums] for v, nums in lam_raw.items()})
+    return {v: rounded[nums] for v, nums in lam_raw.items()}
 
 
 def _check_preprocessed(prep, uc_raw, out, eps, mu):
@@ -492,11 +441,11 @@ def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
 
     Produces an integral labeling with ``u - c >= (1-eps)(u(lam) - c(lam))``
     from any fractional assignment with ``u - c >= mu*u``, given as raw
-    rows (``preprocess_fractional``); the rows of a FractionalAssignment's
-    ``values`` are raw rows too.  The claim is asserted exactly end to
-    end.  ``prep`` is the packed ``(g, val)`` and ``uc_raw`` the exact
-    (u, c) of ``lam_raw``, when the caller already holds them.  Returns
-    the labeling and its exact (u, c), which is None when ``check=False``.
+    rows over any denominators (``preprocess_fractional``).  The claim is
+    asserted exactly end to end.  ``prep`` is the packed ``(g, val)`` and
+    ``uc_raw`` the exact (u, c) of ``lam_raw``, when the caller already
+    holds them.  Returns the labeling and its exact (u, c), which is None
+    when ``check=False``.
     """
     eps = Fraction(eps)
     mu = Fraction(mu)
@@ -504,7 +453,7 @@ def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
         prep = _Prepared(g, val)
     if check and uc_raw is None:
         uc_raw = prep.potential(lam_raw)
-    lam = preprocess_fractional(lam_raw, eps / 2, mu, val.nlabels)
+    lam = preprocess_fractional(lam_raw, eps / 2, mu)
     uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
            else None)
     ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, estimate_mode,

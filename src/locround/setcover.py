@@ -181,9 +181,10 @@ def _g_coefficient(m):
 def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
     """Multigraph H over the sets and the iteration's utility/cost tables,
     with x' the preprocessed assignment ``lam``.  g_i is dyadic at
-    2^G_BITS and x' at 2^lam.k, so the tables are built at the larger of
-    the two denominators."""
-    scale = math.lcm(g_i.denominator, 1 << lam.k)
+    2^G_BITS and x' at 2^k, the common sum of its rows, so the tables are
+    built at the larger of the two denominators."""
+    two_k = sum(next(iter(lam.values())))
+    scale = math.lcm(g_i.denominator, two_k)
     g = g_i.numerator * (scale // g_i.denominator)
     cnt = {}
     edges = []
@@ -206,7 +207,7 @@ def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
     nut = {}
     nct = {}
     for v in inst.sets:
-        const = 10 * cost[v] * lam.values[v][1] * (scale >> lam.k)
+        const = 10 * cost[v] * lam[v][1] * (scale // two_k)
         nut[v] = (const, g * cnt.get(v, 0) + const)
         nct[v] = (0, cost[v] * scale)
     h = _graph.Multigraph(inst.sets, edges, comm)
@@ -280,7 +281,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     # one shared preprocessing of the scaled solution (valuation-independent)
     lam = _rounding.preprocess_fractional(
         {v: (d - n, n) for v, (n, d) in x.items()},
-        Fraction(1, 200), Fraction(1, 2), 2)
+        Fraction(1, 200), Fraction(1, 2))
     # element-coverage coefficient 20 W / 1.01^(tau-i): the 20 W factor makes
     # covering an element strictly dominate the cost of any single set in
     # late iterations, so the completion step V'' stays negligible

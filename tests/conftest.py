@@ -87,8 +87,9 @@ def raw_rows(lam):
 
 
 def valuation_to_json(g, val, lam=None):
-    """The ``round`` instance document of ``(g, val, lam)``: edge tables
-    keyed by edge index, rationals as "a/b" strings."""
+    """The ``round`` instance document of ``(g, val, lam)``, with ``lam``
+    raw rows: edge tables keyed by edge index, rationals as "a/b"
+    strings."""
     def fr(x):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
             else str(x.numerator)
@@ -118,6 +119,6 @@ def valuation_to_json(g, val, lam=None):
         })
     if lam is not None:
         doc["assignment"] = {
-            str(v): [fr(Fraction(x, 1 << lam.k)) for x in nums]
-            for v, nums in sorted(lam.values.items())}
+            str(v): [fr(Fraction(x, sum(nums))) for x in nums]
+            for v, nums in sorted(lam.items())}
     return doc

@@ -48,20 +48,19 @@ def _valuation(rng, g, L, q=1000, with_nodes=True):
     den = rng.choice([1, 2, 4, 8])
     eu, ec = {}, {}
     for e in g.edges:
-        eu[e.index] = tuple(tuple(Fraction(rng.randint(0, q), den)
-                                  for _ in range(L)) for _ in range(L))
-        ec[e.index] = tuple(tuple(Fraction(rng.randint(0, q), den)
-                                  for _ in range(L)) for _ in range(L))
+        eu[e.index] = tuple(rng.randint(0, q) for _ in range(L * L))
+        ec[e.index] = tuple(rng.randint(0, q) for _ in range(L * L))
     nu = nc = None
     if with_nodes:
-        nu = {v: tuple(Fraction(rng.randint(0, q // 2), den) for _ in range(L))
+        nu = {v: tuple(rng.randint(0, q // 2) for _ in range(L))
               for v in g.nodes if rng.random() < 0.4}
-        nc = {v: tuple(Fraction(rng.randint(0, q // 4), den) for _ in range(L))
+        nc = {v: tuple(rng.randint(0, q // 4) for _ in range(L))
               for v in g.nodes if rng.random() < 0.3}
-    return R.Valuation.from_fractions(L, eu, ec, node_utility=nu, node_cost=nc)
+    return R.Valuation(L, eu, ec, node_utility=nu, node_cost=nc, scale=den)
 
 
 def _dyadic_assignment(rng, g, L, kmax):
+    """Raw rows over one random 2^k."""
     k = rng.randint(1, kmax)
     tot = 1 << k
     lam = {}
@@ -73,11 +72,11 @@ def _dyadic_assignment(rng, g, L, kmax):
             prev = cpt
         nums.append(tot - prev)
         lam[v] = tuple(nums)
-    return R.FractionalAssignment(L, k, lam)
+    return lam
 
 
-def _scale_to_margin(g, val, lam_fr, mu):
-    U, Cc = R.evaluate(val, raw_rows(lam_fr), g)
+def _scale_to_margin(g, val, lam, mu):
+    U, Cc = R.evaluate(val, lam, g)
     if U == 0:
         return None
     if U - Cc < mu * U:
@@ -111,14 +110,14 @@ def test_c1_rounding_step_lemma():
             mode = "exact"
         prep = R._Prepared(g, val)
         U0, C0 = prep.potential(lam)
-        rows = prep.lam_array(lam)
-        uc1 = R.rounding_step(prep, rows, lam.k, delta, eta,
+        rows = [list(row) for row in prep.rows(lam)]
+        k = sum(rows[0]).bit_length() - 1
+        uc1 = R.rounding_step(prep, rows, k, delta, eta,
+                              R._Frontier(rows, k, prep.start(None)),
                               estimate_mode=mode)
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
-            U1, C1 = prep.potential(raw_rows({
-                v: [Fraction(x, 1 << lam.k) for x in row]
-                for v, row in zip(prep.nodes, rows)}))
+            U1, C1 = prep.potential(dict(zip(prep.nodes, rows)))
             assert (U1, C1) == uc1
             assert U1 - eta * C1 >= U0 - eta * C0 - delta * (U0 + eta * C0)
     took = time.time() - t0
@@ -141,9 +140,7 @@ def test_c2_full_rounding_lemma():
         g = _graph(rng, n, 8, 0.15)
         val = _valuation(rng, g, 2, q=100)
         lam = _dyadic_assignment(rng, g, 2, 6)
-        lam_fr = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-                  for v, nums in lam.values.items()}
-        val = _scale_to_margin(g, val, lam_fr, mu)
+        val = _scale_to_margin(g, val, lam, mu)
         if val is None:
             continue
         mode = ["exact", "worst", "quantized"][done % 3]
@@ -173,14 +170,14 @@ def test_c3_preprocessing_lemma():
             nums.append(Fraction(dens - prev, dens))
             lam_fr[v] = tuple(nums)
         mu = rng.choice([Fraction(1, 2), Fraction(1, 4)])
-        val = _scale_to_margin(g, val, lam_fr, mu)
+        raw = raw_rows(lam_fr)
+        val = _scale_to_margin(g, val, raw, mu)
         if val is None:
             continue
         eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
-        out = R.preprocess_fractional(raw_rows(lam_fr), eps, mu, L)
+        out = R.preprocess_fractional(raw, eps, mu)
         prep = R._Prepared(g, val)
-        R._check_preprocessed(prep, prep.potential(raw_rows(lam_fr)), out,
-                              eps, mu)
+        R._check_preprocessed(prep, prep.potential(raw), out, eps, mu)
         done += 1
     _report(3, "preprocessing-lemma-exact",
             f"200 instances, {time.time() - t0:.1f}s")

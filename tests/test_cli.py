@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from locround import cli, coloring as C, graph as G, oracle as O
-from conftest import raw_rows, valuation_to_json
+from conftest import valuation_to_json
 
 # one cost-10 set covers both elements; two cost-1 sets cover one each
 WEIGHTED_COVER = ("e 1\ne 2\ns 10 10\ns 11 1\ns 12 1\n"
@@ -109,31 +109,23 @@ def test_setcover_verify_negative(tmp_path):
 
 def test_valuation_json_roundtrip(tmp_path):
     import json as _json
-    import random
-    from fractions import Fraction
     from locround import graph as G, rounding as R
 
-    rng = random.Random(3)
     g = G.simple_graph([1, 2, 3], [(1, 2), (2, 3)])
-    eu = {e.index: tuple(tuple(Fraction(rng.randint(0, 5), 2)
-                               for _ in range(2)) for _ in range(2))
-          for e in g.edges}
-    ec = {e.index: tuple(tuple(Fraction(rng.randint(0, 5))
-                               for _ in range(2)) for _ in range(2))
-          for e in g.edges}
-    val = R.Valuation.from_fractions(
-        2, eu, ec, node_utility={2: (Fraction(0), Fraction(3))})
-    lam = R.FractionalAssignment(2, 2, {1: (1, 3), 2: (2, 2), 3: (4, 0)})
+    # halves in the utilities, integers in the costs
+    val = R.Valuation(2, {0: (1, 4, 0, 5), 1: (3, 3, 2, 1)},
+                      {0: (2, 0, 8, 4), 1: (10, 0, 6, 2)},
+                      node_utility={2: (0, 6)}, scale=2)
+    lam = {1: (1, 3), 2: (2, 2), 3: (4, 0)}
     doc = valuation_to_json(g, val, lam)
     p = tmp_path / "inst.json"
     p.write_text(_json.dumps(doc))
     g2, val2, lam2 = cli._load_rounding_instance(str(p))
-    lamf = {v: tuple(Fraction(x, 4) for x in nums)
-            for v, nums in lam.values.items()}
-    assert (R.evaluate(val, raw_rows(lamf), g)
-            == R.evaluate(val2, raw_rows(lamf), g2))
-    assert {v: tuple(Fraction(x, sum(row)) for x in row)
-            for v, row in lam2.items()} == lamf
+    assert (val2.nlabels, val2.edge_utility, val2.edge_cost,
+            val2.node_utility, val2.node_cost, val2.scale) == (
+        2, val.edge_utility, val.edge_cost, val.node_utility, {}, 2)
+    assert R.evaluate(val, lam, g) == R.evaluate(val2, lam2, g2)
+    assert lam2 == {1: (1, 3), 2: (1, 1), 3: (1, 0)}
 
 
 @pytest.mark.parametrize("field,table", [
@@ -503,6 +495,61 @@ def test_round_rejects_a_malformed_assignment_row(tmp_path, row, line):
                                str(inst), "--mu", "1/4")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [f"locround: error: {inst}: {line}"]
+    assert not rep.exists()
+
+
+def _edge(**change):
+    return [dict(ROUND_INSTANCE["edges"][0], **change)]
+
+
+@pytest.mark.parametrize("change, line", [
+    ({"edges": _edge(utility=5)}, "edge 0: key 'utility' is not a JSON array"),
+    ({"node_utility": {"1": 5}},
+     "key 'node_utility': node 1: not a JSON array"),
+    ({"edges": _edge(utility=[["1"], ["2", "3", "4"]])},
+     "edge 0: key 'utility': row 0: 1 values, not 2"),
+    ({"edges": _edge(cost=[["0", "1"]])}, "edge 0: key 'cost': 1 rows, not 2"),
+    ({"edges": _edge(utility=[["x", "2"], ["2", "2"]])},
+     "edge 0: key 'utility': row 0: Invalid literal for Fraction: 'x'"),
+    ({"edges": _edge(cost=[["0", "1"], ["1", None]])},
+     "edge 0: key 'cost': row 1: "),
+    ({"edges": _edge(cost=[["0", ["1"]], ["1", "0"]])},
+     "edge 0: key 'cost': row 0: "),
+    ({"edges": _edge(utility=[["2", "2"], ["-2", "2"]])},
+     "edge 0: key 'utility': row 1: negative value"),
+    ({"node_cost": {"2": ["1", "-1/3"]}},
+     "key 'node_cost': node 2: negative value"),
+    ({"labels": "2"}, "key 'labels' is not a positive integer: '2'"),
+    ({"labels": 0}, "key 'labels' is not a positive integer: 0"),
+    ({"node_utility": {"x": ["1", "1"]}},
+     "a node of key 'node_utility' is not an integer: 'x'"),
+    ({"assignment": {"1": ["1", "0"], "x": ["1", "0"]}},
+     "a node of key 'assignment' is not an integer: 'x'"),
+    ({"edges": _edge(u=[1])}, "edge 0: key 'u' is not an integer: [1]"),
+    ({"nodes": ["a", 2]}, "a node of key 'nodes' is not an integer: 'a'"),
+    ({"node_utility": {"7": ["1", "1"]}}, "key 'node_utility': 7 is not a node"),
+    ({"assignment": dict(ROUND_INSTANCE["assignment"], **{"7": ["1", "0"]})},
+     "key 'assignment': 7 is not a node"),
+], ids=["utility-number", "node-utility-number", "ragged", "one-row",
+        "entry-literal", "entry-null", "entry-array", "negative",
+        "negative-node-entry", "labels-string", "labels-zero",
+        "node-key-literal", "assignment-key-literal", "u-array",
+        "nodes-literal", "node-table-off-the-nodes",
+        "assignment-row-off-the-nodes"])
+def test_round_rejects_a_malformed_instance(tmp_path, change, line):
+    """Each case ended in a TypeError or ValueError traceback with status
+    1, except a node table or an assignment row for an id outside
+    ``nodes``, which ran with status 0 and was ignored."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(dict(ROUND_INSTANCE, **change)))
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep), "round", "--valuation",
+                               str(inst), "--mu", "1/4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"locround: error: {inst}: {line}")
     assert not rep.exists()
 
 

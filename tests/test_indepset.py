@@ -68,7 +68,7 @@ def test_packing_backends():
     # doubling-freeze on a path: value within [S*/4, S*]
     p3 = G.simple_graph([1, 2, 3], [(1, 2), (2, 3)])
     y = IS.fractional_matching_doubling_freeze(p3)
-    total = sum(y.values())
+    total = sum(Fraction(n, m + n) for m, n in y.values())
     line = G.line_graph_view(p3)
     sstar_line, _ = O.packing_lp(line, weights={v: 1 for v in line.nodes})
     assert 4 * total >= sstar_line

@@ -6,7 +6,7 @@ denominator: ``(d - n, n)`` is x = n/d.  ``reference_preprocess`` and
 ``reference_potential`` are ``preprocess_fractional`` and the rational
 branch of ``_Prepared.potential`` as they were over rows of Fractions,
 each converted once per row object with an lcm of its denominators.  The
-integer path must give equal FractionalAssignments and equal exact
+integer path must give equal rows over the same 2^k and equal exact
 (u, c), and raise the same errors, whatever multiple of its reduced
 denominator a raw row is written over.
 """
@@ -22,7 +22,7 @@ from locround import rounding as R
 from conftest import random_simple_graph, raw_rows
 
 
-def reference_preprocess(lam_raw, eps, mu, nlabels, lam_min=None):
+def reference_preprocess(lam_raw, eps, mu, lam_min=None):
     eps = Fraction(eps)
     mu = Fraction(mu)
     distinct = {}
@@ -71,7 +71,7 @@ def reference_preprocess(lam_raw, eps, mu, nlabels, lam_min=None):
         for j in range(deficit):
             floors[rems[j][1]] += 1
         hit[3] = tuple(floors)
-    return R.FractionalAssignment(nlabels, k, {v: hit[3] for v, hit in rows})
+    return {v: hit[3] for v, hit in rows}
 
 
 def reference_potential(prep, lam):
@@ -101,8 +101,6 @@ def _outcome(f, *args, **kwargs):
         out = f(*args, **kwargs)
     except ValueError as exc:
         return "raised", type(exc), str(exc)
-    if isinstance(out, R.FractionalAssignment):
-        return "ok", out.nlabels, out.k, out.values
     return "ok", out
 
 
@@ -138,17 +136,18 @@ def _random_case(rng):
     L = rng.choice([2, 2, 3])
     g = random_simple_graph(rng, rng.randint(1, 10), 4, 0.4)
     q = 20
-    eu = {e.index: tuple(tuple(Fraction(rng.randint(0, q), rng.choice([1, 3]))
-                               for _ in range(L)) for _ in range(L))
+    # utilities in thirds and fifths, costs in halves, at scale 30
+    eu = {e.index: tuple(rng.randint(0, q) * (30 // rng.choice([1, 3]))
+                         for _ in range(L * L))
           for e in g.edges}
-    ec = {e.index: tuple(tuple(Fraction(rng.randint(0, q), rng.choice([1, 2]))
-                               for _ in range(L)) for _ in range(L))
+    ec = {e.index: tuple(rng.randint(0, q) * (30 // rng.choice([1, 2]))
+                         for _ in range(L * L))
           for e in g.edges}
-    nu = {v: tuple(Fraction(rng.randint(0, q), 5) for _ in range(L))
+    nu = {v: tuple(rng.randint(0, q) * 6 for _ in range(L))
           for v in g.nodes if rng.random() < 0.5}
-    nc = {v: tuple(Fraction(rng.randint(0, q)) for _ in range(L))
+    nc = {v: tuple(rng.randint(0, q) * 30 for _ in range(L))
           for v in g.nodes if rng.random() < 0.3}
-    val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu, node_cost=nc)
+    val = R.Valuation(L, eu, ec, node_utility=nu, node_cost=nc, scale=30)
     kinds = rng.choice([["plain"], ["dyadic"], ["huge"], ["zero"],
                         ["plain", "dyadic", "huge", "zero"]])
     lam = {}
@@ -175,8 +174,8 @@ def test_raw_rows_match_the_fraction_reference():
                      default=Fraction(1))
         lam_min = rng.choice([None, actual, actual / 3, actual * 2,
                               actual + Fraction(1, 10 ** 9)])
-        ref = _outcome(reference_preprocess, lam, eps, mu, L, lam_min)
-        assert _outcome(R.preprocess_fractional, raw, eps, mu, L,
+        ref = _outcome(reference_preprocess, lam, eps, mu, lam_min)
+        assert _outcome(R.preprocess_fractional, raw, eps, mu,
                         lam_min) == ref
         seen["ok" if ref[0] == "ok" else "lam_min"] += 1
     # both branches ran often
@@ -190,26 +189,33 @@ def test_raw_rows_match_the_fraction_reference():
      "negative fractional value"),
 ])
 def test_raw_rows_raise_the_reference_errors(row, line):
-    """Preprocessing rejects the row as the reference does; the potential
-    of the row still equals the reference's."""
+    """Preprocessing rejects the row as the reference does.  The
+    potential of the all-zero row equals the reference's; the potential
+    rejects a row with a negative entry, which the reference evaluated."""
     L = len(row)
     lam = {1: tuple(Fraction(1, L) for _ in range(L)), 2: row}
     raw = raw_rows(lam)
     g = random_simple_graph(random.Random(L), 2, 1, 1.0)
     lam = dict(zip(g.nodes, lam.values()))
     raw = dict(zip(g.nodes, raw.values()))
-    table = tuple(tuple(Fraction(a + 2 * b + 1, 3) for b in range(L))
-                  for a in range(L))
-    val = R.Valuation.from_fractions(
+    # the table (a + 2b + 1)/3 at labels (a, b)
+    table = tuple(a + 2 * b + 1 for a in range(L) for b in range(L))
+    val = R.Valuation(
         L, {0: table}, {0: table},
-        node_utility={v: tuple(range(1, L + 1)) for v in g.nodes})
+        node_utility={v: tuple(range(3, 3 * L + 1, 3)) for v in g.nodes},
+        scale=3)
     prep = R._Prepared(g, val)
-    assert g.edges and prep.potential(raw) == reference_potential(prep, lam)
+    assert g.edges
+    if min(row) < 0:
+        with pytest.raises(ValueError, match="negative entry"):
+            prep.potential(raw)
+    else:
+        assert prep.potential(raw) == reference_potential(prep, lam)
     ref = _outcome(reference_preprocess, lam, Fraction(1, 2),
-                   Fraction(1, 2), L)
+                   Fraction(1, 2))
     assert ref == ("raised", ValueError, line)
     assert _outcome(R.preprocess_fractional, raw, Fraction(1, 2),
-                    Fraction(1, 2), L) == ref
+                    Fraction(1, 2)) == ref
 
 
 def test_declared_lam_min_above_the_minimum_raises_the_reference_error():
@@ -217,9 +223,9 @@ def test_declared_lam_min_above_the_minimum_raises_the_reference_error():
            2: (Fraction(1, 2), Fraction(1, 2))}
     for raw in (raw_rows(lam), {1: (10, 90), 2: (7, 7)}):
         out = _outcome(R.preprocess_fractional, raw, Fraction(1, 2),
-                       Fraction(1, 2), 2, Fraction(1, 5))
+                       Fraction(1, 2), Fraction(1, 5))
         assert out == _outcome(reference_preprocess, lam, Fraction(1, 2),
-                               Fraction(1, 2), 2, Fraction(1, 5))
+                               Fraction(1, 2), Fraction(1, 5))
         assert out[2] == "declared lam_min 1/5 exceeds actual minimum 1/10"
 
 
@@ -231,11 +237,12 @@ def test_dyadic_and_huge_rows_match_the_reference():
            2: (Fraction(big - 7, big), Fraction(7, big)),
            3: (Fraction(0), Fraction(1))}
     for eps in (Fraction(1, 2), Fraction(1, 1000)):
-        ref = _outcome(reference_preprocess, lam, eps, Fraction(1, 2), 2,
+        ref = _outcome(reference_preprocess, lam, eps, Fraction(1, 2),
                        Fraction(7, big))
         assert ref[0] == "ok"
         assert _outcome(R.preprocess_fractional, raw_rows(lam), eps,
-                        Fraction(1, 2), 2, Fraction(7, big)) == ref
-        _ok, _L, k, values = ref
+                        Fraction(1, 2), Fraction(7, big)) == ref
+        _ok, values = ref
+        k = sum(values[3]).bit_length() - 1
         assert values[1] == (3 << (k - 7), 125 << (k - 7))
         assert values[3] == (0, 1 << k)

@@ -13,8 +13,7 @@ def two_node_graph():
 
 def test_evaluate_integral_is_lookup():
     g = two_node_graph()
-    tab = ((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7)))
-    val = R.Valuation.from_fractions(2, {0: tab}, {0: tab})
+    val = R.Valuation(2, {0: (2, 3, 5, 7)}, {0: (2, 3, 5, 7)})
     lam = {1: (Fraction(0), Fraction(1)), 2: (Fraction(1), Fraction(0))}
     U, C = R.evaluate(val, raw_rows(lam), g)
     assert U == 5 and C == 5
@@ -22,8 +21,7 @@ def test_evaluate_integral_is_lookup():
 
 def test_evaluate_constant_table():
     g = two_node_graph()
-    ones = ((1, 1), (1, 1))
-    val = R.Valuation.from_fractions(2, {0: ones}, {})
+    val = R.Valuation(2, {0: (1, 1, 1, 1)}, {})
     for lam1 in (Fraction(1, 3), Fraction(2, 5), Fraction(1)):
         lam = {1: (1 - lam1, lam1), 2: (Fraction(1, 2), Fraction(1, 2))}
         U, _ = R.evaluate(val, raw_rows(lam), g)
@@ -32,40 +30,56 @@ def test_evaluate_constant_table():
 
 def test_evaluate_equal_label_indicator_uniform():
     g = two_node_graph()
-    eq = ((1, 0), (0, 1))
-    val = R.Valuation.from_fractions(2, {}, {0: eq})
+    val = R.Valuation(2, {}, {0: (1, 0, 0, 1)})
     lam = {v: (Fraction(1, 2), Fraction(1, 2)) for v in (1, 2)}
     _, C = R.evaluate(val, raw_rows(lam), g)
     assert C == Fraction(1, 2)
 
 
+def _two_k(lam):
+    """The common sum 2^k of the raw rows ``lam``."""
+    return sum(next(iter(lam.values())))
+
+
+def _schedule_k(lam):
+    """The steps of a schedule from the raw rows ``lam``, all over one
+    2^k: k less the trailing zero bits that 2^k and every entry share."""
+    bits = _two_k(lam)
+    for row in lam.values():
+        for x in row:
+            bits |= x
+    return _two_k(lam).bit_length() - (bits & -bits).bit_length()
+
+
 def _step(g, val, lam, delta, eta, **kwargs):
-    """One rounding step on the rows of ``lam``: returns the packing and
-    the rows after the step, still numerators over 2^lam.k but all even."""
+    """One rounding step on the raw rows ``lam``, all over one 2^k, with
+    the node ids as start colors: returns the packing and the rows after
+    the step, still numerators over 2^k but all even."""
     prep = R._Prepared(g, val)
-    rows = prep.lam_array(lam)
-    R.rounding_step(prep, rows, lam.k, delta, eta, **kwargs)
+    rows = [list(row) for row in prep.rows(lam)]
+    k = _two_k(lam).bit_length() - 1
+    R.rounding_step(prep, rows, k, delta, eta,
+                    R._Frontier(rows, k, prep.start(None)), **kwargs)
     return prep, rows
 
 
 def test_rounding_step_node_utility_forces_argmax():
     # lone node with node utility (0, 1): the full rounding must pick label 1
     g = G.simple_graph([7], [])
-    val = R.Valuation.from_fractions(
-        2, {}, {}, node_utility={7: (Fraction(0), Fraction(1))})
-    lam = R.FractionalAssignment(2, 1, {7: (1, 1)})
+    val = R.Valuation(2, {}, {}, node_utility={7: (0, 1)})
+    lam = {7: (1, 1)}
     prep, rows = _step(g, val, lam, Fraction(0), Fraction(1))
     assert rows[prep.index[7]] == [0, 2]
     # and through the full schedule from half-half
-    lam = R.FractionalAssignment(2, 4, {7: (8, 8)})
+    lam = {7: (8, 8)}
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1))
     assert ell[7] == 1
 
 
 def test_rounding_step_noop_without_odd_multiples():
     g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
-    lam = R.FractionalAssignment(2, 3, {1: (2, 6), 2: (4, 4)})
+    val = R.Valuation(2, {0: (1, 1, 1, 1)}, {})
+    lam = {1: (2, 6), 2: (4, 4)}
     prep, rows = _step(g, val, lam, Fraction(1, 2), Fraction(1))
     assert all(sum(row) == 1 << 3 for row in rows)
     row1, row2 = rows[prep.index[1]], rows[prep.index[2]]
@@ -74,9 +88,8 @@ def test_rounding_step_noop_without_odd_multiples():
 
 def test_rounding_step_guarantee_cost_only_edge():
     g = two_node_graph()
-    eq = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    val = R.Valuation.from_fractions(2, {}, {0: eq})
-    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
+    val = R.Valuation(2, {}, {0: (1, 0, 0, 1)})
+    lam = {1: (1, 1), 2: (1, 1)}
     # internal exact assertion of the step lemma is the test
     for mode in ("exact", "worst", "quantized"):
         _prep, rows = _step(g, val, lam, Fraction(1, 3), Fraction(2),
@@ -86,45 +99,36 @@ def test_rounding_step_guarantee_cost_only_edge():
 
 def test_valuation_bound_check():
     g = two_node_graph()
-    tab = ((Fraction(2), Fraction(3)), (Fraction(0), Fraction(7)))
-    R.Valuation.from_fractions(2, {0: tab}, {})
+    R.Valuation(2, {0: (2, 3, 0, 7)}, {})
     with pytest.raises(ValueError):
-        R.Valuation.from_fractions(2, {0: ((-1, 0), (0, 0))}, {})
+        R.Valuation(2, {0: (-1, 0, 0, 0)}, {})
 
 
 def test_step_parameter_validation():
     g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
-    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
+    val = R.Valuation(2, {0: (1, 1, 1, 1)}, {})
+    lam = {1: (1, 1), 2: (1, 1)}
     with pytest.raises(ValueError):
         _step(g, val, lam, Fraction(-1, 2), Fraction(1))
     with pytest.raises(ValueError):
         _step(g, val, lam, Fraction(1, 2), Fraction(1, 2))
-    bad = R.FractionalAssignment(2, 0, {1: (0, 1), 2: (1, 0)})
+    bad = {1: (0, 1), 2: (1, 0)}
     with pytest.raises(ValueError):
         _step(g, val, bad, Fraction(1, 2), Fraction(1))
 
 
 def _random_instance(rng, n, L, kmax, q=50, id_base=0):
-    g, (eu, ec, nu), lam = _random_rational_instance(rng, n, L, kmax, q,
-                                                     id_base)
-    return g, R.Valuation.from_fractions(L, eu, ec, node_utility=nu), lam
-
-
-def _random_rational_instance(rng, n, L, kmax, q=50, id_base=0):
-    """A random graph with node ids shifted by ``id_base``, its rational
-    edge utility/cost tables and node utility rows, and a dyadic
-    assignment."""
+    """A random graph with node ids shifted by ``id_base``, a valuation of
+    random integer edge tables and node utility rows over a random scale,
+    and raw rows over one random 2^k."""
     g = random_simple_graph(rng, n, 6, 0.3, id_base=id_base)
-    den = rng.choice([1, 2, 4])
+    scale = rng.choice([1, 2, 4])
     eu = {}
     ec = {}
     for e in g.edges:
-        eu[e.index] = tuple(tuple(Fraction(rng.randint(0, q), den)
-                                  for _ in range(L)) for _ in range(L))
-        ec[e.index] = tuple(tuple(Fraction(rng.randint(0, q), den)
-                                  for _ in range(L)) for _ in range(L))
-    nu = {v: tuple(Fraction(rng.randint(0, q), den) for _ in range(L))
+        eu[e.index] = tuple(rng.randint(0, q) for _ in range(L * L))
+        ec[e.index] = tuple(rng.randint(0, q) for _ in range(L * L))
+    nu = {v: tuple(rng.randint(0, q) for _ in range(L))
           for v in g.nodes if rng.random() < 0.4}
     k = rng.randint(1, kmax)
     tot = 1 << k
@@ -137,7 +141,7 @@ def _random_rational_instance(rng, n, L, kmax, q=50, id_base=0):
             prev = cpt
         nums.append(tot - prev)
         lam[v] = tuple(nums)
-    return g, (eu, ec, nu), R.FractionalAssignment(L, k, lam)
+    return g, R.Valuation(L, eu, ec, node_utility=nu, scale=scale), lam
 
 
 def test_step_invariants_fuzz(rng):
@@ -148,20 +152,18 @@ def test_step_invariants_fuzz(rng):
         eta = 1 + Fraction(rng.randint(0, 6), 4)
         mode = rng.choice(["exact", "worst", "quantized"])
         prep, rows = _step(g, val, lam, delta, eta, estimate_mode=mode)
-        tot = 1 << lam.k
+        tot = _two_k(lam)
         for v in g.nodes:
             row = rows[prep.index[v]]
             # integrality doubling: the distributions survive over 2^(k-1)
             assert sum(row) == tot and all(x % 2 == 0 for x in row)
             for a in range(L):
                 # moves by at most one old-scale unit
-                assert abs(row[a] - lam.values[v][a]) <= 1
+                assert abs(row[a] - lam[v][a]) <= 1
 
 
 def _margin_scaled(g, val, lam, mu):
-    lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-            for v, nums in lam.values.items()}
-    U, C = R.evaluate(val, raw_rows(lamf), g)
+    U, C = R.evaluate(val, lam, g)
     if U == 0:
         return None
     if U - C < mu * U:
@@ -196,8 +198,8 @@ def test_schedule_rejects_malformed_initial_coloring():
     """A missing node raised KeyError, a monochromatic edge the misleading
     "lost too much potential", and a negative color was accepted."""
     g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
-    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
+    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
+    lam = {1: (1, 1), 2: (1, 1)}
     half = {v: (Fraction(1, 2), Fraction(1, 2)) for v in (1, 2)}
     cases = [({1: 0}, "misses node 2"), ({1: 0, 2: 0}, "both endpoints"),
              ({1: -1, 2: 3}, "negative")]
@@ -213,80 +215,59 @@ def test_schedule_rejects_malformed_initial_coloring():
     assert ell[1] != ell[2]
 
 
-def test_step_rejects_malformed_initial_coloring():
-    """One public rounding step checks its start coloring: a missing node
-    raised KeyError, a monochromatic edge the misleading "lost too much
-    potential", and a negative color was accepted."""
-    g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
-    lam = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)})
-    cases = [({1: 0}, "misses node 2"), ({1: 0, 2: 0}, "both endpoints"),
-             ({1: -1, 2: 3}, "negative")]
-    for initial, msg in cases:
-        with pytest.raises(C.ColoringError, match=msg):
-            _step(g, val, lam, Fraction(1, 2), Fraction(1),
-                  initial_coloring=initial)
-    _prep, rows = _step(g, val, lam, Fraction(1, 2), Fraction(1),
-                        initial_coloring={1: 0, 2: 1})
-    assert sorted(map(sorted, rows)) == [[0, 2], [0, 2]]
-
-
 def test_integral_input_returned_unchanged():
     g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((1, 1), (1, 1))}, {})
-    lam = R.FractionalAssignment(2, 3, {1: (0, 8), 2: (8, 0)})
+    val = R.Valuation(2, {0: (1, 1, 1, 1)}, {})
+    lam = {1: (0, 8), 2: (8, 0)}
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 2))
     assert ell == {1: 1, 2: 0}
 
 
 def test_preprocess_example_third():
     g = G.simple_graph([5], [])
-    val = R.Valuation.from_fractions(
-        2, {}, {}, node_utility={5: (Fraction(1), Fraction(1))})
+    val = R.Valuation(2, {}, {}, node_utility={5: (1, 1)})
     lam_raw = {5: (Fraction(1, 3), Fraction(2, 3))}
     out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
-                                  Fraction(1, 2), 2, lam_min=Fraction(1, 3))
+                                  Fraction(1, 2), lam_min=Fraction(1, 3))
     prep = R._Prepared(g, val)
     R._check_preprocessed(prep, prep.potential(raw_rows(lam_raw)), out,
                           Fraction(1, 2),
                           Fraction(1, 2))
     # 2^k >= 9/(eps mu lam_min) = 108
-    assert (1 << out.k) == 128
-    assert sum(out.values[5]) == 128
+    assert sum(out[5]) == 128
     for a, x in enumerate(lam_raw[5]):
-        assert abs(Fraction(out.values[5][a], 128) - x) <= Fraction(1, 128)
+        assert abs(Fraction(out[5][a], 128) - x) <= Fraction(1, 128)
 
 
 def test_preprocess_keeps_dyadic_unchanged():
     lam_raw = {1: (Fraction(3, 128), Fraction(125, 128))}
     out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
-                                  Fraction(1, 2), 2, lam_min=Fraction(3, 128))
-    assert out.values[1] == (3 * (1 << out.k) // 128,
-                             125 * (1 << out.k) // 128)
+                                  Fraction(1, 2), lam_min=Fraction(3, 128))
+    two_k = sum(out[1])
+    assert out[1] == (3 * two_k // 128, 125 * two_k // 128)
 
 
 def test_preprocess_zero_stays_zero(rng):
     for _ in range(10):
-        L = 3
         lam_raw = {}
         for v in range(5):
             v0 = Fraction(rng.randint(0, 6), 7)
             lam_raw[v] = (v0, 0, 1 - v0)
         out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 4),
-                                      Fraction(1, 2), L)
+                                      Fraction(1, 2))
         for v, nums in lam_raw.items():
             for a, x in enumerate(nums):
                 if x == 0:
-                    assert out.values[v][a] == 0
+                    assert out[v][a] == 0
                 else:
-                    assert out.values[v][a] > 0
+                    assert out[v][a] > 0
 
 
 def test_preprocess_rejects_wrong_lam_min():
     lam_raw = {1: (Fraction(1, 10), Fraction(9, 10))}
     with pytest.raises(ValueError):
         R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
-                                Fraction(1, 2), 2, lam_min=Fraction(1, 5))
+                                Fraction(1, 2), lam_min=Fraction(1, 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,8 +277,11 @@ def test_preprocess_sum_preserved(parts, scale):
     total = sum(parts)
     lam_raw = {0: tuple(Fraction(p, total) for p in parts)}
     out = R.preprocess_fractional(raw_rows(lam_raw), Fraction(1, 2),
-                                  Fraction(1, 2), len(parts))
-    assert sum(out.values[0]) == 1 << out.k
+                                  Fraction(1, 2))
+    # the sum is the least power of two >= 9/(eps mu lam_min)
+    two_k = sum(out[0])
+    need = 36 * Fraction(total, min(parts))
+    assert two_k & (two_k - 1) == 0 and two_k >= need > two_k // 2
 
 
 def test_worst_estimator_still_satisfies_lemma(rng):
@@ -307,41 +291,43 @@ def test_worst_estimator_still_satisfies_lemma(rng):
               estimate_mode="worst")
 
 
-def _definition_uc(g, L, tables, lam):
-    """Exact (u, c) of rational distributions under the rational tables
-    (eu, ec, nu, nc), term by term from the definition of the potential."""
-    eu, ec, nu, nc = tables
-    zero = tuple((0,) * L for _ in range(L))
+def _definition_uc(g, val, lam):
+    """Exact (u, c) of rational distributions under ``val``, term by term
+    from the definition of the potential."""
+    L = val.nlabels
+    zero = (0,) * (L * L)
     U = C = Fraction(0)
     for e in g.edges:
-        tu = eu.get(e.index, zero)
-        tc = ec.get(e.index, zero)
+        tu = val.edge_utility.get(e.index, zero)
+        tc = val.edge_cost.get(e.index, zero)
         for a in range(L):
             for b in range(L):
                 p = Fraction(lam[e.u][a]) * Fraction(lam[e.v][b])
-                U += p * tu[a][b]
-                C += p * tc[a][b]
-    for v, row in nu.items():
+                U += p * tu[a * L + b]
+                C += p * tc[a * L + b]
+    for v, row in val.node_utility.items():
         U += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
-    for v, row in nc.items():
+    for v, row in val.node_cost.items():
         C += sum(Fraction(lam[v][a]) * row[a] for a in range(L))
-    return U, C
+    return U / val.scale, C / val.scale
 
 
 def test_rational_potential_matches_definition(rng):
     for _ in range(60):
         L = rng.choice([2, 3])
-        g, (eu, ec, nu), lam = _random_rational_instance(
-            rng, rng.randint(1, 12), L, 4)
-        nc = {v: tuple(Fraction(rng.randint(0, 9), rng.choice([1, 3, 7]))
-                       for _ in range(L))
+        g, val, lam = _random_instance(rng, rng.randint(1, 12), L, 4)
+        # node costs at a scale 1, 3 or 7 times the edge tables'
+        m = rng.choice([1, 3, 7])
+        nc = {v: tuple(rng.randint(0, 9) for _ in range(L))
               for v in g.nodes if rng.random() < 0.4}
-        tables = (eu, ec, nu, nc)
-        val = R.Valuation.from_fractions(L, eu, ec, node_utility=nu,
-                                         node_cost=nc)
-        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-                for v, nums in lam.values.items()}
-        assert R.evaluate(val, lam, g) == _definition_uc(g, L, tables, lamf)
+        val = R.Valuation(
+            L, *({key: tuple(m * x for x in row) for key, row in t.items()}
+                 for t in (val.edge_utility, val.edge_cost,
+                           val.node_utility)),
+            node_cost=nc, scale=m * val.scale)
+        lamf = {v: tuple(Fraction(x, sum(nums)) for x in nums)
+                for v, nums in lam.items()}
+        assert R.evaluate(val, lam, g) == _definition_uc(g, val, lamf)
         raw = {}
         for v in g.nodes:
             den = rng.choice([1, 2, 3, 12, 35, (1 << 70) + 1])
@@ -351,17 +337,16 @@ def test_rational_potential_matches_definition(rng):
             raw[v] = tuple(p // den if p in (0, den) else Fraction(p, den)
                            for p in parts)
         assert R.evaluate(val, raw_rows(raw), g) == _definition_uc(
-            g, L, tables, raw)
+            g, val, raw)
 
 
 def _count_calls(monkeypatch):
-    """Count kernel potential evaluations, rounding steps, conversions of
-    an assignment to rows and FractionalAssignments built."""
-    counts = {"eval": 0, "steps": 0, "rows": 0, "assignments": 0}
+    """Count kernel potential evaluations, rounding steps and readings of
+    an assignment's rows."""
+    counts = {"eval": 0, "steps": 0, "rows": 0}
     kernel_eval = R._K.eval_potential
     step = R.rounding_step
-    lam_array = R._Prepared.lam_array
-    assignment = R.FractionalAssignment.__init__
+    read_rows = R._Prepared.rows
 
     def counted_eval(*args):
         counts["eval"] += 1
@@ -371,19 +356,13 @@ def _count_calls(monkeypatch):
         counts["steps"] += 1
         return step(*args, **kwargs)
 
-    def counted_lam_array(self, lam):
+    def counted_rows(self, lam):
         counts["rows"] += 1
-        return lam_array(self, lam)
-
-    def counted_assignment(self, *args):
-        counts["assignments"] += 1
-        assignment(self, *args)
+        return read_rows(self, lam)
 
     monkeypatch.setattr(R._K, "eval_potential", counted_eval)
     monkeypatch.setattr(R, "rounding_step", counted_step)
-    monkeypatch.setattr(R._Prepared, "lam_array", counted_lam_array)
-    monkeypatch.setattr(R.FractionalAssignment, "__init__",
-                        counted_assignment)
+    monkeypatch.setattr(R._Prepared, "rows", counted_rows)
     return counts
 
 
@@ -394,22 +373,19 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
         g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
-        if val is None or lam.normalize().k == 0:
+        k = _schedule_k(lam)
+        if val is None or k == 0:
             continue
-        k = lam.normalize().k
-        # one conversion to rows; the only assignment built is normalize's
-        counts.update(eval=0, steps=0, rows=0, assignments=0)
+        # one reading of the rows
+        counts.update(eval=0, steps=0, rows=0)
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
-        assert counts == {"eval": k + 1, "steps": k, "rows": 1,
-                          "assignments": 1}
-        counts.update(eval=0, steps=0, rows=0, assignments=0)
+        assert counts == {"eval": k + 1, "steps": k, "rows": 1}
+        counts.update(eval=0, steps=0, rows=0)
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu, check=False)
-        assert counts == {"eval": 1, "steps": k, "rows": 1, "assignments": 1}
+        assert counts == {"eval": 1, "steps": k, "rows": 1}
         # raw input, preprocessed input, one per step
-        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-                for v, nums in lam.values.items()}
-        counts.update(eval=0, steps=0, rows=0, assignments=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu)
+        counts.update(eval=0, steps=0, rows=0)
+        R.round_fractional(g, val, lam, Fraction(1, 2), mu)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
 
@@ -441,7 +417,7 @@ def test_color_loop_visits_only_the_frontier(rng, monkeypatch):
         g, val, lam = _random_instance(rng, rng.randint(2, 15), 3, 5)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
-        if val is None or lam.normalize().k == 0:
+        if val is None or _schedule_k(lam) == 0:
             continue
         initial = C.linial_coloring(g).colors
         counts["checks"] = 0
@@ -471,12 +447,12 @@ def test_step_weights_do_not_depend_on_the_fixed_denominator(
         prep = R._Prepared(g, val)
         initial = {v: (1 << 45) + 7 * c
                    for v, c in C.linial_coloring(g).colors.items()}
+        k = _two_k(lam).bit_length() - 1
         for s in (0, 3):
-            rows = [[x << s for x in r] for r in prep.lam_array(lam)]
-            R.rounding_step(prep, rows, lam.k, Fraction(1, 10),
-                            Fraction(3, 2), check=False,
-                            frontier=R._Frontier(rows, lam.k + s,
-                                                 prep.start(initial)))
+            rows = [[x << s for x in r] for r in prep.rows(lam)]
+            R.rounding_step(prep, rows, k, Fraction(1, 10), Fraction(3, 2),
+                            R._Frontier(rows, k + s, prep.start(initial)),
+                            check=False)
         assert seen[-1] == seen[-2]
         assert g.n_edges() == 0 or any(seen[-1][0])
 
@@ -501,17 +477,14 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
         g, val, lam = _random_instance(rng, rng.randint(2, 12), 3, 4)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
-        if val is None or lam.normalize().k == 0:
+        if val is None or _schedule_k(lam) == 0:
             continue
-        lamf = {v: tuple(Fraction(x, 1 << lam.k) for x in nums)
-                for v, nums in lam.values.items()}
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu)
+        R.round_fractional(g, val, lam, Fraction(1, 2), mu)
         assert counts == {"pack": 1, "prepare": 1}
         prep = R._Prepared(g, val)
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, raw_rows(lamf), Fraction(1, 2), mu,
-                           prep=prep)
+        R.round_fractional(g, val, lam, Fraction(1, 2), mu, prep=prep)
         assert counts == {"pack": 0, "prepare": 0}
         done += 1
 
@@ -542,9 +515,9 @@ def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
                                        id_base=1 << 40)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
-        if val is None or lam.normalize().k < 2:
+        k = _schedule_k(lam)
+        if val is None or k < 2:
             continue
-        k = lam.normalize().k
         walks.clear()
         steps.clear()
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
@@ -571,23 +544,34 @@ def test_small_ids_round_without_weights_or_agreements(rng, monkeypatch):
         g, val, lam = _random_instance(rng, rng.randint(4, 12), 3, 4)
         mu = Fraction(1, 4)
         val = _margin_scaled(g, val, lam, mu)
-        if val is None or lam.normalize().k < 2 or not g.edges:
+        if val is None or _schedule_k(lam) < 2 or not g.edges:
             continue
         ell = R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
         assert set(ell) == set(g.nodes) and calls == []
         done += 1
 
 
-def test_fractional_assignment_rejects_malformed_rows():
-    cases = [(2, 2, (1, 2, 1), "wrong number of labels"),
-             (2, 2, (5, -1), "outside"),
-             (2, 2, (0, 5), "outside"),
-             (3, 2, (2, 1, 0), "do not sum to 1"),
-             (0, 1, (), "do not sum to 1")]
-    for nlabels, k, row, msg in cases:
+def test_schedule_rejects_malformed_rows():
+    """The row checks of the removed FractionalAssignment, made where the
+    rows are read: another number of labels and a negative entry (the
+    potential too), and sums that are not one power of two."""
+    g = two_node_graph()
+    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
+    prep = R._Prepared(g, val)
+    cases = [({1: (1, 2, 1), 2: (2, 2)}, "3 labels"),
+             ({1: (5, -1), 2: (2, 2)}, "negative entry"),
+             ({1: (0, 5), 2: (1, 4)}, "one power of two"),
+             ({1: (1, 1), 2: (1, 3)}, "one power of two"),
+             ({1: (0, 0), 2: (0, 0)}, "one power of two")]
+    for lam, msg in cases:
         with pytest.raises(ValueError, match=msg):
-            R.FractionalAssignment(nlabels, k, {1: row})
-    assert R.FractionalAssignment(2, 2, {1: (0, 4), 2: (1, 3)}).k == 2
+            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
+        if "power" not in msg:
+            with pytest.raises(ValueError, match=msg):
+                prep.potential(lam)
+    ell = R.round_to_integral(g, val, {1: (0, 4), 2: (1, 3)},
+                              Fraction(1, 2), Fraction(1, 4))
+    assert ell == {1: 1, 2: 0}
 
 
 def test_schedule_rejects_assignment_off_the_valuation():
@@ -595,19 +579,17 @@ def test_schedule_rejects_assignment_off_the_valuation():
     against a 2-label valuation the misleading "lost too much potential",
     and one label an IndexError; nodes outside the graph are ignored."""
     g = two_node_graph()
-    val = R.Valuation.from_fractions(2, {0: ((0, 1), (1, 0))}, {})
+    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
     prep = R._Prepared(g, val)
-    cases = [(R.FractionalAssignment(2, 1, {1: (1, 1)}), "misses node 2"),
-             (R.FractionalAssignment(3, 2, {1: (2, 1, 1), 2: (1, 1, 2)}),
-              "3 labels"),
-             (R.FractionalAssignment(1, 0, {1: (1,), 2: (1,)}), "1 labels")]
+    cases = [({1: (1, 1)}, "misses node 2"),
+             ({1: (2, 1, 1), 2: (1, 1, 2)}, "3 labels"),
+             ({1: (1,), 2: (1,)}, "1 labels")]
     for lam, msg in cases:
         with pytest.raises(ValueError, match=msg):
             R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
         with pytest.raises(ValueError, match=msg):
             prep.potential(lam)
-    extra = R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1), 9: (2, 0)})
+    extra = {1: (1, 1), 2: (1, 1), 9: (2, 0)}
     ell = R.round_to_integral(g, val, extra, Fraction(1, 2), Fraction(1, 4))
     assert set(ell) == {1, 2} and ell[1] != ell[2]
-    assert prep.potential(extra) == prep.potential(
-        R.FractionalAssignment(2, 1, {1: (1, 1), 2: (1, 1)}))
+    assert prep.potential(extra) == prep.potential({1: (1, 1), 2: (1, 1)})

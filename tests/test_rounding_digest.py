@@ -56,7 +56,7 @@ def _assignment(rng, g, L, k):
     for v in g.nodes:
         cuts = sorted(rng.randint(0, tot) for _ in range(L - 1))
         lam[v] = tuple(b - a for a, b in zip([0] + cuts, cuts + [tot]))
-    return R.FractionalAssignment(L, k, lam)
+    return lam
 
 
 def _instances():

@@ -1,5 +1,6 @@
-"""The builders' integer valuations against the least-common-denominator
-conversion of the same rational tables, and the JSON round trip."""
+"""The builders' integer valuations against the valuation the ``round``
+loader builds from the same rational tables, at the least common
+denominator, and the JSON round trip."""
 
 import json
 from fractions import Fraction
@@ -25,8 +26,7 @@ def _packed(g, val):
 
 
 def _json_round_trip(tmp_path, h, val):
-    lam = R.FractionalAssignment(
-        val.nlabels, 0, {v: (1,) + (0,) * (val.nlabels - 1) for v in h.nodes})
+    lam = {v: (1,) + (0,) * (val.nlabels - 1) for v in h.nodes}
     path = tmp_path / "val.json"
     path.write_text(json.dumps(valuation_to_json(h, val, lam)))
     h2, val2, _lam = cli._load_rounding_instance(str(path))
@@ -37,8 +37,31 @@ def _cost_table(c):
     return ((0, 0), (0, c))
 
 
-def _mis_reference(it, h):
-    """The MIS estimator's tables in rationals, from the iteration."""
+def _loaded(tmp_path, h, L, eu, ec, nu=None, nc=None):
+    """The packed valuation the ``round`` loader builds from rational
+    tables over ``h``: edge tables nested as ``[a][b]`` and keyed by edge
+    index (a missing one is zero), node rows keyed by node."""
+    def row(r):
+        return [str(Fraction(x)) for x in r]
+
+    zero = ((0,) * L,) * L
+    doc = {"labels": L, "nodes": list(h.nodes),
+           "edges": [{"u": e.u, "v": e.v, "manager": e.manager,
+                      "utility": [row(r) for r in eu.get(e.index, zero)],
+                      "cost": [row(r) for r in ec.get(e.index, zero)]}
+                     for e in h.edges],
+           "node_utility": {str(v): row(r) for v, r in (nu or {}).items()},
+           "node_cost": {str(v): row(r) for v, r in (nc or {}).items()},
+           "assignment": {str(v): ["1"] + ["0"] * (L - 1) for v in h.nodes}}
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps(doc))
+    h2, val, _lam = cli._load_rounding_instance(str(path))
+    return _packed(h2, val)
+
+
+def _mis_reference(tmp_path, it, h):
+    """The MIS estimator's tables in rationals, from the iteration, as the
+    loader packs them."""
     half = {v: Fraction(it.degree[v], 2) for v in it.good_nodes}
     nu, phys = {}, {}
     for v in it.good_nodes:
@@ -50,19 +73,24 @@ def _mis_reference(it, h):
     ec = {e.index: _cost_table(phys[(e.u, e.v)] if e.manager is None
                                else 2 * half[e.manager])
           for e in h.edges}
-    return R.Valuation.from_fractions(
-        2, {}, ec, node_utility={v: (0, x) for v, x in nu.items()})
+    return _loaded(tmp_path, h, 2, {}, ec,
+                   nu={v: (0, x) for v, x in nu.items()})
 
 
-def test_from_fractions_takes_least_common_denominator():
-    val = R.Valuation.from_fractions(
-        2, {3: ((Fraction(1, 2), 0), (Fraction(2, 3), 1))}, {},
-        node_cost={5: (Fraction(5, 4), 0)})
+def test_round_loader_takes_least_common_denominator(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "labels": 2, "nodes": [1, 2, 5],
+        "edges": [{"u": 1, "v": 2, "utility": [["1/2", 0], ["2/3", 1]],
+                   "cost": [[0, 0], [0, 0]]}],
+        "node_cost": {"5": ["5/4", "0"]},
+        "assignment": {v: [1, 0] for v in ("1", "2", "5")}}))
+    _g, val, _lam = cli._load_rounding_instance(str(path))
     assert val.scale == 12
-    assert val.edge_utility == {3: (6, 0, 8, 12)}
+    assert val.edge_utility == {0: (6, 0, 8, 12)}
     assert val.node_cost == {5: (15, 0)}
     # an integer form with a common factor is reduced to the same
-    assert _fields(R.Valuation(2, {3: (18, 0, 24, 36)}, {},
+    assert _fields(R.Valuation(2, {0: (18, 0, 24, 36)}, {0: (0,) * 4},
                                node_cost={5: (45, 0)}, scale=36)) \
         == _fields(val)
 
@@ -81,7 +109,7 @@ def test_mis_valuation_matches_rational_tables(rng, tmp_path):
             continue
         it = M.classify_and_select_instar(_adjacency(g))
         h, val = M.build_mis_valuation(it)
-        assert _fields(val) == _fields(_mis_reference(it, h))
+        assert _packed(h, val) == _mis_reference(tmp_path, it, h)
         if g in even:
             assert val.scale == 1
         _json_round_trip(tmp_path, h, val)
@@ -100,12 +128,12 @@ def test_is_valuation_matches_rational_tables(rng, tmp_path):
         else:
             w = {v: Fraction(rng.randint(1, 30), rng.choice([2, 3, 5, 12]))
                  for v in g.nodes}
-        ref = R.Valuation.from_fractions(
-            2, {}, {e.index: _cost_table(Fraction(min(w[e.u], w[e.v])))
-                    for e in g.edges},
-            node_utility={v: (0, Fraction(w[v])) for v in g.nodes})
+        ref = _loaded(
+            tmp_path, g, 2, {},
+            {e.index: _cost_table(min(w[e.u], w[e.v])) for e in g.edges},
+            nu={v: (0, w[v]) for v in g.nodes})
         val = IS.is_valuation(g, w)
-        assert _fields(val) == _fields(ref)
+        assert _packed(g, val) == ref
         if kind < 2:
             assert val.scale == 1
         _json_round_trip(tmp_path, g, val)
@@ -127,7 +155,7 @@ def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
         lam = R.preprocess_fractional(
             raw_rows({v: (1 - Fraction(*x[v]), Fraction(*x[v]))
                       for v in inst.sets}),
-            Fraction(1, 200), Fraction(1, 2), 2)
+            Fraction(1, 200), Fraction(1, 2))
         tau = SC._tau_for(max(2, inst.s * wmax))
         for i in (1, tau // 2, tau):
             g_i = 20 * wmax * SC._g_coefficient(tau - i)
@@ -138,15 +166,16 @@ def test_setcover_valuation_matches_rational_tables(rng, tmp_path):
             for u in u_live:
                 for v in n_star[u]:
                     cnt[v] = cnt.get(v, 0) + 1
-            xprime = {v: Fraction(lam.values[v][1], 1 << lam.k)
+            xprime = {v: Fraction(lam[v][1], sum(lam[v]))
                       for v in inst.sets}
             const = {v: 10 * cost[v] * xprime[v] for v in inst.sets}
-            ref = R.Valuation.from_fractions(
-                2, {}, {e.index: _cost_table(2 * g_i) for e in h.edges},
-                node_utility={v: (const[v], g_i * cnt.get(v, 0) + const[v])
-                              for v in inst.sets},
-                node_cost={v: (0, cost[v]) for v in inst.sets})
-            assert _fields(val) == _fields(ref)
+            ref = _loaded(
+                tmp_path, h, 2, {},
+                {e.index: _cost_table(2 * g_i) for e in h.edges},
+                nu={v: (const[v], g_i * cnt.get(v, 0) + const[v])
+                    for v in inst.sets},
+                nc={v: (0, cost[v]) for v in inst.sets})
+            assert _packed(h, val) == ref
             _json_round_trip(tmp_path, h, val)
             checked.add(wmax)
     assert checked == {1, 5}
