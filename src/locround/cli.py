@@ -232,6 +232,7 @@ def cmd_wis(args):
     else:
         raise SystemExit(f"unknown --algo {args.algo}")
     weight = sum(wg.weights[v] for v in I)
+    engine.metrics.objective = Fraction(weight)
     return _emit(args, {
         "algorithm": f"wis-{args.algo}", "input": args.input, "set": list(I),
         "weight": weight, "certificate": cert,
@@ -380,20 +381,33 @@ def _node_id(path, what, x):
     raise _graph.GraphFormatError(f"{path}: {what} is not an integer: {x!r}")
 
 
+def _ids(path, what, value):
+    """``value``, read as ``what`` of the JSON file ``path``: an array of
+    integer ids, each read by ``_node_id``."""
+    return [_node_id(path, f"an id of {what}", x)
+            for x in _typed(path, what, value, list)]
+
+
+def _rational(path, where, x):
+    """``x``, read as ``where`` of the JSON file ``path``: a rational, a
+    number or a string such as "1/3"."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise _graph.GraphFormatError(f"{path}: {where}: {exc}") from None
+
+
 def _rationals(path, where, row, L):
     """``row``, read as ``where`` of the JSON file ``path``: an array of
-    L non-negative rationals, each a number or a string such as "1/3"."""
-    where = f"{path}: {where}"
+    L non-negative rationals, each read by ``_rational``."""
     if not isinstance(row, list):
-        raise _graph.GraphFormatError(f"{where}: not a JSON array")
+        raise _graph.GraphFormatError(f"{path}: {where}: not a JSON array")
     if len(row) != L:
-        raise _graph.GraphFormatError(f"{where}: {len(row)} values, not {L}")
-    try:
-        fr = [Fraction(x) for x in row]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _graph.GraphFormatError(f"{where}: {exc}") from None
+        raise _graph.GraphFormatError(
+            f"{path}: {where}: {len(row)} values, not {L}")
+    fr = [_rational(path, where, x) for x in row]
     if min(fr) < 0:
-        raise _graph.GraphFormatError(f"{where}: negative value")
+        raise _graph.GraphFormatError(f"{path}: {where}: negative value")
     return fr
 
 
@@ -471,11 +485,11 @@ def cmd_oracle(args):
     if args.oracle == "wis":
         wg = _load_weighted(args.input)
         opt, wit = _oracle.brute_max_weight_is(wg)
-        return _emit(args, {"oracle": "wis", "opt": int(opt), "witness": wit})
+        return _emit(args, {"oracle": "wis", "opt": opt, "witness": wit})
     if args.oracle == "setcover":
         inst = _graph.load_graph(args.input, "setcover")
         opt, wit = _oracle.brute_set_cover_opt(inst, weighted=args.weighted)
-        return _emit(args, {"oracle": "setcover", "opt": int(opt),
+        return _emit(args, {"oracle": "setcover", "opt": opt,
                             "witness": wit})
     if args.oracle == "lp":
         wg = _load_weighted(args.input)
@@ -499,6 +513,11 @@ def _report_input(path, doc, config):
     raise _graph.GraphFormatError(f"{path}: missing key 'input'")
 
 
+def _independent(g, S):
+    """Whether the ids ``S`` are nodes of ``g`` and independent in it."""
+    return set(S) <= set(g.nodes) and _oracle.is_independent(g, S)
+
+
 def cmd_verify(args):
     path = args.report
     doc = _typed(path, "the document", _load_json(path), dict)
@@ -508,57 +527,75 @@ def cmd_verify(args):
     inp = _report_input(path, doc, config)
     if algo in ("mis", "mis-baseline"):
         wg = _load_weighted(inp)
-        S = doc["set"]
-        checks["independent"] = _oracle.is_independent(wg.graph, S)
+        S = _ids(path, "key 'set'", doc["set"])
+        checks["independent"] = _independent(wg.graph, S)
         checks["maximal"] = _oracle.is_maximal_is(wg.graph, S)
     elif algo == "matching":
         wg = _load_weighted(inp)
         index = {(min(e.u, e.v), max(e.u, e.v)): e.index
                  for e in wg.graph.edges}
         # a pair that is no edge has no index and fails both checks
-        ids = [index.get(tuple(sorted(p))) for p in doc["matching"]]
+        pairs = _typed(path, "key 'matching'", doc["matching"], list)
+        ids = [index.get(tuple(sorted(
+                   _ids(path, f"pair {i} of key 'matching'", p))))
+               for i, p in enumerate(pairs)]
         checks["matching"] = _oracle.is_matching(wg.graph, ids)
         checks["maximal"] = _oracle.is_maximal_matching(wg.graph, ids)
     elif algo.startswith("wis"):
         wg = _load_weighted(inp)
-        S = doc["set"]
-        checks["independent"] = _oracle.is_independent(wg.graph, S)
-        bound = Fraction(doc["certificate"]["bound"])
-        checks["weight_bound"] = sum(wg.weights[v] for v in S) >= bound
+        S = set(_ids(path, "key 'set'", doc["set"]))
+        checks["independent"] = _independent(wg.graph, S)
+        cert = _typed(path, "key 'certificate'", doc["certificate"], dict)
+        bound = _rational(path, "key 'certificate.bound'", cert["bound"])
+        checks["weight_bound"] = sum(wg.weights.get(v, 0)
+                                     for v in S) >= bound
     elif algo == "setcover":
         inst = _load_cover(inp, config.get("from_dominating_set", False))
-        checks["covers"] = _oracle.covers(inst, doc["sets"])
-        phi = [Fraction(p) for p in doc["phi"]]
+        checks["covers"] = _oracle.covers(
+            inst, _ids(path, "key 'sets'", doc["sets"]))
+        phi = _typed(path, "key 'phi'", doc["phi"], list)
+        phi = [_rational(path, f"key 'phi': entry {i}", p)
+               for i, p in enumerate(phi)]
         checks["phi_monotone"] = all(phi[i + 1] <= phi[i]
                                      for i in range(len(phi) - 1))
     elif algo == "round":
         g, val, lam = _load_rounding_instance(inp)
         prep = _rounding._Prepared(g, val)
         U, C = prep.potential(lam)
-        checks["fractional_uc"] = (Fraction(doc["fractional_u"]) == U
-                                   and Fraction(doc["fractional_c"]) == C)
-        ell = {int(v): a for v, a in doc["labels"].items()}
+        fig = {key: _rational(path, f"key {key!r}", doc[key])
+               for key in ("fractional_u", "fractional_c", "final_u",
+                           "final_c", "eps")}
+        checks["fractional_uc"] = (fig["fractional_u"],
+                                   fig["fractional_c"]) == (U, C)
+        ell = {_node_id(path, "a node of key 'labels'", v): a
+               for v, a in _typed(path, "key 'labels'", doc["labels"],
+                                  dict).items()}
         checks["labels"] = (sorted(ell) == sorted(g.nodes) and all(
             a in range(val.nlabels) for a in ell.values()))
         if checks["labels"]:
             Uf, Cf = prep.potential(
                 {v: tuple(int(a == lab) for a in range(val.nlabels))
                  for v, lab in ell.items()})
-            checks["final_uc"] = (Fraction(doc["final_u"]) == Uf
-                                  and Fraction(doc["final_c"]) == Cf)
-            eps = Fraction(doc["eps"])
-            checks["guarantee"] = Uf - Cf >= (1 - eps) * (U - C)
+            checks["final_uc"] = (fig["final_u"],
+                                  fig["final_c"]) == (Uf, Cf)
+            checks["guarantee"] = Uf - Cf >= (1 - fig["eps"]) * (U - C)
     elif algo == "color":
         wg = _load_weighted(inp)
         g = wg.graph
-        colors = {int(v): c for v, c in doc["colors"].items()}
+        colors = {_node_id(path, "a node of key 'colors'", v):
+                  _node_id(path, f"key 'colors': the color of node {v}", c)
+                  for v, c in _typed(path, "key 'colors'", doc["colors"],
+                                     dict).items()}
         w = {e.index: Fraction(1) for e in g.edges}
-        if doc["kind"] == "proper":
-            checks["proper"] = _coloring.check_proper(g, colors)
+        kind = _typed(path, "key 'kind'", doc["kind"], str)
+        # a node without a color fails the check
+        colored = sorted(colors) == sorted(g.nodes)
+        if kind == "proper":
+            checks["proper"] = colored and _coloring.check_proper(g, colors)
         else:
-            ok, _cert = _coloring.defect_certificate(
-                g, w, colors, Fraction(doc["delta"]), doc["kind"])
-            checks["defect"] = ok
+            delta = _rational(path, "key 'delta'", doc["delta"])
+            checks["defect"] = colored and _coloring.defect_certificate(
+                g, w, colors, delta, kind)[0]
     else:
         raise _graph.GraphFormatError(
             f"{path}: cannot verify algorithm {algo!r}")

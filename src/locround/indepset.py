@@ -14,7 +14,6 @@ T rounds of that to (1-eps) * S*(w).
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import coloring as _coloring
@@ -29,14 +28,12 @@ class ISInvariantError(AssertionError):
 
 
 def is_valuation(h, weights):
-    """Valuation of the independent-set estimator on any multigraph, built
-    at the common denominator of the weights (1 for integer weights)."""
-    scale = math.lcm(*(Fraction(weights[v]).denominator for v in h.nodes
-                       if type(weights[v]) is not int))
-    w = {v: int(weights[v] * scale) for v in h.nodes}
-    ec = {e.index: (0, 0, 0, min(w[e.u], w[e.v])) for e in h.edges}
-    nut = {v: (0, w[v]) for v in h.nodes}
-    return _rounding.Valuation(2, {}, ec, node_utility=nut, scale=scale)
+    """Valuation of the independent-set estimator on any multigraph, at
+    the integer node weights ``weights``."""
+    ec = {e.index: (0, 0, 0, min(weights[e.u], weights[e.v]))
+          for e in h.edges}
+    nut = {v: (0, weights[v]) for v in h.nodes}
+    return _rounding.Valuation(2, {}, ec, node_utility=nut)
 
 
 def _uc_at(prep, rows):
@@ -288,7 +285,7 @@ def _ladder(wg, eps, engine, check, step, bound):
     eps = Fraction(eps)
     g = wg.graph
     cols = _coloring.linial_coloring(g, engine=engine).colors
-    w_t = {v: Fraction(wg.weights[v]) for v in g.nodes}
+    w_t = {v: wg.weights[v] for v in g.nodes}
     B1 = None
     staged = []
     upsilons = []
@@ -380,26 +377,26 @@ def caro_wei_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
                 check=True):
     """Independent set of weight >= (1/2 - eps) sum_v w(v)^2 / w(N+[v])."""
     eps = Fraction(eps)
-    g = wg.graph
+    g, w = wg.graph, wg.weights
     if not g.nodes:
         return []
     x = {}
     bound = Fraction(0)
     for v in g.nodes:
-        Wv = wg.weights[v] + sum(wg.weights[u] for u in g.neighbors(v))
-        x[v] = Fraction(wg.weights[v], Wv)
-        bound += Fraction(wg.weights[v] ** 2, Wv)
-    I, u0 = basic_is_round(g, wg.weights, x, eps, engine=engine, mode=mode,
+        Wv = w[v] + sum(w[u] for u in g.neighbors(v))
+        x[v] = Fraction(w[v], Wv)
+        bound += Fraction(w[v] ** 2, Wv)
+    I, u0 = basic_is_round(g, w, x, eps, engine=engine, mode=mode,
                            check=check)
     if u0 != bound:
         raise ISInvariantError("u(x) disagrees with the Caro-Wei mass")
-    wI = sum(wg.weights[v] for v in I)
+    wI = sum(w[v] for v in I)
     if check:
         if wI < (Fraction(1, 2) - eps) * bound:
             raise ISInvariantError(f"Caro-Wei bound failed: {wI} < "
                                    f"{(Fraction(1, 2) - eps) * bound}")
         wv = wg.total_weight()
-        denom = wv + sum(wg.weights[v] * g.degree(v) for v in g.nodes)
+        denom = wv + sum(w[v] * g.degree(v) for v in g.nodes)
         if wI < (Fraction(1, 2) - eps) * Fraction(wv * wv, denom):
             raise ISInvariantError("Cauchy-Schwarz corollary bound failed")
     return I

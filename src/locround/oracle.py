@@ -1,18 +1,19 @@
-"""Exact rational LP, brute-force optima and certificate scanners.
+"""Exact integer LP, brute-force optima and certificate scanners.
 
-Everything here runs in exact rational arithmetic.  The brute-force
-optima and the scanners share no code with the rounding pipeline and
-check its outputs.  The exact LP does not stand apart: ``set_cover``,
-``lp_guided_is`` and ``beta_approx_is`` solve their fractional optimum
-through ``packing_lp_integers``, ``packing_lp`` and ``setcover_lp``, and
-its optimality certificate is checked on every such solve.  Oracles
-refuse inputs beyond their budget instead of running unboundedly.
+Everything here runs on integers: the exact LP takes integer coefficients
+and returns its solution as integers over one denominator.  The
+brute-force optima and the scanners share no code with the rounding
+pipeline and check its outputs.  The exact LP does not stand apart:
+``set_cover``, ``lp_guided_is`` and ``beta_approx_is`` solve their
+fractional optimum through ``packing_lp_integers``, ``packing_lp`` and
+``setcover_lp``, and its optimality certificate is checked on every such
+solve.  Oracles refuse inputs beyond their budget instead of running
+unboundedly.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 
@@ -45,10 +46,11 @@ def simplex_max(c, A, b, max_pivots=200_000):
     fallback against cycling.
 
     ``A`` is a list of m sparse rows ``{column: coefficient}`` over the
-    n = len(c) columns; coefficients, ``b`` and ``c`` are ints or
-    Fractions.  With b >= 0, x = 0 is feasible and the slacks form the
-    start basis; a negative b_i raises ValueError.  Variables are labelled
-    0..n-1 (original) and n..n+m-1 (slacks).  The rows are laid out in a
+    n = len(c) columns; coefficients, ``b`` and ``c`` are ints, and any
+    other type (a Fraction, a float, a bool) raises ValueError.  With
+    b >= 0, x = 0 is feasible and the slacks form the start basis; a
+    negative b_i raises ValueError.  Variables are labelled 0..n-1
+    (original) and n..n+m-1 (slacks).  The rows are laid out in a
     condensed (Tucker) integer tableau: one column per nonbasic variable,
     whose labels sit in a list, plus the rhs, over one shared positive
     denominator ``prev``.  The basic columns of the full tableau are
@@ -58,55 +60,38 @@ def simplex_max(c, A, b, max_pivots=200_000):
     entering column then holds the leaving variable's: ``prev`` in the
     pivot row and the negated old entries elsewhere (J. Edmonds, 1967).
     The integers are those of the full fraction-free tableau, so entries
-    stay minor-sized.  Pricing and the ratio test read only true values,
-    so the pivot sequence does not depend on how the input is scaled.
+    stay minor-sized.
 
-    Returns the certified solution in integers, (cx, X, Y, prev, den):
-    the optimum is cx / (prev*den), x_j = X[j] / prev and
-    y_i = Y[i] / (prev*den), y the optimal dual (min y.b, y A >= c,
-    y >= 0).  ``den`` is the LCM of the denominators of all the caller's
-    coefficients and ``prev`` the final tableau denominator; neither is
-    reduced against the numerators.  The solution is returned once an
-    exact optimality certificate holds: primal and dual feasibility,
-    y >= 0 and equal objectives, checked in integers on den times the
-    caller's coefficients.  Raises LPUnbounded.
+    Returns the solution in integers, (cx, X, Y, prev): the optimum is
+    cx / prev, x_j = X[j] / prev and y_i = Y[i] / prev, y the optimal
+    dual (min y.b, y A >= c, y >= 0), over the final, unreduced tableau
+    denominator ``prev``, once an exact optimality certificate holds:
+    primal and dual feasibility, y >= 0 and equal objectives.  Raises
+    LPUnbounded.
     """
     if any(bv < 0 for bv in b):
         raise ValueError("simplex_max takes b >= 0")
+    if any(type(v) is not int
+           for v in itertools.chain(c, b, *(row.values() for row in A))):
+        raise ValueError("simplex_max takes int coefficients")
     m = len(A)
     n = len(c)
-    den = math.lcm(*{v.denominator for v in
-                     itertools.chain(c, b, *(row.values() for row in A))})
-
-    ci = [_scaled(v, den) for v in c]
-    bi = [_scaled(v, den) for v in b]
-    rows = [{j: _scaled(a, den) for j, a in row.items() if a} for row in A]
-
-    # entries are true values scaled by prev.  The divisions by prev are
-    # exact only from a fraction-free state of an integer matrix: with each
-    # row that holds a fraction scaled by den, the starting basis has
-    # determinant p0 = den^(number of such rows), so the tableau starts at
-    # p0 times the true values.
-    p0 = 1
-    if den > 1:
-        p0 = den ** sum(1 for row, bv in zip(rows, bi)
-                        if bv % den or any(a % den for a in row.values()))
-    # the originals are nonbasic at the start, the slacks basic
+    rows = [{j: a for j, a in row.items() if a} for row in A]
+    # the originals are nonbasic at the start, the slacks basic; the slack
+    # basis has determinant 1, so the tableau starts at the true values
     labels = list(range(n))
     basis = list(range(n, n + m))
     T = []
-    for i in range(m):
-        row = [0] * (n + 1)
-        for j, a in rows[i].items():
-            row[j] = p0 * a // den
-        row[-1] = p0 * bi[i] // den
-        T.append(row)
+    for row, bv in zip(rows, b):
+        T.append([0] * n + [bv])
+        for j, a in row.items():
+            T[-1][j] = a
     # z = prev * (c_B B^-1 N - c_N), and c_B = 0 on the slack basis
-    T.append([-cj * p0 for cj in ci] + [0])
-    prev = _run(T, labels, basis, p0, max_pivots, n + 2 * m)
+    T.append([-cj for cj in c] + [0])
+    prev = _run(T, labels, basis, 1, max_pivots, n + 2 * m)
     z = T.pop()
 
-    # true values x = X/prev and y = Y/(prev*den); Y is read off the slack
+    # true values x = X/prev and y = Y/prev; Y is read off the slack
     # reduced costs, 0 where a slack is basic
     X = [0] * n
     for i, bc in enumerate(basis):
@@ -116,24 +101,24 @@ def simplex_max(c, A, b, max_pivots=200_000):
     for lab, zj in zip(labels, z):
         if lab >= n:
             Y[lab - n] = zj
-    # exact optimality certificate, in integers on den times the caller's
-    # coefficients: primal/dual feasibility, y >= 0 and equal objectives
+    # exact optimality certificate, in integers: primal/dual feasibility,
+    # y >= 0 and equal objectives
     for i, row in enumerate(rows):
-        if sum(a * X[j] for j, a in row.items()) > bi[i] * prev:
+        if sum(a * X[j] for j, a in row.items()) > b[i] * prev:
             raise AssertionError("primal infeasible after solve")
     yA = [0] * n
     for yi, row in zip(Y, rows):
         if yi:
             for j, a in row.items():
                 yA[j] += yi * a
-    if any(yA[j] < ci[j] * prev * den for j in range(n)):
+    if any(yA[j] < c[j] * prev for j in range(n)):
         raise AssertionError("dual infeasible after solve")
     if any(yi < 0 for yi in Y):
         raise AssertionError("negative dual")
-    cx = sum(cj * xj for cj, xj in zip(ci, X) if xj)
-    if sum(yi * bv for yi, bv in zip(Y, bi) if yi) != den * cx:
+    cx = sum(cj * xj for cj, xj in zip(c, X) if xj)
+    if sum(yi * bv for yi, bv in zip(Y, b) if yi) != cx:
         raise AssertionError("duality gap after solve")
-    return cx, X, Y, prev, den
+    return cx, X, Y, prev
 
 
 def _run(T, labels, basis, prev, limit, bland_width):
@@ -217,20 +202,13 @@ def _pivot(T, labels, basis, r, p, prev):
     return piv
 
 
-def _scaled(v, den):
-    """``den`` times the int or Fraction ``v``, for ``den`` a multiple of
-    its denominator."""
-    return v.numerator * (den // v.denominator)
-
-
 def _min_lp(objective, A, b):
     """min c.x, Ax >= b, x >= 0, solved through its dual max b.y,
     A^T y <= c by ``simplex_max``, whose dual is x.  The costs c are
     >= 0, so y = 0 starts the dual; a negative cost raises ValueError.
-    Returns the integers (num, X, Y, prev, den) of that solve: the optimum
-    is num / (prev*den), x_j = X[j] / (prev*den) and y_i = Y[i] / prev.
-    The recovered x is checked feasible and of the optimal cost, in
-    integers on den times the coefficients."""
+    Returns the integers (num, X, Y, prev) of that solve: the optimum is
+    num / prev, x_j = X[j] / prev and y_i = Y[i] / prev.  The recovered
+    x is checked feasible and of the optimal cost, in integers."""
     if any(cj < 0 for cj in objective):
         raise ValueError("a min LP takes costs >= 0")
     At = [{} for _ in objective]
@@ -239,18 +217,15 @@ def _min_lp(objective, A, b):
             if a:
                 At[j][i] = a
     try:
-        num, y, x, prev, den = simplex_max(b, At, objective)
+        num, y, x, prev = simplex_max(b, At, objective)
     except LPUnbounded as exc:
         raise LPInfeasible("primal infeasible (dual unbounded)") from exc
-    D = prev * den
     for row, bv in zip(A, b):
-        if sum(_scaled(a, den) * x[j] for j, a in row.items()
-               if a and x[j]) < _scaled(bv, den) * D:
+        if sum(a * x[j] for j, a in row.items() if a and x[j]) < bv * prev:
             raise AssertionError("recovered primal infeasible")
-    if sum(_scaled(cj, den) * xj for cj, xj in zip(objective, x)
-           if cj and xj) != den * num:
+    if sum(cj * xj for cj, xj in zip(objective, x) if cj and xj) != num:
         raise AssertionError("duality gap in min recovery")
-    return num, x, y, prev, den
+    return num, x, y, prev
 
 
 def packing_lp(wg, weights=None):
@@ -287,10 +262,10 @@ def packing_lp_integers(wg, weights=None):
     opt = Fraction(0)
     x = {}
     for comp in _graph_components(g):
-        num, xs, _y, prev, den = simplex_max(
+        num, xs, _y, prev = simplex_max(
             [w.get(v, 0) for v in comp], _closed_neighborhood_rows(g, comp),
             [1] * len(comp))
-        opt += Fraction(num, prev * den)
+        opt += Fraction(num, prev)
         x.update((v, (xv, prev)) for v, xv in zip(comp, xs))
     return opt, {v: x[v] for v in nodes}
 
@@ -347,11 +322,10 @@ def setcover_lp(inst, costs=None):
             raise OverBudget("set cover LP over budget")
         sidx = {v: j for j, v in enumerate(sets_)}
         A = [{sidx[v]: 1 for v in inst.element_sets[u]} for u in els]
-        num, xs, _y, prev, den = _min_lp([costs[v] for v in sets_], A,
-                                         [1] * len(els))
-        D = prev * den
-        opt += Fraction(num, D)
-        x.update((v, (xv, D)) for v, xv in zip(sets_, xs))
+        num, xs, _y, prev = _min_lp([costs[v] for v in sets_], A,
+                                    [1] * len(els))
+        opt += Fraction(num, prev)
+        x.update((v, (xv, prev)) for v, xv in zip(sets_, xs))
     return opt, x
 
 
@@ -404,7 +378,7 @@ def brute_max_weight_is(wg):
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + wt[i]
-    best = [Fraction(0), 0]
+    best = [0, 0]
 
     def rec(i, taken_mask, blocked, acc):
         if acc + suffix[i] <= best[0]:
@@ -418,7 +392,7 @@ def brute_max_weight_is(wg):
             rec(i + 1, taken_mask | (1 << i), blocked | adj[i], acc + wt[i])
         rec(i + 1, taken_mask, blocked, acc)
 
-    rec(0, 0, 0, Fraction(0))
+    rec(0, 0, 0, 0)
     witness = sorted(nodes[i] for i in range(n) if (best[1] >> i) & 1)
     return best[0], witness
 
@@ -469,7 +443,7 @@ def neighborhood_independence(g):
         pairs = [(e.u, e.v) for e in g.edges if e.u in nbset and e.v in nbset]
         sub = simple_graph(nb, pairs)
         size, _w = brute_max_weight_is(sub)
-        beta = max(beta, int(size))
+        beta = max(beta, size)
     return beta
 
 

@@ -7,10 +7,7 @@ nonbasic columns, and must take the same pivots through the same integers;
 ``test_condensed_simplex.py`` compares the two.
 """
 
-import itertools
-import math
-
-from locround.oracle import LPInfeasible, LPUnbounded, _scaled
+from locround.oracle import LPInfeasible, LPUnbounded
 
 
 def dense_simplex_max(c, A, b, max_pivots=200_000):
@@ -19,46 +16,31 @@ def dense_simplex_max(c, A, b, max_pivots=200_000):
     cycling.
 
     ``A`` is a list of m sparse rows ``{column: coefficient}`` over the
-    n = len(c) columns; coefficients, ``b`` and ``c`` are ints or
-    Fractions.  The rows are laid out in a dense integer tableau whose
-    rows carry one shared positive denominator ``prev``; each pivot applies
-    the Sylvester identity T' = (piv*T - T[col] x prow) / prev with exact
-    integer division, so entries stay minor-sized integers.  Pricing and
-    the ratio test read only true values, so the pivot sequence does not
-    depend on how the input is scaled.
+    n = len(c) columns; coefficients, ``b`` and ``c`` are ints.  The rows
+    are laid out in a dense integer tableau whose rows carry one shared
+    positive denominator ``prev``; each pivot applies the Sylvester
+    identity T' = (piv*T - T[col] x prow) / prev with exact integer
+    division, so entries stay minor-sized integers.
 
-    Returns the certified solution in integers, (cx, X, Y, prev, den):
-    the optimum is cx / (prev*den), x_j = X[j] / prev and
-    y_i = Y[i] / (prev*den), y the optimal dual (min y.b, y A >= c,
-    y >= 0).  ``den`` is the LCM of the denominators of all the caller's
-    coefficients and ``prev`` the final tableau denominator; neither is
-    reduced against the numerators.  The solution is returned once an
-    exact optimality certificate holds: primal and dual feasibility,
-    y >= 0 and equal objectives, checked in integers on den times the
-    caller's coefficients.  Raises LPUnbounded / LPInfeasible.
+    Returns the certified solution in integers, (cx, X, Y, prev): the
+    optimum is cx / prev, x_j = X[j] / prev and y_i = Y[i] / prev, y the
+    optimal dual (min y.b, y A >= c, y >= 0), over the final, unreduced
+    tableau denominator ``prev``.  The solution is returned once an exact
+    optimality certificate holds: primal and dual feasibility, y >= 0 and
+    equal objectives, checked in integers.  Raises LPUnbounded /
+    LPInfeasible.
     """
     m = len(A)
     n = len(c)
-    den = 1
-    for v in itertools.chain(c, b, *(row.values() for row in A)):
-        den = math.lcm(den, v.denominator)
+    rows = [{j: a for j, a in row.items() if a} for row in A]
 
-    ci = [_scaled(v, den) for v in c]
-    bi = [_scaled(v, den) for v in b]
-    rows = [{j: _scaled(a, den) for j, a in row.items() if a} for row in A]
-
-    neg = [i for i in range(m) if bi[i] < 0]
+    neg = [i for i in range(m) if b[i] < 0]
     negset = set(neg)
     n_art = len(neg)
     total = n + m + n_art
     # columns: 0..n-1 original, n..n+m-1 slacks, then artificials; entries
-    # are true values scaled by prev.  The divisions by prev are exact only
-    # from a fraction-free state of an integer matrix: with each row that
-    # holds a fraction scaled by den, the starting basis has determinant
-    # p0 = den^(number of such rows), so the tableau starts at p0 times the
-    # true values.
-    p0 = den ** sum(1 for row, bv in zip(rows, bi)
-                    if bv % den or any(a % den for a in row.values()))
+    # are true values scaled by prev.  The start basis, a row's slack or,
+    # for a negated row, its artificial, is the identity, so prev = 1
     T = []
     basis = []
     art_col = {}
@@ -66,20 +48,20 @@ def dense_simplex_max(c, A, b, max_pivots=200_000):
     for i in range(m):
         row = [0] * (total + 1)
         for j, a in rows[i].items():
-            row[j] = p0 * a // den
-        row[n + i] = p0
-        row[-1] = p0 * bi[i] // den
+            row[j] = a
+        row[n + i] = 1
+        row[-1] = b[i]
         if i in negset:
             row = [-x for x in row]
             col = n + m + k
             art_col[i] = col
-            row[col] = p0
+            row[col] = 1
             basis.append(col)
             k += 1
         else:
             basis.append(n + i)
         T.append(row)
-    state = {"prev": p0}
+    state = {"prev": 1}
 
     def pivot(z, r, col):
         # Edmonds integer pivoting: divisions by the previous pivot are
@@ -184,34 +166,34 @@ def dense_simplex_max(c, A, b, max_pivots=200_000):
                         pivot(z1, i, j)
                         break
 
-    obj = ci + [0] * (m + n_art)
+    obj = list(c) + [0] * (m + n_art)
     z = make_zrow(obj)
     run(z, list(range(n + m)), max_pivots)
 
-    # true values x = X/prev and y = Y/(prev*den); the slack column of a
-    # negated row is negated too, so Y is read off the slack reduced costs
-    # of every row alike
+    # true values x = X/prev and y = Y/prev; the slack column of a negated
+    # row is negated too, so Y is read off the slack reduced costs of every
+    # row alike
     prev = state["prev"]
     X = [0] * n
     for i, bc in enumerate(basis):
         if bc < n:
             X[bc] = T[i][-1]
     Y = z[n:n + m]
-    # exact optimality certificate, in integers on den times the caller's
-    # coefficients: primal/dual feasibility, y >= 0 and equal objectives
+    # exact optimality certificate, in integers: primal/dual feasibility,
+    # y >= 0 and equal objectives
     for i, row in enumerate(rows):
-        if sum(a * X[j] for j, a in row.items()) > bi[i] * prev:
+        if sum(a * X[j] for j, a in row.items()) > b[i] * prev:
             raise AssertionError("primal infeasible after solve")
     yA = [0] * n
     for yi, row in zip(Y, rows):
         if yi:
             for j, a in row.items():
                 yA[j] += yi * a
-    if any(yA[j] < ci[j] * prev * den for j in range(n)):
+    if any(yA[j] < c[j] * prev for j in range(n)):
         raise AssertionError("dual infeasible after solve")
     if any(yi < 0 for yi in Y):
         raise AssertionError("negative dual")
-    cx = sum(cj * xj for cj, xj in zip(ci, X) if xj)
-    if sum(yi * bv for yi, bv in zip(Y, bi) if yi) != den * cx:
+    cx = sum(cj * xj for cj, xj in zip(c, X) if xj)
+    if sum(yi * bv for yi, bv in zip(Y, b) if yi) != cx:
         raise AssertionError("duality gap after solve")
-    return cx, X, Y, prev, den
+    return cx, X, Y, prev

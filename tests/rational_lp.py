@@ -17,19 +17,15 @@ from locround.oracle import (MAX_LP_VARS, OverBudget,
 
 def exact_lp(objective, A, b, sense="max"):
     """Exact LP optimum; ``max c.x, Ax <= b`` or ``min c.x, Ax >= b``
-    (both with x >= 0), ``A`` given as sparse rows ``{column: coefficient}``
-    as in ``simplex_max``.  Returns (optimum, x, y) as Fractions, y the
+    (both with x >= 0 and integer coefficients), ``A`` given as sparse
+    rows ``{column: coefficient}`` as in ``simplex_max``.  Returns (optimum, x, y) as Fractions, y the
     optimal dual.  Unbounded and infeasible are reported distinctly."""
     if len(objective) > MAX_LP_VARS:
         raise OverBudget(f"{len(objective)} variables over LP budget")
-    if sense == "max":
-        num, x, y, prev, den = simplex_max(objective, A, b)
-        xden, yden = prev, prev * den
-    else:
-        num, x, y, prev, den = _min_lp(objective, A, b)
-        xden, yden = prev * den, prev
-    return (Fraction(num, prev * den), [Fraction(v, xden) for v in x],
-            [Fraction(v, yden) for v in y])
+    solve = simplex_max if sense == "max" else _min_lp
+    num, x, y, prev = solve(objective, A, b)
+    return (Fraction(num, prev), [Fraction(v, prev) for v in x],
+            [Fraction(v, prev) for v in y])
 
 
 def dual_covering_lp(wg, wprime):

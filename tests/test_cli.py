@@ -515,6 +515,8 @@ def _edge(**change):
      "edge 0: key 'cost': row 1: "),
     ({"edges": _edge(cost=[["0", ["1"]], ["1", "0"]])},
      "edge 0: key 'cost': row 0: "),
+    ({"edges": _edge(utility=[["2", "2"], ["2", "1/0"]])},
+     "edge 0: key 'utility': row 1: Fraction(1, 0)"),
     ({"edges": _edge(utility=[["2", "2"], ["-2", "2"]])},
      "edge 0: key 'utility': row 1: negative value"),
     ({"node_cost": {"2": ["1", "-1/3"]}},
@@ -531,15 +533,16 @@ def _edge(**change):
     ({"assignment": dict(ROUND_INSTANCE["assignment"], **{"7": ["1", "0"]})},
      "key 'assignment': 7 is not a node"),
 ], ids=["utility-number", "node-utility-number", "ragged", "one-row",
-        "entry-literal", "entry-null", "entry-array", "negative",
+        "entry-literal", "entry-null", "entry-array",
+        "entry-zero-denominator", "negative",
         "negative-node-entry", "labels-string", "labels-zero",
         "node-key-literal", "assignment-key-literal", "u-array",
         "nodes-literal", "node-table-off-the-nodes",
         "assignment-row-off-the-nodes"])
 def test_round_rejects_a_malformed_instance(tmp_path, change, line):
-    """Each case ended in a TypeError or ValueError traceback with status
-    1, except a node table or an assignment row for an id outside
-    ``nodes``, which ran with status 0 and was ignored."""
+    """Each case ended in a TypeError, ValueError or ZeroDivisionError
+    traceback with status 1, except a node table or an assignment row for
+    an id outside ``nodes``, which ran with status 0 and was ignored."""
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(dict(ROUND_INSTANCE, **change)))
     rep = tmp_path / "out.json"
@@ -790,3 +793,100 @@ def test_greedy_oracle_color_report_is_oracle_assisted(tmp_path):
         doc = json.loads(rep.read_text())
         assert doc["metrics"]["oracle_assisted"] is central
         assert cli.main(["verify", str(rep)]) == 0
+
+
+# a path 1-2-3-4 whose heaviest independent set {1, 4} weighs 6
+WEIGHTED_PATH = "n 1 3\nn 2 1\nn 3 1\nn 4 3\n1 2\n2 3\n3 4\n"
+
+
+def _report(tmp_path, algo):
+    """A report of ``algo`` (a subcommand, or ``wis`` with ``--algo
+    basic``) on a small instance, as a dict."""
+    g = tmp_path / "g.edges"
+    g.write_text(WEIGHTED_PATH)
+    sc = tmp_path / "i.sc"
+    sc.write_text(WEIGHTED_COVER)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(ROUND_INSTANCE))
+    argv = {"mis": ["mis", "--input", str(g)],
+            "matching": ["matching", "--input", str(g)],
+            "wis": ["wis", "--algo", "basic", "--input", str(g)],
+            "setcover": ["setcover", "--input", str(sc)],
+            "color": ["color", "--input", str(g)],
+            "round": ["round", "--valuation", str(inst), "--mu", "1/4"]}[algo]
+    rep = tmp_path / f"{algo}.json"
+    assert cli.main(["--json", str(rep), *argv]) == 0
+    return json.loads(rep.read_text())
+
+
+@pytest.mark.parametrize("algo, edit, status, line", [
+    ("round", lambda d: d["labels"].update(x=0), 2,
+     "a node of key 'labels' is not an integer: 'x'"),
+    ("round", lambda d: d.update(fractional_u=[1]), 2, "key 'fractional_u': "),
+    ("round", lambda d: d.update(eps=None), 2, "key 'eps': "),
+    ("wis", lambda d: d.update(certificate=5), 2,
+     "key 'certificate' is not a JSON object"),
+    ("wis", lambda d: d["certificate"].update(bound=[1]), 2,
+     "key 'certificate.bound': "),
+    ("wis", lambda d: d.update(set=7), 2, "key 'set' is not a JSON array"),
+    ("wis", lambda d: d.update(set=[99]), 1, "independent"),
+    ("wis", lambda d: d.update(set=[1, 1, 1], certificate={"bound": "6"}), 1,
+     "weight_bound"),
+    ("setcover", lambda d: d.update(phi=[[1]]), 2, "key 'phi': entry 0: "),
+    ("setcover", lambda d: d.update(sets=3), 2,
+     "key 'sets' is not a JSON array"),
+    ("mis", lambda d: d.update(set=7), 2, "key 'set' is not a JSON array"),
+    ("mis", lambda d: d.update(set=[99]), 1, "independent"),
+    ("matching", lambda d: d.update(matching=[5]), 2,
+     "pair 0 of key 'matching' is not a JSON array"),
+    ("color", lambda d: d["colors"].update(x=0), 2,
+     "a node of key 'colors' is not an integer: 'x'"),
+    ("color", lambda d: d.update(delta=[1]), 2, "key 'delta': "),
+    ("color", lambda d: d["colors"].pop("4"), 1, "defect"),
+], ids=["round-label-key", "round-fractional-u-array", "round-eps-null",
+        "wis-certificate-number", "wis-bound-array", "wis-set-number",
+        "wis-set-off-the-nodes", "wis-set-repeats-a-node",
+        "setcover-phi-nested", "setcover-sets-number", "mis-set-number",
+        "mis-set-off-the-nodes", "matching-pair-number", "color-key-literal",
+        "color-delta-array", "color-node-without-a-color"])
+def test_verify_reads_every_report_field_by_its_type(tmp_path, algo, edit,
+                                                     status, line):
+    """Each edited report ended in a traceback with status 1, except the
+    repeated node, whose weight counted three times, and the mis set off
+    the nodes, which passed ``independent``.  A field of the wrong type
+    exits 2 with one line naming the file and the key.  A set id that is
+    no node fails ``independent``, as a matching pair that is no edge
+    fails ``matching``; a set weighs each node once; a node without a
+    color fails the coloring's check."""
+    doc = _report(tmp_path, algo)
+    edit(doc)
+    rep = tmp_path / "edited.json"
+    rep.write_text(json.dumps(doc))
+    proc = _run_console_script("verify", str(rep))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == status
+    if status == 1:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][line] is False
+        return
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"locround: error: {rep}: {line}")
+
+
+@pytest.mark.parametrize("algo", ["basic", "lp4", "beta", "turan",
+                                  "carowei"])
+def test_wis_report_objective_is_the_set_weight(tmp_path, algo):
+    """Every wis report said objective 0/1, whatever its set weighed."""
+    g = tmp_path / "g.edges"
+    g.write_text(WEIGHTED_PATH)
+    rep = tmp_path / "wis.json"
+    assert cli.main(["--json", str(rep), "wis", "--algo", algo,
+                     "--input", str(g)]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["weight"] > 0
+    metrics = doc["metrics"]
+    assert Fraction(int(metrics["objective_num"]),
+                    int(metrics["objective_den"])) == doc["weight"]
+    assert cli.main(["verify", str(rep)]) == 0

@@ -104,7 +104,7 @@ def test_lp_examples():
 def test_strong_duality_fuzz(rng):
     for _ in range(12):
         g = random_simple_graph(rng, rng.randint(1, 10), 4, 0.3)
-        wp = {v: Fraction(rng.randint(0, 9)) for v in g.nodes}
+        wp = {v: rng.randint(0, 9) for v in g.nodes}
         o1, y = dual_covering_lp(g, wp)
         o2, x = O.packing_lp(g, weights=wp)
         assert o1 == o2
@@ -135,14 +135,14 @@ def test_per_component_lps_match_whole_system(rng):
     for _ in range(25):
         g = _disjoint_union(rng, rng.randint(1, 5))
         nodes = list(g.nodes)
-        w = {v: rng.choice([0, 0, 1, 3, Fraction(7, 2)]) for v in nodes}
+        w = {v: rng.choice([0, 0, 1, 3, 7]) for v in nodes}
         idx = {v: i for i, v in enumerate(nodes)}
         rows = [{idx[u]: 1 for u in [v] + g.neighbors(v)} for v in nodes]
-        num, X, Y, prev, den = O.simplex_max([w[v] for v in nodes], rows,
-                                             [1] * len(nodes))
-        opt = Fraction(num, prev * den)
+        num, X, Y, prev = O.simplex_max([w[v] for v in nodes], rows,
+                                        [1] * len(nodes))
+        opt = Fraction(num, prev)
         x = [Fraction(xj, prev) for xj in X]
-        y = [Fraction(yi, prev * den) for yi in Y]
+        y = [Fraction(yi, prev) for yi in Y]
         assert O.packing_lp(g, weights=w) == (opt, dict(zip(nodes, x)))
         # the covering LP's optimum is the packing LP's dual
         assert dual_covering_lp(g, w) == (opt, dict(zip(nodes, y)))
@@ -188,7 +188,7 @@ def _vertex_optimum(c, A, b, sense):
 
 def test_small_lps_match_vertex_enumeration(rng):
     def coef():
-        return Fraction(rng.randint(-4, 5), rng.randint(1, 3))
+        return rng.randint(-4, 5)
 
     seen = {"max": 0, "min": 0, "infeasible": 0}
     for _ in range(150):
@@ -202,8 +202,8 @@ def test_small_lps_match_vertex_enumeration(rng):
             # bounded
             b = [abs(coef()) for _ in range(m)]
             c = [coef() for _ in range(n)]
-            A.append({j: Fraction(rng.randint(1, 3)) for j in range(n)})
-            b.append(Fraction(rng.randint(1, 6)))
+            A.append({j: rng.randint(1, 3) for j in range(n)})
+            b.append(rng.randint(1, 6))
         else:
             # costs >= 0 bound the min below by 0, so an infeasible min is
             # one whose dual is unbounded
@@ -236,11 +236,25 @@ def test_lp_infeasible_and_unbounded():
     (lambda: O._min_lp([-1], [{0: 1}], [1]), "a min LP takes costs >= 0"),
     (lambda: O._min_lp([1, Fraction(-1, 2)], [{0: 1, 1: 1}], [1]),
      "a min LP takes costs >= 0"),
-], ids=["max-b", "max-fraction-b", "min-cost", "min-fraction-cost"])
+    (lambda: O.simplex_max([Fraction(1, 3)], [{0: 1}], [1]),
+     "simplex_max takes int coefficients"),
+    (lambda: O.simplex_max([1], [{0: Fraction(2)}], [1]),
+     "simplex_max takes int coefficients"),
+    (lambda: O.simplex_max([1], [{0: 1}], [1.0]),
+     "simplex_max takes int coefficients"),
+    (lambda: O.simplex_max([True], [{0: 1}], [1]),
+     "simplex_max takes int coefficients"),
+    (lambda: O._min_lp([1], [{0: 1}], [Fraction(1, 3)]),
+     "simplex_max takes int coefficients"),
+], ids=["max-b", "max-fraction-b", "min-cost", "min-fraction-cost",
+        "fraction-cost", "integral-fraction-entry", "float-rhs", "bool-cost",
+        "min-fraction-rhs"])
 def test_lp_outside_the_slack_start_raises_value_error(solve, msg):
-    """The exact simplex starts from the slack basis: a max LP with a
-    negative rhs, or a min LP with a negative cost (its dual's rhs), has
-    no feasible start there and is refused before any pivot."""
+    """The exact simplex starts from the slack basis and takes integer
+    coefficients: a max LP with a negative rhs, a min LP with a negative
+    cost (its dual's rhs), of any type, or a coefficient that is not an
+    int (a Fraction, even an integral one, a float or a bool) is refused
+    before any pivot."""
     with pytest.raises(ValueError, match=f"^{msg}$"):
         solve()
 
