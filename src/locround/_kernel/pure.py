@@ -15,20 +15,24 @@ physical edges) plus optional per-node weights for node-level valuation
 terms (the dummy-edge reduction).
 
 The three table kernels (``eval_potential``, ``edge_weights_for_step``,
-``rounding_color_loop``) take the edge tables as ``pack_tables`` returns
-them, packed once per multigraph and valuation.  The packing keeps only
-the nonzero entries of each edge's L*L utility and cost tables, interned
-so that edges with equal tables share them, plus per-node incidence lists
-grouped by the node's own label.  In every algorithm here an edge has one
-nonzero entry, so the kernels do one product per edge, not L*L, and a
-label without an entry costs nothing.  Only zero terms are skipped, so
-the results are those of the dense sums.
+``rounding_color_loop``) take the tables as ``pack_tables`` returns them,
+packed once per multigraph and valuation.  The nonzero entries of the edge
+tables are one flat run of parallel columns (edge id, both ends, both
+labels, utility, cost), so the potential and the edge weights are one
+loop over those columns, with no loop per edge or per label pair.  The
+node tables are one column per label, all-zero columns dropped, and the
+node terms are one sum per column.  Per-node incidence lists, grouped by
+the node's own label, serve the color loop.  Only zero entries are left
+out, so the results are those of the dense sums.
 
 The color loop ranks a row's labels at the step's bit by their estimated
-marginal potential phi.  It compares the phis unscaled unless a
-worst-in-band or quantized per-manager term joins them, and settles a row
-with two such labels, every row in the algorithms here, by one comparison
-in place of a sort.
+marginal potential phi.  With exact estimates it settles a two-label row
+by the sign of phi_1 - phi_0, one difference summed over the row's
+incidence lists plus the packed difference of its node entries, so a row
+without incident entries reads no list.  Otherwise it compares a
+two-label row's phis, taken to a common scale when a worst-in-band or
+quantized per-manager term joins them, and sorts the phis of a row with
+three or more labels.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from operator import add, itemgetter, mul
 
 # ---------------------------------------------------------------------------
 # primes and polynomial arithmetic over F_p
@@ -314,35 +319,36 @@ def edge_agreements(eu, ev, colors, q, d, cache):
     """Per-edge sorted agreement positions {z : f_u(z) == f_v(z) mod q} of
     the degree-d polynomials whose base-q digits are the endpoint colors.
 
-    Monochromatic edges get None.  ``cache`` maps a color pair to its
-    positions, and may be shared by every coloring with the same (q, d).
-    A pair a < b whose digits differ only in the lowest is settled as []
-    (f_a - f_b is a nonzero constant); one whose digits differ only in the
-    lowest two has the one root (b - a) / (a//q - b//q) mod q of the
-    linear f_a - f_b.  Other pairs take ``poly_roots`` over their d + 1
-    digits.
+    Monochromatic edges get None.  A pair a < b whose digits differ only
+    in the lowest is settled as [] (f_a - f_b is a nonzero constant); one
+    whose digits differ only in the lowest two has the one root
+    (b - a) / (a//q - b//q) mod q of the linear f_a - f_b.  Other pairs
+    take ``poly_roots`` over their d + 1 digits, and only those answers go
+    in ``cache``, which maps a color pair to its positions and may be
+    shared by every coloring with the same (q, d).
     """
     out = []
     for u, v in zip(eu, ev):
-        cu = colors[u]
-        cv = colors[v]
-        if cu == cv:
+        a = colors[u]
+        b = colors[v]
+        if a == b:
             out.append(None)
             continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        hit = cache.get(key)
-        if hit is None:
-            a, b = key
-            ha, hb = a // q, b // q
-            if ha == hb:
-                hit = []
-            elif ha // q == hb // q:
-                hit = [(b - a) * pow(ha - hb, -1, q) % q]
-            else:
-                hit = poly_roots([(x - y) % q for x, y in
-                                  zip(_digits(a, q, d), _digits(b, q, d))], q)
-            cache[key] = hit
-        out.append(hit)
+        if a > b:
+            a, b = b, a
+        ha, hb = a // q, b // q
+        if ha == hb:
+            out.append([])
+        elif ha // q == hb // q:
+            out.append([(b - a) * pow(ha - hb, -1, q) % q])
+        else:
+            key = (a, b)
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = poly_roots(
+                    [(x - y) % q for x, y in
+                     zip(_digits(a, q, d), _digits(b, q, d))], q)
+            out.append(hit)
     return out
 
 
@@ -622,140 +628,142 @@ def reduce_colors_by_orderings(nv, eu, ev, mgr, w, nodew, colors, ncolors,
 
 
 class Tables:
-    """The nonzero entries of a multigraph's edge tables, packed once.
+    """A multigraph's edge and node tables, packed once.
 
-    ``entries[e]`` holds the ``(a, b, utility, cost)`` entries of edge e
-    whose utility or cost is nonzero, with a the label of ``eu[e]`` and b
-    the label of ``ev[e]``.  Edges with equal tables share one tuple; an
-    all-zero table gives the empty tuple.  ``inc[v * L + a]`` is a flat
-    list of ``other, manager, b, utility, cost`` quintuples, one for every
-    nonzero entry at node v's label a of an edge at v, with b the label of
-    ``other`` (the empty tuple when there is none).  ``managed`` tells
-    whether any of them has a manager (``manager >= 0``).
+    The nonzero entries of the edge tables are one flat run of parallel
+    columns: entry i belongs to edge ``eid[i]``, whose end ``eu[i]`` has
+    label ``ea[i]`` and end ``ev[i]`` label ``eb[i]``, with utility
+    ``ex[i]`` and cost ``ey[i]``; an edge's entries are consecutive, in
+    the order of its flat L*L table, and an all-zero table has none.
+    ``inc[v * L + a]`` is a flat list of ``other, manager, b, utility,
+    cost`` quintuples, one for every nonzero entry at node v's label a of
+    an edge at v, with b the label of ``other`` (the empty tuple when
+    there is none).  ``managed`` tells whether any of them has a manager
+    (``manager >= 0``).
+
+    ``node_u[a]`` and ``node_c[a]`` are the columns of the node utility
+    and cost tables at label a, one entry per node and 0 for a node
+    without a table; a column that is all zero is None.  For L = 2,
+    ``dnu[v]`` and ``dnc[v]`` are node v's differences nu[1] - nu[0] and
+    nc[1] - nc[0], None when all zero (and for other L).
     """
 
-    __slots__ = ("entries", "inc", "managed")
+    __slots__ = ("nv", "m", "L", "eid", "eu", "ev", "ea", "eb", "ex", "ey",
+                 "inc", "managed", "node_u", "node_c", "dnu", "dnc")
 
-    def __init__(self, entries, inc, managed):
-        self.entries = entries
-        self.inc = inc
-        self.managed = managed
+    def __init__(self, nv, m, L):
+        self.nv = nv
+        self.m = m
+        self.L = L
 
 
-def pack_tables(nv, L, eu, ev, mgr, ut, ct):
+def _node_columns(L, nt):
+    """The columns of the node tables ``nt`` (None: no node has one) and,
+    for L = 2, the differences of their two labels."""
+    cols = [None] * L
+    diff = None
+    if nt is not None:
+        for a in range(L):
+            col = [row[a] if row is not None else 0 for row in nt]
+            if any(col):
+                cols[a] = col
+        if L == 2:
+            diff = [row[1] - row[0] if row is not None else 0 for row in nt]
+            if not any(diff):
+                diff = None
+    return cols, diff
+
+
+def pack_tables(nv, L, eu, ev, mgr, ut, ct, nut, nct):
     """The ``Tables`` of the flat L*L utility and cost tables ``ut[e]``,
-    ``ct[e]`` of the edges ``eu[e]``-``ev[e]`` managed by ``mgr[e]``."""
-    interned = {}
-    entries = []
+    ``ct[e]`` of the edges ``eu[e]``-``ev[e]`` managed by ``mgr[e]``, and
+    of the node tables ``nut[v]``, ``nct[v]`` (None for a node without
+    one, or ``nut`` and ``nct`` None when no node has one)."""
+    t = Tables(nv, len(eu), L)
+    eid, cu, cv, ca, cb, cx, cy = cols = ([], [], [], [], [], [], [])
+    t.eid, t.eu, t.ev, t.ea, t.eb, t.ex, t.ey = cols
     inc = [()] * (nv * L)
     managed = False
+    # edges with equal tables share one list of their nonzero entries
+    interned = {}
     for e in range(len(eu)):
         key = (ut[e], ct[e])
-        hit = interned.get(key)
-        if hit is None:
-            ent = tuple((i // L, i % L, x, y)
-                        for i, (x, y) in enumerate(zip(*key)) if x or y)
-            # per end: (own label, the entries toward the other end), for
-            # the labels that have some
-            hit = interned[key] = (
-                ent,
-                [(a, t) for a in range(L)
-                 if (t := [(b, x, y) for a_, b, x, y in ent if a_ == a])],
-                [(b, t) for b in range(L)
-                 if (t := [(a, x, y) for a, b_, x, y in ent if b_ == b])])
-        ent, toward_u, toward_v = hit
-        entries.append(ent)
+        ent = interned.get(key)
+        if ent is None:
+            ent = interned[key] = [(*divmod(i, L), x, y) for i, (x, y)
+                                   in enumerate(zip(*key)) if x or y]
         if not ent:
             continue
+        u = eu[e]
+        v = ev[e]
         man = mgr[e]
         if man >= 0:
             managed = True
-        u = eu[e]
-        v = ev[e]
-        for node, other, toward in ((u, v, toward_u), (v, u, toward_v)):
-            for a, t in toward:
-                i = node * L + a
-                lst = inc[i]
+        for a, b, x, y in ent:
+            eid.append(e)
+            cu.append(u)
+            cv.append(v)
+            ca.append(a)
+            cb.append(b)
+            cx.append(x)
+            cy.append(y)
+            for j, other, c in ((u * L + a, v, b), (v * L + b, u, a)):
+                lst = inc[j]
                 if not lst:
-                    lst = inc[i] = []
-                for b, x, y in t:
-                    lst += (other, man, b, x, y)
-    return Tables(entries, inc, managed)
+                    lst = inc[j] = []
+                lst += (other, man, c, x, y)
+    t.inc = inc
+    t.managed = managed
+    t.node_u, t.dnu = _node_columns(L, nut)
+    t.node_c, t.dnc = _node_columns(L, nct)
+    return t
 
 
-def eval_potential(nv, L, eu, ev, tables, nut, nct, lam, k):
-    """Total (utility, cost), integers at scale (table scale) * 2^(2k)."""
+def _node_sum(lam, cols):
+    """sum over nodes v and labels a of lam[v][a] * cols[a][v]."""
+    return sum(sum(map(mul, map(itemgetter(a), lam), col))
+               for a, col in enumerate(cols) if col is not None)
+
+
+def eval_potential(tables, lam, node_scale):
+    """Total (utility, cost) of the rows ``lam``: the sum of
+    lam[u][a] * lam[v][b] times the edge entries plus ``node_scale`` times
+    the sum of lam[v][a] times the node entries.  For rows over D and
+    node_scale D it is at scale (table scale) * D^2."""
+    t = tables
     U = 0
     C = 0
-    for u, v, ent in zip(eu, ev, tables.entries):
-        if not ent:
-            continue
-        lu = lam[u]
-        lv = lam[v]
-        for a, b, x, y in ent:
-            prod = lu[a] * lv[b]
-            if prod:
-                U += prod * x
-                C += prod * y
-    if nut is not None:
-        twok = 1 << k
-        for v in range(nv):
-            nu = nut[v]
-            nc = nct[v]
-            if nu is None and nc is None:
-                continue
-            lv = lam[v]
-            for a in range(L):
-                la = lv[a]
-                if not la:
-                    continue
-                if nu is not None:
-                    U += twok * la * nu[a]
-                if nc is not None:
-                    C += twok * la * nc[a]
+    for u, v, a, b, x, y in zip(t.eu, t.ev, t.ea, t.eb, t.ex, t.ey):
+        prod = lam[u][a] * lam[v][b]
+        if prod:
+            U += prod * x
+            C += prod * y
+    U += node_scale * _node_sum(lam, t.node_u)
+    C += node_scale * _node_sum(lam, t.node_c)
     return U, C
 
 
-def edge_weights_for_step(nv, L, eu, ev, tables, nut, nct, lam, k,
-                          eta_num, eta_den):
+def edge_weights_for_step(tables, lam, k, eta_num, eta_den):
     """w_e = u(e, lam) + eta * c(e, lam), integers at scale
     table * 2^(2k) * eta_den; plus per-node weights for node-level terms."""
-    w = [0] * len(eu)
-    for e, ent in enumerate(tables.entries):
-        if not ent:
-            continue
-        lu = lam[eu[e]]
-        lv = lam[ev[e]]
-        acc_u = 0
-        acc_c = 0
-        for a, b, x, y in ent:
-            prod = lu[a] * lv[b]
-            if prod:
-                acc_u += prod * x
-                acc_c += prod * y
-        w[e] = eta_den * acc_u + eta_num * acc_c
-    nodew = [0] * nv
-    if nut is not None:
-        twok = 1 << k
-        for v in range(nv):
-            nu = nut[v]
-            nc = nct[v]
-            acc = 0
-            if nu is not None:
-                lv = lam[v]
-                for a in range(L):
-                    acc += eta_den * lv[a] * nu[a]
-            if nc is not None:
-                lv = lam[v]
-                for a in range(L):
-                    acc += eta_num * lv[a] * nc[a]
-            nodew[v] = twok * acc
+    t = tables
+    w = [0] * t.m
+    for e, u, v, a, b, x, y in zip(t.eid, t.eu, t.ev, t.ea, t.eb, t.ex,
+                                   t.ey):
+        prod = lam[u][a] * lam[v][b]
+        if prod:
+            w[e] += prod * (eta_den * x + eta_num * y)
+    nodew = [0] * t.nv
+    for cols, f in ((t.node_u, eta_den << k), (t.node_c, eta_num << k)):
+        for a, col in enumerate(cols):
+            if col is not None:
+                nodew = list(map(add, nodew, map(
+                    f.__mul__, map(mul, map(itemgetter(a), lam), col))))
     return w, nodew
 
 
-def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
-                        delta_num, delta_den, eta_num, eta_den, est_mode,
-                        unit=1, rows=None):
+def rounding_color_loop(tables, lam, k, colors, delta_num, delta_den,
+                        eta_num, eta_den, est_mode, unit=1, rows=None):
     """Inner loop of the basic rounding step over the defective coloring.
 
     ``lam`` holds numerators over 2^k, and the step rounds the entries
@@ -774,33 +782,74 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
     phi is eta_den*su - eta_num*sc, at scale table * 2^k * eta_den.  Only
     when a worst-in-band or a quantized per-manager term joins it is it
     taken to that scale times 6*delta_den, for every row of the call; a
-    positive factor orders the rows' phis alike.
+    positive factor orders the rows' phis alike.  With exact estimates a
+    row of two labels, both at the bit, is settled by the sign of
+
+        d = 2^k (eta_den dnu - eta_num dnc)
+            + eta_den (su_1 - su_0) - eta_num (sc_1 - sc_0),
+
+    summed over its incidence lists only, which is phi_1 - phi_0.
 
     Mutates ``lam``; afterwards no visited entry holds bit ``unit``.
     Returns (max_qidx_bits, touched), touched being the rows that moved.
     """
+    L = tables.L
     twok = 1 << k
     inc = tables.inc
+    node_u = tables.node_u
+    node_c = tables.node_c
     sixdd = 6 * delta_den
     # without managed entries the quantized estimator is the exact one
     per_manager = est_mode == 2 and tables.managed
     scaled = est_mode == 1 or per_manager
+    two = L == 2 and not scaled
+    dnu = tables.dnu
+    dnc = tables.dnc
     labels = range(L)
     max_qbits = 1
     touched = 0
-    order = range(nv) if rows is None else rows
+    order = range(tables.nv) if rows is None else rows
     for v in sorted(order, key=colors.__getitem__):
         lamv = lam[v]
+        if two and lamv[0] & unit and lamv[1] & unit:
+            touched += 1
+            gamma = colors[v]
+            du = 0
+            dc = 0
+            ent = inc[2 * v]
+            if ent:
+                it = iter(ent)
+                for u, _man, b, x, y in zip(it, it, it, it, it):
+                    if colors[u] != gamma:
+                        lb = lam[u][b]
+                        du -= lb * x
+                        dc -= lb * y
+            ent = inc[2 * v + 1]
+            if ent:
+                it = iter(ent)
+                for u, _man, b, x, y in zip(it, it, it, it, it):
+                    if colors[u] != gamma:
+                        lb = lam[u][b]
+                        du += lb * x
+                        dc += lb * y
+            d = eta_den * du - eta_num * dc
+            if dnu is not None:
+                d += twok * eta_den * dnu[v]
+            if dnc is not None:
+                d -= twok * eta_num * dnc[v]
+            if d >= 0:      # a tie raises the larger label
+                lamv[1] += unit
+                lamv[0] -= unit
+            else:
+                lamv[0] += unit
+                lamv[1] -= unit
+            continue
         sv = [a for a in labels if lamv[a] & unit]
         if not sv:
             continue
         touched += 1
         gamma = colors[v]
         row = v * L
-        nu = nc = None
-        if nut is not None:
-            nu = nut[v]
-            nc = nct[v]
         phis = []
         for a in sv:
             # su, sc: lam-weighted utility and cost toward the other
@@ -838,10 +887,12 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
                     if lb:
                         su += lb * x
                         sc += lb * y
-            if nu is not None:
-                su += twok * nu[a]
-            if nc is not None:
-                sc += twok * nc[a]
+            col = node_u[a]
+            if col is not None:
+                su += twok * col[v]
+            col = node_c[a]
+            if col is not None:
+                sc += twok * col[v]
             phi = eta_den * su - eta_num * sc
             if scaled:
                 phi *= sixdd

@@ -31,7 +31,12 @@ class UsageError(ValueError):
 
 
 def _frac(s):
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        # argparse reports only TypeError, ValueError and this as usage
+        raise argparse.ArgumentTypeError(
+            f"{s} has a zero denominator") from None
 
 
 def _frac_str(x):

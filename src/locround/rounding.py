@@ -80,16 +80,14 @@ class _Prepared(_coloring._Packing):
         self.L = val.nlabels
         self.scale = val.scale
         zero = (0,) * (self.L * self.L)
+        nut = nct = None
+        if val.node_utility or val.node_cost:
+            nut = [val.node_utility.get(v) for v in self.nodes]
+            nct = [val.node_cost.get(v) for v in self.nodes]
         self.tables = _K.pack_tables(
             self.nv, self.L, self.eu, self.ev, self.mgr,
             [val.edge_utility.get(i, zero) for i in self.eidx],
-            [val.edge_cost.get(i, zero) for i in self.eidx])
-        if val.node_utility or val.node_cost:
-            self.nut = [val.node_utility.get(v) for v in self.nodes]
-            self.nct = [val.node_cost.get(v) for v in self.nodes]
-        else:
-            self.nut = None
-            self.nct = None
+            [val.edge_cost.get(i, zero) for i in self.eidx], nut, nct)
 
     def rows(self, lam):
         """The rows of the mapping ``lam`` node -> raw row in packing
@@ -114,8 +112,7 @@ class _Prepared(_coloring._Packing):
         -> raw row, read by ``rows``.
 
         Raw rows are brought to D, the lcm of their sums, for one kernel
-        call.  The kernel scales node terms by 2^k, so when D is not a
-        power of two they are added here, at scale D."""
+        call, which scales node terms by D."""
         if k is not None:
             D = 1 << k
         else:
@@ -125,17 +122,7 @@ class _Prepared(_coloring._Packing):
             D = math.lcm(*set(sums).difference((0,)))
             lam = [row if s == D or not s else [x * (D // s) for x in row]
                    for row, s in zip(rows, sums)]
-            k = D.bit_length() - 1
-        dyadic = D == 1 << k
-        node_tables = (self.nut, self.nct) if dyadic else (None, None)
-        U, C = _K.eval_potential(self.nv, self.L, self.eu, self.ev,
-                                 self.tables, *node_tables, lam, k)
-        if not dyadic and self.nut is not None:
-            for row, nu, nc in zip(lam, self.nut, self.nct):
-                if nu is not None:
-                    U += D * sum(map(operator.mul, row, nu))
-                if nc is not None:
-                    C += D * sum(map(operator.mul, row, nc))
+        U, C = _K.eval_potential(self.tables, lam, D)
         den = self.scale * D * D
         return Fraction(U, den), Fraction(C, den)
 
@@ -218,9 +205,7 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
         def weights():
             # at the scale of rows over 2^k: every term is a product of two
             # entries that are multiples of ``unit``
-            w, nodew = _K.edge_weights_for_step(
-                prep.nv, prep.L, prep.eu, prep.ev, prep.tables, prep.nut,
-                prep.nct, lam, K, en, ed)
+            w, nodew = _K.edge_weights_for_step(prep.tables, lam, K, en, ed)
             s = 2 * (K - k)
             if s:
                 w = [x >> s for x in w]
@@ -237,9 +222,7 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
     dn, dd = delta.numerator, delta.denominator
     moved = frontier.buckets.pop(unit, [])
     max_qbits, _touched = _K.rounding_color_loop(
-        prep.nv, prep.L, prep.eu, prep.ev, prep.mgr, prep.tables,
-        prep.nut, prep.nct, lam, K, colors, dn, dd, en, ed, mode_id,
-        unit, moved)
+        prep.tables, lam, K, colors, dn, dd, en, ed, mode_id, unit, moved)
     if engine is not None:
         msg_bits = prep.L * (max_qbits + 2) + 2
         engine.account(msg_bits, 2 * palette)

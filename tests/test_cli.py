@@ -407,6 +407,29 @@ def test_option_out_of_range_exits_two_with_one_line(tmp_path, argv, line):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["round", "--valuation", "INSTANCE", "--eps", "1/0"], "--eps"),
+    (["round", "--valuation", "INSTANCE", "--mu", "1/0"], "--mu"),
+    (["color", "--input", "GRAPH", "--delta", "1/0"], "--delta"),
+    (["wis", "--input", "GRAPH", "--eps", "1/0"], "--eps"),
+], ids=["round-eps", "round-mu", "color-delta", "wis-eps"])
+def test_zero_denominator_in_an_option_is_a_usage_error(tmp_path, argv,
+                                                        option):
+    """A rational option over zero ended in a ZeroDivisionError traceback
+    with status 1; it is a usage error naming the option, and no report
+    is written."""
+    paths = _usage_inputs(tmp_path)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script("--json", str(rep),
+                               *(paths.get(a, a) for a in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"locround {argv[0]}: error: argument {option}: "
+        "1/0 has a zero denominator")
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("argv, echoed", [
     (["color", "--input", "GRAPH", "--delta", "1"], {"delta": "1/1"}),
     (["round", "--valuation", "INSTANCE", "--eps", "1", "--mu", "1/4"],

@@ -1,11 +1,12 @@
 """The rounding color loop against its sort-per-row reference.
 
 ``pure.rounding_color_loop`` settles a row with two labels at the step's
-bit by one comparison and scales phi by 6 * delta_den only when a
+bit by the sign of one difference under exact estimates, and by one
+comparison otherwise, and scales phi by 6 * delta_den only when a
 worst-in-band or quantized per-manager term joins it.
 ``color_loop_ref.rounding_color_loop`` sorts every row's scaled
-(phi, label) pairs.  On seeded inputs both must return the same
-(max_qbits, touched) and move ``lam`` alike.
+(phi, label) pairs, reading the node tables row by row.  On seeded inputs
+both must return the same (max_qbits, touched) and move ``lam`` alike.
 """
 
 import itertools
@@ -92,11 +93,14 @@ def _phis(L, lam, v, unit, tables, nut, nct, colors, k, en, ed):
 
 
 def test_color_loop_matches_the_sorting_reference():
-    seen = {"two": 0, "more": 0, "tie": 0, "frontier": 0, "managed": 0}
+    seen = {"two": 0, "more": 0, "tie": 0, "frontier": 0, "managed": 0,
+            "exact_two_tie": 0, "exact_two_isolated": 0}
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd, en, ed,
          mode) in _trials(random.Random(23)):
-        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
         seen["managed"] += tables.managed and mode == 2
+        # the rows that the signed difference settles
+        exact_two = L == 2 and (mode == 0 or mode == 2 and not tables.managed)
         for s in (0, 2):
             # s = 0: every row, unit 1; s = 2: rows over 2^(k+2), the
             # frontier's rows holding bit 4 in a shuffled order
@@ -113,15 +117,20 @@ def test_color_loop_matches_the_sorting_reference():
                 seen["two"] += len(odd) == 2
                 seen["more"] += len(odd) > 2
                 seen["tie"] += len(odd) != len(set(odd))
+                if exact_two and len(odd) == 2:
+                    seen["exact_two_tie"] += odd[0] == odd[1]
+                    seen["exact_two_isolated"] += not (
+                        tables.inc[2 * v] or tables.inc[2 * v + 1])
             want_lam = [list(r) for r in base]
             got_lam = [list(r) for r in base]
             want = reference_loop(n, L, eu, ev, mgr, tables, nut, nct,
                                   want_lam, k + s, colors, dn, dd, en, ed,
                                   mode, unit, rows)
-            got = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut,
-                                           nct, got_lam, k + s, colors, dn,
-                                           dd, en, ed, mode, unit, rows)
+            got = pure.rounding_color_loop(tables, got_lam, k + s, colors,
+                                           dn, dd, en, ed, mode, unit, rows)
             assert got == want
             assert got_lam == want_lam
-    # the trials reach both row paths, ties, frontiers and per-manager sums
+    # the trials reach every row path, ties (also of the signed
+    # difference), rows without an incidence entry, frontiers and
+    # per-manager sums
     assert min(seen.values()) > 20, seen

@@ -40,12 +40,27 @@ def test_poly_roots_vs_brute(rng):
             assert len(want) == 1
 
 
-def test_edge_agreements_vs_brute(rng):
-    def values(c, q, d):
-        digits = [(c // q ** i) % q for i in range(d + 1)]
-        return [sum(a * z ** i for i, a in enumerate(digits)) % q
-                for z in range(q)]
+def _values(c, q, d):
+    """f_c(0), ..., f_c(q - 1) for the polynomial f_c whose coefficients
+    are the d + 1 base-q digits of c."""
+    digits = [(c // q ** i) % q for i in range(d + 1)]
+    return [sum(a * z ** i for i, a in enumerate(digits)) % q
+            for z in range(q)]
 
+
+def _brute_agreements(eu, ev, colors, q, d):
+    out = []
+    for u, v in zip(eu, ev):
+        if colors[u] == colors[v]:
+            out.append(None)
+            continue
+        fu = _values(colors[u], q, d)
+        fv = _values(colors[v], q, d)
+        out.append([z for z in range(q) if fu[z] == fv[z]])
+    return out
+
+
+def test_edge_agreements_vs_brute(rng):
     for q, d, span in ((29, 2, 29 ** 2), (109, 9, 3300), (13, 3, 13 ** 4),
                        (101, 1, 101 ** 2)):
         n = 30
@@ -55,15 +70,29 @@ def test_edge_agreements_vs_brute(rng):
         ev = [1] + [rng.randrange(n) for _ in range(60)]
         cache = {}
         got = pure.edge_agreements(eu, ev, colors, q, d, cache)
-        for u, v, agree in zip(eu, ev, got):
-            if colors[u] == colors[v]:
-                assert agree is None
-                continue
-            fu = values(colors[u], q, d)
-            fv = values(colors[v], q, d)
-            assert agree == [z for z in range(q) if fu[z] == fv[z]]
+        assert got == _brute_agreements(eu, ev, colors, q, d)
         # a second walk reads the cache and returns the same positions
         assert pure.edge_agreements(eu, ev, colors, q, d, cache) == got
+
+
+def test_closed_form_pairs_are_not_cached(rng):
+    """Pairs whose digits differ only in the lowest one or two are settled
+    without the cache: a walk over such pairs only leaves it empty."""
+    for q, d in ((29, 2), (109, 9), (13, 3), (101, 1)):
+        n = 30
+        high = rng.randrange(q ** (d + 1) // (q * q)) * q * q
+        colors = [high + rng.randrange(q * q) for _ in range(n // 2)]
+        # half of them differ from an earlier color in the lowest digit only
+        for _ in range(n - n // 2):
+            c = rng.choice(colors)
+            colors.append(c - c % q + rng.randrange(q))
+        eu = [rng.randrange(n) for _ in range(60)]
+        ev = [rng.randrange(n) for _ in range(60)]
+        cache = {}
+        got = pure.edge_agreements(eu, ev, colors, q, d, cache)
+        assert cache == {}
+        assert got == _brute_agreements(eu, ev, colors, q, d)
+        assert any(got) and [] in got
 
 
 def test_poly_roots_large_prime():
@@ -402,12 +431,11 @@ def kernel_digest():
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
          en, ed, mode) in trials:
         lam = [list(r) for r in lam]
-        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
-        out = [pure.eval_potential(n, L, eu, ev, tables, nut, nct, lam, k),
-               pure.edge_weights_for_step(n, L, eu, ev, tables, nut, nct,
-                                          lam, k, en, ed),
-               pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut, nct,
-                                        lam, k, colors, dn, dd, en, ed, mode),
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
+        out = [pure.eval_potential(tables, lam, 1 << k),
+               pure.edge_weights_for_step(tables, lam, k, en, ed),
+               pure.rounding_color_loop(tables, lam, k, colors, dn, dd, en,
+                                        ed, mode),
                lam]
         h.update(json.dumps(out).encode())
     return h.hexdigest()
@@ -428,30 +456,93 @@ def test_color_loop_on_a_frontier_matches_the_full_loop():
                              _aligned_trials(random.Random(5)))
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
          en, ed, mode) in trials:
-        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct)
+        tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
         want_lam = [list(r) for r in lam]
-        want = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut, nct,
-                                        want_lam, k, colors, dn, dd, en, ed,
-                                        mode)
+        want = pure.rounding_color_loop(tables, want_lam, k, colors, dn, dd,
+                                        en, ed, mode)
         for s in (1, 3):
             got_lam = [[x << s for x in r] for r in lam]
             rows = [v for v in reversed(range(n))
                     if any(x >> s & 1 for x in got_lam[v])]
-            got = pure.rounding_color_loop(n, L, eu, ev, mgr, tables, nut,
-                                           nct, got_lam, k + s, colors, dn,
-                                           dd, en, ed, mode, 1 << s, rows)
+            got = pure.rounding_color_loop(tables, got_lam, k + s, colors,
+                                           dn, dd, en, ed, mode, 1 << s, rows)
             assert got == want
             assert got_lam == [[x << s for x in r] for r in want_lam]
+
+
+def test_table_kernels_match_the_dense_sums():
+    """``eval_potential`` and ``edge_weights_for_step`` against the plain
+    L x L double sum over every edge and the L-term sum over every node,
+    for L in {2, 3}, rows over D and node terms at scale D, D not always a
+    power of two."""
+    rng = random.Random(28)
+    kinds = ("sparse", "zero", "utility", "cost", "dense")
+    seen = {"several": 0, "bare_node": 0, "odd_scale": 0}
+    for trial in range(80):
+        L = 2 + trial % 2
+        n = rng.randint(2, 10)
+        eu, ev = [], []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            eu.append(u)
+            ev.append(v)
+        ut, ct = _random_tables(rng, L, len(eu), kinds)
+        nut = nct = None
+        if trial % 3:
+            nut = [tuple(rng.randint(0, 9) for _ in range(L))
+                   if rng.random() < 0.6 else None for _ in range(n)]
+            nct = [tuple(rng.randint(0, 9) for _ in range(L))
+                   if rng.random() < 0.6 else None for _ in range(n)]
+        D = rng.choice([1, 3, 6, 8, 12, 1 << 40])
+        lam = []
+        for _v in range(n):
+            cuts = sorted(rng.randint(0, D) for _ in range(L - 1))
+            lam.append([b - a for a, b in zip([0] + cuts, cuts + [D])])
+        k = rng.randint(0, 5)
+        en, ed = rng.randint(1, 9), rng.randint(1, 8)
+        tables = pure.pack_tables(n, L, eu, ev, [-1] * len(eu), ut, ct,
+                                  nut, nct)
+
+        def edge(e, t):
+            return sum(lam[eu[e]][a] * lam[ev[e]][b] * t[e][a * L + b]
+                       for a in range(L) for b in range(L))
+
+        def node(v, t):
+            return (0 if t is None or t[v] is None
+                    else sum(lam[v][a] * t[v][a] for a in range(L)))
+
+        want_u = (sum(edge(e, ut) for e in range(len(eu)))
+                  + D * sum(node(v, nut) for v in range(n)))
+        want_c = (sum(edge(e, ct) for e in range(len(eu)))
+                  + D * sum(node(v, nct) for v in range(n)))
+        assert pure.eval_potential(tables, lam, D) == (want_u, want_c)
+        w, nodew = pure.edge_weights_for_step(tables, lam, k, en, ed)
+        assert w == [ed * edge(e, ut) + en * edge(e, ct)
+                     for e in range(len(eu))]
+        assert nodew == [(ed * node(v, nut) + en * node(v, nct)) << k
+                         for v in range(n)]
+        seen["several"] += sum(
+            sum(1 for x, y in zip(ut[e], ct[e]) if x or y) > 1
+            for e in range(len(eu)))
+        seen["bare_node"] += sum(nut is None or nut[v] is None
+                                 for v in range(n))
+        seen["odd_scale"] += D & (D - 1) != 0
+    assert min(seen.values()) > 20, seen
 
 
 def test_pack_tables_keeps_nonzero_entries():
     ut = [(0, 0, 0, 5), (0, 0, 0, 5), (0, 0, 0, 0), (2, 0, 0, 0)]
     ct = [(0, 0, 0, 7), (0, 0, 0, 7), (0, 0, 0, 0), (0, 3, 0, 0)]
     t = pure.pack_tables(3, 2, [0, 1, 0, 2], [1, 2, 2, 0], [-1, 0, 1, -1],
-                         ut, ct)
-    assert t.entries == [((1, 1, 5, 7),), ((1, 1, 5, 7),), (),
-                         ((0, 0, 2, 0), (0, 1, 0, 3))]
-    assert t.entries[0] is t.entries[1]
+                         ut, ct, [(0, 4), None, (0, 0)], [None, (2, 2), None])
+    # the nonzero entries as parallel columns, edge by edge
+    assert (t.eid, t.eu, t.ev, t.ea, t.eb, t.ex, t.ey) == (
+        [0, 1, 3, 3], [0, 1, 2, 2], [1, 2, 0, 0], [1, 1, 0, 0], [1, 1, 0, 1],
+        [5, 5, 2, 0], [7, 7, 0, 3])
+    assert (t.nv, t.m, t.L) == (3, 4, 2)
+    # one column per label, None where all zero, and the label differences
+    assert t.node_u == [None, [4, 0, 0]] and t.dnu == [4, 0, 0]
+    assert t.node_c == [[0, 2, 0], [0, 2, 0]] and t.dnc is None
     # flat (other, manager, b, utility, cost) quintuples per (node, label)
     assert t.inc == [[2, -1, 0, 2, 0],
                      [1, -1, 1, 5, 7, 2, -1, 0, 0, 3],
@@ -462,4 +553,8 @@ def test_pack_tables_keeps_nonzero_entries():
     assert t.managed
     # a manager counts only on an edge with a nonzero entry
     assert not pure.pack_tables(3, 2, [0, 1, 0, 2], [1, 2, 2, 0],
-                                [-1, -1, 1, -1], ut, ct).managed
+                                [-1, -1, 1, -1], ut, ct, None, None).managed
+    # without node tables every column is None
+    t = pure.pack_tables(2, 3, [], [], [], [], [], None, None)
+    assert (t.node_u, t.node_c, t.dnu, t.dnc) == ([None] * 3, [None] * 3,
+                                                  None, None)

@@ -84,14 +84,15 @@ def reference_potential(prep, lam):
     for key, fr in distinct.items():
         distinct[key] = [x.numerator * (D // x.denominator) for x in fr]
     arr = [distinct[id(row)] for row in rows]
-    U, C = R._K.eval_potential(prep.nv, prep.L, prep.eu, prep.ev,
-                               prep.tables, None, None, arr, D.bit_length())
-    if prep.nut is not None:
-        for row, nu, nc in zip(arr, prep.nut, prep.nct):
-            if nu is not None:
-                U += D * sum(map(operator.mul, row, nu))
-            if nc is not None:
-                C += D * sum(map(operator.mul, row, nc))
+    U, C = R._K.eval_potential(prep.tables, arr, 0)
+    val = prep.val
+    for v, row in zip(prep.nodes, arr):
+        nu = val.node_utility.get(v)
+        if nu is not None:
+            U += D * sum(map(operator.mul, row, nu))
+        nc = val.node_cost.get(v)
+        if nc is not None:
+            C += D * sum(map(operator.mul, row, nc))
     den = prep.scale * D * D
     return Fraction(U, den), Fraction(C, den)
 

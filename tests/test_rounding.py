@@ -397,14 +397,15 @@ def test_color_loop_visits_only_the_frontier(rng, monkeypatch):
     loop = R._K.rounding_color_loop
     check_initial = C._check_initial
 
-    def counted_loop(nv, L, *args):
-        lam, unit, rows = args[6], args[14], args[15]
+    def counted_loop(tables, lam, *args):
+        unit, rows = args[7], args[8]
+        nv = tables.nv
         holding = [v for v in range(nv) if any(x & unit for x in lam[v])]
         assert sorted(rows) == holding
         counts["visits"] += len(rows)
         counts["pairs"] += len(holding)
         counts["rows"] += nv
-        return loop(nv, L, *args)
+        return loop(tables, lam, *args)
 
     def counted_check(*args):
         counts["checks"] += 1

@@ -21,8 +21,9 @@ def _packed(g, val):
     p = R._Prepared(g, val)
     zero = (0,) * (p.L * p.L)
     return (p.L, [val.edge_utility.get(i, zero) for i in p.eidx],
-            [val.edge_cost.get(i, zero) for i in p.eidx], p.nut, p.nct,
-            p.scale)
+            [val.edge_cost.get(i, zero) for i in p.eidx],
+            [val.node_utility.get(v) for v in p.nodes],
+            [val.node_cost.get(v) for v in p.nodes], p.scale)
 
 
 def _json_round_trip(tmp_path, h, val):
