@@ -30,9 +30,9 @@ marginal potential phi.  With exact estimates it settles a two-label row
 by the sign of phi_1 - phi_0, one difference summed over the row's
 incidence lists plus the packed difference of its node entries, so a row
 without incident entries reads no list.  Otherwise it compares a
-two-label row's phis, taken to a common scale when a worst-in-band or
-quantized per-manager term joins them, and sorts the phis of a row with
-three or more labels.
+two-label row's phis, taken to a common scale when quantized
+per-manager terms join them, and sorts the phis of a row with three or
+more labels.
 """
 
 from __future__ import annotations
@@ -763,27 +763,27 @@ def edge_weights_for_step(tables, lam, k, eta_num, eta_den):
 
 
 def rounding_color_loop(tables, lam, k, colors, delta_num, delta_den,
-                        eta_num, eta_den, est_mode, unit=1, rows=None):
+                        eta_num, eta_den, quantized, unit, rows):
     """Inner loop of the basic rounding step over the defective coloring.
 
     ``lam`` holds numerators over 2^k, and the step rounds the entries
-    that hold bit ``unit``.  Visits the rows ``rows`` (every row when None)
-    in ascending color order; every visited row with entries holding that
-    bit splits them into equal halves by estimated marginal potential phi
-    and moves each entry by ``unit``, up for the better half and down for
-    the rest.  The halves are those of sorting the (phi, label) pairs in
-    descending order: a row with two such labels a0 < a1 is settled by one
+    that hold bit ``unit``.  Visits the row indices ``rows`` in ascending
+    color order; every visited row with entries holding that bit splits
+    them into equal halves by estimated marginal potential phi and moves
+    each entry by ``unit``, up for the better half and down for the rest.
+    The halves are those of sorting the (phi, label) pairs in descending
+    order: a row with two such labels a0 < a1 is settled by one
     comparison, raising a1 when its phi is at least a0's.  Edges between
     nodes of one color are left out of the estimates, so the order inside
-    a color class does not matter.  ``est_mode``: 0 exact, 1 worst-in-band
-    (test hook), 2 quantized per-manager contributions (the
-    bandwidth-saving estimator).
+    a color class does not matter.  Estimates are exact sums, or with
+    ``quantized`` each manager's contribution quantized down to its band
+    grid (the bandwidth-saving CONGEST estimator).
 
     phi is eta_den*su - eta_num*sc, at scale table * 2^k * eta_den.  Only
-    when a worst-in-band or a quantized per-manager term joins it is it
-    taken to that scale times 6*delta_den, for every row of the call; a
-    positive factor orders the rows' phis alike.  With exact estimates a
-    row of two labels, both at the bit, is settled by the sign of
+    when quantized per-manager terms join it is it taken to that scale
+    times 6*delta_den, for every row of the call; a positive factor
+    orders the rows' phis alike.  With exact estimates a row of two
+    labels, both at the bit, is settled by the sign of
 
         d = 2^k (eta_den dnu - eta_num dnc)
             + eta_den (su_1 - su_0) - eta_num (sc_1 - sc_0),
@@ -800,16 +800,14 @@ def rounding_color_loop(tables, lam, k, colors, delta_num, delta_den,
     node_c = tables.node_c
     sixdd = 6 * delta_den
     # without managed entries the quantized estimator is the exact one
-    per_manager = est_mode == 2 and tables.managed
-    scaled = est_mode == 1 or per_manager
-    two = L == 2 and not scaled
+    per_manager = quantized and tables.managed
+    two = L == 2 and not per_manager
     dnu = tables.dnu
     dnc = tables.dnc
     labels = range(L)
     max_qbits = 1
     touched = 0
-    order = range(tables.nv) if rows is None else rows
-    for v in sorted(order, key=colors.__getitem__):
+    for v in sorted(rows, key=colors.__getitem__):
         lamv = lam[v]
         if two and lamv[0] & unit and lamv[1] & unit:
             touched += 1
@@ -857,36 +855,24 @@ def rounding_color_loop(tables, lam, k, colors, delta_num, delta_den,
             # estimates the managed entries' sums go per manager instead
             su = 0
             sc = 0
-            per_mgr = None
-            ent = inc[row + a]
-            if ent and per_manager:
-                per_mgr = {}
-                it = iter(ent)
-                for u, man, b, x, y in zip(it, it, it, it, it):
-                    if colors[u] == gamma:
-                        continue
-                    lb = lam[u][b]
-                    if not lb:
-                        continue
-                    if man < 0:
-                        su += lb * x
-                        sc += lb * y
-                        continue
-                    slot = per_mgr.get(man)
-                    if slot is None:
-                        per_mgr[man] = [lb * x, lb * y]
-                    else:
-                        slot[0] += lb * x
-                        slot[1] += lb * y
-            elif ent:
-                it = iter(ent)
-                for u, _man, b, x, y in zip(it, it, it, it, it):
-                    if colors[u] == gamma:
-                        continue
-                    lb = lam[u][b]
-                    if lb:
-                        su += lb * x
-                        sc += lb * y
+            per_mgr = {}
+            it = iter(inc[row + a])
+            for u, man, b, x, y in zip(it, it, it, it, it):
+                if colors[u] == gamma:
+                    continue
+                lb = lam[u][b]
+                if not lb:
+                    continue
+                if man < 0 or not per_manager:
+                    su += lb * x
+                    sc += lb * y
+                    continue
+                slot = per_mgr.get(man)
+                if slot is None:
+                    per_mgr[man] = [lb * x, lb * y]
+                else:
+                    slot[0] += lb * x
+                    slot[1] += lb * y
             col = node_u[a]
             if col is not None:
                 su += twok * col[v]
@@ -894,12 +880,10 @@ def rounding_color_loop(tables, lam, k, colors, delta_num, delta_den,
             if col is not None:
                 sc += twok * col[v]
             phi = eta_den * su - eta_num * sc
-            if scaled:
+            if per_manager:
                 phi *= sixdd
-                if est_mode == 1:
-                    phi -= delta_num * (eta_den * su + eta_num * sc)
                 # quantize each manager contribution down to its band grid
-                for pu, pc in per_mgr.values() if per_mgr else ():
+                for pu, pc in per_mgr.values():
                     te = eta_den * pu + eta_num * pc
                     if te == 0:
                         continue

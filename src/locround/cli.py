@@ -282,20 +282,18 @@ def cmd_color(args):
         out = {"colors": {str(v): c for v, c in pc.colors.items()},
                "palette": pc.palette_size, "kind": "proper"}
     elif args.color_mode == "defective":
-        dc = _coloring.weighted_defective_coloring(g, w, args.delta,
-                                                   engine=engine)
+        dc = _coloring.weighted_defective_coloring(
+            g, w, args.delta, mode=args.mode, engine=engine)
         out = _defective_json(dc)
     elif args.color_mode == "avgdefective":
-        dc = _coloring.average_defective_coloring(g, w, args.delta,
-                                                  engine=engine)
+        dc = _coloring.average_defective_coloring(
+            g, w, args.delta, mode=args.mode, engine=engine)
         out = _defective_json(dc)
-    elif args.color_mode == "greedy-oracle":
+    else:   # greedy-oracle
         dc = _coloring.greedy_defective_oracle(g, w, args.delta)
         # the reference oracle colors the nodes one at a time, centrally
         engine.metrics.oracle_assisted = True
         out = _defective_json(dc)
-    else:
-        raise SystemExit(f"unknown --mode {args.color_mode}")
     out["input"] = args.input
     out["metrics"] = engine.metrics.to_json()
     out["algorithm"] = "color"
@@ -318,7 +316,6 @@ def cmd_round(args):
     _check_range("--mu", args.mu, Fraction(1), True)
     g, val, lam = _load_rounding_instance(args.valuation)
     engine = _engine_for(g, args)
-    estimate = "quantized" if args.mode == _sim.CONGEST else "exact"
     prep = _rounding._Prepared(g, val)
     U, C = prep.potential(lam)
     if U - C < args.mu * U:
@@ -326,7 +323,7 @@ def cmd_round(args):
         raise UsageError(f"--mu {args.mu} is above the input's margin: "
                          f"u - c = {U - C} < mu*u = {args.mu * U}")
     ell, (Uf, Cf) = _rounding.round_fractional(
-        g, val, lam, args.eps, args.mu, estimate_mode=estimate,
+        g, val, lam, args.eps, args.mu, mode=args.mode,
         engine=engine, prep=prep, uc_raw=(U, C))
     return _emit(args, {
         "algorithm": "round", "input": args.valuation,

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import sim as _sim
 from ._kernel import impl as _K
 
 ID_SPACE = 1 << 63
@@ -307,10 +308,12 @@ def three_color_paths_cycles(g):
 
 
 def weighted_defective_coloring(g, weights, delta, initial=None,
-                                aggregation="exact", engine=None):
+                                mode=_sim.LOCAL, engine=None):
     """Weighted per-node delta-relative defective coloring with O(1/delta^2)
     colors (documented bound: palette <= (2^16/delta)^2 / 2^16, i.e.
-    K/delta^2 with K = 2^16)."""
+    K/delta^2 with K = 2^16); conflict weights are estimated to factor 2
+    under CONGEST."""
+    _sim.check_mode(mode)
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
@@ -321,8 +324,7 @@ def weighted_defective_coloring(g, weights, delta, initial=None,
     _check_initial(g, initial)
     nodew = [0] * pk.nv
     colors, _lohi, palette, rounds, max_bits = _stage_one(
-        pk, lambda: (w, nodew), delta, aggregation == "factor2",
-        pk.start(initial))
+        pk, lambda: (w, nodew), delta, mode == _sim.CONGEST, pk.start(initial))
     if engine is not None:
         engine.account(max_bits, rounds)
     out = DefectiveColoring(pk.mapping(colors), palette, "per-node", delta,
@@ -335,11 +337,12 @@ def weighted_defective_coloring(g, weights, delta, initial=None,
 
 
 def average_defective_coloring(g, weights, delta, initial=None,
-                               aggregation="exact", engine=None):
+                               mode=_sim.LOCAL, engine=None):
     """Weighted average delta-relative defective coloring with a prime
-    palette p > 8/delta (16/delta under factor-2 estimates), built from a
-    (delta/2)-relative per-node defective coloring followed by the p-step
-    ordering reduction with commit threshold delta/4."""
+    palette p > 8/delta (16/delta under CONGEST's factor-2 estimates),
+    built from a (delta/2)-relative per-node defective coloring followed by
+    the p-step ordering reduction with commit threshold delta/4."""
+    _sim.check_mode(mode)
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
@@ -349,11 +352,11 @@ def average_defective_coloring(g, weights, delta, initial=None,
     w = _weights_to_ints(weights, pk.eidx)
     nodew = [0] * pk.nv
     stage1 = weighted_defective_coloring(g, weights, delta / 2, initial,
-                                         aggregation, engine)
+                                         mode, engine)
     colors = [stage1.colors[v] for v in pk.nodes]
     colors, p, rounds, max_bits = _reduce(
         pk, lambda: (w, nodew), colors, _span(colors), stage1.palette_size,
-        delta, aggregation == "factor2")
+        delta, mode == _sim.CONGEST)
     if engine is not None:
         engine.account(max_bits, rounds)
     out = DefectiveColoring(pk.mapping(colors), p, "average", delta,

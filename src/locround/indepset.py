@@ -115,9 +115,8 @@ def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
     if U1 <= C1:
         raise ISInvariantError("shifted solution lost its margin")
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
-    estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, uc = _rounding.round_fractional(
-        h, prep.val, shifted, eps, mu, estimate_mode=estimate_mode,
+        h, prep.val, shifted, eps, mu, mode=mode,
         initial_coloring=initial_coloring, engine=engine, check=check,
         prep=prep, uc_raw=(U1, C1))
     if uc is None:

@@ -174,11 +174,9 @@ def luby_derandomized_iteration(adj, mode=_sim.LOCAL, engine=None,
         good_deg = sum(it.degree[v] for v in it.good_nodes)
         if 2 * good_deg < edges_before:
             raise MisInvariantError("good-degree mass below |E|/2")
-    estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell, _uc = _rounding.round_fractional(
-        h, val, lam_raw, Fraction(1, 2), Fraction(1, 2),
-        estimate_mode=estimate_mode, engine=engine, check=check, prep=prep,
-        uc_raw=uc_raw)
+        h, val, lam_raw, Fraction(1, 2), Fraction(1, 2), mode=mode,
+        engine=engine, check=check, prep=prep, uc_raw=uc_raw)
     marked = {v for v, lab in ell.items() if lab == 1}
     joined = sorted(u for u in marked
                     if not any(w in marked for w in it.out_nbrs[u]))

@@ -28,6 +28,7 @@ import operator
 from fractions import Fraction
 
 from . import coloring as _coloring
+from . import sim as _sim
 from ._kernel import impl as _K
 
 
@@ -133,11 +134,6 @@ def evaluate(val, lam, g):
     return _Prepared(g, val).potential(lam)
 
 
-def _eta_ints(eta):
-    eta = Fraction(eta)
-    return eta.numerator, eta.denominator
-
-
 class _Frontier:
     """Where a rounding schedule's rows are not yet rounded.
 
@@ -157,7 +153,7 @@ class _Frontier:
         self.start = start
 
 
-def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
+def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
                   engine=None, check=True, uc0=None):
     """One basic rounding step: 2^-k-integral in, 2^-(k-1)-integral out.
 
@@ -173,10 +169,13 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
     Colors the multigraph with a weighted average (delta/6)-relative
     defective coloring, then per color class splits each row's entries at
     bit ``unit`` into halves by estimated marginal potential and moves each
-    by ``unit``.  The coloring is weighted by u + eta*c per edge; those
-    weights are computed only when it reads them, that is, when a
-    Reed-Solomon step meets a color at or above its field size or the
-    reduction a color at or above its prime.  The exact guarantee
+    by ``unit``.  The estimates are exact under ``LOCAL``; under
+    ``CONGEST`` (``mode``) the coloring's are factor-2 and the potential's
+    quantized per manager, unless delta = 0 makes the band grid zero.  The
+    coloring is weighted by u + eta*c per edge; those weights are computed
+    only when it reads them, that is, when a Reed-Solomon step meets a
+    color at or above its field size or the reduction a color at or above
+    its prime.  The exact guarantee
 
         u' - eta c'  >=  u - eta c - delta (u + eta c)
 
@@ -184,6 +183,7 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
     exact (u, c) of ``lam`` when the caller already holds it.  Returns the
     exact (u', c'), or None when ``check=False``.
     """
+    _sim.check_mode(mode)
     delta = Fraction(delta)
     eta = Fraction(eta)
     if not (0 <= delta <= 1):
@@ -196,8 +196,8 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
     unit = 1 << (K - k)
     if check:
         U0, C0 = prep.potential(lam, K) if uc0 is None else uc0
-    en, ed = _eta_ints(eta)
-    factor2 = estimate_mode == "quantized"
+    en, ed = eta.numerator, eta.denominator
+    quantized = mode == _sim.CONGEST and delta != 0
     if delta == 0:
         colors, palette, rounds, maxbits = _coloring.proper_colors_for_rounding(
             prep, frontier.start)
@@ -213,16 +213,13 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
             return w, nodew
 
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
-            prep, weights, delta / 6, factor2, frontier.start)
+            prep, weights, delta / 6, quantized, frontier.start)
     if engine is not None:
         engine.account(maxbits, rounds)
-    mode_id = {"exact": 0, "worst": 1, "quantized": 2}[estimate_mode]
-    if delta == 0:
-        mode_id = 0
     dn, dd = delta.numerator, delta.denominator
     moved = frontier.buckets.pop(unit, [])
     max_qbits, _touched = _K.rounding_color_loop(
-        prep.tables, lam, K, colors, dn, dd, en, ed, mode_id, unit, moved)
+        prep.tables, lam, K, colors, dn, dd, en, ed, quantized, unit, moved)
     if engine is not None:
         msg_bits = prep.L * (max_qbits + 2) + 2
         engine.account(msg_bits, 2 * palette)
@@ -237,7 +234,7 @@ def rounding_step(prep, lam, k, delta, eta, frontier, estimate_mode="exact",
     return U1, C1
 
 
-def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
+def round_to_integral(g, val, lam, eps, mu, mode=_sim.LOCAL,
                       initial_coloring=None, engine=None, prep=None,
                       check=True, uc0=None):
     """Full rounding schedule: k steps with delta = eps*mu/(6k) and
@@ -250,16 +247,18 @@ def round_to_integral(g, val, lam, eps, mu, estimate_mode="exact",
     ``initial_coloring`` that misses a node, holds a negative color or is
     not proper raises ``ColoringError``.  An assignment that misses a node,
     has another number of labels than ``val``, a negative entry or rows
-    whose sums are not one power of two raises ``ValueError``.
+    whose sums are not one power of two or an unknown ``mode`` raises
+    ``ValueError``.
     """
+    _sim.check_mode(mode)
     if prep is None:
         prep = _Prepared(g, val)
-    return _round_to_integral(prep, lam, eps, mu, estimate_mode,
+    return _round_to_integral(prep, lam, eps, mu, mode,
                               initial_coloring, engine, check, uc0)[0]
 
 
-def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
-                       engine, check, uc0):
+def _round_to_integral(prep, lam, eps, mu, mode, initial_coloring, engine,
+                       check, uc0):
     """``round_to_integral`` on a packed valuation; returns the labeling and
     its exact (u, c), which is None when unchecked steps ran.
 
@@ -299,7 +298,7 @@ def _round_to_integral(prep, lam, eps, mu, estimate_mode, initial_coloring,
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
         uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, frontier,
-                           estimate_mode, engine=engine, check=check, uc0=uc)
+                           mode, engine=engine, check=check, uc0=uc)
         if check:
             Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
@@ -324,6 +323,14 @@ def _labeling(prep, rows, k):
     return {v: row.index(one) for v, row in zip(prep.nodes, rows)}
 
 
+def _eps_mu(eps, mu):
+    """``eps`` and ``mu`` as fractions, both required in (0, 1]."""
+    eps, mu = Fraction(eps), Fraction(mu)
+    if not (0 < eps <= 1 and 0 < mu <= 1):
+        raise ValueError(f"eps {eps} and mu {mu} must lie in (0, 1]")
+    return eps, mu
+
+
 def preprocess_fractional(lam_raw, eps, mu, lam_min=None):
     """Round raw rows onto rows over 2^k, the smallest power of two
     >= 9/(eps*mu*lam_min); returns node -> row, each row summing to 2^k.
@@ -338,10 +345,10 @@ def preprocess_fractional(lam_raw, eps, mu, lam_min=None):
 
         u' - c' >= (1-eps)(u - c)   and   u' - c' >= (mu/2) u',
 
-    which ``_check_preprocessed`` asserts exactly.
+    which ``_check_preprocessed`` asserts exactly.  eps and mu must lie
+    in (0, 1].
     """
-    eps = Fraction(eps)
-    mu = Fraction(mu)
+    eps, mu = _eps_mu(eps, mu)
     # equal rows round alike, so each distinct row is checked and rounded
     # once.  The least nonzero value is mn/md, 1 when every entry is zero.
     dens = {}
@@ -417,7 +424,7 @@ def _check_preprocessed(prep, uc_raw, out, eps, mu):
     return U1, C1
 
 
-def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
+def round_fractional(g, val, lam_raw, eps, mu, mode=_sim.LOCAL,
                      initial_coloring=None, engine=None, check=True,
                      prep=None, uc_raw=None):
     """Preprocess + full rounding with the eps/2 + eps/2 split.
@@ -428,10 +435,10 @@ def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
     asserted exactly end to end.  ``prep`` is the packed ``(g, val)`` and
     ``uc_raw`` the exact (u, c) of ``lam_raw``, when the caller already
     holds them.  Returns the labeling and its exact (u, c), which is None
-    when ``check=False``.
+    when ``check=False``.  eps and mu must lie in (0, 1].
     """
-    eps = Fraction(eps)
-    mu = Fraction(mu)
+    eps, mu = _eps_mu(eps, mu)
+    _sim.check_mode(mode)
     if prep is None:
         prep = _Prepared(g, val)
     if check and uc_raw is None:
@@ -439,7 +446,7 @@ def round_fractional(g, val, lam_raw, eps, mu, estimate_mode="exact",
     lam = preprocess_fractional(lam_raw, eps / 2, mu)
     uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
            else None)
-    ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, estimate_mode,
+    ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, mode,
                                   initial_coloring, engine, check, uc0)
     if not check:
         return ell, None

@@ -225,11 +225,10 @@ def cover_iteration(inst, n_star, u_live, g_i, lam, cost, mode, engine,
     if 2 * C0 > U0:
         raise CoverInvariantError(
             f"margin u - c >= u/2 failed before rounding: {U0}, {C0}")
-    estimate_mode = "quantized" if mode == _sim.CONGEST else "exact"
     ell = _rounding.round_to_integral(
-        h, val, lam, Fraction(1, 200), Fraction(1, 2),
-        estimate_mode=estimate_mode, initial_coloring=initial_coloring,
-        engine=engine, prep=prep, check=check, uc0=(U0, C0))
+        h, val, lam, Fraction(1, 200), Fraction(1, 2), mode=mode,
+        initial_coloring=initial_coloring, engine=engine, prep=prep,
+        check=check, uc0=(U0, C0))
     v_i = sorted(v for v, lab in ell.items() if lab == 1)
     covered = set()
     for v in v_i:

@@ -16,6 +16,12 @@ LOCAL = "local"
 CONGEST = "congest"
 
 
+def check_mode(mode):
+    """Raises ``ValueError`` unless ``mode`` is LOCAL or CONGEST."""
+    if mode not in (LOCAL, CONGEST):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 class BudgetExceeded(RuntimeError):
     pass
 
@@ -54,6 +60,7 @@ class RoundEngine:
     bits, and keeps no reference to the graph."""
 
     def __init__(self, graph, mode=LOCAL, bit_budget=None, strict=False):
+        check_mode(mode)
         self.mode = mode
         if bit_budget is None and mode == CONGEST:
             n = max(2, len(graph.nodes))

@@ -3,23 +3,22 @@ kernel's two-label comparison.
 
 This is ``rounding_color_loop`` as it was before the kernel settled rows
 with two labels at the step's bit by one comparison: every visited row
-builds its (phi, label) pairs, scaled by 6 * delta_den whatever the
-estimate mode, and sorts them.  ``test_color_loop_ref.py`` compares the
+builds its (phi, label) pairs, scaled by 6 * delta_den whether or not
+the estimates are quantized, and sorts them.  ``test_color_loop_ref.py`` compares the
 two on seeded inputs.
 """
 
 
 def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
-                        delta_num, delta_den, eta_num, eta_den, est_mode,
-                        unit=1, rows=None):
+                        delta_num, delta_den, eta_num, eta_den, quantized,
+                        unit, rows):
     twok = 1 << k
     inc = tables.inc
     sixdd = 6 * delta_den
-    per_manager = est_mode == 2 and tables.managed
+    per_manager = quantized and tables.managed
     max_qbits = 1
     touched = 0
-    order = range(nv) if rows is None else rows
-    for v in sorted(order, key=colors.__getitem__):
+    for v in sorted(rows, key=colors.__getitem__):
         lamv = lam[v]
         sv = [a for a in range(L) if lamv[a] & unit]
         if not sv:
@@ -68,8 +67,6 @@ def rounding_color_loop(nv, L, eu, ev, mgr, tables, nut, nct, lam, k, colors,
             if nc is not None:
                 sc += twok * nc[a]
             phi6 = sixdd * (eta_den * su - eta_num * sc)
-            if est_mode == 1:
-                phi6 -= delta_num * (eta_den * su + eta_num * sc)
             for pu, pc in per_mgr.values() if per_mgr else ():
                 te = eta_den * pu + eta_num * pc
                 if te == 0:

@@ -96,7 +96,6 @@ def test_c1_rounding_step_lemma():
     t0 = time.time()
     deltas = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 10),
               Fraction(1, 50)]
-    modes = ["exact", "worst", "quantized"]
     for i in range(500):
         n = rng.randint(2, 100)
         L = 2 if i % 3 else 3
@@ -105,16 +104,14 @@ def test_c1_rounding_step_lemma():
         lam = _dyadic_assignment(rng, g, L, 6)
         delta = deltas[i % len(deltas)]
         eta = 1 + Fraction(rng.randint(0, 8), 4)
-        mode = modes[i % 3]
-        if delta == 0:
-            mode = "exact"
+        mode = S.CONGEST if i % 2 else S.LOCAL
         prep = R._Prepared(g, val)
         U0, C0 = prep.potential(lam)
         rows = [list(row) for row in prep.rows(lam)]
         k = sum(rows[0]).bit_length() - 1
         uc1 = R.rounding_step(prep, rows, k, delta, eta,
                               R._Frontier(rows, k, prep.start(None)),
-                              estimate_mode=mode)
+                              mode=mode)
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
             U1, C1 = prep.potential(dict(zip(prep.nodes, rows)))
@@ -143,8 +140,9 @@ def test_c2_full_rounding_lemma():
         val = _scale_to_margin(g, val, lam, mu)
         if val is None:
             continue
-        mode = ["exact", "worst", "quantized"][done % 3]
-        R.round_to_integral(g, val, lam, eps, mu, estimate_mode=mode)
+        # every grid point in both modes
+        mode = S.CONGEST if done // len(grid) % 2 else S.LOCAL
+        R.round_to_integral(g, val, lam, eps, mu, mode=mode)
         done += 1
     _report(2, "full-rounding-lemma-exact",
             f"200 instances over eps x mu grid, {time.time() - t0:.1f}s")
@@ -198,12 +196,12 @@ def test_c4_defective_colorings():
         w = {e.index: Fraction(rng.randint(0, 9), rng.choice([1, 2]))
              for e in g.edges}
         delta = deltas[i % 4]
-        agg = "factor2" if i % 2 else "exact"
-        dc = C.weighted_defective_coloring(g, w, delta, aggregation=agg)
+        mode = S.CONGEST if i % 2 else S.LOCAL
+        dc = C.weighted_defective_coloring(g, w, delta, mode=mode)
         ok, _ = C.defect_certificate(g, w, dc.colors, delta, "per-node")
         assert ok
         assert dc.palette_size * delta.numerator ** 2 <= (1 << 16) * delta.denominator ** 2
-        ac = C.average_defective_coloring(g, w, delta, aggregation=agg)
+        ac = C.average_defective_coloring(g, w, delta, mode=mode)
         ok, _ = C.defect_certificate(g, w, ac.colors, delta, "average")
         assert ok
         go = C.greedy_defective_oracle(g, w, delta)

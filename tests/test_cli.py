@@ -235,27 +235,38 @@ def test_wis_and_color_runners(tmp_path):
     assert cli.main(["verify", str(rep)]) == 0
 
 
-@pytest.mark.parametrize("color_mode", ["defective", "avgdefective"])
-def test_color_report_figures_are_the_cores(tmp_path, color_mode):
+@pytest.mark.parametrize("mode, color_mode", [
+    ("local", "defective"), ("local", "avgdefective"),
+    ("congest", "defective"), ("congest", "avgdefective")],
+    ids=["defective", "avgdefective", "congest-defective",
+         "congest-avgdefective"])
+def test_color_report_figures_are_the_cores(tmp_path, mode, color_mode):
     # the report declares the rounds and bits of the coloring loops the
-    # rounding step runs: stage one alone, or stage one plus the reduction
+    # rounding step runs in the same mode: stage one alone, or stage one
+    # plus the reduction
     g = tmp_path / "g.edges"
     cli.main(["generate", "graph", "--n", "40", "--max-degree", "5",
               "--seed", "4", "--output", str(g)])
     rep = tmp_path / "color.json"
-    cli.main(["--json", str(rep), "color", "--input", str(g),
+    cli.main(["--mode", mode, "--json", str(rep), "color", "--input", str(g),
               "--delta", "1/4", "--color-mode", color_mode])
-    metrics = json.loads(rep.read_text())["metrics"]
+    report = json.loads(rep.read_text())
+    metrics = report["metrics"]
     pk = C._Packing(cli._load_weighted(str(g)).graph)
     weights = lambda: ([1] * len(pk.eu), [0] * pk.nv)    # noqa: E731
     delta = Fraction(1, 4)
+    factor2 = mode == "congest"
     if color_mode == "defective":
-        _c, _s, _p, rounds, bits = C._stage_one(pk, weights, delta, False,
-                                                pk.start(None))
+        colors, _s, palette, rounds, bits = C._stage_one(
+            pk, weights, delta, factor2, pk.start(None))
     else:
-        _c, _p, rounds, bits = C.defective_colors_for_rounding(
-            pk, weights, delta, False, pk.start(None))
+        colors, palette, rounds, bits = C.defective_colors_for_rounding(
+            pk, weights, delta, factor2, pk.start(None))
     assert (metrics["rounds"], metrics["max_bits"]) == (rounds, bits)
+    assert report["palette"] == palette
+    assert report["colors"] == {str(v): c
+                                for v, c in zip(pk.nodes, colors)}
+    assert cli.main(["verify", str(rep)]) == 0
 
 
 def test_console_script_exits_zero(tmp_path):

@@ -2,8 +2,8 @@
 
 ``pure.rounding_color_loop`` settles a row with two labels at the step's
 bit by the sign of one difference under exact estimates, and by one
-comparison otherwise, and scales phi by 6 * delta_den only when a
-worst-in-band or quantized per-manager term joins it.
+comparison otherwise, and scales phi by 6 * delta_den only when
+quantized per-manager terms join it.
 ``color_loop_ref.rounding_color_loop`` sorts every row's scaled
 (phi, label) pairs, reading the node tables row by row.  On seeded inputs
 both must return the same (max_qbits, touched) and move ``lam`` alike.
@@ -40,11 +40,11 @@ def _rows(rng, n, L, k):
 
 
 def _trials(rng):
-    """Every combination of L, estimate mode, managers and node tables,
-    eight random instances each, colored from two or three colors so
-    that neighbors share one."""
-    for L, mode, managed, node_tables in itertools.product(
-            (2, 3, 4), (0, 1, 2), (False, True), (False, True)):
+    """Every combination of L, exact or quantized estimates, managers and
+    node tables, eight random instances each, colored from two or three
+    colors so that neighbors share one."""
+    for L, quantized, managed, node_tables in itertools.product(
+            (2, 3, 4), (False, True), (False, True), (False, True)):
         for _ in range(8):
             n = rng.randint(2, 10)
             eu, ev, mgr = [], [], []
@@ -66,10 +66,10 @@ def _trials(rng):
             # delta = dn/dd up to 1, so that the band terms reorder rows;
             # delta = 0 rounds with exact estimates only
             dd = rng.randint(1, 8)
-            dn = rng.randint(0 if mode < 2 else 1, dd)
+            dn = rng.randint(1 if quantized else 0, dd)
             en, ed = rng.randint(1, 6), rng.randint(1, 6)
             yield (n, L, eu, ev, mgr, ut, ct, nut, nct, _rows(rng, n, L, k),
-                   k, colors, dn, dd, en, ed, mode)
+                   k, colors, dn, dd, en, ed, quantized)
 
 
 def _phis(L, lam, v, unit, tables, nut, nct, colors, k, en, ed):
@@ -96,16 +96,16 @@ def test_color_loop_matches_the_sorting_reference():
     seen = {"two": 0, "more": 0, "tie": 0, "frontier": 0, "managed": 0,
             "exact_two_tie": 0, "exact_two_isolated": 0}
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd, en, ed,
-         mode) in _trials(random.Random(23)):
+         quantized) in _trials(random.Random(23)):
         tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
-        seen["managed"] += tables.managed and mode == 2
+        seen["managed"] += tables.managed and quantized
         # the rows that the signed difference settles
-        exact_two = L == 2 and (mode == 0 or mode == 2 and not tables.managed)
+        exact_two = L == 2 and not (quantized and tables.managed)
         for s in (0, 2):
             # s = 0: every row, unit 1; s = 2: rows over 2^(k+2), the
             # frontier's rows holding bit 4 in a shuffled order
             unit = 1 << s
-            rows = None
+            rows = range(n)
             base = [[x << s for x in r] for r in lam]
             if s:
                 rows = [v for v in range(n) if any(x & unit for x in base[v])]
@@ -125,9 +125,10 @@ def test_color_loop_matches_the_sorting_reference():
             got_lam = [list(r) for r in base]
             want = reference_loop(n, L, eu, ev, mgr, tables, nut, nct,
                                   want_lam, k + s, colors, dn, dd, en, ed,
-                                  mode, unit, rows)
+                                  quantized, unit, rows)
             got = pure.rounding_color_loop(tables, got_lam, k + s, colors,
-                                           dn, dd, en, ed, mode, unit, rows)
+                                           dn, dd, en, ed, quantized, unit,
+                                           rows)
             assert got == want
             assert got_lam == want_lam
     # the trials reach every row path, ties (also of the signed

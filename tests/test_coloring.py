@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from locround import coloring as C, graph as G
+from locround import coloring as C, graph as G, sim
 from conftest import build_d2_multigraph, random_simple_graph
 
 
@@ -71,14 +71,24 @@ def test_defective_fuzz_certificates(rng):
         g = random_simple_graph(rng, rng.randint(2, 40), 5, 0.15)
         w = rand_weights(rng, g)
         delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
-        for agg in ("exact", "factor2"):
-            dc = C.weighted_defective_coloring(g, w, delta, aggregation=agg)
+        for mode in (sim.LOCAL, sim.CONGEST):
+            dc = C.weighted_defective_coloring(g, w, delta, mode=mode)
             ok, _ = C.defect_certificate(g, w, dc.colors, delta, "per-node")
             assert ok
             assert dc.palette_size <= (1 << 16) * delta.denominator ** 2
-            ac = C.average_defective_coloring(g, w, delta, aggregation=agg)
+            ac = C.average_defective_coloring(g, w, delta, mode=mode)
             ok, _ = C.defect_certificate(g, w, ac.colors, delta, "average")
             assert ok
+
+
+@pytest.mark.parametrize("coloring", ["weighted_defective_coloring",
+                                      "average_defective_coloring"])
+def test_unknown_mode_is_rejected(coloring):
+    """A mode other than LOCAL and CONGEST colored as LOCAL."""
+    g = G.simple_graph([1, 2], [(1, 2)])
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        getattr(C, coloring)(g, {0: Fraction(1)}, Fraction(1, 2),
+                             mode="bogus")
 
 
 def test_average_star_example():
@@ -117,8 +127,8 @@ def test_defective_on_multigraph(rng):
 
     h = build_d2_multigraph(g, spec)
     w = rand_weights(rng, h)
-    for agg in ("exact", "factor2"):
-        ac = C.average_defective_coloring(h, w, Fraction(1, 4), aggregation=agg)
+    for mode in (sim.LOCAL, sim.CONGEST):
+        ac = C.average_defective_coloring(h, w, Fraction(1, 4), mode=mode)
         ok, _ = C.defect_certificate(h, w, ac.colors, Fraction(1, 4), "average")
         assert ok
 
@@ -148,7 +158,7 @@ def test_average_defective_zero_weight_managed_edges():
     w = {e.index: Fraction(x) for e, x in zip(g.edges, weight)}
     initial = {1: 7, 2: 152, 3: 115, 4: 300, 5: 6, 6: 189, 7: 4, 8: 78, 9: 41}
     ac = C.average_defective_coloring(g, w, Fraction(1, 2), initial=initial,
-                                      aggregation="factor2")
+                                      mode=sim.CONGEST)
     assert ac.colors == {1: 7, 2: 4, 3: 2, 4: 4, 5: 6, 6: 5, 7: 2, 8: 3, 9: 1}
     assert (ac.palette_size, ac.rounds) == (41, 84)
     ok, _ = C.defect_certificate(g, w, ac.colors, Fraction(1, 2), "average")
@@ -196,7 +206,7 @@ def test_closed_forms_match_the_kernels(rng, monkeypatch):
         initial = dict(zip(order, rng.sample(range(top), len(order))))
         w = rand_weights(rng, g)
         delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3)])
-        agg = rng.choice(["exact", "factor2"])
+        mode = rng.choice([sim.LOCAL, sim.CONGEST])
         pk = C._Packing(g)
         wi = C._weights_to_ints(w, pk.eidx)
         # the rounding path does not check its start colors: some negative
@@ -207,12 +217,12 @@ def test_closed_forms_match_the_kernels(rng, monkeypatch):
         for below in (below0, lambda colors, bound: False):
             monkeypatch.setattr(C, "_below", below)
             ac = C.average_defective_coloring(g, w, delta, initial=initial,
-                                              aggregation=agg)
+                                              mode=mode)
             runs.append((ac.colors, ac.palette_size, ac.rounds,
                          C.defective_colors_for_rounding(
                              pk, lambda: (calls.append(below) or wi,
                                           [0] * pk.nv),
-                             delta, agg == "factor2", pk.start(start))))
+                             delta, mode == sim.CONGEST, pk.start(start))))
         assert runs[0] == runs[1], trial
         assert len(calls) == len(set(calls))    # weights() at most once
         weighed += below0 in calls

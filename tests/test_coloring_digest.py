@@ -2,8 +2,8 @@
 
 ``linial_coloring``, ``three_color_paths_cycles``,
 ``weighted_defective_coloring`` and ``average_defective_coloring`` run on
-seeded plain graphs, d2-multigraphs, paths and cycles, with both
-aggregations and with dict initial colorings.  Colors, palette and rounds
+seeded plain graphs, d2-multigraphs, paths and cycles, in both modes
+(exact and factor-2 conflict estimates) and with dict initial colorings.  Colors, palette and rounds
 of every call go into one sha256, so a refactor of the coloring loops that
 changes any output fails here.
 """
@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 
-from locround import coloring as C, graph as G
+from locround import coloring as C, graph as G, sim
 from conftest import build_d2_multigraph, random_simple_graph
 
 DIGEST = "4f63ece1f9d8ecfd165a671cf313d64079f156bde65810e5d72d18e867d0a506"
@@ -72,15 +72,15 @@ def coloring_digest():
                     pc2.rounds)
         w = {e.index: Fraction(rng.randint(0, 9), rng.choice([1, 2, 4]))
              for e in g.edges}
-        for agg in ("exact", "factor2"):
+        for mode in (sim.LOCAL, sim.CONGEST):
             delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3),
                                 Fraction(1, 4), Fraction(2, 7)])
             start = initial if rng.random() < 0.5 else None
             dc = C.weighted_defective_coloring(g, w, delta, initial=start,
-                                               aggregation=agg)
+                                               mode=mode)
             _record(h, "defective", dc.colors, dc.palette_size, dc.rounds)
             ac = C.average_defective_coloring(g, w, delta, initial=start,
-                                              aggregation=agg)
+                                              mode=mode)
             _record(h, "average", ac.colors, ac.palette_size, ac.rounds)
     for _ in range(8):
         g = _paths_and_cycles(rng)

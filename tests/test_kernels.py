@@ -9,7 +9,7 @@ import pytest
 
 from locround._kernel import BACKEND, pure
 
-KERNEL_DIGEST = "5ac6d0e5ee654cd405e3b881cf4a2b082ba5f597b5ca2f49daa52a4dd0fa6ea5"
+KERNEL_DIGEST = "af6db02f80580a679da8b8e3417039a067844c358480293d4253703e6995f494"
 
 
 def test_primes():
@@ -350,7 +350,7 @@ def _random_lam(rng, n, L, k):
 def _multigraph_trials(rng):
     """Random multigraphs with parallel edges under different managers,
     every table kind (all zero on every fifth trial), node tables on odd
-    trials and the three estimate modes in turn."""
+    trials and quantized estimates on every third trial."""
     kinds = ("sparse", "zero", "utility", "cost", "dense")
     for trial in range(150):
         n = rng.randint(2, 12)
@@ -376,12 +376,12 @@ def _multigraph_trials(rng):
         colors = [rng.randrange(4) for _ in range(n)]
         dn, dd = rng.randint(1, 3), rng.randint(3, 100)
         yield (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
-               en, ed, trial % 3)
+               en, ed, trial % 3 == 2)
 
 
 def _aligned_trials(rng):
-    """Two labels, random endpoints and managers, dense tables, and the
-    estimate mode drawn at random."""
+    """Two labels, random endpoints and managers, dense tables, and
+    quantized estimates on a third of the trials, drawn at random."""
     for _trial in range(60):
         n = rng.randint(2, 15)
         m = rng.randint(0, 3 * n)
@@ -405,7 +405,7 @@ def _aligned_trials(rng):
         dn, dd = 1, rng.randint(1, 100)
         en, ed = rng.randint(1, 9), rng.randint(1, 8)
         yield (n, 2, eu, ev, mgr, ut, ct, None, None, lam, k, colors, dn, dd,
-               en, ed, rng.choice([0, 1, 2]))
+               en, ed, rng.choice([0, 1, 2]) == 2)
 
 
 def _overflow_trials():
@@ -418,7 +418,7 @@ def _overflow_trials():
             (2, (3, 5, 7, 11), [[1, (1 << 60) - 1], [(1 << 60) - 3, 3]], 60)):
         yield (2, L, [0], [1], [-1], [ut], [(0,) * (L * L)],
                [tuple(range(L)), None], [None, (1,) * L], lam, k, [0, 1],
-               1, 4, 3, 2, 0)
+               1, 4, 3, 2, False)
 
 
 def kernel_digest():
@@ -429,13 +429,13 @@ def kernel_digest():
                              _aligned_trials(random.Random(0xC0FFEE)),
                              _overflow_trials())
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
-         en, ed, mode) in trials:
+         en, ed, quantized) in trials:
         lam = [list(r) for r in lam]
         tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
         out = [pure.eval_potential(tables, lam, 1 << k),
                pure.edge_weights_for_step(tables, lam, k, en, ed),
                pure.rounding_color_loop(tables, lam, k, colors, dn, dd, en,
-                                        ed, mode),
+                                        ed, quantized, 1, range(n)),
                lam]
         h.update(json.dumps(out).encode())
     return h.hexdigest()
@@ -455,17 +455,18 @@ def test_color_loop_on_a_frontier_matches_the_full_loop():
     trials = itertools.chain(_multigraph_trials(random.Random(5)),
                              _aligned_trials(random.Random(5)))
     for (n, L, eu, ev, mgr, ut, ct, nut, nct, lam, k, colors, dn, dd,
-         en, ed, mode) in trials:
+         en, ed, quantized) in trials:
         tables = pure.pack_tables(n, L, eu, ev, mgr, ut, ct, nut, nct)
         want_lam = [list(r) for r in lam]
         want = pure.rounding_color_loop(tables, want_lam, k, colors, dn, dd,
-                                        en, ed, mode)
+                                        en, ed, quantized, 1, range(n))
         for s in (1, 3):
             got_lam = [[x << s for x in r] for r in lam]
             rows = [v for v in reversed(range(n))
                     if any(x >> s & 1 for x in got_lam[v])]
             got = pure.rounding_color_loop(tables, got_lam, k + s, colors,
-                                           dn, dd, en, ed, mode, 1 << s, rows)
+                                           dn, dd, en, ed, quantized, 1 << s,
+                                           rows)
             assert got == want
             assert got_lam == [[x << s for x in r] for r in want_lam]
 

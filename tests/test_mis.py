@@ -213,3 +213,10 @@ def test_mis_valuation_matches_the_per_pair_loop(rng):
         assert vars(val) == vars(want)
         built += 1
     assert built >= 10
+
+
+def test_unknown_mode_is_rejected():
+    """An unknown mode ran as LOCAL."""
+    g = G.simple_graph([1, 2, 3], [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        M.mis(g, mode="bogus")

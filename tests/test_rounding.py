@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locround import coloring as C, graph as G, rounding as R
+from locround import coloring as C, graph as G, rounding as R, sim
 from conftest import random_simple_graph, raw_rows
 
 
@@ -91,9 +91,9 @@ def test_rounding_step_guarantee_cost_only_edge():
     val = R.Valuation(2, {}, {0: (1, 0, 0, 1)})
     lam = {1: (1, 1), 2: (1, 1)}
     # internal exact assertion of the step lemma is the test
-    for mode in ("exact", "worst", "quantized"):
+    for mode in (sim.LOCAL, sim.CONGEST):
         _prep, rows = _step(g, val, lam, Fraction(1, 3), Fraction(2),
-                            estimate_mode=mode)
+                            mode=mode)
         assert all(sum(row) == 2 and row[0] % 2 == 0 for row in rows)
 
 
@@ -150,8 +150,8 @@ def test_step_invariants_fuzz(rng):
         g, val, lam = _random_instance(rng, rng.randint(2, 20), L, 5)
         delta = rng.choice([Fraction(0), Fraction(1, 7), Fraction(1)])
         eta = 1 + Fraction(rng.randint(0, 6), 4)
-        mode = rng.choice(["exact", "worst", "quantized"])
-        prep, rows = _step(g, val, lam, delta, eta, estimate_mode=mode)
+        mode = rng.choice([sim.LOCAL, sim.CONGEST])
+        prep, rows = _step(g, val, lam, delta, eta, mode=mode)
         tot = _two_k(lam)
         for v in g.nodes:
             row = rows[prep.index[v]]
@@ -188,8 +188,7 @@ def test_full_rounding_fuzz(rng):
             continue
         eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
         ell = R.round_to_integral(g, val, lam, eps, mu,
-                                  estimate_mode=rng.choice(
-                                      ["exact", "worst", "quantized"]))
+                                  mode=rng.choice([sim.LOCAL, sim.CONGEST]))
         assert set(ell) == set(g.nodes)
         done += 1
 
@@ -213,6 +212,51 @@ def test_schedule_rejects_malformed_initial_coloring():
     ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
                               initial_coloring={1: 0, 2: 1})
     assert ell[1] != ell[2]
+
+
+def _no_coloring(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("the coloring ran")
+    for name in ("defective_colors_for_rounding",
+                 "proper_colors_for_rounding"):
+        monkeypatch.setattr(C, name, boom)
+
+
+@pytest.mark.parametrize("entry", ["rounding_step", "round_to_integral",
+                                   "round_fractional"])
+def test_unknown_mode_is_rejected_before_the_coloring(entry, monkeypatch):
+    """An unknown mode raised ``KeyError`` after the coloring had run, or
+    rounded as LOCAL."""
+    g = two_node_graph()
+    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
+    lam = {1: (1, 1), 2: (1, 1)}
+    _no_coloring(monkeypatch)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        if entry == "rounding_step":
+            _step(g, val, lam, Fraction(1, 2), Fraction(1), mode="bogus")
+        else:
+            getattr(R, entry)(g, val, lam, Fraction(1, 2), Fraction(1, 4),
+                              mode="bogus")
+
+
+@pytest.mark.parametrize("eps, mu", [
+    (0, Fraction(1, 2)), (Fraction(1, 2), 0), (-1, Fraction(1, 2)),
+    (2, Fraction(1, 2)), (Fraction(1, 2), 2), (Fraction(1, 2), -1)],
+    ids=["eps0", "mu0", "eps-1", "eps2", "mu2", "mu-1"])
+def test_eps_and_mu_outside_the_unit_interval_are_rejected(eps, mu,
+                                                           monkeypatch):
+    """eps = 0 or mu = 0 divided by zero; eps = -1 and mu = 2 failed as
+    lost invariants, and eps = 2 ran.  Both functions check the range
+    before they read the rows or pack the valuation."""
+    g = two_node_graph()
+    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
+    lam = {1: (1, 2), 2: (2, 1)}
+    assert R.round_fractional(g, val, lam, 1, 1)[1] == (1, 0)
+    monkeypatch.setattr(R, "_Prepared", None)
+    for call in (lambda: R.preprocess_fractional(lam, eps, mu),
+                 lambda: R.round_fractional(g, val, lam, eps, mu)):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            call()
 
 
 def test_integral_input_returned_unchanged():
@@ -282,13 +326,6 @@ def test_preprocess_sum_preserved(parts, scale):
     two_k = sum(out[0])
     need = 36 * Fraction(total, min(parts))
     assert two_k & (two_k - 1) == 0 and two_k >= need > two_k // 2
-
-
-def test_worst_estimator_still_satisfies_lemma(rng):
-    for _ in range(10):
-        g, val, lam = _random_instance(rng, rng.randint(2, 12), 2, 4)
-        _step(g, val, lam, Fraction(1, 5), Fraction(3, 2),
-              estimate_mode="worst")
 
 
 def _definition_uc(g, val, lam):
@@ -424,7 +461,7 @@ def test_color_loop_visits_only_the_frontier(rng, monkeypatch):
         counts["checks"] = 0
         R.round_to_integral(g, val, lam, Fraction(1, 2), mu,
                             initial_coloring=initial,
-                            estimate_mode=rng.choice(["exact", "quantized"]))
+                            mode=rng.choice([sim.LOCAL, sim.CONGEST]))
         assert counts["checks"] == 1
         done += 1
     assert counts["visits"] == counts["pairs"] < counts["rows"]

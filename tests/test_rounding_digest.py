@@ -81,7 +81,7 @@ def _instances():
         yield (g, _valuation(rng, g, L), _assignment(rng, g, L, rng.randint(1, 4)),
                Fraction(1, 2) if i % 4 == 3 else
                rng.choice([Fraction(1, 2), Fraction(1, 10)]),
-               rng.choice(["exact", "quantized"]), initial)
+               rng.choice([sim.LOCAL, sim.CONGEST]), initial)
 
 
 def rounding_digest():
@@ -89,7 +89,7 @@ def rounding_digest():
     for g, val, lam, eps, mode, initial in _instances():
         engine = sim.RoundEngine(g)
         ell = R.round_to_integral(g, val, lam, eps, Fraction(1, 4),
-                                  estimate_mode=mode,
+                                  mode=mode,
                                   initial_coloring=initial, engine=engine)
         h.update(json.dumps([sorted(ell.items()), engine.metrics.total_rounds,
                              engine.metrics.max_bits_per_edge_round]).encode())

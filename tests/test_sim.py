@@ -41,3 +41,10 @@ def test_metrics_json_roundtrip():
     assert doc["rounds"] == 3
     assert doc["objective_num"] == "7" and doc["objective_den"] == "2"
     assert doc["potential"][0]["den"] == "3"
+
+
+def test_unknown_mode_is_rejected():
+    """An engine in an unknown mode was built, and charged no budget."""
+    g = G.simple_graph([1, 2], [(1, 2)])
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        S.RoundEngine(g, mode="bogus")
