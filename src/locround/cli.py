@@ -152,7 +152,7 @@ def cmd_mis(args):
         return _emit(args, {"algorithm": "mis-baseline", "set": out,
                             "iterations": iters, "input": args.input})
     engine = _engine_for(g, args)
-    out, metrics, info = _mis.mis(g, mode=args.mode, engine=engine)
+    out, metrics, info = _mis.mis(g, engine=engine)
     return _emit(args, {
         "algorithm": "mis", "input": args.input, "set": out,
         "iterations": info["iterations"],
@@ -164,8 +164,7 @@ def cmd_mis(args):
 def cmd_matching(args):
     wg = _load_weighted(args.input)
     engine = _engine_for(wg.graph, args)
-    M, metrics, iters = _indepset.maximal_matching(wg.graph, mode=args.mode,
-                                                   engine=engine)
+    M, metrics, iters = _indepset.maximal_matching(wg.graph, engine=engine)
     return _emit(args, {
         "algorithm": "matching", "input": args.input,
         "matching": [list(p) for p in M], "iterations": iters,
@@ -209,26 +208,24 @@ def cmd_wis(args):
     if args.algo == "basic":
         x = {v: Fraction(1, wg.graph.max_degree() + 1) for v in wg.graph.nodes}
         I, u0 = _indepset.basic_is_round(wg.graph, wg.weights, x, eps,
-                                         engine=engine, mode=args.mode)
+                                         engine)
         cert["u_of_x"] = _frac_str(u0)
         cert["bound"] = _frac_str((Fraction(1, 2) - eps) * u0)
     elif args.algo == "lp4":
-        I, sstar = _indepset.lp_guided_is(wg, eps=eps, engine=engine,
-                                          mode=args.mode)
+        I, sstar = _indepset.lp_guided_is(wg, eps=eps, engine=engine)
         cert["s_star"] = _frac_str(sstar)
         cert["bound"] = _frac_str(sstar / 4)
     elif args.algo == "beta":
-        I, sstar, ups = _indepset.beta_approx_is(wg, eps, engine=engine,
-                                                 mode=args.mode)
+        I, sstar, ups = _indepset.beta_approx_is(wg, eps, engine=engine)
         cert["s_star"] = _frac_str(sstar)
         cert["bound"] = _frac_str((1 - eps) * sstar)
     elif args.algo == "turan":
-        I = _indepset.turan_fraction_is(wg, eps, engine=engine, mode=args.mode)
+        I = _indepset.turan_fraction_is(wg, eps, engine=engine)
         bound = (1 - eps) * Fraction(wg.total_weight(),
                                      wg.graph.max_degree() + 1)
         cert["bound"] = _frac_str(bound)
     elif args.algo == "carowei":
-        I = _indepset.caro_wei_is(wg, eps, engine=engine, mode=args.mode)
+        I = _indepset.caro_wei_is(wg, eps, engine=engine)
         mass = sum(Fraction(wg.weights[v] ** 2,
                             wg.weights[v] + sum(wg.weights[u]
                                                 for u in wg.graph.neighbors(v)))
@@ -258,8 +255,7 @@ def cmd_setcover(args):
     inst = _load_cover(args.input, args.from_dominating_set)
     engine = _engine_for(_setcover.network_nodes(inst), args)
     cost_mode = "weighted" if args.weighted else "unit"
-    V, metrics, info = _setcover.set_cover(inst, mode=args.mode,
-                                           cost_mode=cost_mode,
+    V, metrics, info = _setcover.set_cover(inst, cost_mode=cost_mode,
                                            backend=args.backend,
                                            engine=engine)
     return _emit(args, {
@@ -282,12 +278,10 @@ def cmd_color(args):
         out = {"colors": {str(v): c for v, c in pc.colors.items()},
                "palette": pc.palette_size, "kind": "proper"}
     elif args.color_mode == "defective":
-        dc = _coloring.weighted_defective_coloring(
-            g, w, args.delta, mode=args.mode, engine=engine)
+        dc = _coloring.weighted_defective_coloring(g, w, args.delta, engine)
         out = _defective_json(dc)
     elif args.color_mode == "avgdefective":
-        dc = _coloring.average_defective_coloring(
-            g, w, args.delta, mode=args.mode, engine=engine)
+        dc = _coloring.average_defective_coloring(g, w, args.delta, engine)
         out = _defective_json(dc)
     else:   # greedy-oracle
         dc = _coloring.greedy_defective_oracle(g, w, args.delta)
@@ -323,8 +317,7 @@ def cmd_round(args):
         raise UsageError(f"--mu {args.mu} is above the input's margin: "
                          f"u - c = {U - C} < mu*u = {args.mu * U}")
     ell, (Uf, Cf) = _rounding.round_fractional(
-        g, val, lam, args.eps, args.mu, mode=args.mode,
-        engine=engine, prep=prep, uc_raw=(U, C))
+        prep, lam, args.eps, args.mu, engine, uc_raw=(U, C))
     return _emit(args, {
         "algorithm": "round", "input": args.valuation,
         "eps": _frac_str(args.eps),
@@ -682,6 +675,11 @@ def main(argv=None):
     try:
         if args.bit_budget is not None and args.bit_budget < 1:
             raise UsageError(f"--bit-budget {args.bit_budget} is below 1")
+        if args.mode != _sim.CONGEST and (args.bit_budget is not None
+                                          or args.strict_budget):
+            # only a CONGEST engine checks a budget
+            raise UsageError("--bit-budget and --strict-budget need "
+                             "--mode congest")
         return args.func(args)
     except (_graph.GraphFormatError, OSError, UsageError,
             _oracle.OverBudget) as exc:

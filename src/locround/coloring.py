@@ -16,11 +16,13 @@ once, and a node commits to z(i) when less than a quarter (an eighth under
 factor-2 estimates) of its delta-fraction conflict budget is blocked.
 
 The public colorings and the rounding step's entry points run the same
-three loops (stage one, reduction, proper) over one graph packing.  Each
-loop returns (colors, palette, declared rounds, max message bits), and a
-caller with an engine declares those figures once.  An initial coloring
-is a node -> color mapping with palette max + 1; without one, the node
-ids start the loops.
+three loops (stage one, reduction, proper) over one graph packing per
+call.  Each loop returns (colors, palette, declared rounds, max message
+bits), and the caller declares those figures once on its engine.  The
+defective colorings take a required engine, whose mode selects exact
+(LOCAL) or factor-2 (CONGEST) conflict estimates; the proper colorings
+take an optional one.  An initial coloring is a node -> color mapping
+with palette max + 1; without one, the node ids start the loops.
 
 Every returned coloring carries a certificate recomputed by an independent
 scan.
@@ -307,65 +309,68 @@ def three_color_paths_cycles(g):
     return out
 
 
-def weighted_defective_coloring(g, weights, delta, initial=None,
-                                mode=_sim.LOCAL, engine=None):
-    """Weighted per-node delta-relative defective coloring with O(1/delta^2)
-    colors (documented bound: palette <= (2^16/delta)^2 / 2^16, i.e.
-    K/delta^2 with K = 2^16); conflict weights are estimated to factor 2
-    under CONGEST."""
-    _sim.check_mode(mode)
+def _check_delta(delta):
+    """``delta`` as a fraction, required in (0, 1]."""
     delta = Fraction(delta)
     if not (0 < delta <= 1):
         raise ColoringError("delta must be in (0, 1]")
+    return delta
+
+
+def _certified(g, weights, out):
+    """``out`` with the certificate of its colors, recomputed by
+    ``defect_certificate``; raises ``AssertionError`` when it fails."""
+    ok, out.certificate = defect_certificate(
+        g, weights, out.colors, out.relative_defect, out.defect_kind)
+    if not ok:
+        raise AssertionError(f"defective coloring violated its "
+                             f"{out.defect_kind} certificate")
+    return out
+
+
+def weighted_defective_coloring(g, weights, delta, engine, initial=None):
+    """Weighted per-node delta-relative defective coloring with O(1/delta^2)
+    colors (documented bound: palette <= (2^16/delta)^2 / 2^16, i.e.
+    K/delta^2 with K = 2^16), declared on ``engine``; conflict weights are
+    estimated to factor 2 when its mode is CONGEST."""
+    return _defective(g, weights, delta, engine, initial, "per-node")
+
+
+def average_defective_coloring(g, weights, delta, engine, initial=None):
+    """Weighted average delta-relative defective coloring with a prime
+    palette p > 8/delta (16/delta under CONGEST's factor-2 estimates),
+    declared on ``engine``: a certified (delta/2)-relative per-node
+    defective coloring followed by the p-step ordering reduction with
+    commit threshold delta/4."""
+    return _defective(g, weights, delta, engine, initial, "average")
+
+
+def _defective(g, weights, delta, engine, initial, kind):
+    """The public defective coloring of ``kind`` over one packing of
+    ``g``: stage one, certified per node at delta (delta/2 for the
+    average kind, which then runs the reduction), each loop declared on
+    ``engine``."""
+    delta = _check_delta(delta)
     pk = _Packing(g)
     if not pk.nodes:
-        return DefectiveColoring({}, 1, "per-node", delta)
+        return DefectiveColoring({}, 1, kind, delta)
     w = _weights_to_ints(weights, pk.eidx)
     _check_initial(g, initial)
     nodew = [0] * pk.nv
-    colors, _lohi, palette, rounds, max_bits = _stage_one(
-        pk, lambda: (w, nodew), delta, mode == _sim.CONGEST, pk.start(initial))
-    if engine is not None:
-        engine.account(max_bits, rounds)
-    out = DefectiveColoring(pk.mapping(colors), palette, "per-node", delta,
-                            rounds=rounds)
-    ok, cert = defect_certificate(g, weights, out.colors, delta, "per-node")
-    out.certificate = cert
-    if not ok:
-        raise AssertionError("defective coloring violated its per-node certificate")
-    return out
-
-
-def average_defective_coloring(g, weights, delta, initial=None,
-                               mode=_sim.LOCAL, engine=None):
-    """Weighted average delta-relative defective coloring with a prime
-    palette p > 8/delta (16/delta under CONGEST's factor-2 estimates),
-    built from a (delta/2)-relative per-node defective coloring followed by
-    the p-step ordering reduction with commit threshold delta/4."""
-    _sim.check_mode(mode)
-    delta = Fraction(delta)
-    if not (0 < delta <= 1):
-        raise ColoringError("delta must be in (0, 1]")
-    pk = _Packing(g)
-    if not pk.nodes:
-        return DefectiveColoring({}, 1, "average", delta)
-    w = _weights_to_ints(weights, pk.eidx)
-    nodew = [0] * pk.nv
-    stage1 = weighted_defective_coloring(g, weights, delta / 2, initial,
-                                         mode, engine)
-    colors = [stage1.colors[v] for v in pk.nodes]
-    colors, p, rounds, max_bits = _reduce(
-        pk, lambda: (w, nodew), colors, _span(colors), stage1.palette_size,
-        delta, mode == _sim.CONGEST)
-    if engine is not None:
-        engine.account(max_bits, rounds)
-    out = DefectiveColoring(pk.mapping(colors), p, "average", delta,
-                            rounds=stage1.rounds + rounds)
-    ok, cert = defect_certificate(g, weights, out.colors, delta, "average")
-    out.certificate = cert
-    if not ok:
-        raise AssertionError("average defective coloring violated its certificate")
-    return out
+    factor2 = engine.mode == _sim.CONGEST
+    d1 = delta / 2 if kind == "average" else delta
+    colors, span, palette, rounds, max_bits = _stage_one(
+        pk, lambda: (w, nodew), d1, factor2, pk.start(initial))
+    engine.account(max_bits, rounds)
+    out = _certified(g, weights, DefectiveColoring(
+        pk.mapping(colors), palette, "per-node", d1, rounds=rounds))
+    if kind != "average":
+        return out
+    colors, p, rounds2, max_bits = _reduce(
+        pk, lambda: (w, nodew), colors, span, palette, delta, factor2)
+    engine.account(max_bits, rounds2)
+    return _certified(g, weights, DefectiveColoring(
+        pk.mapping(colors), p, "average", delta, rounds=rounds + rounds2))
 
 
 def greedy_defective_oracle(g, weights, delta, initial=None):
@@ -373,9 +378,7 @@ def greedy_defective_oracle(g, weights, delta, initial=None):
     coloring, each node picking the color with least committed conflicting
     weight, then local-improvement passes until every node's relative
     defect is at most delta.  Palette ceil(1/delta) + 1."""
-    delta = Fraction(delta)
-    if not (0 < delta <= 1):
-        raise ColoringError("delta must be in (0, 1]")
+    delta = _check_delta(delta)
     _check_initial(g, initial)
     pk = _Packing(g)
     if not pk.nodes:
@@ -416,13 +419,8 @@ def greedy_defective_oracle(g, weights, delta, initial=None):
         rounds += 1
         if not dirty:
             break
-    out = DefectiveColoring(pk.mapping(colors), ncolors, "per-node", delta,
-                            rounds=rounds)
-    ok, cert = defect_certificate(g, weights, out.colors, delta, "per-node")
-    out.certificate = cert
-    if not ok:
-        raise AssertionError("greedy oracle violated the per-node certificate")
-    return out
+    return _certified(g, weights, DefectiveColoring(
+        pk.mapping(colors), ncolors, "per-node", delta, rounds=rounds))
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,11 @@ def extract_is(h, weights, x_int, uc=None):
     return sorted(survives)
 
 
-def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
-                   mode=_sim.LOCAL, check=True):
+def basic_is_round(h, weights, x, eps, engine, initial_coloring=None,
+                   check=True):
     """Round a fractional solution with u(x) >= 2c(x) into an independent
-    set of weight at least (1/2 - eps) u(x), asserted exactly.
+    set of weight at least (1/2 - eps) u(x), asserted exactly, on
+    ``engine``.
 
     ``x`` maps each node to a rational in [0, 1] (a Fraction or an int),
     read once by numerator and denominator into the raw row (d - n, n).
@@ -86,15 +87,16 @@ def basic_is_round(h, weights, x, eps, engine=None, initial_coloring=None,
     mu = 1/2 - eps/2 (or the exact measured margin when smaller).
     """
     prep = _rounding._Prepared(h, is_valuation(h, weights))
-    return _round_is_rows(h, weights, _rows_at(x, h.nodes), eps, engine,
-                          initial_coloring, mode, check, prep)
+    return _round_is_rows(prep, weights, _rows_at(x, h.nodes), eps, engine,
+                          initial_coloring, check)
 
 
-def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
-                   check, prep):
+def _round_is_rows(prep, weights, rows, eps, engine, initial_coloring,
+                   check):
     """``basic_is_round`` at the raw two-label rows ``rows``: node ->
     (d - n, n) at x_v = n/d, with ``prep`` the packed independent-set
-    valuation of ``(h, weights)``."""
+    valuation of ``(h, weights)`` on the graph ``h = prep.g``."""
+    h = prep.g
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 2)):
         raise ValueError("eps must be in (0, 1/2]")
@@ -116,9 +118,8 @@ def _round_is_rows(h, weights, rows, eps, engine, initial_coloring, mode,
         raise ISInvariantError("shifted solution lost its margin")
     mu = min(Fraction(1, 2) - eps / 2, (U1 - C1) / U1)
     ell, uc = _rounding.round_fractional(
-        h, prep.val, shifted, eps, mu, mode=mode,
-        initial_coloring=initial_coloring, engine=engine, check=check,
-        prep=prep, uc_raw=(U1, C1))
+        prep, shifted, eps, mu, engine, initial_coloring=initial_coloring,
+        check=check, uc_raw=(U1, C1))
     if uc is None:
         uc = _uc_at(prep, _rows_at(ell, h.nodes))
     I = extract_is(h, weights, ell, uc)
@@ -179,18 +180,19 @@ def fractional_matching_doubling_freeze(g):
 
 
 def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
-                 engine=None, mode=_sim.LOCAL, check=True):
-    """Independent set of weight >= S*(w)/4 from the exact LP optimum.
+                 engine=None, mode=None, check=True):
+    """Independent set of weight >= S*(w)/4 from the exact LP optimum, on
+    ``engine`` or on a new one in ``mode`` (``sim.engine_for``).
 
     The LP point, integers X_v over each component's denominator D, is
     floored to the dyadic grid 2^-j with j chosen so the floor loses at
     most S*/12; the rounding's (1/2 - 1/5) factor then still clears 1/4.
     Returns (I, S*)."""
     g = wg.graph
+    engine = _sim.engine_for(g, mode, engine)
     w = weights if weights is not None else wg.weights
     sstar, xstar = _oracle.packing_lp_integers(g, weights=w)
-    if engine is not None:
-        engine.metrics.oracle_assisted = True
+    engine.metrics.oracle_assisted = True
     if sstar == 0:
         return [], sstar
     prep = _rounding._Prepared(g, is_valuation(g, w))
@@ -201,8 +203,8 @@ def lp_guided_is(wg, weights=None, coloring=None, eps=Fraction(1, 5),
     j = (6 * n - 1).bit_length() + 1
     grid = 1 << j
     floors = {v: (X << j) // D for v, (X, D) in xstar.items()}
-    I, _u = _round_is_rows(g, w, {v: (grid - f, f) for v, f in floors.items()},
-                           eps, engine, coloring, mode, check, prep)
+    rows = {v: (grid - f, f) for v, f in floors.items()}
+    I, _u = _round_is_rows(prep, w, rows, eps, engine, coloring, check)
     wI = sum(w[v] for v in I)
     if check and 4 * wI < sstar:
         raise ISInvariantError(f"S*/4 bound failed: {wI} < {sstar}/4")
@@ -335,17 +337,17 @@ def _ladder(wg, eps, engine, check, step, bound):
     return I, B1, upsilons
 
 
-def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
-                   check=True):
+def beta_approx_is(wg, eps=Fraction(1, 10), *, engine, check=True):
     """(1-eps) * S*(w) independent set via the local-ratio ladder fed by
-    ``lp_guided_is``, B = S*; against neighborhood independence beta this
-    is a (1-eps)/beta approximation.  Returns (I, S*(w), trace)."""
+    ``lp_guided_is``, B = S*, on ``engine``; against neighborhood
+    independence beta this is a (1-eps)/beta approximation.  Returns
+    (I, S*(w), trace)."""
     g = wg.graph
 
     def step(sub, w, cols):
         return lp_guided_is(
             _graph.WeightedGraph(sub, {v: 1 for v in sub.nodes}), weights=w,
-            coloring=cols, engine=engine, mode=mode, check=check)
+            coloring=cols, engine=engine, check=check)
 
     def bound(w):
         sub = _induced(g, [v for v in g.nodes if w[v] > 0])
@@ -354,17 +356,16 @@ def beta_approx_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
     return _ladder(wg, eps, engine, check, step, bound)
 
 
-def turan_fraction_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
-                      check=True):
-    """Independent set of weight >= (1-eps) w(V)/(Delta+1): the local-ratio
-    ladder fed by the uniform fractional solution x = 1/(Delta+1), whose
-    utility is B = w(V)/(Delta+1); no LP."""
+def turan_fraction_is(wg, eps=Fraction(1, 10), *, engine, check=True):
+    """Independent set of weight >= (1-eps) w(V)/(Delta+1) on ``engine``:
+    the local-ratio ladder fed by the uniform fractional solution
+    x = 1/(Delta+1), whose utility is B = w(V)/(Delta+1); no LP."""
     share = Fraction(1, wg.graph.max_degree() + 1)
 
     def step(sub, w, cols):
         return basic_is_round(sub, w, dict.fromkeys(sub.nodes, share),
-                              Fraction(1, 4), engine=engine,
-                              initial_coloring=cols, mode=mode, check=check)
+                              Fraction(1, 4), engine, initial_coloring=cols,
+                              check=check)
 
     def bound(w):
         return share * sum(w.values())
@@ -372,9 +373,9 @@ def turan_fraction_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
     return _ladder(wg, eps, engine, check, step, bound)[0]
 
 
-def caro_wei_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
-                check=True):
-    """Independent set of weight >= (1/2 - eps) sum_v w(v)^2 / w(N+[v])."""
+def caro_wei_is(wg, eps=Fraction(1, 10), *, engine, check=True):
+    """Independent set of weight >= (1/2 - eps) sum_v w(v)^2 / w(N+[v]),
+    on ``engine``."""
     eps = Fraction(eps)
     g, w = wg.graph, wg.weights
     if not g.nodes:
@@ -385,8 +386,7 @@ def caro_wei_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
         Wv = w[v] + sum(w[u] for u in g.neighbors(v))
         x[v] = Fraction(w[v], Wv)
         bound += Fraction(w[v] ** 2, Wv)
-    I, u0 = basic_is_round(g, w, x, eps, engine=engine, mode=mode,
-                           check=check)
+    I, u0 = basic_is_round(g, w, x, eps, engine, check=check)
     if u0 != bound:
         raise ISInvariantError("u(x) disagrees with the Caro-Wei mass")
     wI = sum(w[v] for v in I)
@@ -401,16 +401,17 @@ def caro_wei_is(wg, eps=Fraction(1, 10), engine=None, mode=_sim.LOCAL,
     return I
 
 
-def maximal_matching(g, mode=_sim.LOCAL, engine=None, check=True):
+def maximal_matching(g, mode=None, engine=None, check=True):
     """Maximal matching: per outer iteration an O(Delta^2) edge coloring, a
     doubling-freeze fractional matching, and one rounding of it on the
     line-graph d2-multigraph; matched nodes leave and the loop repeats.
+    It runs on ``engine`` or on a new one over ``g`` in ``mode``
+    (``sim.engine_for``).
 
     Outer iterations are at most 8*log2|E| + 2 (each matching is at least a
     1/12 fraction of the residual maximum).  Returns (M as (u, v) pairs,
     metrics, iterations)."""
-    if engine is None:
-        engine = _sim.RoundEngine(g, mode=mode)
+    engine = _sim.engine_for(g, mode, engine)
     live = set(g.nodes)
     pairs = {(min(e.u, e.v), max(e.u, e.v)) for e in g.edges}
     M = []
@@ -429,9 +430,9 @@ def maximal_matching(g, mode=_sim.LOCAL, engine=None, check=True):
         y = fractional_matching_doubling_freeze(sub)
         w1 = {v: 1 for v in h.nodes}
         I, _u = _round_is_rows(
-            h, w1, {base + i: row for i, row in y.items()}, Fraction(1, 6),
-            engine, ecol_h, mode, check,
-            _rounding._Prepared(h, is_valuation(h, w1)))
+            _rounding._Prepared(h, is_valuation(h, w1)), w1,
+            {base + i: row for i, row in y.items()}, Fraction(1, 6), engine,
+            ecol_h, check)
         matched = []
         edge_of = {base + e.index: (e.u, e.v) for e in sub.edges}
         for en in I:

@@ -154,10 +154,9 @@ def build_mis_valuation(it):
     return h, val
 
 
-def luby_derandomized_iteration(adj, mode=_sim.LOCAL, engine=None,
-                                agree_cache=None, check=True):
-    """One derandomized iteration, rounding at eps = mu = 1/2; returns
-    (joined, removed, edges_removed, edges_before)."""
+def luby_derandomized_iteration(adj, engine, agree_cache=None, check=True):
+    """One derandomized iteration on ``engine``, rounding at eps = mu =
+    1/2; returns (joined, removed, edges_removed, edges_before)."""
     it = classify_and_select_instar(adj)
     edges_before = sum(len(adj[v]) for v in it.nodes) // 2
     h, val = build_mis_valuation(it)
@@ -175,8 +174,8 @@ def luby_derandomized_iteration(adj, mode=_sim.LOCAL, engine=None,
         if 2 * good_deg < edges_before:
             raise MisInvariantError("good-degree mass below |E|/2")
     ell, _uc = _rounding.round_fractional(
-        h, val, lam_raw, Fraction(1, 2), Fraction(1, 2), mode=mode,
-        engine=engine, check=check, prep=prep, uc_raw=uc_raw)
+        prep, lam_raw, Fraction(1, 2), Fraction(1, 2), engine, check=check,
+        uc_raw=uc_raw)
     marked = {v for v, lab in ell.items() if lab == 1}
     joined = sorted(u for u in marked
                     if not any(w in marked for w in it.out_nbrs[u]))
@@ -194,15 +193,14 @@ def luby_derandomized_iteration(adj, mode=_sim.LOCAL, engine=None,
     if check and 500 * edges_removed < edges_before:
         raise MisInvariantError(
             f"removed {edges_removed} of {edges_before} edges, below 1/500")
-    if engine is not None:
-        engine.account(8 + 64, 2)    # mark exchange + join/removal notify
+    engine.account(8 + 64, 2)    # mark exchange + join/removal notify
     return joined, removed, edges_removed, edges_before
 
 
-def mis(g, mode=_sim.LOCAL, engine=None, check=True):
-    """Maximal independent set by iterated derandomized Luby steps."""
-    if engine is None:
-        engine = _sim.RoundEngine(g, mode=mode)
+def mis(g, mode=None, engine=None, check=True):
+    """Maximal independent set by iterated derandomized Luby steps, on
+    ``engine`` or on a new one over ``g`` in ``mode`` (``sim.engine_for``)."""
+    engine = _sim.engine_for(g, mode, engine)
     adj = _adjacency(g)
     live = set(g.nodes)
     out = []
@@ -217,7 +215,7 @@ def mis(g, mode=_sim.LOCAL, engine=None, check=True):
         if not live:
             break
         joined, removed, er, eb = luby_derandomized_iteration(
-            {v: adj[v] for v in sorted(live)}, mode=mode, engine=engine,
+            {v: adj[v] for v in sorted(live)}, engine,
             agree_cache=agree_cache, check=check)
         iterations += 1
         ratios.append((er, eb))

@@ -10,7 +10,9 @@ integrality denominator while losing at most a delta-fraction of
 ``u + eta*c`` from the potential ``u - eta*c``; iterating with a sliding
 eta schedule turns a fractional assignment with ``u - c >= mu*u`` into an
 integral one with ``u - c >= (1-eps)*(u - c)``.  All guarantees are
-asserted exactly in rational arithmetic on every call.
+asserted exactly in rational arithmetic on every call.  The entry points
+take the packed valuation, a ``_Prepared``, and run on a
+``sim.RoundEngine``, whose mode selects exact or quantized estimates.
 
 ``preprocess_fractional`` rounds raw rows over any denominators onto rows
 over one 2^k.  A schedule reads such rows into packing order, strips the
@@ -153,8 +155,8 @@ class _Frontier:
         self.start = start
 
 
-def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
-                  engine=None, check=True, uc0=None):
+def rounding_step(prep, lam, k, delta, eta, frontier, engine, check=True,
+                  uc0=None):
     """One basic rounding step: 2^-k-integral in, 2^-(k-1)-integral out.
 
     ``lam`` is the rows of ``prep`` in packing order as numerators over
@@ -169,9 +171,10 @@ def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
     Colors the multigraph with a weighted average (delta/6)-relative
     defective coloring, then per color class splits each row's entries at
     bit ``unit`` into halves by estimated marginal potential and moves each
-    by ``unit``.  The estimates are exact under ``LOCAL``; under
-    ``CONGEST`` (``mode``) the coloring's are factor-2 and the potential's
-    quantized per manager, unless delta = 0 makes the band grid zero.  The
+    by ``unit``.  The estimates are exact when ``engine.mode`` is
+    ``LOCAL``; under ``CONGEST`` the coloring's are factor-2 and the
+    potential's quantized per manager, unless delta = 0 makes the band
+    grid zero.  The step declares its rounds and bits on ``engine``.  The
     coloring is weighted by u + eta*c per edge; those weights are computed
     only when it reads them, that is, when a Reed-Solomon step meets a
     color at or above its field size or the reduction a color at or above
@@ -183,7 +186,6 @@ def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
     exact (u, c) of ``lam`` when the caller already holds it.  Returns the
     exact (u', c'), or None when ``check=False``.
     """
-    _sim.check_mode(mode)
     delta = Fraction(delta)
     eta = Fraction(eta)
     if not (0 <= delta <= 1):
@@ -197,7 +199,7 @@ def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
     if check:
         U0, C0 = prep.potential(lam, K) if uc0 is None else uc0
     en, ed = eta.numerator, eta.denominator
-    quantized = mode == _sim.CONGEST and delta != 0
+    quantized = engine.mode == _sim.CONGEST and delta != 0
     if delta == 0:
         colors, palette, rounds, maxbits = _coloring.proper_colors_for_rounding(
             prep, frontier.start)
@@ -214,15 +216,12 @@ def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
 
         colors, palette, rounds, maxbits = _coloring.defective_colors_for_rounding(
             prep, weights, delta / 6, quantized, frontier.start)
-    if engine is not None:
-        engine.account(maxbits, rounds)
+    engine.account(maxbits, rounds)
     dn, dd = delta.numerator, delta.denominator
     moved = frontier.buckets.pop(unit, [])
     max_qbits, _touched = _K.rounding_color_loop(
         prep.tables, lam, K, colors, dn, dd, en, ed, quantized, unit, moved)
-    if engine is not None:
-        msg_bits = prep.L * (max_qbits + 2) + 2
-        engine.account(msg_bits, 2 * palette)
+    engine.account(prep.L * (max_qbits + 2) + 2, 2 * palette)
     _K.file_rows(lam, moved, unit, 1 << K, frontier.buckets)
     if not check:
         return None
@@ -234,39 +233,28 @@ def rounding_step(prep, lam, k, delta, eta, frontier, mode=_sim.LOCAL,
     return U1, C1
 
 
-def round_to_integral(g, val, lam, eps, mu, mode=_sim.LOCAL,
-                      initial_coloring=None, engine=None, prep=None,
+def round_to_integral(prep, lam, eps, mu, engine, initial_coloring=None,
                       check=True, uc0=None):
-    """Full rounding schedule: k steps with delta = eps*mu/(6k) and
-    eta_i = 1 + (1 - i/k) * eps*mu/2.
+    """Full rounding schedule on the packed valuation ``prep``: k steps
+    with delta = eps*mu/(6k) and eta_i = 1 + (1 - i/k) * eps*mu/2, run on
+    ``engine``.
 
     ``lam`` maps each node to a raw row, and all rows sum to one 2^k.
     Requires ``u - c >= mu*u`` exactly; returns the integral labeling with
-    ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly.  ``uc0`` is the
-    exact (u, c) of ``lam`` when the caller already holds it.  An
+    ``u(l) - c(l) >= (1-eps)(u - c)`` asserted exactly, and its exact
+    (u, c), which is None when unchecked steps ran.  ``uc0`` is the exact
+    (u, c) of ``lam`` when the caller already holds it.  An
     ``initial_coloring`` that misses a node, holds a negative color or is
     not proper raises ``ColoringError``.  An assignment that misses a node,
-    has another number of labels than ``val``, a negative entry or rows
-    whose sums are not one power of two or an unknown ``mode`` raises
-    ``ValueError``.
-    """
-    _sim.check_mode(mode)
-    if prep is None:
-        prep = _Prepared(g, val)
-    return _round_to_integral(prep, lam, eps, mu, mode,
-                              initial_coloring, engine, check, uc0)[0]
-
-
-def _round_to_integral(prep, lam, eps, mu, mode, initial_coloring, engine,
-                       check, uc0):
-    """``round_to_integral`` on a packed valuation; returns the labeling and
-    its exact (u, c), which is None when unchecked steps ran.
+    has another number of labels than the valuation, a negative entry or
+    rows whose sums are not one power of two raises ``ValueError``.
 
     The rows of ``prep`` are read once, and the trailing zero bits that
     all their entries and 2^k share are stripped in one pass: the rows
     that are left are numerators over one 2^k for the whole schedule.
     Every step rounds the rows of the frontier in place, and the labeling
-    is read off the final one-hot rows."""
+    is read off the final one-hot rows.
+    """
     eps = Fraction(eps)
     mu = Fraction(mu)
     if not (0 <= eps <= 1) or not (0 < mu <= 1):
@@ -289,16 +277,15 @@ def _round_to_integral(prep, lam, eps, mu, mode, initial_coloring, engine,
     if k == 0:
         return _labeling(prep, rows, k), (U0, C0)
     delta = eps * mu / (6 * k)
-    if engine is not None:
-        # pipelined initial fractional-value broadcast
-        engine.account(min(2 * prep.L + 2, (1 << min(k, 20)) * 8), rounds=k)
+    # pipelined initial fractional-value broadcast
+    engine.account(min(2 * prep.L + 2, (1 << min(k, 20)) * 8), rounds=k)
     phi0 = U0 - (1 + eps * mu / 2) * C0
     uc = (U0, C0)
     frontier = _Frontier(rows, k, prep.start(initial_coloring))
     for i in range(1, k + 1):
         eta_i = 1 + Fraction(k - i, k) * eps * mu / 2
         uc = rounding_step(prep, rows, k - i + 1, delta, eta_i, frontier,
-                           mode, engine=engine, check=check, uc0=uc)
+                           engine, check=check, uc0=uc)
         if check:
             Ui, Ci = uc
             phi_i = Ui - eta_i * Ci
@@ -306,8 +293,7 @@ def _round_to_integral(prep, lam, eps, mu, mode, initial_coloring, engine,
                 raise RoundingInvariantError(
                     f"potential schedule broken at step {i}: "
                     f"{phi_i} < (1-delta)^{i} * {phi0}")
-            if engine is not None:
-                engine.sample_potential(phi_i)
+            engine.sample_potential(phi_i)
     if check:
         Uf, Cf = uc
         if Uf - Cf < (1 - eps) * (U0 - C0):
@@ -424,30 +410,27 @@ def _check_preprocessed(prep, uc_raw, out, eps, mu):
     return U1, C1
 
 
-def round_fractional(g, val, lam_raw, eps, mu, mode=_sim.LOCAL,
-                     initial_coloring=None, engine=None, check=True,
-                     prep=None, uc_raw=None):
-    """Preprocess + full rounding with the eps/2 + eps/2 split.
+def round_fractional(prep, lam_raw, eps, mu, engine, initial_coloring=None,
+                     check=True, uc_raw=None):
+    """Preprocess + full rounding with the eps/2 + eps/2 split, on the
+    packed valuation ``prep`` and on ``engine``.
 
     Produces an integral labeling with ``u - c >= (1-eps)(u(lam) - c(lam))``
     from any fractional assignment with ``u - c >= mu*u``, given as raw
     rows over any denominators (``preprocess_fractional``).  The claim is
-    asserted exactly end to end.  ``prep`` is the packed ``(g, val)`` and
-    ``uc_raw`` the exact (u, c) of ``lam_raw``, when the caller already
-    holds them.  Returns the labeling and its exact (u, c), which is None
-    when ``check=False``.  eps and mu must lie in (0, 1].
+    asserted exactly end to end.  ``uc_raw`` is the exact (u, c) of
+    ``lam_raw`` when the caller already holds it.  Returns the labeling
+    and its exact (u, c), which is None when ``check=False``.  eps and mu
+    must lie in (0, 1].
     """
     eps, mu = _eps_mu(eps, mu)
-    _sim.check_mode(mode)
-    if prep is None:
-        prep = _Prepared(g, val)
     if check and uc_raw is None:
         uc_raw = prep.potential(lam_raw)
     lam = preprocess_fractional(lam_raw, eps / 2, mu)
     uc0 = (_check_preprocessed(prep, uc_raw, lam, eps / 2, mu) if check
            else None)
-    ell, ucf = _round_to_integral(prep, lam, eps / 2, mu / 2, mode,
-                                  initial_coloring, engine, check, uc0)
+    ell, ucf = round_to_integral(prep, lam, eps / 2, mu / 2, engine,
+                                 initial_coloring, check, uc0)
     if not check:
         return ell, None
     U, C = uc_raw

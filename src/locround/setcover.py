@@ -216,19 +216,18 @@ def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
     return h, val
 
 
-def cover_iteration(inst, n_star, u_live, g_i, lam, cost, mode, engine,
+def cover_iteration(inst, n_star, u_live, g_i, lam, cost, engine,
                     agree_cache, initial_coloring, check=True):
-    """One rounding iteration; returns (V'_i, U_{i+1})."""
+    """One rounding iteration on ``engine``; returns (V'_i, U_{i+1})."""
     h, val = _iteration_valuation(inst, n_star, u_live, g_i, lam, cost)
     prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
     U0, C0 = prep.potential(lam)
     if 2 * C0 > U0:
         raise CoverInvariantError(
             f"margin u - c >= u/2 failed before rounding: {U0}, {C0}")
-    ell = _rounding.round_to_integral(
-        h, val, lam, Fraction(1, 200), Fraction(1, 2), mode=mode,
-        initial_coloring=initial_coloring, engine=engine, prep=prep,
-        check=check, uc0=(U0, C0))
+    ell, _uc = _rounding.round_to_integral(
+        prep, lam, Fraction(1, 200), Fraction(1, 2), engine,
+        initial_coloring=initial_coloring, check=check, uc0=(U0, C0))
     v_i = sorted(v for v, lab in ell.items() if lab == 1)
     covered = set()
     for v in v_i:
@@ -245,11 +244,13 @@ def network_nodes(inst):
     return _graph.Multigraph(inst.elements + inst.sets, ())
 
 
-def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
+def set_cover(inst, mode=None, cost_mode="unit",
               backend="central-exact", engine=None, check=True):
     """Full Algorithm: returns (V_out, metrics, info).
 
-    Without an ``engine`` it runs on one over ``network_nodes(inst)``.
+    Without an ``engine`` it runs on one over ``network_nodes(inst)`` in
+    ``mode`` (``sim.engine_for``).  Under LOCAL the rounding starts from a
+    2-hop coloring of the sets, under CONGEST from their ids.
     info carries tau, OPT_bound, the exact Phi trace, and per-iteration
     uncovered counts.  Asserted invariants: (frac0)-(frac3), the
     per-iteration potential decrease inequality, Phi monotonicity,
@@ -261,8 +262,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
     """
     weighted = cost_mode == "weighted"
     cost = inst.costs if weighted else {v: 1 for v in inst.sets}
-    if engine is None:
-        engine = _sim.RoundEngine(network_nodes(inst), mode=mode)
+    engine = _sim.engine_for(network_nodes(inst), mode, engine)
     W = inst.W if weighted else 1
     x0, factor, opt_bound = fractional_cover(inst, backend, weighted)
     engine.metrics.oracle_assisted = True       # both backends solve the LP
@@ -293,7 +293,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
         if 100 * gnum[i + 1] > 102 * gnum[i]:
             raise CoverInvariantError("geometric coefficient stepped too far")
     initial_coloring = None
-    if mode == _sim.LOCAL:
+    if engine.mode == _sim.LOCAL:
         initial_coloring = _two_hop_set_coloring(inst)
     agree_cache = {}
     u_live = set(inst.elements)
@@ -306,7 +306,7 @@ def set_cover(inst, mode=_sim.LOCAL, cost_mode="unit",
         i += 1
         g_i = 20 * w_eff * _g_coefficient(tau - i)
         v_i, u_next = cover_iteration(
-            inst, n_star, u_live, g_i, lam, cost, mode, engine,
+            inst, n_star, u_live, g_i, lam, cost, engine,
             agree_cache, initial_coloring, check=check)
         ci = sum(cost[v] for v in v_i)
         if check:

@@ -5,6 +5,9 @@ their rounds and the bit profile of each communication phase through
 ``advance`` / ``account``.  Under CONGEST every declared message size is
 checked against the per-edge bit budget; a violation is recorded, or
 raises under ``strict``.
+
+The engine carries the model: code that runs on one reads ``engine.mode``,
+and only the entry points that build one (``engine_for``) take a mode.
 """
 
 from __future__ import annotations
@@ -20,6 +23,18 @@ def check_mode(mode):
     """Raises ``ValueError`` unless ``mode`` is LOCAL or CONGEST."""
     if mode not in (LOCAL, CONGEST):
         raise ValueError(f"unknown mode {mode!r}")
+
+
+def engine_for(graph, mode, engine):
+    """``engine``, or a new ``RoundEngine`` over ``graph`` in ``mode``
+    (LOCAL when None) when it is None.  Raises ``ValueError`` when both
+    are given and ``mode`` is not the engine's."""
+    if engine is None:
+        return RoundEngine(graph, mode=LOCAL if mode is None else mode)
+    if mode is not None and mode != engine.mode:
+        raise ValueError(f"mode {mode!r} contradicts the engine's mode "
+                         f"{engine.mode!r}")
+    return engine
 
 
 class BudgetExceeded(RuntimeError):
@@ -57,10 +72,15 @@ class RoundEngine:
     """Synchronous engine for a network given as a
     :class:`locround.graph.Multigraph`.  It reads only the graph's node
     count n, which sizes the default CONGEST budget of 64 ceil(log2 n)
-    bits, and keeps no reference to the graph."""
+    bits, and keeps no reference to the graph.  ``mode`` is the model of
+    the whole run; a ``bit_budget`` or ``strict`` raises ``ValueError``
+    outside CONGEST, which alone checks a budget."""
 
     def __init__(self, graph, mode=LOCAL, bit_budget=None, strict=False):
         check_mode(mode)
+        if mode != CONGEST and (bit_budget is not None or strict):
+            raise ValueError(f"a bit budget or strict accounting needs mode "
+                             f"{CONGEST!r}, not {mode!r}")
         self.mode = mode
         if bit_budget is None and mode == CONGEST:
             n = max(2, len(graph.nodes))
@@ -84,8 +104,7 @@ class RoundEngine:
         costs ``max_bits`` bits."""
         if max_bits > self.metrics.max_bits_per_edge_round:
             self.metrics.max_bits_per_edge_round = max_bits
-        if (self.mode == CONGEST and self.bit_budget is not None
-                and max_bits > self.bit_budget):
+        if self.bit_budget is not None and max_bits > self.bit_budget:
             self.metrics.budget_violations.append((self.round + 1, tuple(edge), max_bits))
             if self.strict:
                 raise BudgetExceeded(

@@ -111,7 +111,7 @@ def test_c1_rounding_step_lemma():
         k = sum(rows[0]).bit_length() - 1
         uc1 = R.rounding_step(prep, rows, k, delta, eta,
                               R._Frontier(rows, k, prep.start(None)),
-                              mode=mode)
+                              S.RoundEngine(g, mode=mode))
         # independent recheck of the step inequality on a subsample
         if i % 10 == 0:
             U1, C1 = prep.potential(dict(zip(prep.nodes, rows)))
@@ -142,7 +142,8 @@ def test_c2_full_rounding_lemma():
             continue
         # every grid point in both modes
         mode = S.CONGEST if done // len(grid) % 2 else S.LOCAL
-        R.round_to_integral(g, val, lam, eps, mu, mode=mode)
+        R.round_to_integral(R._Prepared(g, val), lam, eps, mu,
+                            S.RoundEngine(g, mode=mode))
         done += 1
     _report(2, "full-rounding-lemma-exact",
             f"200 instances over eps x mu grid, {time.time() - t0:.1f}s")
@@ -197,11 +198,13 @@ def test_c4_defective_colorings():
              for e in g.edges}
         delta = deltas[i % 4]
         mode = S.CONGEST if i % 2 else S.LOCAL
-        dc = C.weighted_defective_coloring(g, w, delta, mode=mode)
+        dc = C.weighted_defective_coloring(g, w, delta,
+                                           S.RoundEngine(g, mode=mode))
         ok, _ = C.defect_certificate(g, w, dc.colors, delta, "per-node")
         assert ok
         assert dc.palette_size * delta.numerator ** 2 <= (1 << 16) * delta.denominator ** 2
-        ac = C.average_defective_coloring(g, w, delta, mode=mode)
+        ac = C.average_defective_coloring(g, w, delta,
+                                          S.RoundEngine(g, mode=mode))
         ok, _ = C.defect_certificate(g, w, ac.colors, delta, "average")
         assert ok
         go = C.greedy_defective_oracle(g, w, delta)
@@ -257,17 +260,17 @@ def test_c6_weighted_is_bounds():
         dmax = max(g.max_degree(), 1)
         # basic rounding at the uniform feasible point
         x = {v: Fraction(1, dmax + 1) for v in g.nodes}
-        I, u0 = IS.basic_is_round(g, w, x, eps)
+        I, u0 = IS.basic_is_round(g, w, x, eps, S.RoundEngine(g))
         assert sum(w[v] for v in I) >= (Fraction(1, 2) - eps) * u0
         # LP-guided S*/4
         I, sstar = IS.lp_guided_is(wg)
         assert 4 * sum(w[v] for v in I) >= sstar
         # Turan fraction
-        I = IS.turan_fraction_is(wg, eps)
+        I = IS.turan_fraction_is(wg, eps, engine=S.RoundEngine(g))
         assert sum(w[v] for v in I) >= (1 - eps) * Fraction(
             wg.total_weight(), dmax + 1)
         # Caro-Wei
-        I = IS.caro_wei_is(wg, eps)
+        I = IS.caro_wei_is(wg, eps, engine=S.RoundEngine(g))
         mass = sum(Fraction(w[v] ** 2,
                             w[v] + sum(w[u] for u in g.neighbors(v)))
                    for v in g.nodes)
@@ -284,7 +287,7 @@ def test_c7_c8_beta_and_local_ratio():
         n = rng.randint(3, 18)
         g = _graph(rng, n, rng.randint(2, 6), 0.3)
         wg = G.WeightedGraph(g, {v: rng.randint(1, 9) for v in g.nodes})
-        I, sstar, ups = IS.beta_approx_is(wg, eps)
+        I, sstar, ups = IS.beta_approx_is(wg, eps, engine=S.RoundEngine(g))
         wI = sum(wg.weights[v] for v in I)
         assert wI >= (1 - eps) * sstar
         opt, _ = O.brute_max_weight_is(wg)
@@ -384,7 +387,7 @@ def _run_fingerprint():
     payload = []
     g = _graph(rng, 300, 10, 0.05)
     eng = S.RoundEngine(g, mode=S.CONGEST)
-    I, metrics, info = M.mis(g, mode=S.CONGEST, engine=eng)
+    I, metrics, info = M.mis(g, engine=eng)
     payload.append({"mis": I, "metrics": metrics.to_json(),
                     "iters": info["iterations"]})
     inst = _block_union(rng, 4, 20, 16, 3, 5)
@@ -394,7 +397,7 @@ def _run_fingerprint():
                     "phi": [str(p) for p in info["phi"]]})
     g2 = _graph(rng, 60, 6, 0.1)
     wg = G.WeightedGraph(g2, {v: rng.randint(1, 50) for v in g2.nodes})
-    I2 = IS.caro_wei_is(wg, Fraction(1, 10))
+    I2 = IS.caro_wei_is(wg, Fraction(1, 10), engine=S.RoundEngine(g2))
     payload.append({"carowei": I2})
     g3 = _graph(rng, 80, 8, 0.1)
     M3, metrics3, it3 = IS.maximal_matching(g3)
@@ -415,7 +418,7 @@ def test_c11_determinism_and_model_fidelity():
     eng = S.RoundEngine(g, mode=S.CONGEST)
     budget = 64 * max(1, (len(g.nodes) - 1).bit_length())
     assert eng.bit_budget == budget
-    I, metrics, _ = M.mis(g, mode=S.CONGEST, engine=eng)
+    I, metrics, _ = M.mis(g, engine=eng)
     assert metrics.max_bits_per_edge_round <= budget
     assert not metrics.budget_violations
     inst = _block_union(rng, 40, 30, 20, 3, 6)

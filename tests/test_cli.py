@@ -785,6 +785,23 @@ def test_json_of_the_wrong_type_exits_two_with_one_line(tmp_path, argv, doc,
     _exits_two_with_one_line(proc, rep, f"{inp}: {line}")
 
 
+@pytest.mark.parametrize("flags", [["--bit-budget", "8"], ["--strict-budget"],
+                                   ["--mode", "local", "--bit-budget", "8",
+                                    "--strict-budget"]],
+                         ids=["budget", "strict", "both-local"])
+def test_budget_flags_without_congest_exit_two_with_one_line(tmp_path, flags):
+    """Under the default --mode local, --bit-budget 8 --strict-budget mis
+    exited 0 with max_bits 72 and no violations, and echoed both flags
+    in its config: only a CONGEST engine checks a budget."""
+    g = tmp_path / "g.edges"
+    g.write_text(TRIANGLE)
+    rep = tmp_path / "out.json"
+    proc = _run_console_script(*flags, "--json", str(rep), "mis", "--input",
+                               str(g))
+    _exits_two_with_one_line(
+        proc, rep, "--bit-budget and --strict-budget need --mode congest")
+
+
 @pytest.mark.parametrize("budget", [["--bit-budget", "0"],
                                     ["--bit-budget", "-5"],
                                     ["--bit-budget=-5"]],

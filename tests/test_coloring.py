@@ -62,7 +62,8 @@ def test_defective_delta_one_trivial():
 def test_defective_single_edge_half():
     g = G.simple_graph([1, 2], [(1, 2)])
     w = {0: Fraction(5)}
-    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2))
+    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2),
+                                       sim.RoundEngine(g))
     assert dc.colors[1] != dc.colors[2]
 
 
@@ -72,29 +73,47 @@ def test_defective_fuzz_certificates(rng):
         w = rand_weights(rng, g)
         delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
         for mode in (sim.LOCAL, sim.CONGEST):
-            dc = C.weighted_defective_coloring(g, w, delta, mode=mode)
+            engine = sim.RoundEngine(g, mode=mode)
+            dc = C.weighted_defective_coloring(g, w, delta, engine)
             ok, _ = C.defect_certificate(g, w, dc.colors, delta, "per-node")
             assert ok
             assert dc.palette_size <= (1 << 16) * delta.denominator ** 2
-            ac = C.average_defective_coloring(g, w, delta, mode=mode)
+            ac = C.average_defective_coloring(g, w, delta, engine)
             ok, _ = C.defect_certificate(g, w, ac.colors, delta, "average")
             assert ok
 
 
-@pytest.mark.parametrize("coloring", ["weighted_defective_coloring",
-                                      "average_defective_coloring"])
-def test_unknown_mode_is_rejected(coloring):
-    """A mode other than LOCAL and CONGEST colored as LOCAL."""
-    g = G.simple_graph([1, 2], [(1, 2)])
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        getattr(C, coloring)(g, {0: Fraction(1)}, Fraction(1, 2),
-                             mode="bogus")
+def test_average_defective_coloring_packs_its_graph_once(monkeypatch):
+    """The average coloring packed its graph and integer weights twice:
+    once itself and once in the per-node coloring it called for stage
+    one.  Both certificates and both declared phases stay."""
+    packs = []
+    init = C._Packing.__init__
+
+    def counted(self, *args):
+        packs.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(C._Packing, "__init__", counted)
+    g = G.simple_graph(range(6), [(i, i + 1) for i in range(5)] + [(0, 5)])
+    w = unit_weights(g)
+    for mode in (sim.LOCAL, sim.CONGEST):
+        packs.clear()
+        engine = sim.RoundEngine(g, mode=mode)
+        ac = C.average_defective_coloring(g, w, Fraction(1, 2), engine)
+        assert len(packs) == 1
+        assert ac.certificate["mono_weight"] <= ac.certificate[
+            "total_weight"] / 2
+        assert engine.metrics.total_rounds == ac.rounds
+        stage1 = C.weighted_defective_coloring(g, w, Fraction(1, 4),
+                                               sim.RoundEngine(g, mode=mode))
+        assert ac.rounds > stage1.rounds
 
 
 def test_average_star_example():
     g = G.simple_graph([0, 1, 2, 3, 4], [(0, i) for i in (1, 2, 3, 4)])
     w = unit_weights(g)
-    ac = C.average_defective_coloring(g, w, Fraction(1, 2))
+    ac = C.average_defective_coloring(g, w, Fraction(1, 2), sim.RoundEngine(g))
     mono = ac.certificate["mono_weight"]
     assert mono <= Fraction(1, 2) * ac.certificate["total_weight"]
 
@@ -128,7 +147,8 @@ def test_defective_on_multigraph(rng):
     h = build_d2_multigraph(g, spec)
     w = rand_weights(rng, h)
     for mode in (sim.LOCAL, sim.CONGEST):
-        ac = C.average_defective_coloring(h, w, Fraction(1, 4), mode=mode)
+        ac = C.average_defective_coloring(h, w, Fraction(1, 4),
+                                          sim.RoundEngine(h, mode=mode))
         ok, _ = C.defect_certificate(h, w, ac.colors, Fraction(1, 4), "average")
         assert ok
 
@@ -137,7 +157,8 @@ def test_initial_coloring_reuse(rng):
     g = random_simple_graph(rng, 20, 4, 0.3)
     pc = C.linial_coloring(g)
     w = unit_weights(g)
-    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2), initial=pc.colors)
+    dc = C.weighted_defective_coloring(g, w, Fraction(1, 2),
+                                       sim.RoundEngine(g), initial=pc.colors)
     ok, _ = C.defect_certificate(g, w, dc.colors, Fraction(1, 2), "per-node")
     assert ok
 
@@ -157,8 +178,9 @@ def test_average_defective_zero_weight_managed_edges():
         for u, v, m in spec])
     w = {e.index: Fraction(x) for e, x in zip(g.edges, weight)}
     initial = {1: 7, 2: 152, 3: 115, 4: 300, 5: 6, 6: 189, 7: 4, 8: 78, 9: 41}
-    ac = C.average_defective_coloring(g, w, Fraction(1, 2), initial=initial,
-                                      mode=sim.CONGEST)
+    ac = C.average_defective_coloring(g, w, Fraction(1, 2),
+                                      sim.RoundEngine(g, mode=sim.CONGEST),
+                                      initial=initial)
     assert ac.colors == {1: 7, 2: 4, 3: 2, 4: 4, 5: 6, 6: 5, 7: 2, 8: 3, 9: 1}
     assert (ac.palette_size, ac.rounds) == (41, 84)
     ok, _ = C.defect_certificate(g, w, ac.colors, Fraction(1, 2), "average")
@@ -177,17 +199,18 @@ def test_public_colorings_reject_malformed_initial():
             C.linial_coloring(g, initial=initial)
         with pytest.raises(C.ColoringError, match=msg):
             C.weighted_defective_coloring(g, w, Fraction(1, 2),
-                                          initial=initial)
+                                          sim.RoundEngine(g), initial=initial)
         with pytest.raises(C.ColoringError, match=msg):
             C.average_defective_coloring(g, w, Fraction(1, 2),
-                                         initial=initial)
+                                         sim.RoundEngine(g), initial=initial)
         with pytest.raises(C.ColoringError, match=msg):
             C.greedy_defective_oracle(g, w, Fraction(1, 2), initial=initial)
     # an isolated node's color is unconstrained, and extra keys are ignored
     h = G.simple_graph([1, 2, 3], [(1, 2)])
     initial = {1: 0, 2: 1, 3: 1, 99: 5}
     assert C.linial_coloring(h, initial=initial).palette_size >= 2
-    C.average_defective_coloring(h, {0: 1}, Fraction(1, 2), initial=initial)
+    C.average_defective_coloring(h, {0: 1}, Fraction(1, 2), sim.RoundEngine(h),
+                                 initial=initial)
 
 
 def test_closed_forms_match_the_kernels(rng, monkeypatch):
@@ -216,8 +239,8 @@ def test_closed_forms_match_the_kernels(rng, monkeypatch):
         runs = []
         for below in (below0, lambda colors, bound: False):
             monkeypatch.setattr(C, "_below", below)
-            ac = C.average_defective_coloring(g, w, delta, initial=initial,
-                                              mode=mode)
+            ac = C.average_defective_coloring(
+                g, w, delta, sim.RoundEngine(g, mode=mode), initial=initial)
             runs.append((ac.colors, ac.palette_size, ac.rounds,
                          C.defective_colors_for_rounding(
                              pk, lambda: (calls.append(below) or wi,

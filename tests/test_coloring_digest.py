@@ -76,11 +76,12 @@ def coloring_digest():
             delta = rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 3),
                                 Fraction(1, 4), Fraction(2, 7)])
             start = initial if rng.random() < 0.5 else None
-            dc = C.weighted_defective_coloring(g, w, delta, initial=start,
-                                               mode=mode)
+            engine = sim.RoundEngine(g, mode=mode)
+            dc = C.weighted_defective_coloring(g, w, delta, engine,
+                                               initial=start)
             _record(h, "defective", dc.colors, dc.palette_size, dc.rounds)
-            ac = C.average_defective_coloring(g, w, delta, initial=start,
-                                              mode=mode)
+            ac = C.average_defective_coloring(g, w, delta, engine,
+                                              initial=start)
             _record(h, "average", ac.colors, ac.palette_size, ac.rounds)
     for _ in range(8):
         g = _paths_and_cycles(rng)

@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from locround import graph as G, indepset as IS, oracle as O, rounding as R
+from locround import (graph as G, indepset as IS, oracle as O,
+                      rounding as R, sim as S)
 from conftest import random_simple_graph, random_weighted_graph, raw_rows
 from rational_lp import dual_covering_lp
 
 
 def wgraph(nodes, pairs, weights):
     return G.WeightedGraph(G.simple_graph(nodes, pairs), weights)
+
+
+def _local(wg):
+    """A new LOCAL engine over the graph of ``wg``."""
+    return S.RoundEngine(wg.graph)
 
 
 def _is_uc(wg, x):
@@ -40,14 +46,16 @@ def test_extract_examples():
 def test_basic_round_edgeless():
     wg = wgraph([1, 2, 3], [], {1: 2, 2: 3, 3: 4})
     x = {v: Fraction(1) for v in (1, 2, 3)}
-    I, u0 = IS.basic_is_round(wg.graph, wg.weights, x, Fraction(1, 10))
+    I, u0 = IS.basic_is_round(wg.graph, wg.weights, x, Fraction(1, 10),
+                              _local(wg))
     assert I == [1, 2, 3] and u0 == 9
 
 
 def test_basic_round_k3():
     k3 = wgraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: 1, 2: 1, 3: 1})
     x = {v: Fraction(1, 3) for v in (1, 2, 3)}
-    I, u0 = IS.basic_is_round(k3.graph, k3.weights, x, Fraction(1, 10))
+    I, u0 = IS.basic_is_round(k3.graph, k3.weights, x, Fraction(1, 10),
+                              _local(k3))
     assert len(I) >= 1
 
 
@@ -55,7 +63,8 @@ def test_basic_round_precondition():
     k3 = wgraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: 1, 2: 1, 3: 1})
     x = {v: Fraction(1) for v in (1, 2, 3)}     # u = 3, c = 3
     with pytest.raises(IS.ISInvariantError):
-        IS.basic_is_round(k3.graph, k3.weights, x, Fraction(1, 10))
+        IS.basic_is_round(k3.graph, k3.weights, x, Fraction(1, 10),
+                          _local(k3))
 
 
 def test_packing_backends():
@@ -98,7 +107,8 @@ def test_local_ratio_combine_cases():
 def test_beta_approx_vs_oracle(rng):
     for _ in range(4):
         wg = random_weighted_graph(rng, rng.randint(3, 14), 4, 0.3)
-        I, sstar, ups = IS.beta_approx_is(wg, Fraction(1, 10))
+        I, sstar, ups = IS.beta_approx_is(wg, Fraction(1, 10),
+                                          engine=_local(wg))
         wI = sum(wg.weights[v] for v in I)
         assert wI >= Fraction(9, 10) * sstar
         opt, _ = O.brute_max_weight_is(wg)
@@ -177,8 +187,8 @@ def test_ladder_certificate_matches_the_covering_lp(rng, monkeypatch):
     monkeypatch.setattr(IS, "_residual_weights", recording)
     for _ in range(6):
         wg = random_weighted_graph(rng, rng.randint(2, 16), 5, 0.3, wmax=30)
-        IS.beta_approx_is(wg, Fraction(1, 2))
-        IS.turan_fraction_is(wg, Fraction(1, 2))
+        IS.beta_approx_is(wg, Fraction(1, 2), engine=_local(wg))
+        IS.turan_fraction_is(wg, Fraction(1, 2), engine=_local(wg))
     assert len(seen) >= 12
     for g, w, I, w_next in seen:
         opt, _y = dual_covering_lp(g, {v: w[v] - w_next[v] for v in g.nodes})
@@ -190,11 +200,11 @@ def test_turan_bound(rng):
     k4 = wgraph([1, 2, 3, 4],
                 [(i, j) for i in range(1, 5) for j in range(i + 1, 5)],
                 {v: 1 for v in range(1, 5)})
-    I = IS.turan_fraction_is(k4, Fraction(1, 10))
+    I = IS.turan_fraction_is(k4, Fraction(1, 10), engine=_local(k4))
     assert len(I) >= 1
     for _ in range(4):
         wg = random_weighted_graph(rng, rng.randint(2, 40), 6)
-        I = IS.turan_fraction_is(wg, Fraction(1, 10))
+        I = IS.turan_fraction_is(wg, Fraction(1, 10), engine=_local(wg))
         bound = (1 - Fraction(1, 10)) * Fraction(
             wg.total_weight(), wg.graph.max_degree() + 1)
         assert sum(wg.weights[v] for v in I) >= bound
@@ -202,17 +212,17 @@ def test_turan_bound(rng):
 
 def test_caro_wei_examples(rng):
     lone = wgraph([3], [], {3: 5})
-    I = IS.caro_wei_is(lone, Fraction(1, 20))
+    I = IS.caro_wei_is(lone, Fraction(1, 20), engine=_local(lone))
     assert I == [3]
     star = wgraph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)],
                   {v: 1 for v in range(4)})
-    I = IS.caro_wei_is(star, Fraction(1, 20))
+    I = IS.caro_wei_is(star, Fraction(1, 20), engine=_local(star))
     mass = Fraction(1, 4) + 3 * Fraction(1, 2)
     assert sum(1 for _ in I) >= 1
     assert len(I) >= (Fraction(1, 2) - Fraction(1, 20)) * mass
     for _ in range(4):
         wg = random_weighted_graph(rng, rng.randint(2, 40), 6, wmax=20)
-        IS.caro_wei_is(wg, Fraction(1, 10))
+        IS.caro_wei_is(wg, Fraction(1, 10), engine=_local(wg))
 
 
 def test_matching_examples(rng):

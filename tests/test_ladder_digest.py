@@ -41,14 +41,13 @@ def _runs():
         for mode in (sim.LOCAL, sim.CONGEST):
             for eps in EPSILONS:
                 engine = sim.RoundEngine(g, mode=mode)
-                I, sstar, ups = IS.beta_approx_is(wg, eps, engine=engine,
-                                                  mode=mode)
+                I, sstar, ups = IS.beta_approx_is(wg, eps, engine=engine)
                 yield (["beta", mode, str(eps), I, str(sstar),
                         [str(u) for u in ups], engine.metrics.total_rounds,
                         engine.metrics.max_bits_per_edge_round],
                        len(ups) == IS._steps_for(eps))
                 engine = sim.RoundEngine(g, mode=mode)
-                I = IS.turan_fraction_is(wg, eps, engine=engine, mode=mode)
+                I = IS.turan_fraction_is(wg, eps, engine=engine)
                 yield (["turan", mode, str(eps), I, engine.metrics.total_rounds,
                         engine.metrics.max_bits_per_edge_round], False)
 

@@ -33,16 +33,16 @@ def _records():
         g = wg.graph
         for mode in (sim.LOCAL, sim.CONGEST):
             engine = sim.RoundEngine(g, mode=mode)
-            M, metrics, iters = IS.maximal_matching(g, mode=mode, engine=engine)
+            M, metrics, iters = IS.maximal_matching(g, engine=engine)
             yield ["matching", mode, M, iters, metrics.total_rounds,
                    metrics.max_bits_per_edge_round]
             runs = (
                 ("lp4", lambda e: list(IS.lp_guided_is(
-                    wg, eps=Fraction(1, 5), engine=e, mode=mode)[0])),
+                    wg, eps=Fraction(1, 5), engine=e)[0])),
                 ("turan", lambda e: IS.turan_fraction_is(
-                    wg, Fraction(1, 10), engine=e, mode=mode)),
+                    wg, Fraction(1, 10), engine=e)),
                 ("carowei", lambda e: IS.caro_wei_is(
-                    wg, Fraction(1, 10), engine=e, mode=mode)),
+                    wg, Fraction(1, 10), engine=e)),
             )
             for name, run in runs:
                 engine = sim.RoundEngine(g, mode=mode)

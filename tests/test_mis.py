@@ -53,7 +53,8 @@ def test_clique_and_path():
 
 def test_single_edge_removal_count():
     g = G.simple_graph([1, 2], [(1, 2)])
-    joined, removed, er, eb = M.luby_derandomized_iteration(_adjacency(g))
+    joined, removed, er, eb = M.luby_derandomized_iteration(_adjacency(g),
+                                                            S.RoundEngine(g))
     assert len(joined) == 1 and removed == {1, 2} and er == eb == 1
 
 
@@ -69,7 +70,7 @@ def test_random_graphs_scans(rng):
 def test_congest_mode_budget(rng):
     g = random_simple_graph(rng, 80, 8, 0.1)
     eng = S.RoundEngine(g, mode=S.CONGEST)
-    I, metrics, _ = M.mis(g, mode=S.CONGEST, engine=eng)
+    I, metrics, _ = M.mis(g, engine=eng)
     assert O.is_maximal_is(g, I)
     assert metrics.max_bits_per_edge_round <= eng.bit_budget
     assert not metrics.budget_violations

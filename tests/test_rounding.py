@@ -51,16 +51,32 @@ def _schedule_k(lam):
     return _two_k(lam).bit_length() - (bits & -bits).bit_length()
 
 
-def _step(g, val, lam, delta, eta, **kwargs):
+def _step(g, val, lam, delta, eta, mode=sim.LOCAL):
     """One rounding step on the raw rows ``lam``, all over one 2^k, with
-    the node ids as start colors: returns the packing and the rows after
-    the step, still numerators over 2^k but all even."""
+    the node ids as start colors, on a new engine in ``mode``: returns the
+    packing and the rows after the step, still numerators over 2^k but
+    all even."""
     prep = R._Prepared(g, val)
     rows = [list(row) for row in prep.rows(lam)]
     k = _two_k(lam).bit_length() - 1
     R.rounding_step(prep, rows, k, delta, eta,
-                    R._Frontier(rows, k, prep.start(None)), **kwargs)
+                    R._Frontier(rows, k, prep.start(None)),
+                    sim.RoundEngine(g, mode=mode))
     return prep, rows
+
+
+def _to_integral(g, val, lam, eps, mu, mode=sim.LOCAL, **kwargs):
+    """``round_to_integral`` on the packed ``(g, val)`` and a new engine
+    over ``g`` in ``mode``: the labeling."""
+    return R.round_to_integral(R._Prepared(g, val), lam, eps, mu,
+                               sim.RoundEngine(g, mode=mode), **kwargs)[0]
+
+
+def _fractional(g, val, lam, eps, mu, **kwargs):
+    """``round_fractional`` on the packed ``(g, val)`` and a new LOCAL
+    engine over ``g``: the labeling and its exact (u, c)."""
+    return R.round_fractional(R._Prepared(g, val), lam, eps, mu,
+                              sim.RoundEngine(g), **kwargs)
 
 
 def test_rounding_step_node_utility_forces_argmax():
@@ -72,7 +88,7 @@ def test_rounding_step_node_utility_forces_argmax():
     assert rows[prep.index[7]] == [0, 2]
     # and through the full schedule from half-half
     lam = {7: (8, 8)}
-    ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1))
+    ell = _to_integral(g, val, lam, Fraction(1, 2), Fraction(1))
     assert ell[7] == 1
 
 
@@ -187,8 +203,8 @@ def test_full_rounding_fuzz(rng):
         if val is None:
             continue
         eps = rng.choice([Fraction(1, 2), Fraction(1, 10)])
-        ell = R.round_to_integral(g, val, lam, eps, mu,
-                                  mode=rng.choice([sim.LOCAL, sim.CONGEST]))
+        ell = _to_integral(g, val, lam, eps, mu,
+                           mode=rng.choice([sim.LOCAL, sim.CONGEST]))
         assert set(ell) == set(g.nodes)
         done += 1
 
@@ -204,39 +220,14 @@ def test_schedule_rejects_malformed_initial_coloring():
              ({1: -1, 2: 3}, "negative")]
     for initial, msg in cases:
         with pytest.raises(C.ColoringError, match=msg):
-            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
-                                initial_coloring=initial)
+            _to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
+                         initial_coloring=initial)
         with pytest.raises(C.ColoringError, match=msg):
-            R.round_fractional(g, val, raw_rows(half), Fraction(1, 2),
-                               Fraction(1, 4), initial_coloring=initial)
-    ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
-                              initial_coloring={1: 0, 2: 1})
+            _fractional(g, val, raw_rows(half), Fraction(1, 2),
+                        Fraction(1, 4), initial_coloring=initial)
+    ell = _to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4),
+                       initial_coloring={1: 0, 2: 1})
     assert ell[1] != ell[2]
-
-
-def _no_coloring(monkeypatch):
-    def boom(*_args):
-        raise AssertionError("the coloring ran")
-    for name in ("defective_colors_for_rounding",
-                 "proper_colors_for_rounding"):
-        monkeypatch.setattr(C, name, boom)
-
-
-@pytest.mark.parametrize("entry", ["rounding_step", "round_to_integral",
-                                   "round_fractional"])
-def test_unknown_mode_is_rejected_before_the_coloring(entry, monkeypatch):
-    """An unknown mode raised ``KeyError`` after the coloring had run, or
-    rounded as LOCAL."""
-    g = two_node_graph()
-    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
-    lam = {1: (1, 1), 2: (1, 1)}
-    _no_coloring(monkeypatch)
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        if entry == "rounding_step":
-            _step(g, val, lam, Fraction(1, 2), Fraction(1), mode="bogus")
-        else:
-            getattr(R, entry)(g, val, lam, Fraction(1, 2), Fraction(1, 4),
-                              mode="bogus")
 
 
 @pytest.mark.parametrize("eps, mu", [
@@ -247,14 +238,17 @@ def test_eps_and_mu_outside_the_unit_interval_are_rejected(eps, mu,
                                                            monkeypatch):
     """eps = 0 or mu = 0 divided by zero; eps = -1 and mu = 2 failed as
     lost invariants, and eps = 2 ran.  Both functions check the range
-    before they read the rows or pack the valuation."""
+    before they read the rows, evaluate a potential or preprocess."""
     g = two_node_graph()
-    val = R.Valuation(2, {0: (0, 1, 1, 0)}, {})
+    prep = R._Prepared(g, R.Valuation(2, {0: (0, 1, 1, 0)}, {}))
+    engine = sim.RoundEngine(g)
     lam = {1: (1, 2), 2: (2, 1)}
-    assert R.round_fractional(g, val, lam, 1, 1)[1] == (1, 0)
-    monkeypatch.setattr(R, "_Prepared", None)
-    for call in (lambda: R.preprocess_fractional(lam, eps, mu),
-                 lambda: R.round_fractional(g, val, lam, eps, mu)):
+    assert R.round_fractional(prep, lam, 1, 1, engine)[1] == (1, 0)
+    preprocess = R.preprocess_fractional
+    monkeypatch.setattr(R, "preprocess_fractional", None)
+    monkeypatch.setattr(R._Prepared, "potential", None)
+    for call in (lambda: preprocess(lam, eps, mu),
+                 lambda: R.round_fractional(prep, lam, eps, mu, engine)):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
             call()
 
@@ -263,7 +257,7 @@ def test_integral_input_returned_unchanged():
     g = two_node_graph()
     val = R.Valuation(2, {0: (1, 1, 1, 1)}, {})
     lam = {1: (0, 8), 2: (8, 0)}
-    ell = R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 2))
+    ell = _to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 2))
     assert ell == {1: 1, 2: 0}
 
 
@@ -415,14 +409,14 @@ def test_potential_evaluated_once_per_step(rng, monkeypatch):
             continue
         # one reading of the rows
         counts.update(eval=0, steps=0, rows=0)
-        R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        _to_integral(g, val, lam, Fraction(1, 2), mu)
         assert counts == {"eval": k + 1, "steps": k, "rows": 1}
         counts.update(eval=0, steps=0, rows=0)
-        R.round_to_integral(g, val, lam, Fraction(1, 2), mu, check=False)
+        _to_integral(g, val, lam, Fraction(1, 2), mu, check=False)
         assert counts == {"eval": 1, "steps": k, "rows": 1}
         # raw input, preprocessed input, one per step
         counts.update(eval=0, steps=0, rows=0)
-        R.round_fractional(g, val, lam, Fraction(1, 2), mu)
+        _fractional(g, val, lam, Fraction(1, 2), mu)
         assert counts["eval"] == counts["steps"] + 2
         done += 1
 
@@ -459,9 +453,9 @@ def test_color_loop_visits_only_the_frontier(rng, monkeypatch):
             continue
         initial = C.linial_coloring(g).colors
         counts["checks"] = 0
-        R.round_to_integral(g, val, lam, Fraction(1, 2), mu,
-                            initial_coloring=initial,
-                            mode=rng.choice([sim.LOCAL, sim.CONGEST]))
+        _to_integral(g, val, lam, Fraction(1, 2), mu,
+                     initial_coloring=initial,
+                     mode=rng.choice([sim.LOCAL, sim.CONGEST]))
         assert counts["checks"] == 1
         done += 1
     assert counts["visits"] == counts["pairs"] < counts["rows"]
@@ -490,7 +484,7 @@ def test_step_weights_do_not_depend_on_the_fixed_denominator(
             rows = [[x << s for x in r] for r in prep.rows(lam)]
             R.rounding_step(prep, rows, k, Fraction(1, 10), Fraction(3, 2),
                             R._Frontier(rows, k + s, prep.start(initial)),
-                            check=False)
+                            sim.RoundEngine(g), check=False)
         assert seen[-1] == seen[-2]
         assert g.n_edges() == 0 or any(seen[-1][0])
 
@@ -518,12 +512,10 @@ def test_tables_packed_once_per_prepared(rng, monkeypatch):
         if val is None or _schedule_k(lam) == 0:
             continue
         counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, lam, Fraction(1, 2), mu)
-        assert counts == {"pack": 1, "prepare": 1}
         prep = R._Prepared(g, val)
-        counts.update(pack=0, prepare=0)
-        R.round_fractional(g, val, lam, Fraction(1, 2), mu, prep=prep)
-        assert counts == {"pack": 0, "prepare": 0}
+        assert counts == {"pack": 1, "prepare": 1}
+        R.round_fractional(prep, lam, Fraction(1, 2), mu, sim.RoundEngine(g))
+        assert counts == {"pack": 1, "prepare": 1}
         done += 1
 
 
@@ -558,7 +550,7 @@ def test_agreements_walked_once_per_packing_and_coloring(rng, monkeypatch):
             continue
         walks.clear()
         steps.clear()
-        R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        _to_integral(g, val, lam, Fraction(1, 2), mu)
         assert set(walks) == set(steps)
         last = {}
         for q, d, colors in walks:
@@ -584,7 +576,7 @@ def test_small_ids_round_without_weights_or_agreements(rng, monkeypatch):
         val = _margin_scaled(g, val, lam, mu)
         if val is None or _schedule_k(lam) < 2 or not g.edges:
             continue
-        ell = R.round_to_integral(g, val, lam, Fraction(1, 2), mu)
+        ell = _to_integral(g, val, lam, Fraction(1, 2), mu)
         assert set(ell) == set(g.nodes) and calls == []
         done += 1
 
@@ -603,12 +595,12 @@ def test_schedule_rejects_malformed_rows():
              ({1: (0, 0), 2: (0, 0)}, "one power of two")]
     for lam, msg in cases:
         with pytest.raises(ValueError, match=msg):
-            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
+            _to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
         if "power" not in msg:
             with pytest.raises(ValueError, match=msg):
                 prep.potential(lam)
-    ell = R.round_to_integral(g, val, {1: (0, 4), 2: (1, 3)},
-                              Fraction(1, 2), Fraction(1, 4))
+    ell = _to_integral(g, val, {1: (0, 4), 2: (1, 3)},
+                       Fraction(1, 2), Fraction(1, 4))
     assert ell == {1: 1, 2: 0}
 
 
@@ -624,10 +616,10 @@ def test_schedule_rejects_assignment_off_the_valuation():
              ({1: (1,), 2: (1,)}, "1 labels")]
     for lam, msg in cases:
         with pytest.raises(ValueError, match=msg):
-            R.round_to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
+            _to_integral(g, val, lam, Fraction(1, 2), Fraction(1, 4))
         with pytest.raises(ValueError, match=msg):
             prep.potential(lam)
     extra = {1: (1, 1), 2: (1, 1), 9: (2, 0)}
-    ell = R.round_to_integral(g, val, extra, Fraction(1, 2), Fraction(1, 4))
+    ell = _to_integral(g, val, extra, Fraction(1, 2), Fraction(1, 4))
     assert set(ell) == {1, 2} and ell[1] != ell[2]
     assert prep.potential(extra) == prep.potential({1: (1, 1), 2: (1, 1)})

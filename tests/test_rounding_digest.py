@@ -87,10 +87,10 @@ def _instances():
 def rounding_digest():
     h = hashlib.sha256()
     for g, val, lam, eps, mode, initial in _instances():
-        engine = sim.RoundEngine(g)
-        ell = R.round_to_integral(g, val, lam, eps, Fraction(1, 4),
-                                  mode=mode,
-                                  initial_coloring=initial, engine=engine)
+        engine = sim.RoundEngine(g, mode=mode)
+        ell, _uc = R.round_to_integral(R._Prepared(g, val), lam, eps,
+                                       Fraction(1, 4), engine,
+                                       initial_coloring=initial)
         h.update(json.dumps([sorted(ell.items()), engine.metrics.total_rounds,
                              engine.metrics.max_bits_per_edge_round]).encode())
     return h.hexdigest()
