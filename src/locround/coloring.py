@@ -72,22 +72,22 @@ class _Packing:
 
     Node ``i`` is ``nodes[i]``; edge ``j`` joins ``eu[j]`` and ``ev[j]``, is
     managed by node ``mgr[j]`` (-1 when it has no manager among the nodes)
-    and carries edge index ``eidx[j]``.  ``agree_cache`` memoizes the
-    candidate agreements of color pairs across Reed-Solomon steps and may
-    be shared between packings.
+    and carries edge index ``eidx[j]``.  The packing memoizes the candidate
+    agreements of color pairs per Reed-Solomon step (q, d), for its own
+    colorings only.
     """
 
-    def __init__(self, g, agree_cache=None):
+    def __init__(self, g):
         self.nodes = list(g.nodes)
         index = self.index = {v: i for i, v in enumerate(self.nodes)}
         self.nv = len(self.nodes)
-        self.eu, self.ev, self.mgr, self.eidx = [], [], [], []
-        for e in g.edges:
-            self.eu.append(index[e.u])
-            self.ev.append(index[e.v])
-            self.mgr.append(-1 if e.manager is None else index.get(e.manager, -1))
-            self.eidx.append(e.index)
-        self.agree_cache = {} if agree_cache is None else agree_cache
+        edges = g.edges
+        self.eu = [index[e.u] for e in edges]
+        self.ev = [index[e.v] for e in edges]
+        # a manager of None or outside the nodes is no key of ``index``
+        self.mgr = [index.get(e.manager, -1) for e in edges]
+        self.eidx = [e.index for e in edges]
+        self._pairs = {}
         self._agreements = {}
 
     def agreements(self, colors, q, d):
@@ -99,7 +99,7 @@ class _Packing:
         if hit is None or hit[0] != colors:
             hit = self._agreements[q, d] = (list(colors), _K.edge_agreements(
                 self.eu, self.ev, colors, q, d,
-                self.agree_cache.setdefault((q, d), {})))
+                self._pairs.setdefault((q, d), {})))
         return hit[1]
 
     def start(self, initial):

@@ -38,9 +38,6 @@ class Edge(NamedTuple):
     manager: Optional[int] = None
     index: int = 0
 
-    def other(self, x):
-        return self.v if x == self.u else self.u
-
 
 class Multigraph:
     """Undirected multigraph with no self-loops over integer node ids.
@@ -112,7 +109,7 @@ class Multigraph:
 
     def neighbors(self, v):
         """Neighbor multiset as a sorted list (simple graphs: the neighbor set)."""
-        return sorted(e.other(v) for e in self._incident[v])
+        return sorted([e.v if e.u == v else e.u for e in self._incident[v]])
 
 
 def simple_graph(nodes, pairs):

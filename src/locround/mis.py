@@ -18,6 +18,7 @@ potential facts behind it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -35,9 +36,10 @@ class MisInvariantError(AssertionError):
 
 @dataclass
 class LubyIteration:
-    """One Luby iteration.  ``mark_num[v] / mark_den`` is the marking
-    probability of v, 1/(20 deg(v)): the marks are integers over one
-    denominator."""
+    """One Luby iteration on the residual adjacency ``adj`` (node -> set
+    of neighbors) it was classified from.  ``mark_num[v] / mark_den`` is
+    the marking probability of v, 1/(20 deg(v)): the marks are integers
+    over one denominator."""
 
     nodes: list
     degree: dict
@@ -47,6 +49,7 @@ class LubyIteration:
     in_star: dict
     mark_num: dict
     mark_den: int
+    adj: dict
 
     def check(self):
         good = set(self.good_nodes)
@@ -107,7 +110,7 @@ def classify_and_select_instar(adj):
             acc += mark_num[u]
         in_star[v] = chosen
     it = LubyIteration(nodes, degree, in_nbrs, out_nbrs, good, in_star,
-                       mark_num, 20 * D)
+                       mark_num, 20 * D, adj)
     it.check()
     return it
 
@@ -124,37 +127,32 @@ def build_mis_valuation(it):
     IN*(v), which sums to u's node utility; w in OUT(u) puts u outside
     OUT(w), so no pair is reached from both ends.
     """
-    virt = []
+    virt = []           # (a, b, manager, cost)
     node_util = {}
     for v in it.good_nodes:
         half = it.degree[v]          # deg(v)/2 at scale 2
         star = it.in_star[v]
         for u in star:
             node_util[u] = node_util.get(u, 0) + half
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                virt.append((star[i], star[j], v, 2 * half))
-    phys = sorted(((u, w) if u < w else (w, u), util)
-                  for u, util in node_util.items() for w in it.out_nbrs[u])
-    edges = []
-    comm = {v: set(it.in_nbrs[v]) | set(it.out_nbrs[v]) for v in it.nodes}
-    ec = {}
-    idx = 0
-    for (a, b), cost in phys:
-        edges.append(_graph.Edge(a, b, _graph.PHYSICAL, None, idx))
-        ec[idx] = (0, 0, 0, cost)
-        idx += 1
-    for (a, b, mgr, cost) in virt:
-        edges.append(_graph.Edge(a, b, _graph.VIRTUAL, mgr, idx))
-        ec[idx] = (0, 0, 0, cost)
-        idx += 1
-    h = _graph.Multigraph(it.nodes, edges, comm)
+        virt += [(a, b, v, 2 * half)
+                 for a, b in itertools.combinations(star, 2)]
+    phys = sorted([(u, w, c) if u < w else (w, u, c)
+                   for u, c in node_util.items() for w in it.out_nbrs[u]])
+    edges = [_graph.Edge(a, b, _graph.PHYSICAL, None, i)
+             for i, (a, b, _c) in enumerate(phys)]
+    edges += [_graph.Edge(a, b, _graph.VIRTUAL, m, i)
+              for i, (a, b, m, _c) in enumerate(virt, len(phys))]
+    costs = [c for _a, _b, c in phys] + [c for _a, _b, _m, c in virt]
+    table = {c: (0, 0, 0, c) for c in set(costs)}
+    ec = dict(enumerate(map(table.__getitem__, costs)))
+    # the residual adjacency is IN u OUT, the model check's reference
+    h = _graph.Multigraph(it.nodes, edges, it.adj)
     nut = {v: (0, w) for v, w in node_util.items()}
     val = _rounding.Valuation(2, {}, ec, node_utility=nut, scale=2)
     return h, val
 
 
-def luby_derandomized_iteration(adj, engine, agree_cache=None, check=True):
+def luby_derandomized_iteration(adj, engine, check=True):
     """One derandomized iteration on ``engine``, rounding at eps = mu =
     1/2; returns (joined, removed, edges_removed, edges_before)."""
     it = classify_and_select_instar(adj)
@@ -162,7 +160,7 @@ def luby_derandomized_iteration(adj, engine, agree_cache=None, check=True):
     h, val = build_mis_valuation(it)
     den = it.mark_den
     lam_raw = {v: (den - m, m) for v, m in it.mark_num.items()}
-    prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
+    prep = _rounding._Prepared(h, val)
     uc_raw = None
     if check:
         U, C = uc_raw = prep.potential(lam_raw)
@@ -182,14 +180,10 @@ def luby_derandomized_iteration(adj, engine, agree_cache=None, check=True):
     removed = set(joined)
     for u in joined:
         removed.update(adj[u])
-    edges_removed = 0
-    seen = set()
-    for u in sorted(removed):
-        for w in adj[u]:
-            key = (min(u, w), max(u, w))
-            if key not in seen:
-                seen.add(key)
-                edges_removed += 1
+    # an edge with both ends removed is met from each end
+    edges_removed = (sum(len(adj[u]) for u in removed)
+                     - sum(len(removed.intersection(adj[u]))
+                           for u in removed) // 2)
     if check and 500 * edges_removed < edges_before:
         raise MisInvariantError(
             f"removed {edges_removed} of {edges_before} edges, below 1/500")
@@ -206,7 +200,6 @@ def mis(g, mode=None, engine=None, check=True):
     out = []
     iterations = 0
     ratios = []
-    agree_cache = {}
     while live:
         isolated = sorted(v for v in live if not adj[v])
         for v in isolated:
@@ -215,8 +208,7 @@ def mis(g, mode=None, engine=None, check=True):
         if not live:
             break
         joined, removed, er, eb = luby_derandomized_iteration(
-            {v: adj[v] for v in sorted(live)}, engine,
-            agree_cache=agree_cache, check=check)
+            {v: adj[v] for v in sorted(live)}, engine, check=check)
         iterations += 1
         ratios.append((er, eb))
         out.extend(joined)

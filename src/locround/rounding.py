@@ -76,8 +76,8 @@ class _Prepared(_coloring._Packing):
     """The graph packing plus the valuation's integer tables in packing
     order, packed for the kernels once per (graph, valuation)."""
 
-    def __init__(self, g, val, agree_cache=None):
-        super().__init__(g, agree_cache)
+    def __init__(self, g, val):
+        super().__init__(g)
         self.g = g
         self.val = val
         self.L = val.nlabels

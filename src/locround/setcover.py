@@ -217,10 +217,10 @@ def _iteration_valuation(inst, n_star, u_live, g_i, lam, cost):
 
 
 def cover_iteration(inst, n_star, u_live, g_i, lam, cost, engine,
-                    agree_cache, initial_coloring, check=True):
+                    initial_coloring, check=True):
     """One rounding iteration on ``engine``; returns (V'_i, U_{i+1})."""
     h, val = _iteration_valuation(inst, n_star, u_live, g_i, lam, cost)
-    prep = _rounding._Prepared(h, val, agree_cache=agree_cache)
+    prep = _rounding._Prepared(h, val)
     U0, C0 = prep.potential(lam)
     if 2 * C0 > U0:
         raise CoverInvariantError(
@@ -295,7 +295,6 @@ def set_cover(inst, mode=None, cost_mode="unit",
     initial_coloring = None
     if engine.mode == _sim.LOCAL:
         initial_coloring = _two_hop_set_coloring(inst)
-    agree_cache = {}
     u_live = set(inst.elements)
     phi = [g0 * len(inst.elements) + 3 * tau * opt_bound]
     uncovered = [len(u_live)]
@@ -307,7 +306,7 @@ def set_cover(inst, mode=None, cost_mode="unit",
         g_i = 20 * w_eff * _g_coefficient(tau - i)
         v_i, u_next = cover_iteration(
             inst, n_star, u_live, g_i, lam, cost, engine,
-            agree_cache, initial_coloring, check=check)
+            initial_coloring, check=check)
         ci = sum(cost[v] for v in v_i)
         if check:
             lhs = g_i * (len(u_live) - len(u_next)) - ci

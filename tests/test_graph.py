@@ -97,6 +97,16 @@ def test_d2_manager_invariant_fuzz(rng):
                 assert e.v in g.neighbors(e.manager)
 
 
+def test_neighbors_lists_parallel_edges_once_each():
+    """A physical and a virtual edge between 1 and 2, stored in both
+    endpoint orders: ``neighbors`` is the sorted multiset."""
+    g = G.Multigraph([1, 2, 3], [G.Edge(1, 2), G.Edge(2, 1, G.VIRTUAL, 3),
+                                 G.Edge(3, 1)])
+    assert g.neighbors(1) == [2, 2, 3]
+    assert g.neighbors(2) == [1, 1]
+    assert g.neighbors(3) == [1]
+
+
 def test_model_check_rejects_virtual_edge_off_its_manager():
     # manager 1 is adjacent to 2 but not to 3
     comm = {1: {2}, 2: {1}, 3: set()}

@@ -58,6 +58,55 @@ def test_single_edge_removal_count():
     assert len(joined) == 1 and removed == {1, 2} and er == eb == 1
 
 
+def _distinct_edges_at(adj, nodes):
+    """The distinct edges of ``adj`` with an endpoint in ``nodes``."""
+    return {frozenset((u, w)) for u in nodes for w in adj[u]}
+
+
+def test_removed_edge_count_matches_the_distinct_edges(rng):
+    """The count from set sizes equals the number of distinct edges with an
+    endpoint in ``removed``, on graphs where removed nodes are adjacent
+    to each other."""
+    adjacent = 0
+    for _ in range(10):
+        g = random_simple_graph(rng, rng.randint(2, 90), rng.choice([3, 6, 12]),
+                                rng.choice([0.05, 0.2, 0.5]))
+        if not g.n_edges():
+            continue
+        adj = _adjacency(g)
+        joined, removed, er, eb = M.luby_derandomized_iteration(
+            adj, S.RoundEngine(g))
+        assert er == len(_distinct_edges_at(adj, removed))
+        assert eb == g.n_edges()
+        adjacent += sum(1 for u in removed for w in adj[u] if w in removed)
+    assert adjacent      # every joined node is removed with its neighbors
+
+
+def test_mis_ratios_match_the_distinct_edge_count(rng, monkeypatch):
+    """Each ``mis`` run's ``info["ratios"]`` equals the brute-force count of
+    every iteration it ran, taken on the residual adjacency it passed."""
+    seen = []
+    run = M.luby_derandomized_iteration
+
+    def spy(adj, engine, check=True):
+        before = {v: set(nb) for v, nb in adj.items()}
+        joined, removed, er, eb = run(adj, engine, check=check)
+        seen.append((len(_distinct_edges_at(before, removed)),
+                     sum(map(len, before.values())) // 2))
+        return joined, removed, er, eb
+
+    monkeypatch.setattr(M, "luby_derandomized_iteration", spy)
+    iterations = 0
+    for _ in range(6):
+        g = random_simple_graph(rng, rng.randint(2, 120), 10, 0.1)
+        seen.clear()
+        I, _metrics, info = M.mis(g)
+        assert O.is_maximal_is(g, I)
+        assert info["ratios"] == seen
+        iterations += len(seen)
+    assert iterations > 6
+
+
 def test_random_graphs_scans(rng):
     for _ in range(6):
         g = random_simple_graph(rng, rng.randint(2, 120), 10, 0.1)
@@ -119,13 +168,16 @@ def test_iteration_bound_matches_loop():
 
 
 def _iteration(degree, in_nbrs, out_nbrs, good, in_star):
-    """A Luby iteration over the given tables, with the 1/(20 deg) marks."""
+    """A Luby iteration over the given tables, with the 1/(20 deg) marks
+    and IN u OUT as its adjacency."""
     nodes = sorted(degree)
     D = math.lcm(*degree.values())
+    ins = {v: in_nbrs.get(v, []) for v in nodes}
+    outs = {v: out_nbrs.get(v, []) for v in nodes}
     return M.LubyIteration(
-        nodes, degree, {v: in_nbrs.get(v, []) for v in nodes},
-        {v: out_nbrs.get(v, []) for v in nodes}, good, in_star,
-        {v: D // d for v, d in degree.items()}, 20 * D)
+        nodes, degree, ins, outs, good, in_star,
+        {v: D // d for v, d in degree.items()}, 20 * D,
+        {v: set(ins[v]) | set(outs[v]) for v in nodes})
 
 
 def test_luby_check_trips_each_assertion():
@@ -168,6 +220,28 @@ def test_luby_check_runs_on_built_iterations(rng):
         heavy[u] *= 21
     with pytest.raises(M.MisInvariantError, match="mass"):
         dataclasses.replace(it, mark_num=heavy).check()
+
+
+def test_model_check_reads_the_residual_adjacency(rng):
+    """A non-neighbor put into OUT(u), or a non-neighbor of v put into
+    IN*(v), makes an edge off the residual adjacency, which the
+    d2-multigraph's model check rejects.  The edge (u, x), u < x, is
+    checked from u's side, where IN u OUT as the reference would have
+    accepted it."""
+    g = random_simple_graph(rng, 60, 6, 0.15)
+    it = M.classify_and_select_instar(_adjacency(g))
+    M.build_mis_valuation(it)
+    v = next(v for v in it.good_nodes if it.in_star[v])
+    u = min(u for w in it.good_nodes for u in it.in_star[w])
+    x = next(x for x in it.nodes if x > u and x not in it.adj[u])
+    outs = {**it.out_nbrs, u: it.out_nbrs[u] + [x]}
+    with pytest.raises(G.GraphFormatError, match="not comm-adjacent"):
+        M.build_mis_valuation(dataclasses.replace(it, out_nbrs=outs))
+    y = next(y for y in it.nodes if y != v and y not in it.adj[v]
+             and y not in it.in_star[v])
+    star = {**it.in_star, v: it.in_star[v] + [y]}
+    with pytest.raises(G.GraphFormatError, match=f"manager {v} not adjacent"):
+        M.build_mis_valuation(dataclasses.replace(it, in_star=star))
 
 
 def _reference_mis_valuation(it):
